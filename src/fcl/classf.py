@@ -133,11 +133,6 @@ def from_r(r: RatFun) -> ClassF:
     return make_classf(r.den, r.den + r.num)
 
 
-def poly_r(coeffs) -> RatFun:
-    """Convenience: a polynomial R-transform from low-first coefficients."""
-    return make_ratfun(Poly(coeffs), Poly.one())
-
-
 def translate(f: ClassF, u) -> ClassF:
     """F/(1 + u F): adds u*w to the R-transform."""
     u = as_rat(u)

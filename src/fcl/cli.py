@@ -3,7 +3,7 @@
 Every library capability is reachable in one invocation.  Output is exact
 by default (rationals as p/q strings); --json and --csv switch the shape,
 --approx adds decimal renderings.  Exit codes: 0 success, 1 domain error,
-2 usage/syntax error, 3 a tri-state verdict came back Unknown.
+2 usage/syntax error.
 """
 from __future__ import annotations
 
@@ -454,14 +454,6 @@ def _render_text(obj, indent=0):
     return "\n".join(lines)
 
 
-def _has_unknown(obj) -> bool:
-    if isinstance(obj, dict):
-        return any(_has_unknown(v) for v in obj.values())
-    if isinstance(obj, list):
-        return any(_has_unknown(v) for v in obj)
-    return obj == "unknown"
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -483,8 +475,6 @@ def main(argv=None) -> int:
             print(json.dumps(payload, indent=1))
         else:
             print(_render_text(payload))
-    if code == 0 and _has_unknown(payload):
-        return 3
     return code
 
 

@@ -85,7 +85,7 @@ def ck_candidates(k: int, t_hi) -> dict:
     """Critical scan of nk_classf(k) on (0, t_hi) and the C_k candidate.
 
     The candidate is the smallest critical whose right-hand interval has a
-    Yes verdict, or which is itself certified Yes; None when no rr0 window
+    Yes verdict, or which is itself decided Yes; None when no rr0 window
     shows up in range.  No minimality claim is made.
     """
     if k < 1:

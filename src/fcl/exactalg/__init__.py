@@ -1,6 +1,6 @@
 """Exact rational and polynomial algebra kernel."""
 
-from .algebraic import AlgebraicReal, isolate_real_roots
+from .algebraic import AlgebraicReal, is_real_rooted_at, isolate_real_roots
 from .bipoly import BiPoly, resultant_w
 from .hankel import hankel_det
 from .intervals import Iv, iv_poly_eval
@@ -13,7 +13,7 @@ from .sturm import (NEG_INF, POS_INF, cauchy_bound,
 __all__ = [
     "AlgebraicReal", "BiPoly", "Iv", "NEG_INF", "POS_INF", "Poly", "Rat",
     "as_rat", "cauchy_bound", "count_distinct_real_roots", "det_rat",
-    "hankel_det", "is_real_rooted", "is_squarefree", "isolate_real_roots",
-    "iv_poly_eval", "poly_gcd", "rat_str", "resultant", "resultant_w",
-    "squarefree_part", "sturm_chain", "sturm_count",
+    "hankel_det", "is_real_rooted", "is_real_rooted_at", "is_squarefree",
+    "isolate_real_roots", "iv_poly_eval", "poly_gcd", "rat_str", "resultant",
+    "resultant_w", "squarefree_part", "sturm_chain", "sturm_count",
 ]

@@ -16,7 +16,8 @@ from fractions import Fraction
 
 from .intervals import Iv, iv_poly_eval
 from .poly import Poly, Rat, as_rat, poly_gcd, squarefree_part
-from .sturm import cauchy_bound, count_distinct_real_roots, sturm_chain, _variations_at
+from .sturm import (cauchy_bound, count_distinct_real_roots, sign_variations,
+                    sturm_chain, _variations_at)
 
 
 class AlgebraicReal:
@@ -88,6 +89,26 @@ class AlgebraicReal:
         while a.width() > width:
             a = a._bisect_once()
         return a
+
+    def refine_inside(self, lo, hi):
+        """This number with its interval strictly inside (lo, hi), or None
+        when the number does not lie in (lo, hi)."""
+        if self.compare_rational(lo) <= 0 or self.compare_rational(hi) >= 0:
+            return None
+        a = self
+        while not (lo < a.lo and a.hi < hi):
+            a = a._bisect_once()
+        return a
+
+    def separate(self, other: "AlgebraicReal"):
+        """(self, other) refined until their intervals are disjoint.
+
+        The two numbers must differ, or the refinement never ends.
+        """
+        a, b = self, other
+        while not (a.hi < b.lo or b.hi < a.lo):
+            a, b = a._bisect_once(), b._bisect_once()
+        return a, b
 
     # -- exact predicates --------------------------------------------------
 
@@ -178,12 +199,8 @@ def _compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
         if not g.is_constant() and a.is_root_of(g) and b.is_root_of(g):
             if g(lo) == 0 or (lo < hi and count_distinct_real_roots(g, lo, hi) >= 1):
                 return 0
-    while True:
-        if a.hi < b.lo:
-            return -1
-        if b.hi < a.lo:
-            return 1
-        a, b = a._bisect_once(), b._bisect_once()
+    a, b = a.separate(b)
+    return -1 if a.hi < b.lo else 1
 
 
 # -- root isolation ----------------------------------------------------------
@@ -233,11 +250,11 @@ def _try_rationalize(p: Poly, lo: Rat, hi: Rat, lead_divisors):
     return None
 
 
-def isolate_real_roots(p: Poly, rationalize: bool = True):
+def isolate_real_roots(p: Poly):
     """Isolating AlgebraicReals for the distinct real roots of p, ascending.
 
-    With `rationalize`, rational roots come back with collapsed (point)
-    intervals when the leading coefficient is small enough to factor.
+    Rational roots come back with collapsed (point) intervals when the
+    leading coefficient is small enough to factor.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -247,7 +264,7 @@ def isolate_real_roots(p: Poly, rationalize: bool = True):
     chain = sturm_chain(s)
     bound = cauchy_bound(s)
     ints, _ = s.int_coeffs()
-    lead_divisors = _divisors(ints[-1]) if (rationalize and ints) else []
+    lead_divisors = _divisors(ints[-1])
 
     out = []
 
@@ -260,7 +277,7 @@ def isolate_real_roots(p: Poly, rationalize: bool = True):
         if n == 0:
             return
         if n == 1:
-            r = _try_rationalize(s, lo, hi, lead_divisors) if lead_divisors else None
+            r = _try_rationalize(s, lo, hi, lead_divisors)
             if r is not None:
                 out.append(AlgebraicReal(s, r, r, _checked=True))
             else:
@@ -287,3 +304,76 @@ def isolate_real_roots(p: Poly, rationalize: bool = True):
 
     split(-bound, bound, var(-bound), var(bound))
     return out
+
+
+# -- real-rootedness at an algebraic parameter ------------------------------
+
+
+def _gcdex(a: Poly, m: Poly):
+    """(g, s) with g = gcd(a, m) monic and s * a = g modulo m."""
+    r0, r1, s0, s1 = m, a, Poly.zero(), Poly.one()
+    while not r1.is_zero():
+        q, r = r0.divmod(r1)
+        r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
+    c = 1 / r0.lc
+    return r0 * c, s0 * c
+
+
+def _neg_rem(a, b, m: Poly):
+    """-(a rem b) for w-polynomials over Q[t]/(m); b has leading coefficient +-1."""
+    a = list(a)
+    s = b[-1]
+    while len(a) >= len(b):
+        q = a.pop() * s
+        k = len(a) - len(b) + 1
+        for j, c in enumerate(b[:-1]):
+            a[k + j] = (a[k + j] - q * c) % m
+    return [-c for c in a]
+
+
+def is_real_rooted_at(wcoeffs, t0: AlgebraicReal) -> bool:
+    """Whether sum_i c_i(t0) w^i has only real roots, for c_i in Q[t].
+
+    A Sturm chain over Q(t0), computed in Q[t]/(m) where m starts as
+    t0.defining; zero tests use is_root_of and signs sign_of, so the answer
+    is exact.  A leading coefficient that is nonzero at t0 but shares a
+    factor g with m is a zero divisor, and m becomes g when t0 is a root of
+    g, m/g otherwise (dynamic evaluation: Della Dora, Dicrescenzo and
+    Duval, EUROCAL 1985).  Each chain member is scaled by a unit positive
+    at t0 to leading coefficient +-1; the signs at +-infinity then count
+    the distinct real roots, and the polynomial is real-rooted iff that
+    count is deg - deg gcd(p, p') (Basu, Pollack and Roy, Algorithms in
+    Real Algebraic Geometry, ch. 2 and 9).
+    """
+    m = t0.defining
+
+    def leading_unit(p):
+        # p cut to its degree at t0 and scaled to leading coefficient +-1
+        nonlocal m
+        p = list(p)
+        while p:
+            a = p[-1] % m
+            if a.is_zero():
+                p.pop()
+                continue
+            g, inv = _gcdex(a, m)
+            if not g.is_constant():
+                m = g if t0.is_root_of(g) else m.exact_div(g)
+                continue
+            s = t0.sign_of(a)
+            u = inv * s
+            return [(c * u) % m for c in p[:-1]] + [Poly.const(s)]
+        return p
+
+    p = leading_unit(wcoeffs)
+    if not p:
+        raise ValueError("polynomial vanishes at t0")
+    chain = [p]
+    r = leading_unit([i * c for i, c in enumerate(p)][1:])
+    while r:
+        chain.append(r)
+        r = leading_unit(_neg_rem(chain[-2], chain[-1], m))
+    at_pos = [c[-1].lc for c in chain]
+    at_neg = [s * (-1) ** (len(c) - 1) for s, c in zip(at_pos, chain)]
+    real = sign_variations(at_neg) - sign_variations(at_pos)
+    return real == len(p) - len(chain[-1])

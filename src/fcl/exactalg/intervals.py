@@ -20,21 +20,9 @@ class Iv:
             raise ValueError("interval endpoints out of order")
         self.lo, self.hi = lo, hi
 
-    @staticmethod
-    def point(x) -> "Iv":
-        return Iv(x)
-
     @property
     def width(self) -> Rat:
         return self.hi - self.lo
-
-    @property
-    def mid(self) -> Rat:
-        return (self.lo + self.hi) / 2
-
-    def contains(self, x) -> bool:
-        x = as_rat(x)
-        return self.lo <= x <= self.hi
 
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
@@ -82,18 +70,6 @@ class Iv:
 
     def __rtruediv__(self, other) -> "Iv":
         return _coerce(other) / self
-
-    def __pow__(self, n: int) -> "Iv":
-        if n < 0:
-            raise ValueError("negative interval power")
-        out = Iv(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __repr__(self):
         return f"Iv({self.lo}, {self.hi})"

@@ -55,10 +55,6 @@ class Poly:
     def x() -> "Poly":
         return Poly((0, 1))
 
-    @staticmethod
-    def monomial(c, n: int) -> "Poly":
-        return Poly((0,) * n + (as_rat(c),))
-
     # -- basic queries ------------------------------------------------
 
     @property

@@ -16,8 +16,6 @@ from __future__ import annotations
 import json
 import re
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -143,6 +141,8 @@ def fetch(a_number: str, config: Config | None = None) -> Fixture:
         return _fixture_from_json(json.loads(cache.read_text()))
     if not config.network:
         raise NetworkDisabled(f"{a_number} is not bundled and networking is off")
+    import urllib.error
+    import urllib.request
     url = f"https://oeis.org/{a_number}/b{a_number[1:]}.txt"
     try:
         with urllib.request.urlopen(url, timeout=30) as resp:

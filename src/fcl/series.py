@@ -13,19 +13,6 @@ def ser_trunc(a, n: int):
     return a + [Rat(0)] * (n + 1 - len(a))
 
 
-def ser_add(a, b, n: int):
-    a, b = ser_trunc(a, n), ser_trunc(b, n)
-    return [x + y for x, y in zip(a, b)]
-
-
-def ser_neg(a):
-    return [-x for x in a]
-
-
-def ser_scale(a, c):
-    return [x * c for x in a]
-
-
 def ser_mul(a, b, n: int):
     a, b = ser_trunc(a, n), ser_trunc(b, n)
     out = [Rat(0)] * (n + 1)

@@ -14,11 +14,10 @@ vanish identically whenever g has a multiple root.  Critical t values are
 then the real roots of the cleaned eliminant (multiple-root kind) together
 with parameter values where the moving part drops degree by at least two.
 
-Real-rootedness *at* an irrational critical t0 is decided by deflating the
-structurally forced double root (its location is a rational expression in
-t0 via the first subresultant) and certifying the cofactor with interval
-arithmetic; certification of an open condition terminates, boundary cases
-degenerate to Unknown rather than a guess.
+Real-rootedness *at* an irrational critical t0 is decided exactly: a Sturm
+chain of the moving part computed over Q(t0) counts its distinct real
+roots, and chi_{t0} is real-rooted iff that count is the number of distinct
+complex roots and g is real-rooted.
 """
 from __future__ import annotations
 
@@ -29,18 +28,15 @@ from functools import cmp_to_key
 
 from .classf import ClassF, free_power
 from .errors import DegenerateEliminant
-from .exactalg import (AlgebraicReal, BiPoly, Iv, Poly, Rat, as_rat,
+from .exactalg import (AlgebraicReal, BiPoly, Poly, Rat, as_rat,
                        count_distinct_real_roots, is_real_rooted,
-                       isolate_real_roots, iv_poly_eval, poly_gcd,
+                       is_real_rooted_at, isolate_real_roots, poly_gcd,
                        resultant_w, squarefree_part)
-from .exactalg.bipoly import _bareiss_det_poly
-from .exactalg.poly import sylvester_matrix
 
 
 class Verdict(Enum):
     YES = "yes"
     NO = "no"
-    UNKNOWN = "unknown"
 
 
 # ----------------------------------------------------------------------
@@ -199,16 +195,6 @@ def cleaned_critical_eliminant(f: ClassF):
     return g, xh, rho
 
 
-def _strictly_inside(r: AlgebraicReal, lo: Rat, hi: Rat):
-    """r refined to sit strictly inside (lo, hi), or None."""
-    if r.compare_rational(lo) <= 0 or r.compare_rational(hi) >= 0:
-        return None
-    a = r
-    while not (lo < a.lo and a.hi < hi):
-        a = a._bisect_once()
-    return a
-
-
 def critical_ts(f: ClassF, t_lo, t_hi) -> CriticalReport:
     """Critical t values in (t_lo, t_hi) plus rr0 verdicts between them."""
     t_lo, t_hi = as_rat(t_lo), as_rat(t_hi)
@@ -219,7 +205,7 @@ def critical_ts(f: ClassF, t_lo, t_hi) -> CriticalReport:
     crits = []
     if not rho.is_constant():
         for r in isolate_real_roots(rho):
-            r2 = _strictly_inside(r, t_lo, t_hi)
+            r2 = r.refine_inside(t_lo, t_hi)
             if r2 is not None:
                 crits.append([r2, "multiple_root"])
 
@@ -257,10 +243,7 @@ def critical_ts(f: ClassF, t_lo, t_hi) -> CriticalReport:
 def _disjoint(crits):
     """Refine consecutive criticals until their intervals are disjoint."""
     for i in range(len(crits) - 1):
-        a, b = crits[i][0], crits[i + 1][0]
-        while a.hi >= b.lo:
-            a, b = a._bisect_once(), b._bisect_once()
-        crits[i][0], crits[i + 1][0] = a, b
+        crits[i][0], crits[i + 1][0] = crits[i][0].separate(crits[i + 1][0])
     return crits
 
 
@@ -268,249 +251,21 @@ def _disjoint(crits):
 # rr0 at an exact algebraic parameter value
 
 
-def rr0_at_algebraic_t(f: ClassF, t0, max_precision: int = 256) -> Verdict:
-    """Tri-state real-rootedness of chi_{t0} for an exact algebraic t0.
+def rr0_at_algebraic_t(f: ClassF, t0) -> Verdict:
+    """Real-rootedness of chi_{t0} for an exact algebraic t0, decided exactly.
 
-    Rational t0 goes through the exact path.  Otherwise the verdict comes
-    from interval certification at doubling precision: directly when t0 is
-    not on the multiple-root locus, after deflating the forced double root
-    when it is.  Unknown means precision exhaustion, never a guess.
+    Rational t0 goes through is_rr0.  Otherwise chi_{t0} = g * (moving part
+    at t0): g is tested over Q, the moving part by a Sturm count over Q(t0).
     """
     if isinstance(t0, (int, Fraction)):
         return Verdict.YES if is_rr0(free_power(f, t0)) else Verdict.NO
     q = t0.as_fraction()
     if q is not None:
         return Verdict.YES if is_rr0(free_power(f, q)) else Verdict.NO
-
-    x = char_poly_t(f)
-    g, xh = moving_part(x)
-    if not is_real_rooted(g):
-        return Verdict.NO
-    _, _, rho = cleaned_critical_eliminant(f)
-
-    if not t0.is_root_of(rho):
-        return _interval_rr_decision(_pencil_coeff_polys(xh), t0, max_precision)
-
-    # on the locus: resultant zero + nonzero first principal subresultant
-    # coefficient pins the gcd degree to exactly 1 (one double root)
-    s1 = _first_subresultant(xh)
-    if s1 is None or t0.is_root_of(s1[1]):
-        return Verdict.UNKNOWN
-    return _deflated_rr_decision(xh, s1, t0, max_precision)
-
-
-def _pencil_coeff_polys(xh: BiPoly):
-    """Coefficient polynomials c_i(t) of the moving part."""
-    return list(xh.wcoeffs)
-
-
-def _iv_coeffs(coeff_polys, tiv: Iv):
-    return [iv_poly_eval(c.coeffs, tiv) for c in coeff_polys]
-
-
-def _interval_rr_decision(coeff_polys, t0: AlgebraicReal, max_precision: int) -> Verdict:
-    """Certify all-roots-real (or not) for a squarefree specialization."""
-    width = Fraction(1, 2**16)
-    floor_width = Fraction(1, 10 ** max_precision)
-    a = t0
-    while True:
-        a = a.refined_to(width)
-        civ = _iv_coeffs(coeff_polys, a.interval)
-        v = _certify_interval_poly(civ)
-        if v is not Verdict.UNKNOWN:
-            return v
-        if width < floor_width:
-            return Verdict.UNKNOWN
-        width = width * width
-
-
-def _certify_interval_poly(civ) -> Verdict:
-    """Decide all-real for an interval polynomial, if the enclosure allows.
-
-    YES by exhibiting deg-many sign alternations at rational points (taken
-    from the exactly isolated roots of the rational midpoint polynomial);
-    NO by an interval Sturm count falling short of the degree.
-    """
-    # effective degree: leading intervals that are exactly zero are stripped,
-    # an undetermined leading sign blocks certification
-    while civ and civ[-1].sign() == 0:
-        civ = civ[:-1]
-    if not civ:
-        return Verdict.UNKNOWN
-    if civ[-1].sign() is None:
-        return Verdict.UNKNOWN
-    deg = len(civ) - 1
-    if deg <= 1:
+    g, xh = moving_part(char_poly_t(f))
+    if is_real_rooted(g) and is_real_rooted_at(xh.wcoeffs, t0):
         return Verdict.YES
-    if deg == 2:
-        disc = civ[1] * civ[1] - 4 * civ[2] * civ[0]
-        s = disc.sign()
-        if s == 1 or s == 0:
-            return Verdict.YES
-        if s == -1:
-            return Verdict.NO
-        return Verdict.UNKNOWN
-
-    # candidate separating points from a low-precision rational midpoint poly
-    mid = Poly([c.mid.limit_denominator(1 << 48) for c in civ])
-    mid_sq = squarefree_part(mid) if not mid.is_zero() else mid
-    if mid_sq.degree == deg and count_distinct_real_roots(mid_sq) == deg:
-        pts = _separating_points(mid_sq)
-        signs = [iv_poly_eval(civ, Iv(p)).sign() for p in pts]
-        if all(s in (1, -1) for s in signs) and all(
-                signs[i] * signs[i + 1] < 0 for i in range(len(signs) - 1)):
-            return Verdict.YES
-    cnt = _interval_sturm_real_count(civ)
-    if cnt is not None and cnt < deg:
-        return Verdict.NO
-    return Verdict.UNKNOWN
-
-
-def _separating_points(p: Poly):
-    """deg+1 rationals strictly interlacing the real roots of squarefree p."""
-    roots = [r.refined_to(Fraction(1, 10**6))
-             for r in isolate_real_roots(p, rationalize=False)]
-    pts = [roots[0].lo - 1]
-    for a, b in zip(roots, roots[1:]):
-        while a.hi >= b.lo:
-            a, b = a._bisect_once(), b._bisect_once()
-        pts.append((a.hi + b.lo) / 2)
-    pts.append(roots[-1].hi + 1)
-    return pts
-
-
-def _interval_sturm_real_count(civ):
-    """Distinct real roots common to every member of the interval family.
-
-    Returns None when the chain cannot be completed with certainty (a
-    leading interval straddles zero).
-    """
-    def strip(c):
-        while c and c[-1].sign() == 0:
-            c = c[:-1]
-        return c
-
-    p0 = strip(list(civ))
-    if not p0 or p0[-1].sign() is None:
-        return None
-    p1 = strip([i * c for i, c in enumerate(p0)][1:])
-    chain = [p0, p1]
-    while True:
-        prev, cur = chain[-2], chain[-1]
-        cur = strip(cur)
-        if not cur:
-            chain.pop()
-            break
-        if cur[-1].sign() is None:
-            return None
-        chain[-1] = cur
-        if len(cur) == 1:
-            break
-        rem = _iv_poly_mod(prev, cur)
-        if rem is None:
-            return None
-        chain.append([-c for c in rem])
-    sign_hi = []
-    sign_lo = []
-    for p in chain:
-        s = p[-1].sign()
-        if s is None or s == 0:
-            return None
-        sign_hi.append(s)
-        sign_lo.append(s * (-1) ** (len(p) - 1))
-    def vari(ss):
-        return sum(1 for x, y in zip(ss, ss[1:]) if x * y < 0)
-    return vari(sign_lo) - vari(sign_hi)
-
-
-def _iv_poly_mod(a, b):
-    """Remainder of interval polynomials; None when a division is blocked."""
-    rem = list(a)
-    lead = b[-1]
-    if lead.sign() in (None, 0):
-        return None
-    while len(rem) >= len(b):
-        f = rem[-1] / lead
-        k = len(rem) - len(b)
-        for j, c in enumerate(b):
-            rem[k + j] = rem[k + j] - f * c
-        rem.pop()
-        while rem and rem[-1].sign() == 0:
-            rem.pop()
-        if rem and rem[-1].sign() is None:
-            return None
-    return rem
-
-
-def _first_subresultant(xh: BiPoly):
-    """S_1 of (moving part, its w-derivative) as (s10, s11) in Q[t].
-
-    Determinant-polynomial form, so it commutes with specializing t.
-    """
-    a, b = xh, xh.deriv_w()
-    n, m = a.degree_w, b.degree_w
-    if n < 2 or m < 1 or n + m - 2 < 1:
-        return None
-    rows = sylvester_matrix(list(a.wcoeffs), list(b.wcoeffs), n, m)
-    # rows of w^i * a for i = m-2..0 and w^j * b for j = n-2..0, columns
-    # highest degree first; drop one shift row of each block relative to
-    # the full Sylvester matrix
-    arows = rows[1:m]           # m-1 rows
-    brows = rows[m + 1:]        # n-1 rows
-    sub = [r[1:] for r in arows + brows]   # degrees n+m-2 .. 0
-    r = len(sub)                # n+m-2 rows, n+m-1 columns
-    if r == 0:
-        return None
-    base = [row[: r - 1] for row in sub]
-    s11 = _bareiss_det_poly([base[i] + [sub[i][r - 1]] for i in range(r)])
-    s10 = _bareiss_det_poly([base[i] + [sub[i][r]] for i in range(r)])
-    return (s10, s11)
-
-
-def _deflated_rr_decision(xh: BiPoly, s1, t0: AlgebraicReal,
-                          max_precision: int) -> Verdict:
-    """Certify chi_{t0} all-real after peeling the forced double root."""
-    s10, s11 = s1
-    coeff_polys = _pencil_coeff_polys(xh)
-    width = Fraction(1, 2**16)
-    floor_width = Fraction(1, 10 ** max_precision)
-    a = t0
-    while True:
-        a = a.refined_to(width)
-        tiv = a.interval
-        den = iv_poly_eval(s11.coeffs, tiv)
-        if den.sign() in (None, 0):
-            v = Verdict.UNKNOWN
-        else:
-            w0 = -iv_poly_eval(s10.coeffs, tiv) / den
-            civ = _iv_coeffs(coeff_polys, tiv)
-            v1 = _iv_deflate(civ, w0)
-            v2 = _iv_deflate(v1, w0) if v1 is not None else None
-            if v2 is None:
-                v = Verdict.UNKNOWN
-            else:
-                v = _certify_interval_poly(v2)
-        if v is not Verdict.UNKNOWN:
-            return v
-        if width < floor_width:
-            return Verdict.UNKNOWN
-        width = width * width
-
-
-def _iv_deflate(civ, w0: Iv):
-    """Synthetic division by (w - w0) over intervals; drops the remainder.
-
-    Valid as an enclosure of the true quotient because the true remainder
-    is exactly zero (w0 encloses a genuine double root).
-    """
-    if len(civ) < 2:
-        return None
-    out = []
-    acc = civ[-1]
-    for c in reversed(civ[:-1]):
-        out.append(acc)
-        acc = acc * w0 + c
-    return list(reversed(out))
+    return Verdict.NO
 
 
 # ----------------------------------------------------------------------

@@ -9,8 +9,8 @@ from conftest import rand_poly, rand_rat
 from fcl.errors import NotSquarefree
 from fcl.exactalg import (NEG_INF, POS_INF, AlgebraicReal, BiPoly, Iv, Poly,
                           cauchy_bound, count_distinct_real_roots, det_rat,
-                          hankel_det, is_real_rooted, is_squarefree,
-                          isolate_real_roots, iv_poly_eval, poly_gcd,
+                          hankel_det, is_real_rooted, is_real_rooted_at,
+                          is_squarefree, isolate_real_roots, iv_poly_eval, poly_gcd,
                           resultant, resultant_w, squarefree_part,
                           sturm_count)
 
@@ -172,6 +172,28 @@ def test_algebraic_real_api():
     rr = r.refined_to(F(1, 10**12))
     assert rr.width() <= F(1, 10**12)
     assert float(rr) == pytest.approx(2**0.5, abs=1e-12)
+    inside = r.refine_inside(F(7, 5), F(71, 50))
+    assert F(7, 5) < inside.lo and inside.hi < F(71, 50) and inside == r
+    assert r.refine_inside(F(3, 2), 2) is None
+    s3 = isolate_real_roots(Poly([-3, 0, 1]))[1]
+    a, b = r.separate(s3)
+    assert a.hi < b.lo and a == r and b == s3
+
+
+def test_is_real_rooted_at_splits_modulus():
+    # t0 = sqrt(2) and sqrt(3) share the reducible defining (t^2-2)(t^2-3);
+    # w^2 + t^2 - 2 has the double root 0 at sqrt(2) and no real root at
+    # sqrt(3).  Its chain ends in -(t^2 - 2), a zero divisor modulo the
+    # defining polynomial that is zero at sqrt(2) and nonzero at sqrt(3).
+    m = Poly([6, 0, -5, 0, 1])
+    sqrt2, sqrt3 = AlgebraicReal(m, F(7, 5), F(3, 2)), AlgebraicReal(m, F(17, 10), F(9, 5))
+    p = [Poly([-2, 0, 1]), Poly.zero(), Poly.one()]
+    assert is_real_rooted_at(p, sqrt2)
+    assert not is_real_rooted_at(p, sqrt3)
+    # (t^2 - 2) w^2 + t w + 1: linear at sqrt(2), discriminant -1 at sqrt(3)
+    q = [Poly([1]), Poly([0, 1]), Poly([-2, 0, 1])]
+    assert is_real_rooted_at(q, sqrt2)
+    assert not is_real_rooted_at(q, sqrt3)
 
 
 def test_interval_arithmetic():

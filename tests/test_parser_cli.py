@@ -258,12 +258,6 @@ def test_cli_power_flag(capsys):
     assert json.loads(out)["rr0"] is False
 
 
-def test_unknown_verdict_exit_helper():
-    from fcl.cli import _has_unknown
-    assert _has_unknown({"a": [{"v": "unknown"}]})
-    assert not _has_unknown({"a": ["yes", "no"], "b": 3})
-
-
 def test_cli_approx_flag(capsys):
     code, out, _ = run_cli(capsys, "nset", "w - w^2", "--json", "--approx", "6")
     data = json.loads(out)

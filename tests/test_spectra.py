@@ -6,6 +6,7 @@ import pytest
 from conftest import rand_classf, rand_rat
 from fcl.classf import (from_r, free_power, identity_f, make_classf,
                         make_ratfun, translate)
+from fcl.euler import nk_classf
 from fcl.exactalg import (AlgebraicReal, BiPoly, Poly, isolate_real_roots,
                           iv_poly_eval, poly_gcd, resultant_w)
 from fcl.spectra import (Verdict, boundary_diagnostics, cg_region, char_poly,
@@ -239,13 +240,30 @@ def test_rr0_at_algebraic_noncritical():
 
 
 def test_rr0_at_algebraic_critical_euler2():
-    from fcl.euler import nk_classf
     f = nk_classf(2)
     rep = critical_ts(f, 0, 10)
     assert len(rep.criticals) == 1
     t0 = rep.criticals[0]
     assert abs(float(t0) - 6.49104) < 1e-4
     assert rr0_at_algebraic_t(f, t0) is Verdict.YES
+
+
+# irrational criticals on the multiple-root locus; verdicts checked
+# against an independent floating-point root oracle
+@pytest.mark.parametrize("f, t_hi, expect", [
+    (make_classf(1 - F(9, 2) * w**2, 1 - 2 * w**2 - F(3, 2) * w**4), 10,
+     [(0.79788, Verdict.YES)]),
+    (make_classf(1 + 8 * w**2, 1 - F(9, 2) * w**2 - w**4), 10,
+     [(0.473688, Verdict.NO), (0.966369, Verdict.NO)]),
+    (nk_classf(6), 2000,
+     [(0.882321, Verdict.NO), (5.621342, Verdict.NO), (26.190316, Verdict.YES)]),
+], ids=["yes", "no", "nk6"])
+def test_rr0_at_algebraic_criticals(f, t_hi, expect):
+    rep = critical_ts(f, 0, t_hi)
+    assert len(rep.criticals) == len(expect)
+    for t0, (approx, verdict) in zip(rep.criticals, expect):
+        assert not t0.is_rational() and abs(float(t0) - approx) < 1e-5
+        assert rr0_at_algebraic_t(f, t0) is verdict
 
 
 # ------------------------------------------------------------ region tests
