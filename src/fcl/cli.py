@@ -332,7 +332,6 @@ def _config_of(args):
     return load_config({
         "fixtures": getattr(args, "fixtures", None),
         "network": getattr(args, "network", None),
-        "precision": getattr(args, "precision", None),
         "config": getattr(args, "config", None),
     })
 
@@ -347,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--approx", type=int, metavar="DIGITS", default=None,
                         help="add decimal approximations with this many digits")
     common.add_argument("--precision", type=int, default=50,
-                        help="working precision (digits) for interval refinement")
+                        help="digits of printed isolating intervals")
     common.add_argument("--fixtures", default=None, help="extra fixture/cache directory")
     common.add_argument("--network", choices=["on", "off"], default=None)
     common.add_argument("--config", default=None, help="config file path")

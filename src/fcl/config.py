@@ -3,7 +3,7 @@
 The config file is plain key=value lines ('#' comments allowed); its
 location comes from the --config flag, the FCL_CONFIG variable, or a
 ./fcl.conf in the working directory.  Recognized keys: fixtures (extra
-fixture/cache directory), network (on/off), precision (digits).
+fixture/cache directory) and network (on/off).
 """
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from pathlib import Path
 class Config:
     fixtures_path: Path | None = None
     network: bool = False
-    precision: int = 50
 
 
 def _parse_file(path: Path) -> dict:
@@ -65,11 +64,9 @@ def load_config(flags: dict | None = None, cwd: Path | None = None,
 
     fixtures = pick("fixtures", "FCL_FIXTURES", None)
     network = pick("network", "FCL_NETWORK", False)
-    precision = pick("precision", "FCL_PRECISION", 50)
     if isinstance(network, str):
         network = _as_bool(network)
     return Config(
         fixtures_path=Path(fixtures) if fixtures else None,
         network=bool(network),
-        precision=int(precision),
     )

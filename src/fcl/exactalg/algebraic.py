@@ -1,11 +1,10 @@
 """Exact real algebraic numbers as (squarefree polynomial, isolating interval).
 
 Isolation is Sturm bisection inside a Cauchy bound.  Rational roots are
-recognized exactly (the interval collapses to a point) by scanning the
-divisors of the leading integer coefficient: any rational root of a
-primitive integer polynomial has denominator dividing the leading
-coefficient, so once an isolating interval is narrower than 1/(2q) it holds
-at most one candidate with denominator q.
+recognized completely (the interval collapses to a point): by the rational
+root theorem every rational root of a primitive integer polynomial with
+leading coefficient L is a multiple of 1/|L|, so an isolating interval no
+wider than 1/|L| holds one candidate, and one exact evaluation settles it.
 
 Refinement is pure: methods return new numbers with narrower intervals,
 the original is never mutated.
@@ -131,17 +130,14 @@ class AlgebraicReal:
 
     def sign_of(self, p: Poly) -> int:
         """Exact sign of p at this number."""
-        if self.is_rational():
-            v = p(self.lo)
-            return (v > 0) - (v < 0)
-        if self.is_root_of(p):
-            return 0
         a = self
-        while True:
-            s = iv_poly_eval(p.coeffs, Iv(a.lo, a.hi)).sign()
-            if s is not None:
-                return s
+        s = iv_poly_eval(p.coeffs, a.interval).sign()
+        if s is None and a.is_root_of(p):
+            return 0
+        while s is None:
             a = a._bisect_once()
+            s = iv_poly_eval(p.coeffs, a.interval).sign()
+        return s
 
     def compare_rational(self, q) -> int:
         q = as_rat(q)
@@ -206,55 +202,13 @@ def _compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
 # -- root isolation ----------------------------------------------------------
 
 
-def _divisors(n: int, cap: int = 10**12):
-    """Divisors of |n|; for huge n only the trivial divisor is reported.
-
-    Incomplete lists merely leave some rational roots unrationalized
-    (they stay as isolating intervals), never affecting correctness.
-    """
-    n = abs(n)
-    if n == 0 or n > cap:
-        return [1]
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def _try_rationalize(p: Poly, lo: Rat, hi: Rat, lead_divisors):
-    """Exact rational root inside (lo, hi), or None.
-
-    Any rational root of the primitive integer form of p has denominator
-    dividing the leading coefficient.
-    """
-    for q in lead_divisors:
-        # shrink until at most one multiple of 1/q lies inside
-        while hi - lo >= Fraction(1, 2 * q):
-            mid = (lo + hi) / 2
-            v = p(mid)
-            if v == 0:
-                return mid
-            if p(lo) * v < 0:
-                hi = mid
-            else:
-                lo = mid
-        k0 = (lo * q).__ceil__()
-        cand = Fraction(k0, q)
-        if lo < cand < hi and p(cand) == 0:
-            return cand
-    return None
-
-
 def isolate_real_roots(p: Poly):
     """Isolating AlgebraicReals for the distinct real roots of p, ascending.
 
-    Rational roots come back with collapsed (point) intervals when the
-    leading coefficient is small enough to factor.
+    Every rational root comes back as a point, AlgebraicReal.from_rational.
+    Every irrational root is defined by the squarefree part of p divided by
+    (x - r) for each rational root r, so its defining polynomial has no
+    rational root.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -264,9 +218,19 @@ def isolate_real_roots(p: Poly):
     chain = sturm_chain(s)
     bound = cauchy_bound(s)
     ints, _ = s.int_coeffs()
-    lead_divisors = _divisors(ints[-1])
+    lead = abs(ints[-1])
+    step = Fraction(1, lead)
 
     out = []
+
+    def sign(x):
+        # sign of s at x = a/b: the integer form times b^deg, in integers
+        a, b = x.numerator, x.denominator
+        v, bp = 0, 1
+        for c in reversed(ints):
+            v = v * a + c * bp
+            bp *= b
+        return (v > 0) - (v < 0)
 
     def var(x):
         return _variations_at(chain, x)
@@ -277,33 +241,37 @@ def isolate_real_roots(p: Poly):
         if n == 0:
             return
         if n == 1:
-            r = _try_rationalize(s, lo, hi, lead_divisors)
-            if r is not None:
-                out.append(AlgebraicReal(s, r, r, _checked=True))
-            else:
-                out.append(AlgebraicReal(s, lo, hi, _checked=True))
+            # once (lo, hi) is at most 1/lead wide it holds at most one
+            # multiple of 1/lead, c, and every rational root is one
+            slo = sign(lo)
+            while hi - lo > step:
+                mid = (lo + hi) / 2
+                sm = sign(mid)
+                if sm == 0:
+                    lo = hi = mid
+                elif sm == slo:
+                    lo = mid
+                else:
+                    hi = mid
+            c = Fraction((lo * lead).__floor__() + 1, lead)
+            if c < hi and sign(c) == 0:
+                lo = hi = c
+            out.append((lo, hi))
             return
         mid = (lo + hi) / 2
-        if s(mid) == 0:
-            # shrink the nudge until the two gaps around mid are root-free:
-            # (mid-eps, mid] must hold exactly the root mid, (mid, mid+eps] none
-            eps = (hi - lo) / 4
-            while True:
-                if s(mid - eps) != 0 and s(mid + eps) != 0:
-                    vml, vm, vmr = var(mid - eps), var(mid), var(mid + eps)
-                    if vml - vm == 1 and vm == vmr:
-                        break
-                eps /= 2
-            split(lo, mid - eps, vlo, vml)
-            out.append(AlgebraicReal(s, mid, mid, _checked=True))
-            split(mid + eps, hi, vmr, vhi)
-            return
+        while sign(mid) == 0:
+            mid = (lo + mid) / 2
         vm = var(mid)
         split(lo, mid, vlo, vm)
         split(mid, hi, vm, vhi)
 
     split(-bound, bound, var(-bound), var(bound))
-    return out
+    q = s
+    for lo, hi in out:
+        if lo == hi:
+            q = q.exact_div(Poly([-lo, 1]))
+    return [AlgebraicReal.from_rational(lo) if lo == hi
+            else AlgebraicReal(q, lo, hi, _checked=True) for lo, hi in out]
 
 
 # -- real-rootedness at an algebraic parameter ------------------------------

@@ -2,15 +2,14 @@
 
 The resultant in w is computed by evaluation at enough rational parameter
 points followed by Lagrange interpolation (degree bound from the Sylvester
-dimensions), which is exact; a fraction-free Bareiss elimination over Q[t]
-on the same Sylvester matrix serves as an independent fallback route.
-Both compute the determinant of the *generic-degree* Sylvester matrix, so
-parameter values where leading coefficients collapse may contribute
-spurious factors; callers strip those (see the spectra eliminant cleaning).
+dimensions), which is exact.  It is the determinant of the *generic-degree*
+Sylvester matrix, so parameter values where leading coefficients collapse
+may contribute spurious factors; callers strip those (see the spectra
+eliminant cleaning).
 """
 from __future__ import annotations
 
-from .poly import Poly, Rat, as_rat, sylvester_matrix
+from .poly import Poly, Rat, as_rat
 
 
 class BiPoly:
@@ -147,7 +146,7 @@ def _lagrange_interpolate(points) -> Poly:
     return result
 
 
-def resultant_w(a: BiPoly, b: BiPoly, method: str = "interp") -> Poly:
+def resultant_w(a: BiPoly, b: BiPoly) -> Poly:
     """Resultant of a and b as polynomials in w; a Poly in the parameter.
 
     Computed for the generic w-degrees of a and b.  Parameter values where
@@ -164,10 +163,6 @@ def resultant_w(a: BiPoly, b: BiPoly, method: str = "interp") -> Poly:
     if m == 0:
         return b.coeff(0) ** n
 
-    if method == "bareiss":
-        rows = sylvester_matrix(list(a.wcoeffs), list(b.wcoeffs), n, m)
-        return _bareiss_det_poly(rows)
-
     bound = m * max(a.max_param_degree(), 0) + n * max(b.max_param_degree(), 0)
     lca, lcb = a.lc_poly, b.lc_poly
     points = []
@@ -183,28 +178,3 @@ def resultant_w(a: BiPoly, b: BiPoly, method: str = "interp") -> Poly:
         pa, pb = a.eval_param(tv), b.eval_param(tv)
         points.append((tv, uni_resultant(pa, pb)))
     return _lagrange_interpolate(points)
-
-
-def _bareiss_det_poly(rows) -> Poly:
-    """Fraction-free Bareiss determinant over the polynomial ring Q[t]."""
-    a = [row[:] for row in rows]
-    n = len(a)
-    if n == 0:
-        return Poly.one()
-    sign = 1
-    prev = Poly.one()
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero():
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Poly.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]).exact_div(prev)
-            a[i][k] = Poly.zero()
-        prev = a[k][k]
-    return a[n - 1][n - 1] * sign

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .classf import ClassF, free_power
 from .errors import DegenerateEliminant
@@ -107,8 +106,8 @@ def _strip_artifact_roots(eliminant: Poly, candidates, genuine) -> Poly:
 
 
 def _rational_roots(p: Poly):
-    return [r.as_fraction() for r in isolate_real_roots(p)
-            if r.as_fraction() is not None] if not p.is_constant() else []
+    """The root of a pencil's leading coefficient, of degree <= 1 in the parameter."""
+    return [-p.coeff(0) / p.lc] if p.degree == 1 else []
 
 
 def n_set(f: ClassF) -> NSetResult:
@@ -210,20 +209,14 @@ def critical_ts(f: ClassF, t_lo, t_hi) -> CriticalReport:
                 crits.append([r2, "multiple_root"])
 
     # degree drops by >= 2: top coefficient root where the next one vanishes too
-    generic_deg = xh.degree_w
     for tau in _rational_roots(xh.lc_poly):
-        if not t_lo < tau < t_hi:
-            continue
-        if xh.eval_param(tau).degree <= generic_deg - 2:
-            hit = False
-            for c in crits:
-                if c[0].equals_rational(tau):
-                    c[1] = "both"
-                    hit = True
-            if not hit:
-                crits.append([AlgebraicReal.from_rational(tau), "degree_drop"])
+        if t_lo < tau < t_hi and xh.eval_param(tau).degree <= xh.degree_w - 2:
+            side = [c[0].compare_rational(tau) for c in crits]
+            if 0 in side:
+                crits[side.index(0)][1] = "both"
+            else:
+                crits.insert(side.count(-1), [AlgebraicReal.from_rational(tau), "degree_drop"])
 
-    crits.sort(key=cmp_to_key(lambda a, b: -1 if a[0] < b[0] else 1))
     crits = _disjoint(crits)
 
     samples, verdicts = [], []

@@ -131,16 +131,35 @@ def test_isolate_quadratic():
 def test_isolate_rational_roots():
     assert [r.as_fraction() for r in isolate_real_roots((1 - 2 * w) ** 2)] == [F(1, 2)]
     assert [r.as_fraction() for r in isolate_real_roots(w**3 - w)] == [-1, 0, 1]
+    # a leading coefficient far too large to factor by trial division
+    lo, mid, hi = isolate_real_roots((10**13 * w - 1) * (w**2 - 3))
+    assert mid.as_fraction() == F(1, 10**13)
+    assert lo.defining == hi.defining == w**2 - 3
     with pytest.raises(ValueError):
         isolate_real_roots(Poly.zero())
 
 
+def test_isolate_recognises_every_rational_root(rng):
+    # planted rational roots with denominators up to 10^15 beside sqrt(k)
+    for _ in range(30):
+        rats = sorted({F(rng.randint(-10**15, 10**15), rng.randint(1, 10**15))
+                       for _ in range(rng.randint(1, 3))})
+        k = rng.choice([2, 3, 5, 6, 7])
+        p = w**2 - k
+        for r in rats:
+            p = p * (w - r) ** rng.randint(1, 2)
+        roots = isolate_real_roots(p)
+        assert [r.as_fraction() for r in roots if r.is_rational()] == rats
+        assert [r.defining for r in roots if not r.is_rational()] == [w**2 - k] * 2
+
+
 def test_isolate_root_at_midpoint_of_bound():
     # regression: roots on both sides of an exact midpoint root
-    p = Poly([0, -54, F(117, 64), 1])
-    rs = isolate_real_roots(p)
-    assert len(rs) == 3
-    assert rs[1].as_fraction() == 0
+    for quadratic in (Poly([-54, F(117, 64), 1]), w**2 - 2):
+        rs = isolate_real_roots(w * quadratic)
+        assert len(rs) == 3
+        assert rs[1].as_fraction() == 0
+        assert rs[0].defining == rs[2].defining == quadratic
 
 
 def test_isolate_random_consistency(rng):
@@ -230,11 +249,25 @@ def test_resultant_w_examples():
     assert r2(F(1, 4)) == 0
 
 
-def test_resultant_methods_agree(rng):
+def test_resultant_w_matches_sympy(rng):
+    sympy = pytest.importorskip("sympy")
+    sw, st_ = sympy.symbols("w t")
+
+    def sym(x: BiPoly):
+        return sum(sympy.Rational(c.numerator, c.denominator) * st_**j * sw**i
+                   for i, cp in enumerate(x.wcoeffs) for j, c in enumerate(cp.coeffs))
+
     for _ in range(10):
         a = BiPoly.from_linear(rand_poly(rng, 3), rand_poly(rng, 2))
         b = BiPoly.from_linear(rand_poly(rng, 2), rand_poly(rng, 2))
-        assert resultant_w(a, b) == resultant_w(a, b, method="bareiss")
+        r = resultant_w(a, b)
+        ref = sympy.Poly(sympy.resultant(sym(a), sym(b), sw), st_).all_coeffs()
+        assert r == Poly([F(int(c.p), int(c.q)) for c in reversed(ref)])
+        # interpolation nodes are integers; check the result between them
+        for t0 in (F(1, 2), F(-7, 3), F(13, 5)):
+            pa, pb = a.eval_param(t0), b.eval_param(t0)
+            if pa.degree == a.degree_w and pb.degree == b.degree_w:
+                assert r(t0) == resultant(pa, pb)
 
 
 def test_resultant_evaluation_commutes(rng):

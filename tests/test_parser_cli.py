@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -97,15 +98,15 @@ def test_print_parse_roundtrip():
 
 def test_config_precedence(tmp_path, monkeypatch):
     cfg_file = tmp_path / "fcl.conf"
-    cfg_file.write_text("network = on\nprecision = 7\n# comment\n")
+    cfg_file.write_text("network = on\nfixtures = from_file\n# comment\n")
     env = {"FCL_CONFIG": str(cfg_file)}
     c = load_config({}, env=env)
-    assert c.network is True and c.precision == 7
+    assert c.network is True and c.fixtures_path == Path("from_file")
     c2 = load_config({"network": "off"}, env=env)
     assert c2.network is False
-    env2 = dict(env, FCL_PRECISION="9")
-    assert load_config({}, env=env2).precision == 9
-    assert load_config({"precision": 3}, env=env2).precision == 3
+    env2 = dict(env, FCL_FIXTURES="from_env")
+    assert load_config({}, env=env2).fixtures_path == Path("from_env")
+    assert load_config({"fixtures": "from_flag"}, env=env2).fixtures_path == Path("from_flag")
     assert load_config({}, env={}).network is False
 
 

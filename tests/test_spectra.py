@@ -192,6 +192,20 @@ def test_criticals_darkmatter():
     assert rep.rr0_verdicts == (Verdict.YES, Verdict.NO)
 
 
+def test_criticals_degree_drop_placement():
+    # a degree drop between multiple-root criticals keeps ascending order
+    f = make_classf(Poly([1, F(-3, 2), 0, 2]), Poly([1, 4]))
+    rep = critical_ts(f, -10, 10)
+    assert rep.kinds == ("multiple_root",) * 3 + ("degree_drop", "multiple_root")
+    assert rep.criticals[3].as_fraction() == 1
+    assert all(a.hi < b.lo for a, b in zip(rep.criticals, rep.criticals[1:]))
+    # a degree drop that is also a multiple-root critical
+    g = make_classf(Poly([1, F(5, 3)]), Poly([1, -4, F(-9, 4), 1]))
+    rep = critical_ts(g, -10, 10)
+    assert rep.kinds == ("both", "multiple_root")
+    assert rep.criticals[0].as_fraction() == 0
+
+
 def test_criticals_a078623():
     f = make_classf(Poly([1, -1]), Poly([1, -1, 2, -1]))
     rep = critical_ts(f, 0, 1)
