@@ -6,11 +6,17 @@ convolution; composition of F-functions realizes monotone convolution.
 
 Moments are extracted by two independent routes (Newton series inversion
 of F, and the cumulant-to-moment convolution recursion) which must agree
-exactly; a mismatch raises, it is never papered over.
+exactly; a mismatch raises, it is never papered over.  Both routes, and
+the cumulants, run on integers: the dilation F(c w)/c by the lcm c of
+the coefficient denominators has integer P(c w), Q(c w) and scales the
+k-th moment and cumulant by c^k, which one division per term undoes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import mul
+
 from .errors import ComputationError, InvalidRTransform, NotInClass
 from .exactalg import Poly, Rat, as_rat, poly_gcd
 from .series import invert_f_series, ser_div, ser_trunc
@@ -185,56 +191,78 @@ def _homogenized(p: Poly, f: ClassF, d: int) -> Poly:
 def moments(f: ClassF, n: int) -> SeriesPrefix:
     """Exact moments s_0..s_n by two independent routes; must agree.
 
-    Route A inverts F as a power series (Newton); route B runs the free
-    cumulant-to-moment convolution recursion
-    s_k = sum_{j>=1} r_j * [z^(k-j)] M(z)^j.
+    Both routes run over Z on the dilation F(c w)/c, whose moments are
+    c^k s_k; c is the lcm of the coefficient denominators of P and Q, so
+    P(c w) and Q(c w) are integer polynomials with constant term 1.
+    Route A inverts F(c w)/c as a power series (Newton); route B runs the
+    free cumulant-to-moment convolution recursion
+    s_k = sum_{j>=1} r_j * [z^(k-j)] M(z)^j on its own cumulant series.
+    The integer lists are compared exactly; only then is each term
+    divided, once, by c^k.
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    d = invert_f_series(f.P, f.Q, n + 1)
+    c, p, q = _integer_dilation(f)
+    d = invert_f_series(p, q, n + 1)
     s_a = d[1: n + 2]
 
-    r = _cumulant_series(f, n)
+    r = _cumulant_series(p, q, n)
     s_b = _moments_from_cumulants(r, n)
     if s_a != s_b:
         raise ComputationError(
             "moment extraction routes disagree: series inversion vs cumulant recursion")
-    return SeriesPrefix(tuple(s_a), "moments")
+    return SeriesPrefix(_undilate(s_a, c), "moments")
 
 
-def _cumulant_series(f: ClassF, n: int):
-    rf = r_transform(f)
-    return ser_div(ser_trunc(list(rf.num.coeffs), n), ser_trunc(list(rf.den.coeffs), n), n)
+def _integer_dilation(f: ClassF):
+    """(c, P(c w), Q(c w)) with c the least positive integer making both integral."""
+    c = math.lcm(*(a.denominator for a in f.P.coeffs + f.Q.coeffs))
+    return c, _int_scale_arg(f.P, c), _int_scale_arg(f.Q, c)
+
+
+def _int_scale_arg(p: Poly, c: int):
+    """Integer coefficients of p(c w); c must clear every denominator of p."""
+    return [a.numerator * (c**i // a.denominator) for i, a in enumerate(p.coeffs)]
+
+
+def _undilate(terms, c: int):
+    """Terms t_k of a c-dilated sequence back to t_k / c^k, as Fractions."""
+    return tuple(Rat(t, c**k) for k, t in enumerate(terms))
+
+
+def _cumulant_series(p, q, n: int):
+    """Series of the R-transform (q - p)/p, for coefficient lists with p(0) = 1."""
+    num = [a - b for a, b in zip(ser_trunc(q, n), ser_trunc(p, n))]
+    return ser_div(num, p, n)
 
 
 def _moments_from_cumulants(r, n: int):
     """s_0..s_n from cumulants r via s_k = sum_j r_j * [z^(k-j)] M(z)^j.
 
-    mp(j, m) = [z^m] M(z)^j is memoized; an entry at index m only touches
-    s[0..m], which is final before any s_k with k > m is requested.
+    pows[j][m] = [z^m] M(z)^j is filled at step k = j + m from s[0..m] and
+    pows[j-1][0..m], which are final by then.
     """
-    s = [Rat(1)] + [Rat(0)] * n
-    mpow = {}
-
-    def mp(j, m):
-        if j == 0:
-            return Rat(1) if m == 0 else Rat(0)
-        row = mpow.setdefault(j, [None] * (n + 1))
-        if row[m] is None:
-            row[m] = sum((s[i] * mp(j - 1, m - i) for i in range(m + 1)), Rat(0))
-        return row[m]
-
+    s = [1] + [0] * n
+    pows = [[1] + [0] * n]  # M^0
     for k in range(1, n + 1):
-        s[k] = sum((r[j] * mp(j, k - j) for j in range(1, k + 1)), Rat(0))
+        pows.append([1] + [0] * (n - k))  # M^k = 1 + O(z), needed to z^(n-k)
+        for j in range(1, k):
+            m = k - j
+            pows[j][m] = sum(map(mul, s[: m + 1], pows[j - 1][m::-1]))
+        s[k] = sum(r[j] * pows[j][k - j] for j in range(1, k + 1))
     return s
 
 
 def cumulants(f: ClassF, n: int) -> SeriesPrefix:
-    """Free cumulants r_1..r_n (index 0 holds the structural 0)."""
+    """Free cumulants r_1..r_n (index 0 holds the structural 0).
+
+    Computed over Z as the cumulants c^k r_k of F(c w)/c (see `moments`),
+    then divided by c^k.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
-    r = _cumulant_series(f, n)
-    return SeriesPrefix(tuple(r[: n + 1]), "cumulants")
+    c, p, q = _integer_dilation(f)
+    return SeriesPrefix(_undilate(_cumulant_series(p, q, n), c), "cumulants")
 
 
 def identity_f() -> ClassF:

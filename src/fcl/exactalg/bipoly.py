@@ -9,6 +9,8 @@ eliminant cleaning).
 """
 from __future__ import annotations
 
+import math
+
 from .poly import Poly, Rat, as_rat
 
 
@@ -130,20 +132,40 @@ def _coerce(x) -> BiPoly:
 
 
 def _lagrange_interpolate(points) -> Poly:
-    """Exact interpolating polynomial through (x_i, y_i) rational pairs."""
-    result = Poly.zero()
-    xs = [x for x, _ in points]
-    for i, (xi, yi) in enumerate(points):
+    """Exact interpolating polynomial through (x_i, y_i) rational pairs.
+
+    The node polynomial M = prod_j (t - x_j) is built once; each basis
+    numerator M/(t - x_i) comes from it by synthetic division, and its
+    value at x_i is the basis denominator, so the work is O(n^2).  The
+    weighted numerators are summed over one common denominator.
+    """
+    m = [1]  # M, lowest degree first
+    for x, _ in points:
+        m = [0] + m
+        for k in range(len(m) - 1):
+            m[k] -= x * m[k + 1]
+    terms = []
+    for xi, yi in points:
         if yi == 0:
             continue
-        num = Poly.one()
-        den = Rat(1)
-        for j, xj in enumerate(xs):
-            if j != i:
-                num = num * Poly([-xj, 1])
-                den *= xi - xj
-        result = result + num * (yi / den)
-    return result
+        q = [0] * (len(m) - 1)  # M/(t - xi)
+        acc = 0
+        for k in range(len(m) - 1, 0, -1):
+            acc = m[k] + xi * acc
+            q[k - 1] = acc
+        den = 0
+        for c in reversed(q):
+            den = den * xi + c
+        terms.append((as_rat(yi) / den, q))
+    if not terms:
+        return Poly.zero()
+    big = math.lcm(*(wt.denominator for wt, _ in terms))
+    out = [0] * (len(m) - 1)
+    for wt, q in terms:
+        a = wt.numerator * (big // wt.denominator)
+        for k, c in enumerate(q):
+            out[k] += a * c
+    return Poly([Rat(c, big) for c in out])
 
 
 def resultant_w(a: BiPoly, b: BiPoly) -> Poly:
@@ -172,9 +194,8 @@ def resultant_w(a: BiPoly, b: BiPoly) -> Poly:
     while len(points) < bound + 1:
         t = (k // 2 + 1) * (1 if k % 2 == 0 else -1) if k > 0 else 0
         k += 1
-        tv = Rat(t)
-        if lca(tv) == 0 or lcb(tv) == 0:
+        if lca(t) == 0 or lcb(t) == 0:
             continue
-        pa, pb = a.eval_param(tv), b.eval_param(tv)
-        points.append((tv, uni_resultant(pa, pb)))
+        pa, pb = a.eval_param(t), b.eval_param(t)
+        points.append((t, uni_resultant(pa, pb)))
     return _lagrange_interpolate(points)

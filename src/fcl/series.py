@@ -1,27 +1,28 @@
-"""Truncated power series over the rationals.
+"""Truncated power series over Z or Q.
 
-A series is a plain list of Fractions, index n = coefficient of z^n,
-always carried to a fixed truncation order N (length N+1).
+A series is a plain list of ints or Fractions, index n = coefficient of
+z^n, always carried to a fixed truncation order N (length N+1).
+Polynomial arguments (`ser_poly_at`, `invert_f_series`) are coefficient
+sequences, lowest degree first.  The ring is preserved: padding is the
+int 0 and a division by a series with constant term 1 never leaves the
+ring, so integer inputs give integer outputs and Fraction inputs give
+Fractions.  Only a constant term other than 1 brings in a Fraction.
 """
 from __future__ import annotations
 
-from .exactalg import Poly, Rat
+from operator import mul
+
+from .exactalg import Rat
 
 
 def ser_trunc(a, n: int):
     a = list(a[: n + 1])
-    return a + [Rat(0)] * (n + 1 - len(a))
+    return a + [0] * (n + 1 - len(a))
 
 
 def ser_mul(a, b, n: int):
     a, b = ser_trunc(a, n), ser_trunc(b, n)
-    out = [Rat(0)] * (n + 1)
-    for i, x in enumerate(a):
-        if x:
-            for j in range(min(len(b), n + 1 - i)):
-                if b[j]:
-                    out[i + j] += x * b[j]
-    return out
+    return [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(n + 1)]
 
 
 def ser_div(a, b, n: int):
@@ -29,66 +30,48 @@ def ser_div(a, b, n: int):
     a, b = ser_trunc(a, n), ser_trunc(b, n)
     if b[0] == 0:
         raise ZeroDivisionError("series division needs a unit constant term")
-    inv0 = 1 / b[0]
-    out = [Rat(0)] * (n + 1)
+    inv0 = None if b[0] == 1 else Rat(1) / b[0]
+    out = []
     for k in range(n + 1):
-        acc = a[k]
-        for j in range(1, k + 1):
-            if b[j] and out[k - j]:
-                acc -= b[j] * out[k - j]
-        out[k] = acc * inv0
+        acc = a[k] - sum(map(mul, b[1: k + 1], reversed(out)))
+        out.append(acc if inv0 is None else acc * inv0)
     return out
 
 
-def ser_poly_at(p: Poly, d, n: int):
-    """p(d) mod z^(n+1) for a polynomial p and series d (Horner)."""
-    acc = [Rat(0)] * (n + 1)
-    for c in reversed(p.coeffs):
+def ser_poly_at(p, d, n: int):
+    """p(d) mod z^(n+1) for coefficients p and a series d (Horner)."""
+    acc = ser_trunc(p[-1:], n)
+    for c in reversed(p[:-1]):
         acc = ser_mul(acc, d, n)
         acc[0] += c
     return acc
 
 
-def ser_compose(a, b, n: int):
-    """a(b(z)) mod z^(n+1); requires b[0] == 0."""
-    b = ser_trunc(b, n)
-    if b[0] != 0:
-        raise ValueError("series composition needs b(0) = 0")
-    out = [Rat(0)] * (n + 1)
-    power = [Rat(0)] * (n + 1)
-    power[0] = Rat(1)
-    a = ser_trunc(a, n)
-    for k, c in enumerate(a):
-        if c:
-            out = [x + c * y for x, y in zip(out, power)]
-        if k < n:
-            power = ser_mul(power, b, n)
-    return out
-
-
-def invert_f_series(p: Poly, q: Poly, n: int):
+def invert_f_series(p, q, n: int):
     """Coefficients of the composition inverse D of F(w) = w*p(w)/q(w).
 
-    Newton iteration D <- D - (F(D) - z)/F'(D) with doubling truncation
-    order; returns D's coefficients to order n (D[0] = 0, D[1] = 1).
-    F' is evaluated as chi/q^2 with chi = (p + w p')q - w p q', the exact
-    numerator of F'.
+    p and q are coefficient sequences with p(0) = q(0) = 1.  Newton
+    iteration D <- D - (F(D) - z)/F'(D) with doubling truncation order;
+    returns D's coefficients to order n (D[0] = 0, D[1] = 1).
+    F' = chi/q^2 with chi = (p + w p')q - w p q', the exact numerator of
+    F', so the correction is (D p(D) - z q(D)) q(D) / chi(D).  Its one
+    division is by chi(D), whose constant term is p(0)q(0) = 1, so
+    integer p and q keep D integral.
     """
-    w = Poly.x()
-    chi = (p + w * p.derivative()) * q - w * p * q.derivative()
-    q2 = q * q
+    p, q = list(p), list(q)
+    p_wdp = [(i + 1) * c for i, c in enumerate(p)]  # p + w p'
+    wdq = [i * c for i, c in enumerate(q)]  # w q'
+    deg = len(p) + len(q) - 2
+    chi = [a - b for a, b in zip(ser_mul(p_wdp, q, deg), ser_mul(p, wdq, deg))]
 
     order = 1
-    d = [Rat(0), Rat(1)]  # D = z + O(z^2)
+    d = [0, 1]  # D = z + O(z^2)
     while order < n:
         order = min(2 * order, n)
         d = ser_trunc(d, order)
-        pd = ser_poly_at(p, d, order)
         qd = ser_poly_at(q, d, order)
-        fd = ser_mul(d, ser_div(pd, qd, order), order)
-        fd[1] -= 1  # F(D) - z
-        chid = ser_poly_at(chi, d, order)
-        q2d = ser_poly_at(q2, d, order)
-        corr = ser_div(ser_mul(fd, q2d, order), chid, order)
+        resid = ser_mul(d, ser_poly_at(p, d, order), order)
+        resid = [x - y for x, y in zip(resid, [0] + qd)]  # D p(D) - z q(D)
+        corr = ser_div(ser_mul(resid, qd, order), ser_poly_at(chi, d, order), order)
         d = [x - y for x, y in zip(d, corr)]
     return ser_trunc(d, n)

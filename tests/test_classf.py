@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fcl.classf
 from conftest import rand_classf
+from fcl import distlib
 from fcl.classf import (ClassF, RatFun, SeriesPrefix, boxplus, compose,
                         cumulants, dilate, free_power, from_r, identity_f,
                         make_classf, make_ratfun, moments, r_transform,
                         translate)
-from fcl.errors import InvalidRTransform, NotInClass
+from fcl.errors import ComputationError, InvalidRTransform, NotInClass
 from fcl.exactalg import Poly
-from fcl.series import ser_compose, ser_trunc
+from fcl.series import invert_f_series, ser_div, ser_mul, ser_trunc
 
 w = Poly.x()
 
@@ -158,6 +160,29 @@ def test_compose_monotone_paper_form():
     assert got == expect
 
 
+def ser_compose(a, b, n: int):
+    """a(b(z)) mod z^(n+1); requires b[0] == 0."""
+    b = ser_trunc(b, n)
+    if b[0] != 0:
+        raise ValueError("series composition needs b(0) = 0")
+    out = [0] * (n + 1)
+    power = [1] + [0] * n
+    for k, c in enumerate(ser_trunc(a, n)):
+        if c:
+            out = [x + c * y for x, y in zip(out, power)]
+        if k < n:
+            power = ser_mul(power, b, n)
+    return out
+
+
+def test_series_ring_is_preserved():
+    d = invert_f_series([1, -1], [1], 8)  # inverse of w - w^2: Catalan numbers
+    assert all(type(x) is int for x in d) and d[1:6] == [1, 1, 2, 5, 14]
+    assert ser_div([1], [2, 1], 3) == [F(1, 2), F(-1, 4), F(1, 8), F(-1, 16)]
+    half = ser_div([F(1, 2)], [1, -1], 3)
+    assert half == [F(1, 2)] * 4 and all(type(x) is F for x in half)
+
+
 def test_compose_d_series(rng):
     # D series of the composition is D1(D2(z)) order by order
     for _ in range(5):
@@ -205,6 +230,52 @@ def test_moments_dual_route_agreement(rng):
         f = rand_classf(rng, 4)
         m = moments(f, 25)
         assert len(m.terms) == 26 and m.terms[0] == 1
+
+
+# A member with awkward denominators (7/12, -5/3, 1/9) in both P and Q.
+AWKWARD = make_classf(Poly([1, F(7, 12), F(-5, 3)]), Poly([1, F(1, 9), 0, F(-7, 12)]))
+
+
+@pytest.mark.parametrize("c", [F(3), F(2, 5), F(-7, 4)])
+def test_dilation_scales_moments_and_cumulants(c):
+    n = 20
+    for f in (AWKWARD, boxplus(AWKWARD, rand_classf(random.Random(7), 3))):
+        g = dilate(f, c)
+        sf, sg = moments(f, n).terms, moments(g, n).terms
+        assert all(sg[k] == c**k * sf[k] for k in range(n + 1))
+        rf, rg = cumulants(f, n).terms, cumulants(g, n).terms
+        assert all(rg[k] == c**k * rf[k] for k in range(n + 1))
+
+
+def test_moments_match_closed_forms_at_fractional_parameters():
+    n = 30
+    for t in (F(2, 3), F(7, 5), F(1, 9)):
+        assert list(moments(distlib.wigner(t), n).terms) == \
+            [distlib.wigner_moment(t, k) for k in range(n + 1)]
+    for v, s in ((F(-5, 3), F(7, 12)), (F(3, 4), F(1, 9)), (F(2), F(5, 2))):
+        assert list(moments(distlib.mp(v, s), n).terms) == \
+            [distlib.mp_moment(v, s, k) for k in range(n + 1)]
+        assert list(cumulants(distlib.mp(v, s), n).terms) == \
+            [0] + [s * v**k for k in range(1, n + 1)]
+
+
+def test_moment_and_cumulant_terms_are_fractions():
+    for f in (AWKWARD, identity_f(), make_classf(Poly([1, -1]), Poly.one())):
+        assert all(type(x) is F for x in moments(f, 8).terms)
+        assert all(type(x) is F for x in cumulants(f, 8).terms)
+
+
+def test_moments_route_mismatch_raises(monkeypatch):
+    route_b = fcl.classf._moments_from_cumulants
+
+    def perturbed(r, n):
+        s = route_b(r, n)
+        s[n] += 1
+        return s
+
+    monkeypatch.setattr(fcl.classf, "_moments_from_cumulants", perturbed)
+    with pytest.raises(ComputationError):
+        moments(AWKWARD, 6)
 
 
 # --------------------------------------------------------------- cumulants
