@@ -16,7 +16,7 @@ from fractions import Fraction
 from .intervals import Iv, iv_poly_eval
 from .poly import Poly, Rat, as_rat, poly_gcd, squarefree_part
 from .sturm import (cauchy_bound, count_distinct_real_roots, sign_variations,
-                    sturm_chain, _variations_at)
+                    sturm_chain, _sign_at, _variations_at)
 
 
 class AlgebraicReal:
@@ -217,20 +217,11 @@ def isolate_real_roots(p: Poly):
         return []
     chain = sturm_chain(s)
     bound = cauchy_bound(s)
-    ints, _ = s.int_coeffs()
+    ints = chain[0]  # the primitive integer form of s
     lead = abs(ints[-1])
     step = Fraction(1, lead)
 
     out = []
-
-    def sign(x):
-        # sign of s at x = a/b: the integer form times b^deg, in integers
-        a, b = x.numerator, x.denominator
-        v, bp = 0, 1
-        for c in reversed(ints):
-            v = v * a + c * bp
-            bp *= b
-        return (v > 0) - (v < 0)
 
     def var(x):
         return _variations_at(chain, x)
@@ -243,10 +234,10 @@ def isolate_real_roots(p: Poly):
         if n == 1:
             # once (lo, hi) is at most 1/lead wide it holds at most one
             # multiple of 1/lead, c, and every rational root is one
-            slo = sign(lo)
+            slo = _sign_at(ints, lo)
             while hi - lo > step:
                 mid = (lo + hi) / 2
-                sm = sign(mid)
+                sm = _sign_at(ints, mid)
                 if sm == 0:
                     lo = hi = mid
                 elif sm == slo:
@@ -254,12 +245,12 @@ def isolate_real_roots(p: Poly):
                 else:
                     hi = mid
             c = Fraction((lo * lead).__floor__() + 1, lead)
-            if c < hi and sign(c) == 0:
+            if c < hi and _sign_at(ints, c) == 0:
                 lo = hi = c
             out.append((lo, hi))
             return
         mid = (lo + hi) / 2
-        while sign(mid) == 0:
+        while _sign_at(ints, mid) == 0:
             mid = (lo + mid) / 2
         vm = var(mid)
         split(lo, mid, vlo, vm)

@@ -1,17 +1,19 @@
 """Polynomials in w whose coefficients are polynomials in a parameter t.
 
-The resultant in w is computed by evaluation at enough rational parameter
-points followed by Lagrange interpolation (degree bound from the Sylvester
-dimensions), which is exact.  It is the determinant of the *generic-degree*
-Sylvester matrix, so parameter values where leading coefficients collapse
-may contribute spurious factors; callers strip those (see the spectra
-eliminant cleaning).
+The resultant in w is computed over Z: both arguments are scaled once to
+integer coefficients, evaluated at enough integer parameter nodes, the
+Sylvester determinant at each node is a fraction-free Bareiss determinant
+of integers, and Lagrange interpolation (degree bound from the Sylvester
+dimensions) followed by one division by the scale recovers it exactly.
+It is the determinant of the *generic-degree* Sylvester matrix, so
+parameter values where leading coefficients collapse may contribute
+spurious factors; callers strip those (see the spectra eliminant cleaning).
 """
 from __future__ import annotations
 
 import math
 
-from .poly import Poly, Rat, as_rat
+from .poly import Poly, Rat, as_rat, bareiss_det_int, sylvester_matrix
 
 
 class BiPoly:
@@ -168,6 +170,19 @@ def _lagrange_interpolate(points) -> Poly:
     return Poly([Rat(c, big) for c in out])
 
 
+def _int_wcoeffs(x: BiPoly):
+    """(d, lists) with d * x having the integer t-coefficient lists `lists`."""
+    d = math.lcm(*(c.denominator for cp in x.wcoeffs for c in cp.coeffs))
+    return d, [[c.numerator * (d // c.denominator) for c in cp.coeffs] for cp in x.wcoeffs]
+
+
+def _eval_int(a, t: int) -> int:
+    v = 0
+    for c in reversed(a):
+        v = v * t + c
+    return v
+
+
 def resultant_w(a: BiPoly, b: BiPoly) -> Poly:
     """Resultant of a and b as polynomials in w; a Poly in the parameter.
 
@@ -186,16 +201,17 @@ def resultant_w(a: BiPoly, b: BiPoly) -> Poly:
         return b.coeff(0) ** n
 
     bound = m * max(a.max_param_degree(), 0) + n * max(b.max_param_degree(), 0)
-    lca, lcb = a.lc_poly, b.lc_poly
+    # Res(A/da, B/db) = Res(A, B) / (da^m db^n) for integer A = da*a, B = db*b
+    da, ai = _int_wcoeffs(a)
+    db, bi = _int_wcoeffs(b)
     points = []
-    t = 0
     k = 0
-    from .poly import resultant as uni_resultant
     while len(points) < bound + 1:
         t = (k // 2 + 1) * (1 if k % 2 == 0 else -1) if k > 0 else 0
         k += 1
-        if lca(t) == 0 or lcb(t) == 0:
+        pa = [_eval_int(c, t) for c in ai]
+        pb = [_eval_int(c, t) for c in bi]
+        if pa[-1] == 0 or pb[-1] == 0:
             continue
-        pa, pb = a.eval_param(t), b.eval_param(t)
-        points.append((t, uni_resultant(pa, pb)))
-    return _lagrange_interpolate(points)
+        points.append((t, bareiss_det_int(sylvester_matrix(pa, pb, n, m))))
+    return _lagrange_interpolate(points) * Rat(1, da ** m * db ** n)

@@ -3,6 +3,8 @@
 Coefficients are stored lowest degree first with no trailing zeros; the
 zero polynomial has an empty coefficient tuple.  Everything is exact: no
 floating point enters unless the caller evaluates at a float/complex point.
+gcds, squarefree parts and resultants run on primitive integer coefficient
+lists (`Poly.int_coeffs`), so their intermediate coefficients stay small.
 """
 from __future__ import annotations
 
@@ -230,14 +232,75 @@ def _coerce(x) -> Poly:
     raise TypeError(f"cannot coerce {type(x).__name__} to Poly")
 
 
+# -- the integer kernel: int coefficient lists, lowest degree first ------
+
+
+def _primitive(a):
+    """a divided by the positive gcd of its entries ([] stays [])."""
+    g = math.gcd(*a)
+    return [c // g for c in a] if g > 1 else a
+
+
+def _prem(a, b):
+    """Primitive positive multiple of a rem b, for int lists with b nonzero.
+
+    Each step multiplies by |lc(b)| and subtracts sign(lc(b)) * lead * x^k * b,
+    so the result is |lc(b)|^e (a rem b) divided by its positive content:
+    signs are those of the Euclidean remainder, as Sturm chains need
+    (Collins, J. ACM 14 (1967), primitive PRS).
+    """
+    a = list(a)
+    d = len(b) - 1
+    lb = b[-1]
+    m = abs(lb)
+    bs = b[:-1] if lb > 0 else [-c for c in b[:-1]]
+    while len(a) > d:
+        lead = a.pop()
+        if m != 1:
+            a = [c * m for c in a]
+        k = len(a) - d
+        for j, c in enumerate(bs):
+            a[k + j] -= lead * c
+        while a and a[-1] == 0:
+            a.pop()
+    return _primitive(a)
+
+
+def _exact_div(a, b):
+    """The int list q with a = q * b, when b divides a over Z."""
+    a = list(a)
+    d = len(b) - 1
+    lb = b[-1]
+    q = [0] * (len(a) - d)
+    for k in range(len(q) - 1, -1, -1):
+        c = a[k + d] // lb
+        q[k] = c
+        if c:
+            for j in range(d):
+                a[k + j] -= c * b[j]
+    return q
+
+
+def _gcd(a, b):
+    """A primitive gcd of int lists a, b, not both zero, by the primitive PRS."""
+    if len(a) < len(b):
+        a, b = b, a
+    a = _primitive(a)
+    b = _primitive(b)
+    while b:
+        a, b = b, _prem(a, b)
+    return a
+
+
+def _monic(a) -> "Poly":
+    return Poly([Rat(c, a[-1]) for c in a])
+
+
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic greatest common divisor via the Euclidean algorithm."""
+    """Monic greatest common divisor, by the primitive PRS over Z."""
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    return _monic(_gcd(p.int_coeffs()[0], q.int_coeffs()[0]))
 
 
 def squarefree_part(p: Poly) -> Poly:
@@ -246,8 +309,9 @@ def squarefree_part(p: Poly) -> Poly:
         raise ValueError("zero polynomial has no squarefree part")
     if p.is_constant():
         return Poly.one()
-    g = poly_gcd(p, p.derivative())
-    return p.exact_div(g).monic()
+    a = p.int_coeffs()[0]
+    g = _gcd(a, [i * c for i, c in enumerate(a)][1:])
+    return _monic(_exact_div(a, g))
 
 
 def is_squarefree(p: Poly) -> bool:
@@ -256,7 +320,7 @@ def is_squarefree(p: Poly) -> bool:
     return p.is_constant() or poly_gcd(p, p.derivative()).is_constant()
 
 
-# -- determinants and resultants over the rationals ----------------------
+# -- determinants and resultants -----------------------------------------
 
 
 def bareiss_det_int(m) -> int:
@@ -282,24 +346,6 @@ def bareiss_det_int(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def det_rat(m) -> Rat:
-    """Exact determinant of a square matrix of Fractions.
-
-    Rows are scaled to integers first so Bareiss elimination stays
-    fraction-free throughout.
-    """
-    n = len(m)
-    if n == 0:
-        return Rat(1)
-    scale = Rat(1)
-    ints = []
-    for row in m:
-        den = math.lcm(*[as_rat(x).denominator for x in row]) if row else 1
-        scale *= den
-        ints.append([as_rat(x).numerator * (den // as_rat(x).denominator) for x in row])
-    return Rat(bareiss_det_int(ints)) / scale
-
-
 def sylvester_matrix(a, b, n: int, m: int):
     """(n+m) x (n+m) Sylvester matrix for coefficient sequences of degrees n, m.
 
@@ -319,7 +365,11 @@ def sylvester_matrix(a, b, n: int, m: int):
 
 
 def resultant(p: Poly, q: Poly) -> Rat:
-    """Resultant of two rational polynomials (formal degrees = actual)."""
+    """Resultant of two rational polynomials (formal degrees = actual).
+
+    With p = s * P and q = u * Q for primitive integer P, Q of degrees n
+    and m, it is s^m u^n Res(P, Q), the last a Bareiss determinant over Z.
+    """
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of the zero polynomial")
     n, m = p.degree, q.degree
@@ -327,4 +377,5 @@ def resultant(p: Poly, q: Poly) -> Rat:
         return p.lc ** m
     if m == 0:
         return q.lc ** n
-    return det_rat(sylvester_matrix(list(p.coeffs), list(q.coeffs), n, m))
+    (a, s), (b, u) = p.int_coeffs(), q.int_coeffs()
+    return s ** m * u ** n * bareiss_det_int(sylvester_matrix(a, b, n, m))

@@ -1,18 +1,26 @@
 """Sturm chains and exact real-root counting.
 
+Chains are primitive polynomial remainder sequences over Z (Collins,
+"Subresultants and reduced polynomial remainder sequences", J. ACM 1967):
+each member is an integer coefficient list, lowest degree first, and a
+positive rational multiple of the matching member of the Euclidean chain
+p, p', -rem(...) over Q, so sign variations are the same.  Signs at a
+rational a/b are taken from the member homogenised at (a, b), in integers.
+
 Counts follow the (lo, hi] convention: with V(x) the number of sign changes
 in the chain at x (zeros skipped, signs at +/-infinity taken from leading
 coefficients), V(lo) - V(hi) is the number of distinct real roots in
-(lo, hi].  Chains terminate at gcd(p, p'), so multiple roots are counted
-once; the public `sturm_count` nevertheless insists on squarefree input,
-as callers are expected to have separated multiplicity questions already.
+(lo, hi].  Chains terminate at a multiple of gcd(p, p'), so multiple roots
+are counted once; the public `sturm_count` nevertheless insists on
+squarefree input, as callers are expected to have separated multiplicity
+questions already.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from ..errors import NotSquarefree
-from .poly import Poly, Rat, is_squarefree, squarefree_part
+from .poly import Poly, Rat, _prem, _primitive
 
 NEG_INF = object()
 POS_INF = object()
@@ -37,22 +45,37 @@ def _norm_endpoint(x):
 
 
 def sturm_chain(p: Poly):
-    """Sturm chain p, p', -rem(...), terminating at (a multiple of) gcd(p, p')."""
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
-        chain.append(-(chain[-2] % chain[-1]))
-    if chain[-1].is_zero():
-        chain.pop()
+    """Primitive integer Sturm chain of p, ending at a multiple of gcd(p, p').
+
+    Members are int lists, lowest degree first, each a positive multiple of
+    the matching member of p, p', -rem(...) over Q.
+    """
+    a = p.int_coeffs()[0]
+    chain = [a]
+    r = _primitive([i * c for i, c in enumerate(a)][1:])
+    while r:
+        chain.append(r)
+        if len(r) == 1:
+            break
+        r = [-c for c in _prem(chain[-2], r)]
     return chain
 
 
-def _sign_at(p: Poly, x) -> int:
+def _sign_at(a, x) -> int:
+    """Sign of the int list a at x, a rational or +/-infinity.
+
+    At x = u/v (v > 0) this is the sign of sum a_i u^i v^(deg - i).
+    """
     if x is POS_INF:
-        v = p.lc
+        v = a[-1]
     elif x is NEG_INF:
-        v = p.lc * (-1) ** p.degree if not p.is_zero() else Rat(0)
+        v = a[-1] if len(a) % 2 else -a[-1]
     else:
-        v = p(x)
+        u, d = x.numerator, x.denominator
+        v, dp = 0, 1
+        for c in reversed(a):
+            v = v * u + c * dp
+            dp *= d
     return (v > 0) - (v < 0)
 
 
@@ -80,22 +103,28 @@ def sturm_count(p: Poly, lo=NEG_INF, hi=POS_INF) -> int:
     """Number of real roots of a squarefree p in (lo, hi]; +/-inf endpoints allowed."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    if not is_squarefree(p):
+    chain = sturm_chain(p)
+    if len(chain[-1]) > 1:
         raise NotSquarefree("sturm_count requires a squarefree polynomial")
     lo, hi = _norm_endpoint(lo), _norm_endpoint(hi)
     if not _is_inf(lo) and not _is_inf(hi) and lo >= hi:
         raise ValueError("need lo < hi")
-    return count_distinct_real_roots(p, lo, hi)
+    return _variations_at(chain, lo) - _variations_at(chain, hi)
 
 
 def is_real_rooted(p: Poly) -> bool:
-    """True iff every complex root of p is real (constants vacuously qualify)."""
+    """True iff every complex root of p is real (constants vacuously qualify).
+
+    The chain ends at a multiple of gcd(p, p'), so p has deg p - deg gcd
+    distinct complex roots; it is real-rooted iff all of them are real.
+    """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    s = squarefree_part(p)
-    if s.is_constant():
+    if p.is_constant():
         return True
-    return count_distinct_real_roots(s) == s.degree
+    chain = sturm_chain(p)
+    real = _variations_at(chain, NEG_INF) - _variations_at(chain, POS_INF)
+    return real == len(chain[0]) - len(chain[-1])
 
 
 def cauchy_bound(p: Poly) -> Rat:

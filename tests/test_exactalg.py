@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -8,11 +9,12 @@ from hypothesis import strategies as st
 from conftest import rand_poly, rand_rat
 from fcl.errors import NotSquarefree
 from fcl.exactalg import (NEG_INF, POS_INF, AlgebraicReal, BiPoly, Iv, Poly,
-                          cauchy_bound, count_distinct_real_roots, det_rat,
-                          hankel_det, is_real_rooted, is_real_rooted_at,
-                          is_squarefree, isolate_real_roots, iv_poly_eval, poly_gcd,
+                          cauchy_bound, count_distinct_real_roots, hankel_det,
+                          is_real_rooted, is_real_rooted_at, is_squarefree,
+                          isolate_real_roots, iv_poly_eval, poly_gcd,
                           resultant, resultant_w, squarefree_part,
-                          sturm_count)
+                          sturm_chain, sturm_count)
+from fcl.exactalg.poly import bareiss_det_int
 
 w = Poly.x()
 
@@ -116,6 +118,102 @@ def test_is_real_rooted():
     assert is_real_rooted(Poly.one())
     with pytest.raises(ValueError):
         is_real_rooted(Poly.zero())
+
+
+def _euclid_sturm_chain(p: Poly):
+    """The Sturm chain p, p', -rem(...) over Q, by Fraction long division."""
+    chain = [p, p.derivative()]
+    while not chain[-1].is_zero() and chain[-1].degree > 0:
+        chain.append(-(chain[-2] % chain[-1]))
+    if chain[-1].is_zero():
+        chain.pop()
+    return chain
+
+
+def _assert_positive_multiples(ints_chain, chain):
+    assert len(ints_chain) == len(chain)
+    for a, e in zip(ints_chain, chain):
+        c = F(a[-1]) / e.lc
+        assert c > 0 and Poly(a) == e * c
+
+
+def test_sturm_chain_positive_multiples_examples():
+    # negative leading coefficients and degree gaps of 2 and 3, so pseudo-
+    # division multiplies by odd powers of a negative leading coefficient
+    for p in (Poly([1, -1, 3, 0, 0, -2]),            # -2w^5 + 3w^2 - w + 1
+              Poly([-7, 0, 0, 5, 0, 0, -1]),         # -w^6 + 5w^3 - 7
+              Poly([2, -3, 0, 0, 0, 0, 0, F(-5, 3)]),
+              -(w**3 - 2) ** 2 * w):                  # chain ends at (w^3 - 2)
+        chain = sturm_chain(p)
+        assert max(len(a) - len(b) for a, b in zip(chain, chain[1:])) >= 2
+        _assert_positive_multiples(chain, _euclid_sturm_chain(p))
+
+
+_coef = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+_sparse_coef = st.one_of(st.just(F(0)), _coef)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_sparse_coef, min_size=1, max_size=9), _coef.filter(bool))
+def test_sturm_chain_positive_multiples(low, lead):
+    p = Poly(low + [lead])
+    _assert_positive_multiples(sturm_chain(p), _euclid_sturm_chain(p))
+
+
+# -------------------------------------------------------- sympy oracles
+
+
+@st.composite
+def _factored_polys(draw):
+    """c * f1^e1 * ... with c of either sign: repeated and shared factors."""
+    p = Poly.const(draw(_coef.filter(bool)))
+    for _ in range(draw(st.integers(0, 3))):
+        f = Poly(draw(st.lists(_coef, min_size=1, max_size=3)) + [draw(_coef.filter(bool))])
+        p = p * f ** draw(st.integers(1, 3))
+    return p
+
+
+def _sympy_poly(sympy, p: Poly):
+    x = sympy.Symbol("x")
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(p.coeffs)], x, domain="QQ")
+
+
+def _from_sympy(q) -> Poly:
+    return Poly([F(int(c.p), int(c.q)) for c in reversed(q.all_coeffs())])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_factored_polys(), _factored_polys(), _factored_polys())
+def test_gcd_and_squarefree_match_sympy(p, q, r):
+    sympy = pytest.importorskip("sympy")
+    a, b = p * r, q * r
+    ref = sympy.gcd(_sympy_poly(sympy, a), _sympy_poly(sympy, b)).monic()
+    assert poly_gcd(a, b) == _from_sympy(ref)
+    ref = sympy.sqf_part(_sympy_poly(sympy, a)).monic()
+    assert squarefree_part(a) == _from_sympy(ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_factored_polys())
+def test_real_root_counts_match_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    roots = _sympy_poly(sympy, p).real_roots(multiple=False)
+    assert count_distinct_real_roots(p) == len(roots)
+    assert is_real_rooted(p) == (sum(m for _, m in roots) == p.degree)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_factored_polys(), _factored_polys())
+def test_resultant_matches_sympy(p, q):
+    sympy = pytest.importorskip("sympy")
+    n, m = p.degree, q.degree
+    sp, sq = _sympy_poly(sympy, p), _sympy_poly(sympy, q)
+    # sympy 1.14 returns the wrong sign for some pairs with deg p < deg q
+    # (Res(x - 5, -2x^3 - 3x^2 + x - 4) = -324 comes back as 324); it is
+    # right with the larger degree first, and Res(q, p) = (-1)^(nm) Res(p, q)
+    ref = sp.resultant(sq) if n >= m else (-1) ** (n * m) * sq.resultant(sp)
+    assert resultant(p, q) == F(int(ref.p), int(ref.q))
 
 
 # ---------------------------------------------------------------- isolation
@@ -329,10 +427,12 @@ def test_hankel_matches_cofactor_oracle(rng):
 @given(st.lists(st.fractions(max_denominator=20,
                              min_value=F(-10), max_value=F(10)),
                 min_size=3, max_size=3))
-def test_det_rat_3x3(vals):
-    a, b, c = vals
+def test_bareiss_det_int_3x3(vals):
+    # the matrices of the rational cofactor check, scaled to integers
+    den = math.lcm(*(v.denominator for v in vals))
+    a, b, c = (int(v * den) for v in vals)
     m = [[a, b, c], [b, c, a], [c, a, b]]
-    assert det_rat(m) == _cofactor_det(m)
+    assert bareiss_det_int(m) == _cofactor_det(m)
 
 
 def test_cauchy_bound_contains_roots(rng):

@@ -8,7 +8,7 @@ from fcl.classf import (from_r, free_power, identity_f, make_classf,
                         make_ratfun, translate)
 from fcl.euler import nk_classf
 from fcl.exactalg import (AlgebraicReal, BiPoly, Poly, isolate_real_roots,
-                          iv_poly_eval, poly_gcd, resultant_w)
+                          iv_poly_eval, poly_gcd, resultant_w, sturm_chain)
 from fcl.spectra import (Verdict, boundary_diagnostics, cg_region, char_poly,
                          char_poly_t, cleaned_critical_eliminant,
                          critical_ts, deg3_rr0, is_rr, is_rr0, is_singular,
@@ -220,6 +220,24 @@ def test_criticals_trivial_f():
     rep = critical_ts(identity_f(), 0, 5)
     assert rep.criticals == ()
     assert rep.rr0_verdicts == (Verdict.YES,)
+
+
+def test_degree6_eliminant_chain_stays_small():
+    # a random degree-6 member (coefficients p/q, |p| <= 9, q <= 4, drawn
+    # with random.Random(1)); its cleaned eliminant has degree 16.  The
+    # Euclidean Sturm chain of it over Q reaches 28,706-bit coefficients,
+    # the primitive integer chain 3,359 bits.
+    f = make_classf(Poly([1, -5, -1, F(3, 2), F(3, 2), -3, 6]),
+                    Poly([1, F(3, 4), F(-9, 4), F(-1, 2), 9, 1, -9]))
+    _, _, rho = cleaned_critical_eliminant(f)
+    assert rho.degree == 16
+    assert max(abs(c).bit_length() for m in sturm_chain(rho) for c in m) < 4096
+    rep = critical_ts(f, 0, 10)
+    assert rep.kinds == ("multiple_root",) * 2
+    assert rep.rr0_verdicts == (Verdict.NO,) * 3
+    assert [c.defining.degree for c in rep.criticals] == [15, 15]
+    assert [float(c) for c in rep.criticals] == pytest.approx(
+        [0.38989691271009375, 1.378772413487241], abs=1e-12)
 
 
 def test_multiple_root_criticals_certify(rng):
