@@ -1,7 +1,7 @@
 """Exact rational and polynomial algebra kernel."""
 
 from .algebraic import AlgebraicReal, is_real_rooted_at, isolate_real_roots
-from .bipoly import BiPoly, resultant_w
+from .bipoly import BiPoly, resultant_w, subresultant_table
 from .hankel import hankel_det
 from .intervals import Iv, iv_poly_eval
 from .poly import (Poly, Rat, as_rat, is_squarefree, poly_gcd, rat_str,
@@ -16,4 +16,5 @@ __all__ = [
     "is_real_rooted", "is_real_rooted_at", "is_squarefree",
     "isolate_real_roots", "iv_poly_eval", "poly_gcd", "rat_str", "resultant",
     "resultant_w", "squarefree_part", "sturm_chain", "sturm_count",
+    "subresultant_table",
 ]

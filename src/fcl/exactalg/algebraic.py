@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .bipoly import BiPoly, subresultant_table
 from .intervals import Iv, iv_poly_eval
 from .poly import Poly, Rat, as_rat, poly_gcd, squarefree_part
-from .sturm import (cauchy_bound, count_distinct_real_roots, sign_variations,
-                    sturm_chain, _sign_at, _variations_at)
+from .sturm import (cauchy_bound, count_distinct_real_roots, pmv, sturm_chain,
+                    _sign_at, _variations_at)
 
 
 class AlgebraicReal:
@@ -268,71 +269,27 @@ def isolate_real_roots(p: Poly):
 # -- real-rootedness at an algebraic parameter ------------------------------
 
 
-def _gcdex(a: Poly, m: Poly):
-    """(g, s) with g = gcd(a, m) monic and s * a = g modulo m."""
-    r0, r1, s0, s1 = m, a, Poly.zero(), Poly.one()
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
-    c = 1 / r0.lc
-    return r0 * c, s0 * c
-
-
-def _neg_rem(a, b, m: Poly):
-    """-(a rem b) for w-polynomials over Q[t]/(m); b has leading coefficient +-1."""
-    a = list(a)
-    s = b[-1]
-    while len(a) >= len(b):
-        q = a.pop() * s
-        k = len(a) - len(b) + 1
-        for j, c in enumerate(b[:-1]):
-            a[k + j] = (a[k + j] - q * c) % m
-    return [-c for c in a]
-
-
 def is_real_rooted_at(wcoeffs, t0: AlgebraicReal) -> bool:
     """Whether sum_i c_i(t0) w^i has only real roots, for c_i in Q[t].
 
-    A Sturm chain over Q(t0), computed in Q[t]/(m) where m starts as
-    t0.defining; zero tests use is_root_of and signs sign_of, so the answer
-    is exact.  A leading coefficient that is nonzero at t0 but shares a
-    factor g with m is a zero divisor, and m becomes g when t0 is a root of
-    g, m/g otherwise (dynamic evaluation: Della Dora, Dicrescenzo and
-    Duval, EUROCAL 1985).  Each chain member is scaled by a unit positive
-    at t0 to leading coefficient +-1; the signs at +-infinity then count
-    the distinct real roots, and the polynomial is real-rooted iff that
-    count is deg - deg gcd(p, p') (Basu, Pollack and Roy, Algorithms in
-    Real Algebraic Geometry, ch. 2 and 9).
+    Leading coefficients that vanish at t0 are dropped first (is_root_of),
+    so the rest, x of degree p in w, keeps its degree at t0.  The signed
+    principal subresultant coefficients s_p, ..., s_0 of x and its
+    w-derivative are interpolated once as polynomials in t
+    (`subresultant_table`), and their signs at t0 come from sign_of, so the
+    answer is exact.  x(t0) has PmV(signs) distinct real roots and
+    p - d distinct complex ones, d being the smallest j with s_j(t0) != 0,
+    i.e. deg gcd(x, x') at t0; it is real-rooted iff the two agree (Basu,
+    Pollack and Roy, Algorithms in Real Algebraic Geometry, ch. 4 and 9).
     """
-    m = t0.defining
-
-    def leading_unit(p):
-        # p cut to its degree at t0 and scaled to leading coefficient +-1
-        nonlocal m
-        p = list(p)
-        while p:
-            a = p[-1] % m
-            if a.is_zero():
-                p.pop()
-                continue
-            g, inv = _gcdex(a, m)
-            if not g.is_constant():
-                m = g if t0.is_root_of(g) else m.exact_div(g)
-                continue
-            s = t0.sign_of(a)
-            u = inv * s
-            return [(c * u) % m for c in p[:-1]] + [Poly.const(s)]
-        return p
-
-    p = leading_unit(wcoeffs)
-    if not p:
+    cs = list(wcoeffs)
+    while cs and t0.is_root_of(cs[-1]):
+        cs.pop()
+    if not cs:
         raise ValueError("polynomial vanishes at t0")
-    chain = [p]
-    r = leading_unit([i * c for i, c in enumerate(p)][1:])
-    while r:
-        chain.append(r)
-        r = leading_unit(_neg_rem(chain[-2], chain[-1], m))
-    at_pos = [c[-1].lc for c in chain]
-    at_neg = [s * (-1) ** (len(c) - 1) for s, c in zip(at_pos, chain)]
-    real = sign_variations(at_neg) - sign_variations(at_pos)
-    return real == len(p) - len(chain[-1])
+    p = len(cs) - 1
+    if p == 0:
+        return True
+    signs = [t0.sign_of(s) for s in subresultant_table(BiPoly(cs))]
+    d = next(j for j, s in enumerate(signs) if s)
+    return pmv(signs) == p - d

@@ -1,19 +1,23 @@
 """Polynomials in w whose coefficients are polynomials in a parameter t.
 
-The resultant in w is computed over Z: both arguments are scaled once to
-integer coefficients, evaluated at enough integer parameter nodes, the
-Sylvester determinant at each node is a fraction-free Bareiss determinant
-of integers, and Lagrange interpolation (degree bound from the Sylvester
-dimensions) followed by one division by the scale recovers it exactly.
-It is the determinant of the *generic-degree* Sylvester matrix, so
+Eliminations run over Z: the arguments are scaled once to integer
+coefficients and evaluated at integer parameter nodes where their leading
+coefficients do not vanish; at each node a subresultant PRS of the two
+integer polynomials (`poly._signed_subresultants`) gives the node values,
+and Lagrange interpolation (degree bound from the determinant sizes)
+followed by one division by the scale recovers each result exactly.
+`resultant_w` interpolates the resultant; `subresultant_table`
+interpolates every signed principal subresultant coefficient of x and
+its w-derivative.  Both are determinants of *generic-degree* matrices, so
 parameter values where leading coefficients collapse may contribute
-spurious factors; callers strip those (see the spectra eliminant cleaning).
+spurious factors; callers strip those (see the spectra eliminant
+cleaning) or avoid such values (`algebraic.is_real_rooted_at`).
 """
 from __future__ import annotations
 
 import math
 
-from .poly import Poly, Rat, as_rat, bareiss_det_int, sylvester_matrix
+from .poly import Poly, Rat, as_rat, _resultant_int, _signed_subresultants
 
 
 class BiPoly:
@@ -133,23 +137,22 @@ def _coerce(x) -> BiPoly:
     raise TypeError(f"cannot coerce {type(x).__name__} to BiPoly")
 
 
-def _lagrange_interpolate(points) -> Poly:
-    """Exact interpolating polynomial through (x_i, y_i) rational pairs.
+def _interpolator(xs):
+    """Exact interpolation at the distinct integer nodes xs: values -> Poly.
 
     The node polynomial M = prod_j (t - x_j) is built once; each basis
     numerator M/(t - x_i) comes from it by synthetic division, and its
-    value at x_i is the basis denominator, so the work is O(n^2).  The
-    weighted numerators are summed over one common denominator.
+    value at x_i is the basis denominator, so set-up and every call are
+    O(n^2).  The weighted numerators are summed over one common
+    denominator.
     """
     m = [1]  # M, lowest degree first
-    for x, _ in points:
+    for x in xs:
         m = [0] + m
         for k in range(len(m) - 1):
             m[k] -= x * m[k + 1]
-    terms = []
-    for xi, yi in points:
-        if yi == 0:
-            continue
+    basis = []
+    for xi in xs:
         q = [0] * (len(m) - 1)  # M/(t - xi)
         acc = 0
         for k in range(len(m) - 1, 0, -1):
@@ -158,16 +161,21 @@ def _lagrange_interpolate(points) -> Poly:
         den = 0
         for c in reversed(q):
             den = den * xi + c
-        terms.append((as_rat(yi) / den, q))
-    if not terms:
-        return Poly.zero()
-    big = math.lcm(*(wt.denominator for wt, _ in terms))
-    out = [0] * (len(m) - 1)
-    for wt, q in terms:
-        a = wt.numerator * (big // wt.denominator)
-        for k, c in enumerate(q):
-            out[k] += a * c
-    return Poly([Rat(c, big) for c in out])
+        basis.append((den, q))
+
+    def interpolate(ys) -> Poly:
+        terms = [(Rat(y, den), q) for y, (den, q) in zip(ys, basis) if y]
+        if not terms:
+            return Poly.zero()
+        big = math.lcm(*(wt.denominator for wt, _ in terms))
+        out = [0] * (len(m) - 1)
+        for wt, q in terms:
+            a = wt.numerator * (big // wt.denominator)
+            for k, c in enumerate(q):
+                out[k] += a * c
+        return Poly([Rat(c, big) for c in out])
+
+    return interpolate
 
 
 def _int_wcoeffs(x: BiPoly):
@@ -181,6 +189,18 @@ def _eval_int(a, t: int) -> int:
     for c in reversed(a):
         v = v * t + c
     return v
+
+
+def _nodes(count: int, *lcs):
+    """The first `count` of 0, 1, -1, 2, -2, ... where no int list in lcs vanishes."""
+    out = []
+    k = 0
+    while len(out) < count:
+        t = (k + 1) // 2 * (1 if k % 2 else -1)
+        k += 1
+        if all(_eval_int(c, t) for c in lcs):
+            out.append(t)
+    return out
 
 
 def resultant_w(a: BiPoly, b: BiPoly) -> Poly:
@@ -204,14 +224,35 @@ def resultant_w(a: BiPoly, b: BiPoly) -> Poly:
     # Res(A/da, B/db) = Res(A, B) / (da^m db^n) for integer A = da*a, B = db*b
     da, ai = _int_wcoeffs(a)
     db, bi = _int_wcoeffs(b)
-    points = []
-    k = 0
-    while len(points) < bound + 1:
-        t = (k // 2 + 1) * (1 if k % 2 == 0 else -1) if k > 0 else 0
-        k += 1
-        pa = [_eval_int(c, t) for c in ai]
-        pb = [_eval_int(c, t) for c in bi]
-        if pa[-1] == 0 or pb[-1] == 0:
-            continue
-        points.append((t, bareiss_det_int(sylvester_matrix(pa, pb, n, m))))
-    return _lagrange_interpolate(points) * Rat(1, da ** m * db ** n)
+    nodes = _nodes(bound + 1, ai[-1], bi[-1])
+    values = [_resultant_int([_eval_int(c, t) for c in ai], [_eval_int(c, t) for c in bi])
+              for t in nodes]
+    return _interpolator(nodes)(values) * Rat(1, da ** m * db ** n)
+
+
+def subresultant_table(x: BiPoly):
+    """[s_0, ..., s_p]: the signed principal subresultant coefficients of x
+    and its w-derivative as polynomials in the parameter, p = deg_w x >= 1.
+
+    s_j is the determinant of `poly._signed_subresultants` built from the
+    coefficients of x and x' (so s_p = lc(x)); it has 2p - 1 - 2j rows, so
+    degree at most (2p - 1 - 2j) deg_t x.  At a parameter value where
+    lc(x) does not vanish the s_j specialise: there the specialisation of
+    x has PmV(s_p, ..., s_0) distinct real roots (Basu, Pollack and Roy,
+    ch. 4 and 9), and deg gcd(x, x') is the smallest j with s_j != 0.
+    """
+    p = x.degree_w
+    if p < 1:
+        raise ValueError("need a polynomial of positive degree in w")
+    d, xi = _int_wcoeffs(x)
+    nodes = _nodes((2 * p - 1) * max(x.max_param_degree(), 0) + 1, xi[-1])
+    rows = []
+    for t in nodes:
+        a = [_eval_int(c, t) for c in xi]
+        rows.append(_signed_subresultants(a, [i * c for i, c in enumerate(a)][1:]))
+    interpolate = _interpolator(nodes)
+    # d x has rows scaled by d: s_j(d x) = d^(2p - 1 - 2j) s_j(x), s_p(d x) = d s_p(x)
+    table = [interpolate([r[j] for r in rows]) * Rat(1, d ** (2 * p - 1 - 2 * j))
+             for j in range(p)]
+    table.append(interpolate([r[p] for r in rows]) * Rat(1, d))
+    return table

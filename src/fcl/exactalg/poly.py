@@ -346,29 +346,84 @@ def bareiss_det_int(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def sylvester_matrix(a, b, n: int, m: int):
-    """(n+m) x (n+m) Sylvester matrix for coefficient sequences of degrees n, m.
+def _pseudo_rem(a, b):
+    """lc(b)^(deg a - deg b + 1) * a reduced modulo b, for int lists with
+    deg a >= deg b (the full pseudo-remainder: every step multiplies)."""
+    a = list(a)
+    d = len(b) - 1
+    lb = b[-1]
+    for k in range(len(a) - 1 - d, -1, -1):
+        lead = a.pop()
+        a = [c * lb for c in a]
+        for j in range(d):
+            a[k + j] -= lead * b[j]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
 
-    `a`, `b` are lowest-first coefficient lists padded/truncated to the given
-    formal degrees (entries may be any ring elements).
+
+def _signed_subresultants(a, b):
+    """Signed principal subresultant coefficients [s_0, ..., s_p] of int lists.
+
+    Needs deg b < deg a = p.  For j <= deg b = q, s_j is the determinant
+    of the rows x^(q-j-1) a, ..., a, b, x b, ..., x^(p-j-1) b, coefficients
+    written highest degree first and the first p + q - 2j columns kept;
+    s_j = 0 for q < j < p, and s_p = lc(a).  They come from the
+    subresultant PRS with Lazard's reduction (Ducos, "Optimizations of the
+    subresultant algorithm", JPAA 145 (2000)), every division exact: it
+    yields the standard coefficients psc_j, and s_j = eps_(p-j) psc_j with
+    eps_i = (-1)^(i(i-1)/2) (Basu, Pollack and Roy, Algorithms in Real
+    Algebraic Geometry, ch. 4 and 8).  With b = a', the smallest j with
+    s_j != 0 is deg gcd(a, a').
     """
-    size = n + m
-    zero = a[0] * 0
-    rows = []
-    arev = list(reversed(a))  # highest first
-    brev = list(reversed(b))
-    for i in range(m):
-        rows.append([zero] * i + arev + [zero] * (size - i - len(arev)))
-    for i in range(n):
-        rows.append([zero] * i + brev + [zero] * (size - i - len(brev)))
-    return rows
+    p, q = len(a) - 1, len(b) - 1
+    psc = [0] * p
+    s = b[-1] ** (p - q)
+    psc[q] = s
+    A, B = b, _pseudo_rem(a, [-c for c in b])
+    while B:
+        d, e = len(A) - 1, len(B) - 1
+        delta = d - e
+        if delta > 1:
+            # Lazard: S_e = lc(B)^(delta-1) B / s^(delta-1)
+            num, den = B[-1] ** (delta - 1), s ** (delta - 1)
+            C = [c * num // den for c in B]
+        else:
+            C = B
+        psc[e] = C[-1]
+        if e == 0:
+            break
+        den = s ** delta * A[-1]
+        B = [c // den for c in _pseudo_rem(A, [-c for c in B])]
+        A, s = C, C[-1]
+    return [c if (p - j) % 4 < 2 else -c for j, c in enumerate(psc)] + [a[-1]]
+
+
+def _resultant_int(a, b) -> int:
+    """Res(a, b) of int lists with nonzero leading coefficients."""
+    n, m = len(a) - 1, len(b) - 1
+    if n < m:
+        return -_resultant_int(b, a) if n * m % 2 else _resultant_int(b, a)
+    if m == 0:
+        return b[0] ** n
+    if n == m:
+        # r = lc(a) b - lc(b) a has the value lc(a) b at every root of a,
+        # so Res(a, r) = lc(a)^deg r Res(a, b)
+        r = [a[-1] * y - b[-1] * x for x, y in zip(a, b)]
+        while r and r[-1] == 0:
+            r.pop()
+        return _resultant_int(a, r) // a[-1] ** (len(r) - 1) if r else 0
+    # the Sylvester matrix is the s_0 matrix with its b rows reversed
+    s0 = _signed_subresultants(a, b)[0]
+    return s0 if n % 4 < 2 else -s0
 
 
 def resultant(p: Poly, q: Poly) -> Rat:
     """Resultant of two rational polynomials (formal degrees = actual).
 
     With p = s * P and q = u * Q for primitive integer P, Q of degrees n
-    and m, it is s^m u^n Res(P, Q), the last a Bareiss determinant over Z.
+    and m, it is s^m u^n Res(P, Q), the last from the subresultant PRS
+    over Z.
     """
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of the zero polynomial")
@@ -378,4 +433,4 @@ def resultant(p: Poly, q: Poly) -> Rat:
     if m == 0:
         return q.lc ** n
     (a, s), (b, u) = p.int_coeffs(), q.int_coeffs()
-    return s ** m * u ** n * bareiss_det_int(sylvester_matrix(a, b, n, m))
+    return s ** m * u ** n * _resultant_int(a, b)

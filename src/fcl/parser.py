@@ -11,6 +11,13 @@ Grammar (precedence ^ > unary minus > * / > + -, left associative):
 Exponents must be nonnegative integer literals (a parenthesized constant
 is accepted, but it has to evaluate to a nonnegative integer).  The AST is
 plain tuples; evaluation produces a reduced num/den pair of polynomials.
+
+Size limits, fixed: parentheses and unary minus nest at most MAX_DEPTH
+levels, and the AST is at most MAX_DEPTH operators deep (a sum of
+MAX_DEPTH + 2 terms is too deep); deeper input raises ParseError at the
+token that crosses the bound, before any recursion can run out of stack.
+A power whose result would exceed MAX_POWER_DEGREE in w or MAX_POWER_BITS
+coefficient bits raises ParseError instead of running for minutes.
 """
 from __future__ import annotations
 
@@ -19,6 +26,10 @@ from fractions import Fraction
 from .classf import ClassF, RatFun, make_classf, make_ratfun
 from .errors import NotInClass, ParseError
 from .exactalg import Poly, poly_gcd
+
+MAX_DEPTH = 100
+MAX_POWER_DEGREE = 256
+MAX_POWER_BITS = 100_000
 
 
 class _Tok:
@@ -61,10 +72,13 @@ def line_col(text: str, pos: int):
 
 
 class _Parser:
+    """Recursive descent; each rule returns (ast, depth in operators)."""
+
     def __init__(self, text: str):
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
+        self.nesting = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -76,8 +90,20 @@ class _Parser:
         self.i += 1
         return t
 
+    def enter(self, tok):
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ParseError(f"nested more than {MAX_DEPTH} levels deep", position=tok.pos)
+
+    @staticmethod
+    def node(tok, kind, *kids):
+        depth = 1 + max(d for _, d in kids)
+        if depth > MAX_DEPTH:
+            raise ParseError(f"more than {MAX_DEPTH} operators deep", position=tok.pos)
+        return (kind, *(a for a, _ in kids)), depth
+
     def parse(self):
-        e = self.expr()
+        e, _ = self.expr()
         t = self.peek()
         if t.kind != "end":
             raise ParseError(f"unexpected {t.kind!r}", position=t.pos)
@@ -86,29 +112,32 @@ class _Parser:
     def expr(self):
         e = self.term()
         while self.peek().kind in ("+", "-"):
-            op = self.take().kind
-            e = ("add" if op == "+" else "sub", e, self.term())
+            op = self.take()
+            e = self.node(op, "add" if op.kind == "+" else "sub", e, self.term())
         return e
 
     def term(self):
         e = self.unary()
         while self.peek().kind in ("*", "/"):
-            op = self.take().kind
-            e = ("mul" if op == "*" else "div", e, self.unary())
+            op = self.take()
+            e = self.node(op, "mul" if op.kind == "*" else "div", e, self.unary())
         return e
 
     def unary(self):
         if self.peek().kind == "-":
-            self.take()
-            return ("neg", self.unary())
+            op = self.take()
+            self.enter(op)
+            e = self.node(op, "neg", self.unary())
+            self.nesting -= 1
+            return e
         return self.power()
 
     def power(self):
         base = self.atom()
         if self.peek().kind == "^":
-            self.take()
-            n = self.exponent()
-            return ("pow", base, n)
+            op = self.take()
+            (kind, b), depth = self.node(op, "pow", base)
+            return (kind, b, self.exponent()), depth
         return base
 
     def exponent(self):
@@ -117,26 +146,29 @@ class _Parser:
             self.take()
             return t.value
         if t.kind == "(":
-            pos = t.pos
             self.take()
-            inner = self.expr()
+            self.enter(t)
+            inner, _ = self.expr()
             self.take(")")
+            self.nesting -= 1
             val = _const_value(inner)
             if val is None or val.denominator != 1 or val < 0:
                 raise ParseError("exponent must be a nonnegative integer",
-                                 position=pos)
+                                 position=t.pos)
             return int(val)
         raise ParseError("exponent must be a nonnegative integer", position=t.pos)
 
     def atom(self):
         t = self.take()
         if t.kind == "int":
-            return ("num", Fraction(t.value))
+            return ("num", Fraction(t.value)), 0
         if t.kind == "w":
-            return ("w",)
+            return ("w",), 0
         if t.kind == "(":
+            self.enter(t)
             e = self.expr()
             self.take(")")
+            self.nesting -= 1
             return e
         raise ParseError(f"unexpected {t.kind!r}", position=t.pos)
 
@@ -155,6 +187,14 @@ def parse_expr(text: str):
         raise
 
 
+def _check_power(degree: int, bits: int, e: int):
+    """Refuse a power of something of this degree and coefficient size
+    whose result would pass MAX_POWER_DEGREE or MAX_POWER_BITS."""
+    if degree * e > MAX_POWER_DEGREE or bits * e > MAX_POWER_BITS:
+        raise ParseError(f"power too large: degree {degree} or {bits}-bit "
+                         f"coefficients raised to {e}")
+
+
 def _const_value(ast):
     """Rational value of a constant subtree, None if w occurs."""
     kind = ast[0]
@@ -167,7 +207,10 @@ def _const_value(ast):
         return None if v is None else -v
     if kind == "pow":
         v = _const_value(ast[1])
-        return None if v is None else v ** ast[2]
+        if v is None:
+            return None
+        _check_power(0, max(v.numerator.bit_length(), v.denominator.bit_length()), ast[2])
+        return v ** ast[2]
     a, b = _const_value(ast[1]), _const_value(ast[2])
     if a is None or b is None:
         return None
@@ -194,6 +237,9 @@ def eval_ratio(ast):
         return -n, d
     if kind == "pow":
         n, d = eval_ratio(ast[1])
+        bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
+                   for c in n.coeffs + d.coeffs)
+        _check_power(max(n.degree, d.degree), bits, ast[2])
         return n ** ast[2], d ** ast[2]
     n1, d1 = eval_ratio(ast[1])
     n2, d2 = eval_ratio(ast[2])

@@ -14,10 +14,12 @@ vanish identically whenever g has a multiple root.  Critical t values are
 then the real roots of the cleaned eliminant (multiple-root kind) together
 with parameter values where the moving part drops degree by at least two.
 
-Real-rootedness *at* an irrational critical t0 is decided exactly: a Sturm
-chain of the moving part computed over Q(t0) counts its distinct real
-roots, and chi_{t0} is real-rooted iff that count is the number of distinct
-complex roots and g is real-rooted.
+Real-rootedness *at* an irrational critical t0 is decided exactly: the
+signed principal subresultant coefficients of the moving part and its
+w-derivative, interpolated as polynomials in t, are signed at t0; their
+permanences minus variations count the distinct real roots, the first
+nonzero one gives the degree of the gcd, and chi_{t0} is real-rooted iff
+the count is the number of distinct complex roots and g is real-rooted.
 """
 from __future__ import annotations
 
@@ -248,7 +250,8 @@ def rr0_at_algebraic_t(f: ClassF, t0) -> Verdict:
     """Real-rootedness of chi_{t0} for an exact algebraic t0, decided exactly.
 
     Rational t0 goes through is_rr0.  Otherwise chi_{t0} = g * (moving part
-    at t0): g is tested over Q, the moving part by a Sturm count over Q(t0).
+    at t0): g is tested over Q, the moving part by the signs at t0 of its
+    signed subresultant coefficients (exactalg.is_real_rooted_at).
     """
     if isinstance(t0, (int, Fraction)):
         return Verdict.YES if is_rr0(free_power(f, t0)) else Verdict.NO

@@ -14,7 +14,9 @@ from fcl.exactalg import (NEG_INF, POS_INF, AlgebraicReal, BiPoly, Iv, Poly,
                           isolate_real_roots, iv_poly_eval, poly_gcd,
                           resultant, resultant_w, squarefree_part,
                           sturm_chain, sturm_count)
-from fcl.exactalg.poly import bareiss_det_int
+from fcl.exactalg.bipoly import subresultant_table
+from fcl.exactalg.poly import _signed_subresultants, bareiss_det_int
+from fcl.exactalg.sturm import pmv
 
 w = Poly.x()
 
@@ -216,6 +218,75 @@ def test_resultant_matches_sympy(p, q):
     assert resultant(p, q) == F(int(ref.p), int(ref.q))
 
 
+# ------------------------------------------------------ signed subresultants
+
+
+def _sres_by_det(a, b, j):
+    """s_j by definition: rows x^(q-j-1) a, ..., a, b, ..., x^(p-j-1) b,
+    highest degree first, first p + q - 2j columns, one Bareiss determinant."""
+    p, q = len(a) - 1, len(b) - 1
+
+    def row(c, shift):  # x^shift * c over degrees p+q-j-1 .. j
+        top = p + q - j - 1
+        return [c[top - k - shift] if 0 <= top - k - shift < len(c) else 0
+                for k in range(p + q - 2 * j)]
+
+    rows = [row(a, k) for k in range(q - j - 1, -1, -1)]
+    rows += [row(b, k) for k in range(p - j)]
+    return bareiss_det_int(rows)
+
+
+def test_signed_subresultants_match_determinants():
+    # negative leading coefficients, sparse inputs and forced degree gaps
+    # (deg b well below deg a - 1, and remainders that drop several degrees)
+    cases = [([1, -1, 3, 0, 0, -2], [0, 0, 0, 4, -1]),
+             ([-7, 0, 0, 5, 0, 0, -1], [3, 0, -2]),
+             ([2, -3, 0, 0, 0, 0, 0, -5], [1, 0, 0, 0, -3]),
+             ([0, 0, 0, 0, 0, 0, 1], [-1, 0, 0, 1]),
+             ([5, 1, 0, 0, 0, 1, -3], [0, 2])]
+    sq = -(w**3 - 2) ** 2 * w  # b = a' shares the factor (w^3 - 2)
+    cases.append((sq.int_coeffs()[0], sq.derivative().int_coeffs()[0]))
+    rng = random.Random(7)
+    for _ in range(300):
+        p = rng.randint(1, 7)
+        q = rng.randint(0, p - 1)
+        a = [rng.choice([0, 0, rng.randint(-6, 6)]) for _ in range(p)] + [rng.choice([-3, -1, 2])]
+        b = [rng.choice([0, 0, rng.randint(-6, 6)]) for _ in range(q)] + [rng.choice([-2, 1, 3])]
+        cases.append((a, b))
+    gaps = 0
+    for a, b in cases:
+        p, q = len(a) - 1, len(b) - 1
+        s = _signed_subresultants(a, b)
+        assert len(s) == p + 1 and s[p] == a[-1]
+        assert s[q + 1:p] == [0] * (p - q - 1)
+        assert s[:q + 1] == [_sres_by_det(a, b, j) for j in range(q + 1)]
+        gaps += sum(1 for j in range(q) if s[j] == 0)
+    assert gaps > 0  # some runs went through defective subresultants
+
+
+def test_pmv_examples():
+    assert pmv([1, 1, 1]) == 2 and pmv([-1, 1, 1]) == 0
+    # zeros: an odd gap k = 3 adds eps_3 = -1 times the sign product,
+    # an even gap adds nothing, and trailing zeros are skipped
+    assert pmv([1, 0, 0, 1]) == -1 and pmv([1, 0, 1]) == 0
+    assert pmv([0, 0, 1, 1]) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(_factored_polys())
+def test_subresultant_count_matches_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    if p.degree < 1:
+        return
+    a = p.int_coeffs()[0]
+    s = _signed_subresultants(a, [i * c for i, c in enumerate(a)][1:])
+    signs = [(c > 0) - (c < 0) for c in s]
+    sp = _sympy_poly(sympy, p)
+    assert pmv(signs) == len(sp.real_roots(multiple=False))
+    d = next(j for j, c in enumerate(s) if c)
+    assert d == sympy.gcd(sp, sp.diff()).degree()
+
+
 # ---------------------------------------------------------------- isolation
 
 
@@ -379,6 +450,26 @@ def test_resultant_evaluation_commutes(rng):
             if pa.degree < a.degree_w or pb.degree < b.degree_w or pb.is_zero():
                 continue
             assert r(t0) == resultant(pa, pb)
+
+
+def test_subresultant_table_specialises(rng):
+    # the interpolated s_j agree with the routine at non-integer parameters,
+    # i.e. between the integer nodes, wherever lc does not vanish; every
+    # coefficient is linear in t, so s_0 reaches its degree bound 2p - 1
+    for _ in range(8):
+        x = BiPoly([Poly([rand_rat(rng), rand_rat(rng, nonzero=True)])
+                    for _ in range(rng.randint(3, 6))])
+        table = subresultant_table(x)
+        assert len(table) == x.degree_w + 1 and table[-1] == x.lc_poly
+        for t0 in (F(1, 2), F(-7, 3), F(13, 5)):
+            xt = x.eval_param(t0)
+            if xt.degree < x.degree_w:
+                continue
+            a, c = xt.int_coeffs()
+            s = _signed_subresultants(a, [i * v for i, v in enumerate(a)][1:])
+            p = len(a) - 1
+            assert [tj(t0) for tj in table[:p]] == [c ** (2 * p - 1 - 2 * j) * s[j]
+                                                   for j in range(p)]
 
 
 def test_bipoly_eval_and_ops():

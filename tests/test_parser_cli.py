@@ -1,16 +1,20 @@
+import contextlib
+import io
 import json
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fcl.classf import ClassF
 from fcl.cli import main
 from fcl.config import load_config
 from fcl.errors import InvalidRTransform, NotInClass, ParseError
 from fcl.exactalg import Poly
-from fcl.parser import (eval_ratio, parse_expr, print_expr, to_classf,
-                        to_rtransform)
+from fcl.parser import (MAX_DEPTH, eval_ratio, parse_expr, print_expr,
+                        to_classf, to_rtransform)
 
 w = Poly.x()
 
@@ -51,6 +55,29 @@ def test_parse_errors_carry_position():
         parse_expr("w^-1")
     with pytest.raises(ParseError):
         parse_expr("(w")
+
+
+def test_parse_depth_bound():
+    # the bound itself parses; one level more is a ParseError at the token
+    # that crosses it, not a RecursionError
+    assert parse_expr("(" * MAX_DEPTH + "w" + ")" * MAX_DEPTH) == ("w",)
+    assert parse_expr("-" * MAX_DEPTH + "w")[0] == "neg"
+    assert parse_expr("+".join(["w"] * (MAX_DEPTH + 1)))[0] == "add"
+    for text, col in (("(" * (MAX_DEPTH + 1) + "w" + ")" * (MAX_DEPTH + 1), MAX_DEPTH + 1),
+                      ("-" * 2000 + "w", MAX_DEPTH + 1),
+                      ("+".join(["w"] * 3000), 2 * MAX_DEPTH + 2),
+                      ("w^(" * (MAX_DEPTH + 1) + "1" + ")" * (MAX_DEPTH + 1), 3 * MAX_DEPTH + 3)):
+        with pytest.raises(ParseError) as ei:
+            parse_expr(text)
+        assert f"column {col})" in str(ei.value)
+
+
+def test_parse_power_bound():
+    for text in ("w^(((3^3)^3)^3)", "3^(((3^3)^3)^3)", "((3^1000)^1000)^1000",
+                 "(1 + w)^257"):
+        with pytest.raises(ParseError, match="power too large"):
+            eval_ratio(parse_expr(text))
+    assert eval_ratio(parse_expr("(1 + w)^256"))[0].degree == 256
 
 
 def test_parse_zero_division():
@@ -124,6 +151,33 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _cli_quiet(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+_DEEP = ("(" * 200 + "w" + ")" * 200, "-" * 2000 + " w", "+".join(["w"] * 3000))
+
+
+def test_cli_deep_input_exits_2():
+    for text in _DEEP:
+        code, err = _cli_quiet("moments", text)
+        assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
+
+@settings(deadline=None)
+@given(st.lists(st.sampled_from("w 0 1 2 3 + - * / ^ ( )".split()), max_size=20).map(" ".join))
+@example(_DEEP[0])
+@example(_DEEP[1])
+@example(_DEEP[2])
+def test_cli_fuzz_exits_cleanly(text):
+    code, err = _cli_quiet("moments", text, "--order", "3")
+    assert code in (0, 1, 2)
+    assert code == 0 or "error:" in err
 
 
 def test_cli_moments_json(capsys):
