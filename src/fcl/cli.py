@@ -4,22 +4,20 @@ Every library capability is reachable in one invocation.  Output is exact
 by default (rationals as p/q strings); --json and --csv switch the shape,
 --approx adds decimal renderings.  Exit codes: 0 success, 1 domain error,
 2 usage/syntax error.
+
+Each handler imports the fcl modules it uses, so one invocation loads
+only what its subcommand needs.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
 from . import classf as cf
-from . import density as dens
-from . import distlib as dl
-from . import euler as eu
 from . import oeis as oe
-from . import posdef as pd
-from . import spectra as sp
-from .config import load_config
 from .errors import FclError, ParseError
 from .exactalg import Poly, rat_str
 from .parser import parse_expr, to_classf, to_rtransform
@@ -97,28 +95,34 @@ def _cmd_cumulants(args):
 
 
 def _cmd_charpoly(args):
+    from . import spectra as sp
     return {"chi": _poly_payload(sp.char_poly(_f_from(args)))}, 0
 
 
 def _cmd_chart(args):
+    from . import spectra as sp
     x = sp.char_poly_t(_f_from(args))
     return {"chi_t": {"w_coeffs": [[rat_str(c) for c in p.coeffs] for p in x.wcoeffs],
                       "pretty": x.to_str()}}, 0
 
 
 def _cmd_rr0(args):
+    from . import spectra as sp
     return {"rr0": sp.is_rr0(_f_from(args))}, 0
 
 
 def _cmd_rr(args):
+    from . import spectra as sp
     return {"rr": sp.is_rr(_f_from(args))}, 0
 
 
 def _cmd_singular(args):
+    from . import spectra as sp
     return {"singular": sp.is_singular(_f_from(args))}, 0
 
 
 def _cmd_nset(args):
+    from . import spectra as sp
     ns = sp.n_set(_f_from(args))
     return {"z_poly": _poly_payload(ns.z_poly),
             "real_members": [_alg_payload(r, args.precision) for r in ns.real_members],
@@ -126,7 +130,7 @@ def _cmd_nset(args):
             "all_real": ns.all_real}, 0
 
 
-def _verdict_payload(hv: pd.HankelVerdict) -> dict:
+def _verdict_payload(hv) -> dict:
     return {"status": hv.status, "order": hv.order,
             "determinant": rat_str(hv.determinant) if hv.is_negative else None,
             "minors": [rat_str(m) for m in hv.minors],
@@ -134,10 +138,12 @@ def _verdict_payload(hv: pd.HankelVerdict) -> dict:
 
 
 def _cmd_hankel(args):
+    from . import posdef as pd
     return {"hankel": _verdict_payload(pd.is_moment_positive_up_to(_f_from(args), args.order))}, 0
 
 
 def _cmd_fid(args):
+    from . import posdef as pd
     return {"fid": _verdict_payload(pd.fid_check(_f_from(args), args.order))}, 0
 
 
@@ -164,6 +170,7 @@ def _cmd_dilate(args):
 
 
 def _cmd_criticals(args):
+    from . import spectra as sp
     lo, hi = _range(args.range)
     rep = sp.critical_ts(_f_from(args), lo, hi)
     return {"range": [rat_str(lo), rat_str(hi)],
@@ -174,9 +181,12 @@ def _cmd_criticals(args):
 
 
 def _cmd_density(args):
+    from . import density as dens
     lo, hi = _range(args.range)
-    eps = tuple(float(Fraction(e)) for e in args.eps.split(",")) if args.eps else dens._DEFAULT_EPS
-    table = dens.density_grid(_f_from(args), float(lo), float(hi), args.grid, eps)
+    schedule = {}
+    if args.eps:
+        schedule["eps_schedule"] = tuple(float(Fraction(e)) for e in args.eps.split(","))
+    table = dens.density_grid(_f_from(args), float(lo), float(hi), args.grid, **schedule)
     rows = [{"x": x, "f": v} for x, v in table.rows()]
     return {"density": {"rows": rows, "mass_estimate": table.mass_estimate,
                         "eps_used": list(table.eps_used)},
@@ -184,6 +194,7 @@ def _cmd_density(args):
 
 
 def _cmd_euler(args):
+    from . import euler as eu
     if args.ck is not None:
         res = eu.ck_candidates(args.k, _frac(args.ck))
         rep = res["report"]
@@ -205,6 +216,8 @@ def _cmd_euler(args):
 
 
 def _cmd_fuss(args):
+    from . import distlib as dl
+    from . import spectra as sp
     f = dl.fuss_f(args.r)
     ms = [rat_str(dl.fuss_moment(args.r, n)) for n in range(args.order + 1)]
     chi_ok = sp.char_poly(f) == dl.fuss_chi(args.r)
@@ -212,6 +225,8 @@ def _cmd_fuss(args):
 
 
 def _cmd_dist(args):
+    from . import distlib as dl
+    from . import spectra as sp
     kind = args.kind
     if kind == "dirac":
         f = dl.dirac(_frac(args.params[0]))
@@ -228,6 +243,7 @@ def _cmd_dist(args):
 
 
 def _cmd_deconv(args):
+    from . import distlib as dl
     if args.kind == "wmp":
         rec = dl.deconv_wmp(_frac(args.params[0]), _frac(args.params[1]))
     elif args.kind == "mpmp":
@@ -240,7 +256,7 @@ def _cmd_deconv(args):
                            chi_factored_check=rec["chi_factored_check"])}, 0
 
 
-def _atom_payload(a: dl.Atom, digits: int) -> dict:
+def _atom_payload(a, digits: int) -> dict:
     if a.kind in ("rpoly",):
         return {"kind": a.kind, "r_part": a.params[0].to_str()}
     if a.kind == "rfun":
@@ -250,6 +266,7 @@ def _atom_payload(a: dl.Atom, digits: int) -> dict:
 
 
 def _cmd_monotone(args):
+    from . import distlib as dl
     digits = args.precision
     kind = args.kind
     ps = [_frac(p) for p in args.params]
@@ -312,11 +329,13 @@ def _cmd_region(args):
             rows.append(f"{-x!r},{y!r},upper")
         return {"_csv": "\n".join(rows) + "\n", "region": "cg"}, 0
     if args.kind == "lb":
+        from . import spectra as sp
         pts = sp.lb_curve(_frac(args.b), args.samples)
         rows = ["c,d"] + [f"{float(c)!r},{float(d)!r}" for c, d in pts]
         return {"_csv": "\n".join(rows) + "\n", "region": "lb",
                 "points": [[rat_str(c), rat_str(d)] for c, d in pts]}, 0
     if args.kind == "deg3":
+        from . import spectra as sp
         rows = ["a,b,rr0"]
         n = args.samples
         for i in range(n + 1):
@@ -329,6 +348,7 @@ def _cmd_region(args):
 
 
 def _config_of(args):
+    from .config import load_config
     return load_config({
         "fixtures": getattr(args, "fixtures", None),
         "network": getattr(args, "network", None),
@@ -337,6 +357,24 @@ def _config_of(args):
 
 
 # ----------------------------------------------------------------------
+
+
+_LONG_OPTION = re.compile(r"--[A-Za-z][\w-]*(=.*)?", re.DOTALL)
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse that reads "-w*(w-1)" or "-1/2" as a value, not an option.
+
+    Plain argparse takes every token that starts with '-' for an option
+    unless it is a bare negative number.  Here a token is an option only
+    if it is a known option string or has the form --name[=value], so an
+    unknown --name still gives a usage error.
+    """
+
+    def _parse_optional(self, arg_string):
+        if arg_string in self._option_string_actions or _LONG_OPTION.fullmatch(arg_string):
+            return super()._parse_optional(arg_string)
+        return None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,8 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     fexpr.add_argument("--power", default=None, metavar="T",
                        help="apply the free power T before the operation")
 
-    p = argparse.ArgumentParser(prog="fcl",
-                                description="exact calculus on rational F-functions")
+    p = _ArgumentParser(prog="fcl", description="exact calculus on rational F-functions")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, fn, parents=(), **kw):

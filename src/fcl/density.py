@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from .classf import ClassF, moments
 from .errors import ContinuationFailure
 from .exactalg import Poly
-from .spectra import char_poly
 
 _DEFAULT_EPS = (1e-3, 1e-4, 1e-5)
 
@@ -52,7 +51,6 @@ class _Evaluator:
         self.q = _float_coeffs(f.Q)
         self.dp = _float_coeffs(f.P.derivative())
         self.dq = _float_coeffs(f.Q.derivative())
-        self.chi = _float_coeffs(char_poly(f))
 
     def f(self, w):
         return w * _horner(self.p, w) / _horner(self.q, w)

@@ -1,20 +1,32 @@
-"""Exact rational and polynomial algebra kernel."""
+"""Exact rational and polynomial algebra kernel.
 
-from .algebraic import AlgebraicReal, is_real_rooted_at, isolate_real_roots
-from .bipoly import BiPoly, resultant_w, subresultant_table
-from .hankel import hankel_det
-from .intervals import Iv, iv_poly_eval
-from .poly import (Poly, Rat, as_rat, is_squarefree, poly_gcd, rat_str,
-                   resultant, squarefree_part)
-from .sturm import (NEG_INF, POS_INF, cauchy_bound,
-                    count_distinct_real_roots, is_real_rooted, sturm_chain,
-                    sturm_count)
+Each public name is imported from its submodule on first access
+(PEP 562), so `from .exactalg import Poly` loads `poly` alone.
+"""
 
-__all__ = [
-    "AlgebraicReal", "BiPoly", "Iv", "NEG_INF", "POS_INF", "Poly", "Rat",
-    "as_rat", "cauchy_bound", "count_distinct_real_roots", "hankel_det",
-    "is_real_rooted", "is_real_rooted_at", "is_squarefree",
-    "isolate_real_roots", "iv_poly_eval", "poly_gcd", "rat_str", "resultant",
-    "resultant_w", "squarefree_part", "sturm_chain", "sturm_count",
-    "subresultant_table",
-]
+from importlib import import_module
+
+_EXPORTS = {
+    "algebraic": ("AlgebraicReal", "is_real_rooted_at", "isolate_real_roots"),
+    "bipoly": ("BiPoly", "resultant_w", "subresultant_table"),
+    "hankel": ("hankel_det",),
+    "intervals": ("Iv", "iv_poly_eval"),
+    "poly": ("Poly", "Rat", "as_rat", "is_squarefree", "poly_gcd", "rat_str",
+             "resultant", "squarefree_part"),
+    "sturm": ("NEG_INF", "POS_INF", "cauchy_bound", "count_distinct_real_roots",
+              "is_real_rooted", "sturm_chain", "sturm_count"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

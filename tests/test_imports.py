@@ -1,0 +1,62 @@
+"""Import footprint of the package and its lazy (PEP 562) exports."""
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fcl
+import fcl.exactalg
+
+_SRC = str(Path(fcl.__file__).resolve().parents[1])
+
+
+def _loaded_after(code):
+    """fcl modules loaded in a fresh interpreter after running `code`."""
+    probe = (code + "\nimport sys, json\n"
+             "print(json.dumps(sorted(m for m in sys.modules "
+             "if m == 'fcl' or m.startswith('fcl.'))))")
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=_SRC), timeout=60, check=True)
+    return set(json.loads(res.stdout.splitlines()[-1]))
+
+
+def test_import_fcl_loads_no_submodule():
+    assert _loaded_after("import fcl") == {"fcl"}
+
+
+def test_import_cli_loads_no_subcommand_module():
+    loaded = _loaded_after("import fcl.cli")
+    assert not loaded & {"fcl.spectra", "fcl.distlib", "fcl.density", "fcl.euler",
+                         "fcl.posdef"}
+    # classf and the parser need the polynomial kernel alone
+    assert {m for m in loaded if m.startswith("fcl.exactalg.")} == {"fcl.exactalg.poly"}
+    # the benchmark reads oeis' import time from `import fcl.cli`
+    assert "fcl.oeis" in loaded
+
+
+def test_density_command_does_not_load_spectra():
+    loaded = _loaded_after(
+        "import contextlib, io, fcl.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert fcl.cli.main(['density', 'w*(1+w^2)/(1+9*w^2)', '--range=-5:5',"
+        " '--grid', '5', '--csv']) == 0")
+    assert "fcl.density" in loaded and "fcl.spectra" not in loaded
+
+
+@pytest.mark.parametrize("pkg", [fcl, fcl.exactalg], ids=lambda p: p.__name__)
+def test_lazy_exports_are_the_submodules_objects(pkg):
+    assert pkg.__all__
+    for name in pkg.__all__:
+        home = importlib.import_module(f"{pkg.__name__}.{pkg._SOURCE[name]}")
+        assert getattr(pkg, name) is vars(home)[name], name
+    assert set(pkg.__all__) <= set(dir(pkg))
+    with pytest.raises(AttributeError):
+        pkg.no_such_name
+    namespace = {}
+    exec(f"from {pkg.__name__} import *", namespace)
+    assert {n for n in namespace if n != "__builtins__"} == set(pkg.__all__)
+

@@ -154,9 +154,13 @@ def run_cli(capsys, *argv):
 
 
 def _cli_quiet(*argv):
+    """Exit code and stderr of one call; argparse's usage errors exit 2."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as e:
+            code = e.code
     return code, err.getvalue()
 
 
@@ -169,15 +173,43 @@ def test_cli_deep_input_exits_2():
         assert code == 2 and err.startswith("error:") and "Traceback" not in err
 
 
+# tokens joined with or without spaces: the unspaced joins put expressions
+# such as "-w*(w-1)" or "--w" where argparse looks for options
 @settings(deadline=None)
-@given(st.lists(st.sampled_from("w 0 1 2 3 + - * / ^ ( )".split()), max_size=20).map(" ".join))
+@given(st.tuples(st.sampled_from((" ", "")),
+                 st.lists(st.sampled_from("w 0 1 2 3 + - * / ^ ( )".split()), max_size=20))
+       .map(lambda t: t[0].join(t[1])))
 @example(_DEEP[0])
 @example(_DEEP[1])
 @example(_DEEP[2])
+@example("-w*(w-1)")
+@example("--w")
+@example("--")
 def test_cli_fuzz_exits_cleanly(text):
     code, err = _cli_quiet("moments", text, "--order", "3")
     assert code in (0, 1, 2)
     assert code == 0 or "error:" in err
+
+
+def test_cli_values_with_leading_minus(capsys):
+    code, out, _ = run_cli(capsys, "moments", "-w*(w-1)", "--order", "3", "--json")
+    assert code == 0
+    assert json.loads(out) == {"s": ["1", "1", "2", "5"]}
+    code, out, _ = run_cli(capsys, "moments", "--order=3", "-w*(w-1)", "--json")
+    assert json.loads(out) == {"s": ["1", "1", "2", "5"]}
+    # the same results as the spellings argparse always let through
+    for argv, accepted in ((("power", "w*(1-w^2)", "-1/2"), ("power", "w*(1-w^2)", " -1/2")),
+                           (("density", "w - w^2", "--range", "-1:1", "--grid", "3"),
+                            ("density", "w - w^2", "--range=-1:1", "--grid", "3"))):
+        result = run_cli(capsys, *argv)
+        assert result[0] == 0 and result == run_cli(capsys, *accepted)
+
+
+def test_cli_unknown_option_is_a_usage_error():
+    for argv in (("moments", "w - w^2", "--bogus"), ("moments", "--bogus"),
+                 ("--bogus", "moments", "w - w^2")):
+        code, err = _cli_quiet(*argv)
+        assert code == 2 and "error:" in err
 
 
 def test_cli_moments_json(capsys):
