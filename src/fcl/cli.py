@@ -224,18 +224,25 @@ def _cmd_fuss(args):
     return {"fuss": dict(_classf_payload(f, args), moments=ms, chi_check=chi_ok)}, 0
 
 
+# parameter count of each kind of `dist`, `deconv` and `monotone`
+_DIST_ARITY = {"dirac": 1, "wigner": 1, "mp": 2}
+_DECONV_ARITY = {"wmp": 2, "mpmp": 3}
+_MONOTONE_ARITY = {"wmp": 3, "mpw": 3, "mpmp": 4, "ww": 2, "dirac-w": 2, "dirac-mp": 3}
+
+
+def _params(args, arity: dict) -> list:
+    """The kind's parameters as Fractions; ParseError on a wrong count."""
+    want, got = arity[args.kind], len(args.params)
+    if got != want:
+        raise ParseError(f"{args.kind} takes {want} parameter{'s' * (want > 1)}, got {got}")
+    return [_frac(p) for p in args.params]
+
+
 def _cmd_dist(args):
     from . import distlib as dl
     from . import spectra as sp
-    kind = args.kind
-    if kind == "dirac":
-        f = dl.dirac(_frac(args.params[0]))
-    elif kind == "wigner":
-        f = dl.wigner(_frac(args.params[0]))
-    elif kind == "mp":
-        f = dl.mp(_frac(args.params[0]), _frac(args.params[1]))
-    else:
-        raise ParseError(f"unknown family {kind!r}")
+    ps = _params(args, _DIST_ARITY)
+    f = {"dirac": dl.dirac, "wigner": dl.wigner, "mp": dl.mp}[args.kind](*ps)
     rt = cf.r_transform(f)
     return {"dist": dict(_classf_payload(f, args),
                          chi=_poly_payload(sp.char_poly(f)),
@@ -244,12 +251,8 @@ def _cmd_dist(args):
 
 def _cmd_deconv(args):
     from . import distlib as dl
-    if args.kind == "wmp":
-        rec = dl.deconv_wmp(_frac(args.params[0]), _frac(args.params[1]))
-    elif args.kind == "mpmp":
-        rec = dl.deconv_mpmp(*[_frac(p) for p in args.params[:3]])
-    else:
-        raise ParseError(f"unknown deconvolution family {args.kind!r}")
+    ps = _params(args, _DECONV_ARITY)
+    rec = {"wmp": dl.deconv_wmp, "mpmp": dl.deconv_mpmp}[args.kind](*ps)
     return {"deconv": dict(_classf_payload(rec["f"], args),
                            chi=_poly_payload(rec["chi"]),
                            chi_claimed=_poly_payload(rec["chi_claimed"]),
@@ -269,7 +272,7 @@ def _cmd_monotone(args):
     from . import distlib as dl
     digits = args.precision
     kind = args.kind
-    ps = [_frac(p) for p in args.params]
+    ps = _params(args, _MONOTONE_ARITY)
     if kind == "wmp":
         rec = dl.monotone_family("wmp", t=ps[0], v=ps[1], s=ps[2])
     elif kind == "mpw":
@@ -280,10 +283,8 @@ def _cmd_monotone(args):
         rec = dl.monotone_family("ww", s=ps[0], t=ps[1])
     elif kind == "dirac-w":
         rec = dl.dirac_monotone(ps[0], "wigner", ps[1])
-    elif kind == "dirac-mp":
-        rec = dl.dirac_monotone(ps[0], "mp", ps[1], ps[2])
     else:
-        raise ParseError(f"unknown monotone kind {kind!r}")
+        rec = dl.dirac_monotone(ps[0], "mp", ps[1], ps[2])
     out = dict(_classf_payload(rec["f"], args))
     if "chi" in rec:
         out["chi"] = _poly_payload(rec["chi"])
@@ -432,13 +433,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("r", type=int)
     s.add_argument("--order", type=int, default=10)
     s = add("dist", _cmd_dist)
-    s.add_argument("kind", choices=["dirac", "wigner", "mp"])
+    s.add_argument("kind", choices=list(_DIST_ARITY))
     s.add_argument("params", nargs="+")
     s = add("deconv", _cmd_deconv)
-    s.add_argument("kind", choices=["wmp", "mpmp"])
+    s.add_argument("kind", choices=list(_DECONV_ARITY))
     s.add_argument("params", nargs="+")
     s = add("monotone", _cmd_monotone)
-    s.add_argument("kind", choices=["wmp", "mpw", "mpmp", "ww", "dirac-w", "dirac-mp"])
+    s.add_argument("kind", choices=list(_MONOTONE_ARITY))
     s.add_argument("params", nargs="+")
     s = add("oeis-match", _cmd_oeis_match, [fexpr])
     s.add_argument("--order", type=int, default=12)

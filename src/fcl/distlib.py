@@ -4,9 +4,9 @@ Construction is always through R-transforms, so every identity here is a
 statement about rational functions and is checked exactly.  Square roots
 enter only through decomposition *weights* (never through the chi
 factorizations, which rationalize into polynomial identities over Q);
-irrational weights are represented as exact algebraic numbers and the
-R-transform identities for them are certified by interval arithmetic at
-width 2^-128.
+irrational weights are represented as exact algebraic numbers in one field
+Q(sqrt(d)), and the R-transform identities for them are proved exactly over
+Q(sqrt(d)) by splitting every R sum into a rational part and a sqrt(d) part.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from fractions import Fraction
 from .classf import (ClassF, RatFun, compose, from_r, make_classf,
                      make_ratfun, r_transform, translate)
 from .errors import DecompositionNotReal
-from .exactalg import AlgebraicReal, Iv, Poly, Rat, as_rat
+from .exactalg import AlgebraicReal, Poly, Rat, as_rat
 from .spectra import char_poly
 
 _W = Poly.x()
@@ -171,90 +171,75 @@ class Atom:
     kind: str      # dirac | wigner | mp | rpoly | rfun
     params: tuple
 
-    def r_ratfun(self) -> RatFun:
-        """Exact R contribution; only for all-rational atoms."""
-        if self.kind == "dirac":
-            return RatFun(Poly([0, self.params[0]]), Poly.one())
-        if self.kind == "wigner":
-            return RatFun(Poly([0, 0, self.params[0]]), Poly.one())
-        if self.kind == "mp":
-            a, c = self.params
-            return make_ratfun(Poly([0, c * a]), Poly([1, -a]))
-        if self.kind == "rpoly":
-            return RatFun(self.params[0], Poly.one())
-        if self.kind == "rfun":
-            return self.params[0]
-        raise ValueError(self.kind)
 
-    def is_rational(self) -> bool:
-        return all(not isinstance(p, AlgebraicReal) for p in self.params)
-
-    def r_interval_at(self, w: Rat, width: Fraction) -> Iv:
-        """Enclosure of the R contribution at a rational point."""
-        def iv(x):
-            if isinstance(x, AlgebraicReal):
-                return x.refined_to(width).interval
-            return Iv(as_rat(x))
-
-        if self.kind == "dirac":
-            return iv(self.params[0]) * w
-        if self.kind == "wigner":
-            return iv(self.params[0]) * (w * w)
-        if self.kind == "mp":
-            a, c = (iv(p) for p in self.params)
-            return (c * a * w) / (1 - a * w)
-        if self.kind in ("rpoly",):
-            return Iv(self.params[0](w))
-        if self.kind == "rfun":
-            return Iv(self.params[0].eval(w))
-        raise ValueError(self.kind)
-
-
-def _atoms_r_sum(atoms) -> RatFun:
-    total = RatFun(Poly.zero(), Poly.one())
-    for a in atoms:
-        total = total + a.r_ratfun()
-    return total
-
-
-def check_r_identity(atoms, f: ClassF, tol=Fraction(1, 2**128)) -> bool:
+def check_r_identity(atoms, f: ClassF) -> bool:
     """Does the decomposition's R sum reproduce r_transform(f)?
 
-    Exact when every atom is rational; otherwise certified by interval
-    evaluation at enough sample points, refusing to pass until the
-    enclosures are narrower than `tol` and all contain zero.
+    Exact for every decomposition, proved over Q(sqrt(d)): each numeric
+    parameter is written as p + q*sqrt(d) for one radicand d, and each atom's
+    R contribution is split into a rational part and a sqrt(d) part over Q
+    (an mp term c*a*w/(1 - a*w) through the conjugate 1 - a'*w of its
+    denominator).  The identity holds iff the sqrt(d) part is 0 and the
+    rational part equals r_transform(f).  A parameter outside every
+    quadratic field, or in a second one, raises ValueError.
     """
-    target = r_transform(f)
-    if all(a.is_rational() for a in atoms):
-        return _atoms_r_sum(atoms) == target
-
-    bound = 4
+    # the first irrational parameter fixes d; with none, every q is 0
+    d = next((disc for a in atoms if a.kind in ("dirac", "wigner", "mp")
+              for _, disc, s in map(_quad_parts, a.params) if s), Rat(1))
+    rat_part = sqrt_part = RatFun(Poly.zero(), Poly.one())
     for a in atoms:
-        for p in a.params:
-            if isinstance(p, AlgebraicReal):
-                bound = max(bound, abs(float(p)))
-            elif isinstance(p, (int, Fraction)):
-                bound = max(bound, abs(float(p)))
-    k = 16 * (1 + int(bound))
-    points = [Fraction(1, k + j) * (1 if j % 2 == 0 else -1) for j in range(8)]
+        if a.kind == "rpoly":
+            rat_part = rat_part + RatFun(a.params[0], Poly.one())
+            continue
+        if a.kind == "rfun":
+            rat_part = rat_part + a.params[0]
+            continue
+        xs = [_in_quad_field(x, d) for x in a.params]
+        zero, den = _QuadExt(0, 0, d), Poly.one()
+        if a.kind == "dirac":
+            num = [zero, xs[0]]
+        elif a.kind == "wigner":
+            num = [zero, zero, xs[0]]
+        elif a.kind == "mp":
+            x, c = xs
+            norm = x.p**2 - x.q**2 * d
+            # c x w / (1 - x w) = c x w (1 - x' w) / (1 - 2 p w + norm w^2)
+            num = [zero, c * x, c * -norm]
+            den = Poly([1, -2 * x.p, norm])
+        else:
+            raise ValueError(f"unknown atom kind {a.kind!r}")
+        rat_part = rat_part + make_ratfun(Poly([n.p for n in num]), den)
+        sqrt_part = sqrt_part + make_ratfun(Poly([n.q for n in num]), den)
+    return sqrt_part.num.is_zero() and rat_part == r_transform(f)
 
-    width = Fraction(1, 2**80)
-    while True:
-        ok = True
-        for w in points:
-            total = Iv(-as_rat(target.eval(w)))
-            for a in atoms:
-                total = total + a.r_interval_at(w, width)
-            if not total.contains_zero():
-                return False
-            if total.width > tol:
-                ok = False
-                break
-        if ok:
-            return True
-        width = width * width
-        if width < Fraction(1, 2**4000):
-            return False
+
+def _quad_parts(x):
+    """(p, D, s) with x = p + s*sqrt(D) and s in {-1, 0, 1}; s = 0 iff x is rational."""
+    if not isinstance(x, AlgebraicReal):
+        return as_rat(x), Rat(0), 0
+    if x.as_fraction() is not None:
+        return x.as_fraction(), Rat(0), 0
+    m = x.defining
+    if m.degree != 2:
+        raise ValueError(f"{x!r} is not in a quadratic field")
+    c, b, _ = (k / m.lc for k in m.coeffs)
+    p = -b / 2
+    disc, s = p * p - c, x.compare_rational(p)
+    root = _sqrt_rat(disc)
+    if root is not None:
+        return p + s * root, Rat(0), 0
+    return p, disc, s
+
+
+def _in_quad_field(x, d) -> "_QuadExt":
+    """x as p + q*sqrt(d); ValueError when x lies outside Q(sqrt(d))."""
+    p, disc, s = _quad_parts(x)
+    if s == 0:
+        return _QuadExt(p, 0, d)
+    q = _sqrt_rat(disc / d)
+    if q is None:
+        raise ValueError(f"{x!r} is not in Q(sqrt({d}))")
+    return _QuadExt(p, s * q, d)
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Rational interval arithmetic for certified sign decisions.
+"""Rational interval arithmetic for the enclosures of `AlgebraicReal.sign_of`.
 
+`sign_of` evaluates a polynomial on an isolating interval with
+`iv_poly_eval` and refines until the enclosure's sign is determined.
 Endpoints are exact Fractions, so enclosures never suffer rounding; width
 only grows through genuine interval dependence.
 """
 from __future__ import annotations
 
-from .poly import Rat, as_rat
+from .poly import as_rat
 
 
 class Iv:
@@ -19,13 +21,6 @@ class Iv:
         if lo > hi:
             raise ValueError("interval endpoints out of order")
         self.lo, self.hi = lo, hi
-
-    @property
-    def width(self) -> Rat:
-        return self.hi - self.lo
-
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
 
     def sign(self):
         """1, -1, 0 (exact point zero) or None when the sign is undetermined."""
@@ -59,17 +54,6 @@ class Iv:
         return Iv(min(vals), max(vals))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Iv":
-        other = _coerce(other)
-        if other.contains_zero():
-            raise ZeroDivisionError("interval divisor contains zero")
-        vals = [self.lo / other.lo, self.lo / other.hi,
-                self.hi / other.lo, self.hi / other.hi]
-        return Iv(min(vals), max(vals))
-
-    def __rtruediv__(self, other) -> "Iv":
-        return _coerce(other) / self
 
     def __repr__(self):
         return f"Iv({self.lo}, {self.hi})"

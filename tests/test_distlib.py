@@ -6,7 +6,7 @@ import pytest
 from conftest import rand_rat
 from fcl.classf import (ClassF, compose, free_power, from_r, make_classf,
                         make_ratfun, moments, r_transform, translate)
-from fcl.distlib import (Atom, LevyData, _quad_roots, check_r_identity,
+from fcl.distlib import (Atom, LevyData, _QuadExt, _quad_roots, check_r_identity,
                          deconv_mpmp, deconv_wmp, dirac, dirac_moment,
                          dirac_monotone, from_levy, fuss_chi, fuss_f,
                          fuss_moment, levy_r, monotone_family, mp, mp_moment,
@@ -407,6 +407,62 @@ def test_check_r_identity_rejects_wrong_sum():
     assert not check_r_identity(wrong, f)
     wrong_alg = [Atom("mp", (AlgebraicReal.from_rational(1), F(2)))]
     assert not check_r_identity(wrong_alg, f)
+
+
+def test_check_r_identity_rejects_wrong_sqrt_weight():
+    # the second MP weight moved by 1e-60 in its sqrt(5) part only: every
+    # rational part still matches, so only the exact sqrt(d) split sees it
+    t, v, s = F(1), F(3), F(2)
+    rec = monotone_family("wmp", t=t, v=v, s=s)
+    # positions (v -+ sqrt(d))/2 with d = v^2 - 4t, weights s v^2/(v_i (v_i - v_j))
+    v1, v2, d, rational = _quad_roots(v, t)
+    assert not rational and d == 5
+    sv2 = _QuadExt(s * v**2, 0, d)
+    c1, c2 = sv2 / (v1 * (v1 - v2)), sv2 / (v2 * (v2 - v1))
+    head = rec["decomposition"][:2]
+    good = head + [Atom("mp", (v1.to_number(), c1.to_number())),
+                   Atom("mp", (v2.to_number(), c2.to_number()))]
+    assert check_r_identity(good, rec["f"])
+    moved = _QuadExt(c2.p, c2.q + F(1, 10**60), d)
+    bad = head + [Atom("mp", (v1.to_number(), c1.to_number())),
+                  Atom("mp", (v2.to_number(), moved.to_number()))]
+    assert not check_r_identity(bad, rec["f"])
+    # the conjugate weight (sign of the sqrt part flipped) is wrong too
+    swapped = head + [Atom("mp", (v1.to_number(), c2.to_number())),
+                      Atom("mp", (v2.to_number(), c1.to_number()))]
+    assert not check_r_identity(swapped, rec["f"])
+
+
+def test_monotone_mpmp_irrational_identity():
+    # (u - su + v)^2 - 4uv = 13 and 8: irrational positions and weights
+    for u, s, v, t in ((F(1), F(3), F(-1), F(1)), (F(2), F(1, 2), F(-1), F(5, 7))):
+        rec = monotone_family("mpmp", u=u, s=s, v=v, t=t)
+        assert rec["chi_check"] and rec["identity_check"]
+        params = [p for a in rec["decomposition"][1:] for p in a.params]
+        assert all(isinstance(p, AlgebraicReal) and p.as_fraction() is None
+                   for p in params)
+        # dropping the rational first component breaks the identity
+        assert not check_r_identity(rec["decomposition"][1:], rec["f"])
+
+
+def test_check_r_identity_needs_one_quadratic_field():
+    f = mp(1, 1)
+    sqrt2 = AlgebraicReal(Poly([-2, 0, 1]), 1, 2)
+    sqrt3 = AlgebraicReal(Poly([-3, 0, 1]), 1, 2)
+    cbrt2 = AlgebraicReal(Poly([-2, 0, 0, 1]), 1, 2)
+    with pytest.raises(ValueError):
+        check_r_identity([Atom("dirac", (sqrt2,)), Atom("wigner", (sqrt3,))], f)
+    with pytest.raises(ValueError):
+        check_r_identity([Atom("dirac", (cbrt2,))], f)
+    # sqrt(8) - sqrt(2) - sqrt(2) = 0: one field, two radicands
+    sqrt8 = AlgebraicReal(Poly([-8, 0, 1]), 2, 3)
+    minus_sqrt2 = AlgebraicReal(Poly([-2, 0, 1]), -2, -1)
+    assert check_r_identity([Atom("dirac", (x,)) for x in (sqrt8, minus_sqrt2, minus_sqrt2)],
+                            dirac(0))
+    assert not check_r_identity([Atom("dirac", (x,)) for x in (sqrt8, minus_sqrt2)], dirac(0))
+    # a reducible quadratic defining polynomial still names a rational
+    one = AlgebraicReal(Poly([-1, 0, 1]), F(1, 2), 2)
+    assert check_r_identity([Atom("mp", (one, F(1)))], f)
 
 
 def test_quad_roots():

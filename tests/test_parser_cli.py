@@ -302,6 +302,27 @@ def test_cli_dist_deconv_monotone_fuss(capsys):
     assert data["candidate"]["value"] == "27/8"
 
 
+def test_cli_wrong_parameter_count_exits_2():
+    for argv in (("dist", "mp", "1"), ("deconv", "wmp", "1"), ("deconv", "mpmp", "1", "2"),
+                 ("monotone", "wmp", "1", "2"), ("dist", "wigner", "1", "2"),
+                 ("monotone", "ww", "1", "1", "1")):
+        code, err = _cli_quiet(*argv)
+        assert code == 2 and err.startswith("error:") and "Traceback" not in err, argv
+
+
+def test_cli_monotone_irrational_weights(capsys):
+    # non-square discriminants (5 and 13): the MP parameters print as
+    # algebraic numbers and the identity is still proved
+    for argv, n_irrational in ((("wmp", "1", "3", "2"), 4), (("mpmp", "1", "3", "-1", "1"), 4)):
+        code, out, _ = run_cli(capsys, "monotone", *argv, "--json")
+        data = json.loads(out)["monotone"]
+        assert code == 0 and data["identity_check"] is True
+        params = [p for a in data["decomposition"] if a["kind"] == "mp" for p in a["params"]]
+        irrational = [p for p in params if "value" not in p]
+        assert len(irrational) == n_irrational
+        assert all(len(p["defining"]) == 3 and len(p["interval"]) == 2 for p in irrational)
+
+
 def test_cli_density_csv(capsys):
     code, out, _ = run_cli(capsys, "density", "w/(1+w^2)", "--range=-1:1",
                            "--grid", "5", "--csv")

@@ -8,7 +8,7 @@ from fcl.classf import (from_r, free_power, identity_f, make_classf,
                         make_ratfun, translate)
 from fcl.euler import nk_classf
 from fcl.exactalg import (AlgebraicReal, BiPoly, Poly, isolate_real_roots,
-                          iv_poly_eval, poly_gcd, resultant_w, sturm_chain)
+                          poly_gcd, resultant_w, sturm_chain)
 from fcl.spectra import (Verdict, boundary_diagnostics, cg_region, char_poly,
                          char_poly_t, cleaned_critical_eliminant,
                          critical_ts, deg3_rr0, is_rr, is_rr0, is_singular,
@@ -128,13 +128,10 @@ def test_n_set_member_certificates(rng):
                 pz_gcd_deg_pos = not poly_gcd(pz, pz.derivative()).is_constant()
                 assert pz_gcd_deg_pos
             else:
-                # certified at interval precision: the raw eliminant
-                # numerically vanishes on the isolating interval
+                # exact: the member is a root of the raw eliminant
                 a = BiPoly.from_linear(w * f.P, -f.Q)
                 raw = resultant_w(a, a.deriv_w())
-                rr = r.refined_to(F(1, 2**140))
-                enc = iv_poly_eval(raw.coeffs, rr.interval)
-                assert enc.contains_zero() and enc.width < F(1, 2**64)
+                assert r.is_root_of(raw)
 
 
 def test_is_rr_examples():
