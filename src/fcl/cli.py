@@ -49,11 +49,10 @@ def _f_from(args, attr="expr") -> cf.ClassF:
     return f
 
 
-def _classf_payload(f: cf.ClassF, args) -> dict:
-    out = {"P": [rat_str(c) for c in f.P.coeffs],
-           "Q": [rat_str(c) for c in f.Q.coeffs],
-           "pretty": repr(f)}
-    return out
+def _classf_payload(f: cf.ClassF) -> dict:
+    return {"P": [rat_str(c) for c in f.P.coeffs],
+            "Q": [rat_str(c) for c in f.Q.coeffs],
+            "pretty": repr(f)}
 
 
 def _alg_payload(a, digits: int) -> dict:
@@ -149,24 +148,24 @@ def _cmd_fid(args):
 
 def _cmd_convolve(args):
     f1, f2 = _f_from(args, "expr"), _f_from(args, "expr2")
-    return _classf_payload(cf.boxplus(f1, f2), args), 0
+    return _classf_payload(cf.boxplus(f1, f2)), 0
 
 
 def _cmd_power(args):
-    return _classf_payload(cf.free_power(_f_from(args), _frac(args.t)), args), 0
+    return _classf_payload(cf.free_power(_f_from(args), _frac(args.t))), 0
 
 
 def _cmd_compose(args):
     outer, inner = _f_from(args, "expr"), _f_from(args, "expr2")
-    return _classf_payload(cf.compose(outer, inner), args), 0
+    return _classf_payload(cf.compose(outer, inner)), 0
 
 
 def _cmd_translate(args):
-    return _classf_payload(cf.translate(_f_from(args), _frac(args.u)), args), 0
+    return _classf_payload(cf.translate(_f_from(args), _frac(args.u))), 0
 
 
 def _cmd_dilate(args):
-    return _classf_payload(cf.dilate(_f_from(args), _frac(args.c)), args), 0
+    return _classf_payload(cf.dilate(_f_from(args), _frac(args.c))), 0
 
 
 def _cmd_criticals(args):
@@ -211,7 +210,7 @@ def _cmd_euler(args):
            "e_row": [rat_str(c) for c in tab.e_row],
            "e_tilde_row": [rat_str(c) for c in tab.e_tilde_row]}
     if f is not None:
-        out["nk_classf"] = _classf_payload(f, args)
+        out["nk_classf"] = _classf_payload(f)
     return {"euler": out}, 0
 
 
@@ -221,7 +220,7 @@ def _cmd_fuss(args):
     f = dl.fuss_f(args.r)
     ms = [rat_str(dl.fuss_moment(args.r, n)) for n in range(args.order + 1)]
     chi_ok = sp.char_poly(f) == dl.fuss_chi(args.r)
-    return {"fuss": dict(_classf_payload(f, args), moments=ms, chi_check=chi_ok)}, 0
+    return {"fuss": dict(_classf_payload(f), moments=ms, chi_check=chi_ok)}, 0
 
 
 # parameter count of each kind of `dist`, `deconv` and `monotone`
@@ -244,7 +243,7 @@ def _cmd_dist(args):
     ps = _params(args, _DIST_ARITY)
     f = {"dirac": dl.dirac, "wigner": dl.wigner, "mp": dl.mp}[args.kind](*ps)
     rt = cf.r_transform(f)
-    return {"dist": dict(_classf_payload(f, args),
+    return {"dist": dict(_classf_payload(f),
                          chi=_poly_payload(sp.char_poly(f)),
                          r_transform=repr(rt))}, 0
 
@@ -253,7 +252,7 @@ def _cmd_deconv(args):
     from . import distlib as dl
     ps = _params(args, _DECONV_ARITY)
     rec = {"wmp": dl.deconv_wmp, "mpmp": dl.deconv_mpmp}[args.kind](*ps)
-    return {"deconv": dict(_classf_payload(rec["f"], args),
+    return {"deconv": dict(_classf_payload(rec["f"]),
                            chi=_poly_payload(rec["chi"]),
                            chi_claimed=_poly_payload(rec["chi_claimed"]),
                            chi_factored_check=rec["chi_factored_check"])}, 0
@@ -285,7 +284,7 @@ def _cmd_monotone(args):
         rec = dl.dirac_monotone(ps[0], "wigner", ps[1])
     else:
         rec = dl.dirac_monotone(ps[0], "mp", ps[1], ps[2])
-    out = dict(_classf_payload(rec["f"], args))
+    out = dict(_classf_payload(rec["f"]))
     if "chi" in rec:
         out["chi"] = _poly_payload(rec["chi"])
         out["chi_check"] = rec["chi_check"]

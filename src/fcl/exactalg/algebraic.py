@@ -6,8 +6,10 @@ root theorem every rational root of a primitive integer polynomial with
 leading coefficient L is a multiple of 1/|L|, so an isolating interval no
 wider than 1/|L| holds one candidate, and one exact evaluation settles it.
 
-Refinement is pure: methods return new numbers with narrower intervals,
-the original is never mutated.
+Refinement is one bisection step, `_bisect`, on the primitive integer form
+of the defining polynomial: a single integer sign at the midpoint against
+the stored sign at lo.  Refinement is pure: methods return new numbers with
+narrower intervals, the original is never mutated.
 """
 from __future__ import annotations
 
@@ -20,24 +22,49 @@ from .sturm import (cauchy_bound, count_distinct_real_roots, pmv, sturm_chain,
                     _sign_at, _variations_at)
 
 
-class AlgebraicReal:
-    """A real algebraic number: one root of `defining` inside [lo, hi]."""
+def _bisect(ints, slo, lo, hi):
+    """One bisection step of [lo, hi] around the root of the int list `ints`
+    whose sign at lo is slo != 0: the half with the sign change, or the
+    midpoint twice when it is the root."""
+    mid = (lo + hi) / 2
+    s = _sign_at(ints, mid)
+    if s == 0:
+        return mid, mid
+    return (mid, hi) if s == slo else (lo, mid)
 
-    __slots__ = ("defining", "lo", "hi")
+
+class AlgebraicReal:
+    """A real algebraic number: one root of `defining` inside [lo, hi].
+
+    `_ints`, the primitive integer form of `defining`, and `_slo`, its sign
+    at the first lo, are set once and passed on unchanged by refinement:
+    every `_bisect` step keeps that sign at its lo until it hits the root.
+    """
+
+    __slots__ = ("defining", "lo", "hi", "_ints", "_slo")
 
     def __init__(self, defining: Poly, lo, hi, _checked=False):
         lo, hi = as_rat(lo), as_rat(hi)
         if lo > hi:
             raise ValueError("interval endpoints out of order")
+        ints = defining.int_coeffs()[0]
+        slo = _sign_at(ints, lo)
         if not _checked:
             if lo == hi:
-                if defining(lo) != 0:
+                if slo != 0:
                     raise ValueError("point interval is not a root")
-            else:
-                if count_distinct_real_roots(defining, lo, hi) != 1 or defining(lo) == 0:
-                    raise ValueError("interval does not isolate exactly one root")
+            elif slo == 0 or count_distinct_real_roots(defining, lo, hi) != 1:
+                raise ValueError("interval does not isolate exactly one root")
         self.defining = defining
         self.lo, self.hi = lo, hi
+        self._ints, self._slo = ints, slo
+
+    def _narrowed(self, lo, hi) -> "AlgebraicReal":
+        """This number on [lo, hi], a subinterval produced by `_bisect`."""
+        a = object.__new__(AlgebraicReal)
+        a.defining, a._ints, a._slo = self.defining, self._ints, self._slo
+        a.lo, a.hi = lo, hi
+        return a
 
     @staticmethod
     def from_rational(q) -> "AlgebraicReal":
@@ -71,50 +98,39 @@ class AlgebraicReal:
 
     # -- refinement ------------------------------------------------------
 
-    def _bisect_once(self) -> "AlgebraicReal":
-        if self.is_rational():
-            return self
-        mid = (self.lo + self.hi) / 2
-        v = self.defining(mid)
-        if v == 0:
-            return AlgebraicReal(self.defining, mid, mid, _checked=True)
-        # keep the half with the sign change
-        if self.defining(self.lo) * v < 0:
-            return AlgebraicReal(self.defining, self.lo, mid, _checked=True)
-        return AlgebraicReal(self.defining, mid, self.hi, _checked=True)
-
     def refined_to(self, width) -> "AlgebraicReal":
         width = as_rat(width)
-        a = self
-        while a.width() > width:
-            a = a._bisect_once()
-        return a
+        lo, hi = self.lo, self.hi
+        while hi - lo > width:
+            lo, hi = _bisect(self._ints, self._slo, lo, hi)
+        return self._narrowed(lo, hi)
 
     def refine_inside(self, lo, hi):
         """This number with its interval strictly inside (lo, hi), or None
         when the number does not lie in (lo, hi)."""
         if self.compare_rational(lo) <= 0 or self.compare_rational(hi) >= 0:
             return None
-        a = self
-        while not (lo < a.lo and a.hi < hi):
-            a = a._bisect_once()
-        return a
+        alo, ahi = self.lo, self.hi
+        while not (lo < alo and ahi < hi):
+            alo, ahi = _bisect(self._ints, self._slo, alo, ahi)
+        return self._narrowed(alo, ahi)
 
     def separate(self, other: "AlgebraicReal"):
         """(self, other) refined until their intervals are disjoint.
 
         The two numbers must differ, or the refinement never ends.
         """
-        a, b = self, other
-        while not (a.hi < b.lo or b.hi < a.lo):
-            a, b = a._bisect_once(), b._bisect_once()
-        return a, b
+        alo, ahi, blo, bhi = self.lo, self.hi, other.lo, other.hi
+        while not (ahi < blo or bhi < alo):
+            alo, ahi = _bisect(self._ints, self._slo, alo, ahi)
+            blo, bhi = _bisect(other._ints, other._slo, blo, bhi)
+        return self._narrowed(alo, ahi), other._narrowed(blo, bhi)
 
     # -- exact predicates --------------------------------------------------
 
     def equals_rational(self, q) -> bool:
         q = as_rat(q)
-        return self.lo <= q <= self.hi and self.defining(q) == 0
+        return self.lo <= q <= self.hi and _sign_at(self._ints, q) == 0
 
     def is_root_of(self, p: Poly) -> bool:
         """Exact test whether p vanishes at this number."""
@@ -131,23 +147,23 @@ class AlgebraicReal:
 
     def sign_of(self, p: Poly) -> int:
         """Exact sign of p at this number."""
-        a = self
-        s = iv_poly_eval(p.coeffs, a.interval).sign()
-        if s is None and a.is_root_of(p):
+        s = iv_poly_eval(p.coeffs, self.interval).sign()
+        if s is None and self.is_root_of(p):
             return 0
+        lo, hi = self.lo, self.hi
         while s is None:
-            a = a._bisect_once()
-            s = iv_poly_eval(p.coeffs, a.interval).sign()
+            lo, hi = _bisect(self._ints, self._slo, lo, hi)
+            s = iv_poly_eval(p.coeffs, Iv(lo, hi)).sign()
         return s
 
     def compare_rational(self, q) -> int:
         q = as_rat(q)
         if self.equals_rational(q):
             return 0
-        a = self
-        while a.lo <= q <= a.hi:
-            a = a._bisect_once()
-        return -1 if a.hi < q else 1
+        lo, hi = self.lo, self.hi
+        while lo <= q <= hi:
+            lo, hi = _bisect(self._ints, self._slo, lo, hi)
+        return -1 if hi < q else 1
 
     def __lt__(self, other):
         if isinstance(other, AlgebraicReal):
@@ -237,14 +253,7 @@ def isolate_real_roots(p: Poly):
             # multiple of 1/lead, c, and every rational root is one
             slo = _sign_at(ints, lo)
             while hi - lo > step:
-                mid = (lo + hi) / 2
-                sm = _sign_at(ints, mid)
-                if sm == 0:
-                    lo = hi = mid
-                elif sm == slo:
-                    lo = mid
-                else:
-                    hi = mid
+                lo, hi = _bisect(ints, slo, lo, hi)
             c = Fraction((lo * lead).__floor__() + 1, lead)
             if c < hi and _sign_at(ints, c) == 0:
                 lo = hi = c

@@ -36,24 +36,11 @@ class Iv:
         other = _coerce(other)
         return Iv(self.lo + other.lo, self.hi + other.hi)
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "Iv":
-        return Iv(-self.hi, -self.lo)
-
-    def __sub__(self, other) -> "Iv":
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other) -> "Iv":
-        return _coerce(other) + (-self)
-
     def __mul__(self, other) -> "Iv":
         other = _coerce(other)
         vals = [self.lo * other.lo, self.lo * other.hi,
                 self.hi * other.lo, self.hi * other.hi]
         return Iv(min(vals), max(vals))
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         return f"Iv({self.lo}, {self.hi})"

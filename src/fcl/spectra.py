@@ -72,7 +72,7 @@ def is_singular(f: ClassF) -> bool:
     g = poly_gcd(chi, chi.derivative())
     if g.is_constant():
         return False
-    return count_distinct_real_roots(squarefree_part(g)) >= 1
+    return count_distinct_real_roots(g) >= 1
 
 
 def boundary_diagnostics(f: ClassF) -> dict:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_classf, rand_rat
 from fcl.classf import (from_r, free_power, identity_f, make_classf,
@@ -68,6 +70,44 @@ def test_char_poly_t_specialization(rng):
             # the flow collapses to the identity; chi_0 = P^2 covers it
             assert specialized == f.P * f.P
             assert char_poly(free_power(f, 0)) == Poly.one()
+
+
+_tail = st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=4), max_size=4)
+
+
+def _sympy_expr(sympy, p: Poly, x):
+    return sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(p.coeffs))
+
+
+def _rat(c) -> F:
+    return F(int(c.p), int(c.q))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tail, _tail)
+def test_char_poly_matches_sympy(p_tail, q_tail):
+    # chi_F is the numerator of (wP/Q)' = ((P + wP')Q - wPQ')/Q^2
+    sympy = pytest.importorskip("sympy")
+    f = make_classf(Poly([1] + p_tail), Poly([1] + q_tail))
+    x = sympy.Symbol("w")
+    P, Q = _sympy_expr(sympy, f.P, x), _sympy_expr(sympy, f.Q, x)
+    ref = sympy.Poly(sympy.cancel(sympy.diff(x * P / Q, x) * Q**2), x)
+    assert char_poly(f) == Poly([_rat(c) for c in reversed(ref.all_coeffs())])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tail, _tail)
+def test_char_poly_t_matches_sympy(p_tail, q_tail):
+    # chi of F_t = wP/Q_t with Q_t = P + t(Q - P), t a symbol
+    sympy = pytest.importorskip("sympy")
+    f = make_classf(Poly([1] + p_tail), Poly([1] + q_tail))
+    x, t = sympy.symbols("w t")
+    P, Q = _sympy_expr(sympy, f.P, x), _sympy_expr(sympy, f.Q, x)
+    Qt = P + t * (Q - P)
+    ref = sympy.Poly((P + x * sympy.diff(P, x)) * Qt - x * P * sympy.diff(Qt, x), x, t)
+    chi = char_poly_t(f)
+    ours = {(i, j): c for i, pc in enumerate(chi.wcoeffs) for j, c in enumerate(pc.coeffs) if c}
+    assert ours == {ij: _rat(c) for ij, c in ref.terms()}
 
 
 # ------------------------------------------------------------- memberships
