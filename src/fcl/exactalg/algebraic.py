@@ -61,10 +61,7 @@ class AlgebraicReal:
 
     def _narrowed(self, lo, hi) -> "AlgebraicReal":
         """This number on [lo, hi], a subinterval produced by `_bisect`."""
-        a = object.__new__(AlgebraicReal)
-        a.defining, a._ints, a._slo = self.defining, self._ints, self._slo
-        a.lo, a.hi = lo, hi
-        return a
+        return _from_parts(self.defining, self._ints, self._slo, lo, hi)
 
     @staticmethod
     def from_rational(q) -> "AlgebraicReal":
@@ -196,6 +193,14 @@ class AlgebraicReal:
         raise TypeError("AlgebraicReal is unhashable (use as_fraction for rationals)")
 
 
+def _from_parts(defining, ints, slo, lo, hi) -> AlgebraicReal:
+    """The root of `defining` (primitive integer form `ints`, sign slo at lo)
+    on an interval already known to isolate it; `ints` is shared, not copied."""
+    a = object.__new__(AlgebraicReal)
+    a.defining, a._ints, a._slo, a.lo, a.hi = defining, ints, slo, lo, hi
+    return a
+
+
 def _compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
     if b.is_rational():
         return a.compare_rational(b.lo)
@@ -271,8 +276,9 @@ def isolate_real_roots(p: Poly):
     for lo, hi in out:
         if lo == hi:
             q = q.exact_div(Poly([-lo, 1]))
+    qi = ints if q is s else q.int_coeffs()[0]  # one list for every irrational root
     return [AlgebraicReal.from_rational(lo) if lo == hi
-            else AlgebraicReal(q, lo, hi, _checked=True) for lo, hi in out]
+            else _from_parts(q, qi, _sign_at(qi, lo), lo, hi) for lo, hi in out]
 
 
 # -- real-rootedness at an algebraic parameter ------------------------------

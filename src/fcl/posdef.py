@@ -4,13 +4,18 @@ A strictly negative minor is a permanent certificate that the sequence is
 not a moment sequence; a run of nonnegative minors is only ever reported
 as "positive so far".  Zero minors do not stop the scan (finitely atomic
 measures produce them legitimately).
+
+All minors of one scan come from one fraction-free elimination of the
+largest Hankel matrix (`exactalg.hankel.leading_minors`), read order by
+order.  From the first zero minor on, each order is a determinant of its
+own.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .classf import ClassF, SeriesPrefix, cumulants, moments
-from .exactalg import Rat, hankel_det
+from .exactalg import Rat, leading_minors
 
 
 @dataclass(frozen=True)
@@ -32,13 +37,16 @@ class HankelVerdict:
 
 
 def hankel_verdict(s, k_max: int) -> HankelVerdict:
-    """Scan minors det(s[i+j]), order 0..k_max, stopping at the first < 0."""
+    """Scan minors det(s[i+j]), order 0..k_max, stopping at the first < 0.
+
+    The minors are the pivots of one Bareiss elimination of the order-k_max
+    matrix, computed one order at a time, so a negative minor stops the
+    elimination too.  A zero pivot ends that correspondence: from the first
+    zero minor on, every order is a separate `hankel_det`.
+    """
     terms = s.terms if isinstance(s, SeriesPrefix) else tuple(s)
-    if len(terms) < 2 * k_max + 1:
-        raise ValueError(f"need {2 * k_max + 1} terms for order {k_max}, got {len(terms)}")
     minors = []
-    for k in range(k_max + 1):
-        d = hankel_det(terms, k)
+    for k, d in enumerate(leading_minors(terms, k_max)):
         minors.append(d)
         if d < 0:
             return HankelVerdict("negative_at", k, d, tuple(minors))

@@ -16,7 +16,7 @@ from fcl.exactalg import (NEG_INF, POS_INF, AlgebraicReal, BiPoly, Iv, Poly,
                           sturm_chain, sturm_count)
 from fcl.exactalg.bipoly import subresultant_table
 from fcl.exactalg.poly import _signed_subresultants, bareiss_det_int
-from fcl.exactalg.sturm import pmv
+from fcl.exactalg.sturm import _sign_at, pmv
 
 w = Poly.x()
 
@@ -331,6 +331,18 @@ def test_isolate_root_at_midpoint_of_bound():
         assert rs[0].defining == rs[2].defining == quadratic
 
 
+def test_isolated_roots_share_one_integer_form():
+    # the irrational roots of one call keep one primitive integer list, with
+    # and without rational roots split off, and refinement passes it on
+    for p in ((w**2 - 2) * (w**2 - 3), (w**2 - 2) * (w**2 - 3) * (3 * w - 1)):
+        irr = [r for r in isolate_real_roots(p) if not r.is_rational()]
+        assert len(irr) == 4 and len({id(r._ints) for r in irr}) == 1
+        assert irr[0]._ints == irr[0].defining.int_coeffs()[0]
+        assert irr[2].refined_to(F(1, 10**6))._ints is irr[0]._ints
+        for r in irr:
+            assert r._slo == _sign_at(r._ints, r.lo) != 0
+
+
 def test_isolate_random_consistency(rng):
     for _ in range(20):
         p = rand_poly(rng, 6)
@@ -584,6 +596,12 @@ def test_hankel_examples():
     assert hankel_det([F(7, 3), 1, 1], 0) == F(7, 3)
     with pytest.raises(ValueError):
         hankel_det([1, 2], 1)
+
+
+def test_hankel_det_reads_only_its_entries():
+    # order k converts s[0..2k] alone; later entries are never touched
+    assert hankel_det([1, 1, 2, "not a number"], 1) == 1
+    assert hankel_det((F(1, 2), 3, object()), 0) == F(1, 2)
 
 
 def test_hankel_matches_cofactor_oracle(rng):
