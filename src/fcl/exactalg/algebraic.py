@@ -1,25 +1,28 @@
 """Exact real algebraic numbers as (squarefree polynomial, isolating interval).
 
-Isolation is Sturm bisection inside a Cauchy bound.  Rational roots are
-recognized completely (the interval collapses to a point): by the rational
-root theorem every rational root of a primitive integer polynomial with
-leading coefficient L is a multiple of 1/|L|, so an isolating interval no
-wider than 1/|L| holds one candidate, and one exact evaluation settles it.
+Nothing is refined unless a caller asks for it.  Isolation is Sturm
+bisection inside a Cauchy bound that stops as soon as an interval holds one
+root.  Rational roots are found apart from it, by p-adic lifting
+(`_rational_roots`), and each one collapses the interval that holds it to
+a point.  The sign of a polynomial at an irrational number is one Tarski
+query on the isolating interval as it stands (`AlgebraicReal.sign_of`).
 
-Refinement is one bisection step, `_bisect`, on the primitive integer form
-of the defining polynomial: a single integer sign at the midpoint against
-the stored sign at lo.  Refinement is pure: methods return new numbers with
-narrower intervals, the original is never mutated.
+Refinement, for the callers that need narrower intervals (`refined_to`,
+comparisons, `separate`), is one bisection step, `_bisect`, on the
+primitive integer form of the defining polynomial: a single integer sign at
+the midpoint against the stored sign at lo.  Refinement is pure: methods
+return new numbers with narrower intervals, the original is never mutated.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .bipoly import BiPoly, subresultant_table
-from .intervals import Iv, iv_poly_eval
-from .poly import Poly, Rat, as_rat, poly_gcd, squarefree_part
+from .poly import (Poly, Rat, _exact_div, _monic, as_rat, poly_gcd,
+                   squarefree_part)
 from .sturm import (cauchy_bound, count_distinct_real_roots, pmv, sturm_chain,
-                    _sign_at, _variations_at)
+                    _remainder_chain, _sign_at, _variations_at)
 
 
 def _bisect(ints, slo, lo, hi):
@@ -55,6 +58,8 @@ class AlgebraicReal:
                     raise ValueError("point interval is not a root")
             elif slo == 0 or count_distinct_real_roots(defining, lo, hi) != 1:
                 raise ValueError("interval does not isolate exactly one root")
+        if lo < hi and _sign_at(ints, hi) == 0:
+            lo, slo = hi, 0  # the root is hi itself
         self.defining = defining
         self.lo, self.hi = lo, hi
         self._ints, self._slo = ints, slo
@@ -76,10 +81,6 @@ class AlgebraicReal:
     def as_fraction(self):
         """The exact value when rational, else None."""
         return self.lo if self.lo == self.hi else None
-
-    @property
-    def interval(self) -> Iv:
-        return Iv(self.lo, self.hi)
 
     def width(self) -> Rat:
         return self.hi - self.lo
@@ -143,15 +144,23 @@ class AlgebraicReal:
         return count_distinct_real_roots(g, self.lo, self.hi) == 1
 
     def sign_of(self, p: Poly) -> int:
-        """Exact sign of p at this number."""
-        s = iv_poly_eval(p.coeffs, self.interval).sign()
-        if s is None and self.is_root_of(p):
-            return 0
-        lo, hi = self.lo, self.hi
-        while s is None:
-            lo, hi = _bisect(self._ints, self._slo, lo, hi)
-            s = iv_poly_eval(p.coeffs, Iv(lo, hi)).sign()
-        return s
+        """Exact sign of p at this number, without refinement.
+
+        On a proper interval, where the number is the only root of
+        P = defining in (lo, hi) and P(lo) P(hi) != 0, it is the Tarski query
+        Var(lo) - Var(hi) of the chain P, P' p, -rem(P, P' p), ... (Basu,
+        Pollack and Roy, Algorithms in Real Algebraic Geometry, ch. 2).
+        """
+        q = p.int_coeffs()[0]
+        if self.lo == self.hi or not q:
+            return _sign_at(q, self.lo)
+        a = self._ints
+        b = [0] * (len(a) + len(q) - 2)
+        for i, c in enumerate(a[1:], 1):
+            for j, d in enumerate(q):
+                b[i - 1 + j] += i * c * d
+        chain = _remainder_chain(a, b)
+        return _variations_at(chain, self.lo) - _variations_at(chain, self.hi)
 
     def compare_rational(self, q) -> int:
         q = as_rat(q)
@@ -224,13 +233,72 @@ def _compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
 # -- root isolation ----------------------------------------------------------
 
 
+def _odd_primes():
+    p = 3
+    while True:
+        if all(p % d for d in range(3, math.isqrt(p) + 1, 2)):
+            yield p
+        p += 2
+
+
+def _eval_mod(a, x, m) -> int:
+    v = 0
+    for c in reversed(a):
+        v = (v * x + c) % m
+    return v
+
+
+def _rational_roots(a, bound):
+    """The rational roots of the squarefree primitive int list a, ascending;
+    every real root of a lies in (-bound, bound).
+
+    A factor x gives the root 0.  Every other rational root u/v (lowest
+    terms) has v | L, L = |lc(a)|, so for an odd prime p not dividing L it
+    reduces to a root of a mod p.  p is the first such prime at which every
+    root of a mod p is simple (every prime dividing neither L nor the
+    discriminant qualifies); each of those roots is found by trying every
+    residue and Hensel-lifted (Newton, the modulus squaring each step) to
+    a root r mod m with m > 2 L (ceil(bound) + 1) > 2 |L u / v|.  L r then
+    reduces to the symmetric residue L u / v when u/v lifts r, and one
+    integer sign at that candidate settles it (Loos, Computing rational
+    zeros of integral polynomials by p-adic expansion, SIAM J. Comput. 12,
+    1983).
+    """
+    roots = []
+    if a[0] == 0:
+        roots.append(Fraction(0))
+        a = a[1:]
+    if len(a) == 1:
+        return roots
+    lead = abs(a[-1])
+    da = [i * c for i, c in enumerate(a)][1:]
+    for p in _odd_primes():
+        if lead % p:
+            zeros = [r for r in range(p) if _eval_mod(a, r, p) == 0]
+            if all(_eval_mod(da, r, p) for r in zeros):
+                break
+    target = 2 * lead * (math.ceil(bound) + 1)
+    for r in zeros:
+        m = p
+        while m <= target:
+            m *= m
+            r = (r - _eval_mod(a, r, m) * pow(_eval_mod(da, r, m), -1, m)) % m
+        c = lead * r % m
+        c = Fraction(c - m if 2 * c > m else c, lead)
+        if _sign_at(a, c) == 0:
+            roots.append(c)
+    return sorted(roots)
+
+
 def isolate_real_roots(p: Poly):
     """Isolating AlgebraicReals for the distinct real roots of p, ascending.
 
-    Every rational root comes back as a point, AlgebraicReal.from_rational.
-    Every irrational root is defined by the squarefree part of p divided by
-    (x - r) for each rational root r, so its defining polynomial has no
-    rational root.
+    Sturm bisection of (-B, B), B the Cauchy bound, stops as soon as an
+    interval holds one root; nothing is refined further.  Every rational
+    root, from `_rational_roots`, comes back as a point,
+    AlgebraicReal.from_rational.  Every irrational root is defined by the
+    squarefree part of p divided by (x - r) for each rational root r, so
+    its defining polynomial has no rational root.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -240,8 +308,6 @@ def isolate_real_roots(p: Poly):
     chain = sturm_chain(s)
     bound = cauchy_bound(s)
     ints = chain[0]  # the primitive integer form of s
-    lead = abs(ints[-1])
-    step = Fraction(1, lead)
 
     out = []
 
@@ -251,18 +317,9 @@ def isolate_real_roots(p: Poly):
     def split(lo, hi, vlo, vhi):
         # invariant: s(lo) != 0, s(hi) != 0; count in (lo, hi] = vlo - vhi
         n = vlo - vhi
-        if n == 0:
-            return
         if n == 1:
-            # once (lo, hi) is at most 1/lead wide it holds at most one
-            # multiple of 1/lead, c, and every rational root is one
-            slo = _sign_at(ints, lo)
-            while hi - lo > step:
-                lo, hi = _bisect(ints, slo, lo, hi)
-            c = Fraction((lo * lead).__floor__() + 1, lead)
-            if c < hi and _sign_at(ints, c) == 0:
-                lo = hi = c
             out.append((lo, hi))
+        if n <= 1:
             return
         mid = (lo + hi) / 2
         while _sign_at(ints, mid) == 0:
@@ -272,13 +329,19 @@ def isolate_real_roots(p: Poly):
         split(mid, hi, vm, vhi)
 
     split(-bound, bound, var(-bound), var(bound))
-    q = s
+    rats = _rational_roots(ints, bound)
+    qi = ints  # one primitive list for every irrational root
+    for r in rats:
+        qi = _exact_div(qi, [-r.numerator, r.denominator])
+    q = s if qi is ints else _monic(qi)
+    roots = []
     for lo, hi in out:
-        if lo == hi:
-            q = q.exact_div(Poly([-lo, 1]))
-    qi = ints if q is s else q.int_coeffs()[0]  # one list for every irrational root
-    return [AlgebraicReal.from_rational(lo) if lo == hi
-            else _from_parts(q, qi, _sign_at(qi, lo), lo, hi) for lo, hi in out]
+        # intervals and rational roots ascend together; each root is inside one
+        if rats and rats[0] < hi:
+            roots.append(AlgebraicReal.from_rational(rats.pop(0)))
+        else:
+            roots.append(_from_parts(q, qi, _sign_at(qi, lo), lo, hi))
+    return roots
 
 
 # -- real-rootedness at an algebraic parameter ------------------------------

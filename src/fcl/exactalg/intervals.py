@@ -1,9 +1,10 @@
-"""Rational interval arithmetic for the enclosures of `AlgebraicReal.sign_of`.
+"""Rational interval arithmetic: `Iv` and `iv_poly_eval`.
 
-`sign_of` evaluates a polynomial on an isolating interval with
-`iv_poly_eval` and refines until the enclosure's sign is determined.
-Endpoints are exact Fractions, so enclosures never suffer rounding; width
-only grows through genuine interval dependence.
+No fcl module uses it any more: `AlgebraicReal.sign_of` takes its signs
+from a Tarski query instead of interval enclosures.  It is kept only
+because the benchmark's tracer (`perfbench/fclbench/tracing.py`) imports
+it to meter `iv_poly_eval`; it goes once the tracer drops that target.
+Endpoints are exact Fractions, so enclosures never suffer rounding.
 """
 from __future__ import annotations
 

@@ -26,8 +26,14 @@ NEG_INF = object()
 POS_INF = object()
 
 
-def _is_inf(x) -> bool:
-    return x is NEG_INF or x is POS_INF or (isinstance(x, float) and x in (float("inf"), float("-inf")))
+def _endpoints(lo, hi, strict: bool):
+    """lo and hi normalised, after checking lo <= hi (lo < hi when strict)
+    in the order NEG_INF < rationals < POS_INF."""
+    lo, hi = _norm_endpoint(lo), _norm_endpoint(hi)
+    key = [(-1, 0) if x is NEG_INF else (1, 0) if x is POS_INF else (0, x) for x in (lo, hi)]
+    if key[0] > key[1] or (strict and key[0] == key[1]):
+        raise ValueError("need lo < hi" if strict else "need lo <= hi")
+    return lo, hi
 
 
 def _norm_endpoint(x):
@@ -51,8 +57,14 @@ def sturm_chain(p: Poly):
     the matching member of p, p', -rem(...) over Q.
     """
     a = p.int_coeffs()[0]
+    return _remainder_chain(a, [i * c for i, c in enumerate(a)][1:])
+
+
+def _remainder_chain(a, b):
+    """Primitive integer chain a, b, -rem(a, b), ... of int lists, a nonzero,
+    each member a positive multiple of the signed remainder over Q."""
     chain = [a]
-    r = _primitive([i * c for i, c in enumerate(a)][1:])
+    r = _primitive(b)
     while r:
         chain.append(r)
         if len(r) == 1:
@@ -110,9 +122,9 @@ def count_distinct_real_roots(p: Poly, lo=NEG_INF, hi=POS_INF) -> int:
     """Distinct real roots of any nonzero p in (lo, hi] (no squarefree demand)."""
     if p.is_zero():
         raise ValueError("zero polynomial")
+    lo, hi = _endpoints(lo, hi, strict=False)
     if p.is_constant():
         return 0
-    lo, hi = _norm_endpoint(lo), _norm_endpoint(hi)
     chain = sturm_chain(p)
     return _variations_at(chain, lo) - _variations_at(chain, hi)
 
@@ -124,9 +136,7 @@ def sturm_count(p: Poly, lo=NEG_INF, hi=POS_INF) -> int:
     chain = sturm_chain(p)
     if len(chain[-1]) > 1:
         raise NotSquarefree("sturm_count requires a squarefree polynomial")
-    lo, hi = _norm_endpoint(lo), _norm_endpoint(hi)
-    if not _is_inf(lo) and not _is_inf(hi) and lo >= hi:
-        raise ValueError("need lo < hi")
+    lo, hi = _endpoints(lo, hi, strict=True)
     return _variations_at(chain, lo) - _variations_at(chain, hi)
 
 

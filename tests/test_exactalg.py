@@ -14,6 +14,8 @@ from fcl.exactalg import (NEG_INF, POS_INF, AlgebraicReal, BiPoly, Iv, Poly,
                           isolate_real_roots, iv_poly_eval, poly_gcd,
                           resultant, resultant_w, squarefree_part,
                           sturm_chain, sturm_count)
+from fcl.exactalg import algebraic
+from fcl.exactalg.algebraic import _rational_roots
 from fcl.exactalg.bipoly import subresultant_table
 from fcl.exactalg.poly import _signed_subresultants, bareiss_det_int
 from fcl.exactalg.sturm import _sign_at, pmv
@@ -112,6 +114,21 @@ def test_sturm_count_random_products(rng):
             continue
         assert sturm_count(p) == len(roots)
         assert count_distinct_real_roots(p) == p.degree - 2 * pairs
+
+
+def test_reversed_endpoints_raise():
+    # NEG_INF < every rational < POS_INF; an empty (lo, hi] is only lo == hi
+    p = w**2 - 2
+    for lo, hi in ((POS_INF, NEG_INF), (2, -2), (POS_INF, 0), (0, NEG_INF)):
+        with pytest.raises(ValueError):
+            sturm_count(p, lo, hi)
+        with pytest.raises(ValueError):
+            count_distinct_real_roots(p, lo, hi)
+    with pytest.raises(ValueError):
+        sturm_count(p, 1, 1)
+    assert count_distinct_real_roots(p, 1, 1) == 0
+    assert count_distinct_real_roots(p, NEG_INF, NEG_INF) == 0
+    assert count_distinct_real_roots(p, NEG_INF, 0) == sturm_count(p, 0, POS_INF) == 1
 
 
 def test_is_real_rooted():
@@ -322,6 +339,48 @@ def test_isolate_recognises_every_rational_root(rng):
         assert [r.defining for r in roots if not r.is_rational()] == [w**2 - k] * 2
 
 
+def _planted_rational_cases():
+    """(polynomial, its rational roots) for the p-adic root finder."""
+    rng = random.Random(11)
+    L = 3 * 5 * 7 * 11 * 13
+    big = sorted({F(rng.randint(-10**20, 10**20), rng.randint(1, 10**20)) for _ in range(3)})
+    prod = Poly.one()
+    for k in range(13):
+        prod = prod * (w - k)
+    cases = [
+        # every odd prime below 17 divides the leading coefficient
+        ((L * w - 2) * (w + 4) * (w**2 - 3), [F(-4), F(2, L)]),
+        (L * w**3 - 7, []),
+        # 0, 1, ..., 12: the roots collide mod every prime below 13
+        (prod, [F(k) for k in range(13)]),
+        ((w**2 - 5) * (w - 1) * (w - 4) * (w - 7) * (w - 10), [F(1), F(4), F(7), F(10)]),
+        (w * (3 * w - 1) * (w**2 - 5), [F(0), F(1, 3)]),
+        (w**2 * (w**2 + 1), [F(0)]),
+        (w, [F(0)]),
+        # negative leading coefficients
+        (-(2 * w - 3) * (w**2 + 1) * (w + 5), [F(-5), F(3, 2)]),
+        (-7 * w + 3, [F(3, 7)]),
+    ]
+    p = w**2 - 7
+    for r in big:
+        p = p * (w - r)
+    cases.append((p, big))
+    return cases
+
+
+@pytest.mark.parametrize("p, rats", _planted_rational_cases())
+def test_padic_rational_roots(p, rats):
+    s = squarefree_part(p)
+    ints = s.int_coeffs()[0]
+    assert _rational_roots(ints, cauchy_bound(s)) == rats
+    roots = isolate_real_roots(p)
+    assert [r.as_fraction() for r in roots if r.is_rational()] == rats
+    assert len(roots) == count_distinct_real_roots(s)
+    sympy = pytest.importorskip("sympy")
+    linear = [f for f, _ in sympy.factor_list(_sympy_poly(sympy, p))[1] if f.degree() == 1]
+    assert sorted(-g.coeffs[0] / g.coeffs[1] for g in map(_from_sympy, linear)) == rats
+
+
 def test_isolate_root_at_midpoint_of_bound():
     # regression: roots on both sides of an exact midpoint root
     for quadratic in (Poly([-54, F(117, 64), 1]), w**2 - 2):
@@ -381,6 +440,30 @@ def test_algebraic_real_api():
     # intervals that touch at 3/2 are not yet separated
     a, b = AlgebraicReal(w**2 - 2, 1, F(3, 2)).separate(AlgebraicReal(w**2 - 3, F(3, 2), 2))
     assert a.hi < b.lo
+
+
+def test_root_at_right_endpoint_is_a_point():
+    one = AlgebraicReal(w - 1, 0, 1)
+    assert one.is_rational() and one.as_fraction() == 1 and one == 1
+    r = AlgebraicReal(w**2 - 1, 0, 1)
+    assert r.as_fraction() == 1
+    assert r.sign_of(w - 2) == -1 and r.sign_of(w + 1) == 1 and r.sign_of(w - 1) == 0
+    # a root at lo is still rejected: (lo, hi] does not hold it
+    with pytest.raises(ValueError):
+        AlgebraicReal(w - 1, 1, 2)
+
+
+def test_isolation_and_signs_do_not_refine(monkeypatch):
+    def no_bisection(*args):
+        raise AssertionError("bisected")
+
+    monkeypatch.setattr(algebraic, "_bisect", no_bisection)
+    p = (w**2 - 2) * (w**3 - w - 1) * (3 * w - 1)
+    roots = isolate_real_roots(p)
+    assert [r.as_fraction() for r in roots].count(F(1, 3)) == 1 and len(roots) == 4
+    signs = [[r.sign_of(q) for r in roots] for q in (w**2 - 2, w - F(1, 3), w**3 - w - 1, w)]
+    # roots -sqrt(2) < 1/3 < 1.3247 (the real root of w^3 - w - 1) < sqrt(2)
+    assert signs == [[0, -1, -1, 0], [-1, 0, 1, 1], [-1, -1, 0, 1], [-1, 1, 1, 1]]
 
 
 def test_is_real_rooted_at_splits_modulus():
@@ -478,6 +561,41 @@ def test_refinement_matches_sympy(planted, other, a, b, g_low):
                 ra, sb = r.separate(s)
                 assert (ra.hi < sb.lo) == (order < 0) and (sb.hi < ra.lo) == (order > 0)
                 assert _holds(sympy, ra, x) and _holds(sympy, sb, y)
+
+
+def _sign_at_sympy_root(sympy, q: Poly, x) -> int:
+    """sign of q at a real algebraic sympy number x: 0 when the minimal
+    polynomial of x divides q, else the sign of q(x) to 60 digits."""
+    sx = sympy.Symbol("x")
+    sq = _sympy_poly(sympy, q)
+    if sq.is_zero or sq.rem(sympy.Poly(sympy.minimal_polynomial(x, sx), sx, domain="QQ")).is_zero:
+        return 0
+    v = sympy.N(sq.as_expr().subs(sx, x), 60)
+    assert abs(v) > 1e-40
+    return 1 if v > 0 else -1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=2, max_size=7).filter(lambda c: c[-1]),
+       st.lists(st.lists(st.integers(-9, 9), max_size=7), min_size=1, max_size=3),
+       st.lists(st.integers(-5, 5), min_size=1, max_size=3))
+def test_sign_of_matches_sympy(pc, qcs, gc):
+    sympy = pytest.importorskip("sympy")
+    p = Poly(pc)
+    roots = isolate_real_roots(p)
+    exact = [x for x, _ in _sympy_poly(sympy, p).real_roots(multiple=False)]
+    assert len(roots) == len(exact)
+    sx = sympy.Symbol("x")
+    g = Poly(gc)
+    for r, x in zip(roots, exact):
+        # the query needs no squarefree defining polynomial
+        square = r if r.is_rational() else AlgebraicReal(r.defining**2, r.lo, r.hi)
+        for q in map(Poly, qcs):
+            assert r.sign_of(q) == square.sign_of(q) == _sign_at_sympy_root(sympy, q, x)
+        # a multiple of the minimal polynomial of x, a factor of p, vanishes
+        m = _from_sympy(sympy.Poly(sympy.minimal_polynomial(x, sx), sx, domain="QQ"))
+        assert r.sign_of(m * g) == 0
+        assert r.sign_of(m + g) == _sign_at_sympy_root(sympy, g, x)
 
 
 def test_interval_arithmetic():

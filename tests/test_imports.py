@@ -60,3 +60,14 @@ def test_lazy_exports_are_the_submodules_objects(pkg):
     exec(f"from {pkg.__name__} import *", namespace)
     assert {n for n in namespace if n != "__builtins__"} == set(pkg.__all__)
 
+
+def test_algebraic_decisions_do_not_load_intervals():
+    # signs at algebraic numbers are Tarski queries; `intervals` has no fcl caller
+    loaded = _loaded_after(
+        "from fcl.euler import nk_classf\n"
+        "from fcl.spectra import critical_ts, n_set, rr0_at_algebraic_t\n"
+        "f = nk_classf(2)\n"
+        "c = critical_ts(f, 0, 2000).criticals[0]\n"
+        "assert not c.is_rational()\n"
+        "rr0_at_algebraic_t(f, c), n_set(f)")
+    assert "fcl.spectra" in loaded and "fcl.exactalg.intervals" not in loaded
