@@ -5,11 +5,13 @@ constant.  The R-transform R = w/F - 1 = (Q - P)/P linearizes free
 convolution; composition of F-functions realizes monotone convolution.
 
 Moments are extracted by two independent routes (Newton series inversion
-of F, and the cumulant-to-moment convolution recursion) which must agree
-exactly; a mismatch raises, it is never papered over.  Both routes, and
-the cumulants, run on integers: the dilation F(c w)/c by the lcm c of
-the coefficient denominators has integer P(c w), Q(c w) and scales the
-k-th moment and cumulant by c^k, which one division per term undoes.
+of F, and M*P(zM) = Q(zM), i.e. F(zM) = z, solved one coefficient at a
+time) which must agree exactly; a mismatch raises, it is never papered
+over.  Each costs O(D n^2) to order n, D = max(deg P, deg Q).  Both
+routes, and the cumulants, run on integers: the dilation F(c w)/c by the
+lcm c of the coefficient denominators has integer P(c w), Q(c w) and
+scales the k-th moment and cumulant by c^k, which one division per term
+undoes.
 """
 from __future__ import annotations
 
@@ -194,24 +196,49 @@ def moments(f: ClassF, n: int) -> SeriesPrefix:
     Both routes run over Z on the dilation F(c w)/c, whose moments are
     c^k s_k; c is the lcm of the coefficient denominators of P and Q, so
     P(c w) and Q(c w) are integer polynomials with constant term 1.
-    Route A inverts F(c w)/c as a power series (Newton); route B runs the
-    free cumulant-to-moment convolution recursion
-    s_k = sum_{j>=1} r_j * [z^(k-j)] M(z)^j on its own cumulant series.
-    The integer lists are compared exactly; only then is each term
-    divided, once, by c^k.
+    Route A inverts F(c w)/c as a power series (Newton); route B solves
+    M*P(z M) = Q(z M), which is F(z M(z)) = z, one coefficient at a time
+    (`_moments_from_equation`).  The integer lists are compared exactly;
+    only then is each term divided, once, by c^k.
     """
     if n < 0:
         raise ValueError("need n >= 0")
     c, p, q = _integer_dilation(f)
     d = invert_f_series(p, q, n + 1)
     s_a = d[1: n + 2]
-
-    r = _cumulant_series(p, q, n)
-    s_b = _moments_from_cumulants(r, n)
+    s_b = _moments_from_equation(p, q, n)
     if s_a != s_b:
         raise ComputationError(
-            "moment extraction routes disagree: series inversion vs cumulant recursion")
+            "moment extraction routes disagree: series inversion vs M*P(zM) = Q(zM)")
     return SeriesPrefix(_undilate(s_a, c), "moments")
+
+
+def _moments_from_equation(p, q, n: int):
+    """s_0..s_n from M*P(U) = Q(U), U = z M, for coefficient lists with p(0) = q(0) = 1.
+
+    Comparing [z^k] on both sides, with [z^0]P(U) = 1, gives
+    s_k = [z^k]Q(U) - sum_{i<k} s_i [z^(k-i)]P(U).  [z^k]U^j = [z^(k-j)]M^j
+    needs s_0..s_(k-j) only, so the powers M^j, j = 1..D with
+    D = max(deg p, deg q), grow by one coefficient per step: O(D n^2) in all.
+    """
+    top = min(max(len(p), len(q)) - 1, n)
+    s = [1]
+    pows = [None, s] + [[] for _ in range(top - 1)]  # pows[j] = M^j, grown online
+    pu = [1]  # [z^k] P(U)
+    for k in range(1, n + 1):
+        pk = qk = 0
+        for j in range(1, min(top, k) + 1):
+            t = k - j
+            if j > 1:
+                pows[j].append(sum(map(mul, s[: t + 1], pows[j - 1][t::-1])))
+            u = pows[j][t]
+            if j < len(p):
+                pk += p[j] * u
+            if j < len(q):
+                qk += q[j] * u
+        pu.append(pk)
+        s.append(qk - sum(map(mul, s, pu[k:0:-1])))
+    return s
 
 
 def _integer_dilation(f: ClassF):
@@ -234,23 +261,6 @@ def _cumulant_series(p, q, n: int):
     """Series of the R-transform (q - p)/p, for coefficient lists with p(0) = 1."""
     num = [a - b for a, b in zip(ser_trunc(q, n), ser_trunc(p, n))]
     return ser_div(num, p, n)
-
-
-def _moments_from_cumulants(r, n: int):
-    """s_0..s_n from cumulants r via s_k = sum_j r_j * [z^(k-j)] M(z)^j.
-
-    pows[j][m] = [z^m] M(z)^j is filled at step k = j + m from s[0..m] and
-    pows[j-1][0..m], which are final by then.
-    """
-    s = [1] + [0] * n
-    pows = [[1] + [0] * n]  # M^0
-    for k in range(1, n + 1):
-        pows.append([1] + [0] * (n - k))  # M^k = 1 + O(z), needed to z^(n-k)
-        for j in range(1, k):
-            m = k - j
-            pows[j][m] = sum(map(mul, s[: m + 1], pows[j - 1][m::-1]))
-        s[k] = sum(r[j] * pows[j][k - j] for j in range(1, k + 1))
-    return s
 
 
 def cumulants(f: ClassF, n: int) -> SeriesPrefix:

@@ -81,6 +81,13 @@ def _poly_payload(p: Poly) -> dict:
 # handlers: each returns (payload, exit_code)
 
 
+def _order(args, what: str) -> int:
+    """args.order, or ValueError (exit 1) when it is negative."""
+    if args.order < 0:
+        raise ValueError(f"{what} order must be >= 0, got {args.order}")
+    return args.order
+
+
 def _cmd_moments(args):
     f = _f_from(args)
     m = cf.moments(f, args.order)
@@ -89,7 +96,7 @@ def _cmd_moments(args):
 
 def _cmd_cumulants(args):
     f = _f_from(args)
-    r = cf.cumulants(f, max(args.order, 1))
+    r = cf.cumulants(f, max(_order(args, "cumulant"), 1))
     return {"r": [rat_str(t) for t in r.terms]}, 0
 
 
@@ -218,7 +225,7 @@ def _cmd_fuss(args):
     from . import distlib as dl
     from . import spectra as sp
     f = dl.fuss_f(args.r)
-    ms = [rat_str(dl.fuss_moment(args.r, n)) for n in range(args.order + 1)]
+    ms = [rat_str(dl.fuss_moment(args.r, n)) for n in range(_order(args, "moment") + 1)]
     chi_ok = sp.char_poly(f) == dl.fuss_chi(args.r)
     return {"fuss": dict(_classf_payload(f), moments=ms, chi_check=chi_ok)}, 0
 

@@ -55,6 +55,7 @@ def hankel_verdict(s, k_max: int) -> HankelVerdict:
 
 def is_moment_positive_up_to(f: ClassF, k_max: int) -> HankelVerdict:
     """Finite-order positive definiteness of the moment sequence of F."""
+    _check_order(k_max)
     return hankel_verdict(moments(f, 2 * k_max), k_max)
 
 
@@ -64,6 +65,12 @@ def fid_check(f: ClassF, k_max: int) -> HankelVerdict:
     Positive definiteness of this sequence characterizes free infinite
     divisibility; a negative minor certifies non-FID.
     """
+    _check_order(k_max)
     r = cumulants(f, 2 * k_max + 2)
     shifted = r.terms[2:]
     return hankel_verdict(shifted, k_max)
+
+
+def _check_order(k_max: int):
+    if k_max < 0:
+        raise ValueError(f"Hankel order must be >= 0, got {k_max}")

@@ -2,11 +2,11 @@
 
 A series is a plain list of ints or Fractions, index n = coefficient of
 z^n, always carried to a fixed truncation order N (length N+1).
-Polynomial arguments (`ser_poly_at`, `invert_f_series`) are coefficient
-sequences, lowest degree first.  The ring is preserved: padding is the
-int 0 and a division by a series with constant term 1 never leaves the
-ring, so integer inputs give integer outputs and Fraction inputs give
-Fractions.  Only a constant term other than 1 brings in a Fraction.
+`invert_f_series` takes polynomials as coefficient sequences, lowest
+degree first.  The ring is preserved: padding is the int 0 and a
+division by a series with constant term 1 never leaves the ring, so
+integer inputs give integer outputs and Fraction inputs give Fractions.
+Only a constant term other than 1 brings in a Fraction.
 """
 from __future__ import annotations
 
@@ -38,15 +38,6 @@ def ser_div(a, b, n: int):
     return out
 
 
-def ser_poly_at(p, d, n: int):
-    """p(d) mod z^(n+1) for coefficients p and a series d (Horner)."""
-    acc = ser_trunc(p[-1:], n)
-    for c in reversed(p[:-1]):
-        acc = ser_mul(acc, d, n)
-        acc[0] += c
-    return acc
-
-
 def invert_f_series(p, q, n: int):
     """Coefficients of the composition inverse D of F(w) = w*p(w)/q(w).
 
@@ -56,7 +47,9 @@ def invert_f_series(p, q, n: int):
     F' = chi/q^2 with chi = (p + w p')q - w p q', the exact numerator of
     F', so the correction is (D p(D) - z q(D)) q(D) / chi(D).  Its one
     division is by chi(D), whose constant term is p(0)q(0) = 1, so
-    integer p and q keep D integral.
+    integer p and q keep D integral.  Each step builds the powers
+    D^0..D^(deg p + deg q) of its D once (D^j = O(z^j), so none past the
+    step's order) and reads p(D), q(D) and chi(D) off them.
     """
     p, q = list(p), list(q)
     p_wdp = [(i + 1) * c for i, c in enumerate(p)]  # p + w p'
@@ -69,9 +62,21 @@ def invert_f_series(p, q, n: int):
     while order < n:
         order = min(2 * order, n)
         d = ser_trunc(d, order)
-        qd = ser_poly_at(q, d, order)
-        resid = ser_mul(d, ser_poly_at(p, d, order), order)
+        pows = [ser_trunc([1], order), d]
+        for _ in range(min(deg, order) - 1):
+            pows.append(ser_mul(pows[-1], d, order))
+        qd = _combine(q, pows, order)
+        resid = ser_mul(d, _combine(p, pows, order), order)
         resid = [x - y for x, y in zip(resid, [0] + qd)]  # D p(D) - z q(D)
-        corr = ser_div(ser_mul(resid, qd, order), ser_poly_at(chi, d, order), order)
+        corr = ser_div(ser_mul(resid, qd, order), _combine(chi, pows, order), order)
         d = [x - y for x, y in zip(d, corr)]
     return ser_trunc(d, n)
+
+
+def _combine(p, pows, n: int):
+    """p(D) mod z^(n+1) as sum_j p_j D^j, from pows[j] = D^j (missing powers vanish)."""
+    acc = [0] * (n + 1)
+    for c, pw in zip(p, pows):
+        if c:
+            acc = [x + c * y for x, y in zip(acc, pw)]
+    return acc

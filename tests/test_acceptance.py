@@ -190,7 +190,7 @@ def test_criterion_13_dual_method_moments():
         f = rand_classf(rng, 4)
         m = moments(f, 25)  # raises ComputationError on any disagreement
         assert len(m.terms) == 26
-    _ok(13, "series inversion and cumulant recursion agree exactly to n = 25 "
+    _ok(13, "series inversion and M*P(zM) = Q(zM) agree exactly to n = 25 "
             "on 50 random members")
 
 

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fcl.classf
-from conftest import rand_classf
+from conftest import rand_classf, rand_rat
 from fcl import distlib
 from fcl.classf import (ClassF, RatFun, SeriesPrefix, boxplus, compose,
                         cumulants, dilate, free_power, from_r, identity_f,
@@ -175,6 +176,23 @@ def ser_compose(a, b, n: int):
     return out
 
 
+def moments_from_cumulants(r, n: int):
+    """s_0..s_n from cumulants r via s_k = sum_j r_j * [z^(k-j)] M(z)^j (O(n^3)).
+
+    pows[j][m] = [z^m] M(z)^j is filled at step k = j + m from s[0..m] and
+    pows[j-1][0..m], which are final by then.
+    """
+    s = [1] + [0] * n
+    pows = [[1] + [0] * n]  # M^0
+    for k in range(1, n + 1):
+        pows.append([1] + [0] * (n - k))  # M^k = 1 + O(z), needed to z^(n-k)
+        for j in range(1, k):
+            m = k - j
+            pows[j][m] = sum(map(mul, s[: m + 1], pows[j - 1][m::-1]))
+        s[k] = sum(r[j] * pows[j][k - j] for j in range(1, k + 1))
+    return s
+
+
 def test_series_ring_is_preserved():
     d = invert_f_series([1, -1], [1], 8)  # inverse of w - w^2: Catalan numbers
     assert all(type(x) is int for x in d) and d[1:6] == [1, 1, 2, 5, 14]
@@ -265,15 +283,40 @@ def test_moment_and_cumulant_terms_are_fractions():
         assert all(type(x) is F for x in cumulants(f, 8).terms)
 
 
-def test_moments_route_mismatch_raises(monkeypatch):
-    route_b = fcl.classf._moments_from_cumulants
+@pytest.mark.parametrize("dp, dq", [(0, 0), (1, 1), (0, 2), (1, 2), (3, 1), (2, 5),
+                                    (6, 4), (0, 6), (5, 0), (6, 6)])
+def test_moments_match_cumulant_table(dp, dq):
+    # M*P(zM) = Q(zM) against the free moment-cumulant relation, to n = 60
+    rng = random.Random(100 * dp + dq)
+    n = 60
+    while True:
+        try:
+            f = make_classf(Poly([1] + [rand_rat(rng, 5, 3, True) for _ in range(dp)]),
+                            Poly([1] + [rand_rat(rng, 5, 3, True) for _ in range(dq)]))
+            break
+        except NotInClass:
+            continue
+    assert (f.P.degree, f.Q.degree) == (dp, dq)
+    expect = moments_from_cumulants(cumulants(f, n).terms, n)
+    assert list(moments(f, n).terms) == expect
 
-    def perturbed(r, n):
-        s = route_b(r, n)
+
+def test_moments_when_chi_has_lower_degree_than_q():
+    # chi = 1 - 2w: the Newton power table must still reach D^(deg Q)
+    f = make_classf(Poly([1, -1]), Poly([1, -1, 1]))
+    n = 30
+    assert list(moments(f, n).terms) == moments_from_cumulants(cumulants(f, n).terms, n)
+
+
+def test_moments_route_mismatch_raises(monkeypatch):
+    route_b = fcl.classf._moments_from_equation
+
+    def perturbed(p, q, n):
+        s = route_b(p, q, n)
         s[n] += 1
         return s
 
-    monkeypatch.setattr(fcl.classf, "_moments_from_cumulants", perturbed)
+    monkeypatch.setattr(fcl.classf, "_moments_from_equation", perturbed)
     with pytest.raises(ComputationError):
         moments(AWKWARD, 6)
 

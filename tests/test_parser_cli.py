@@ -249,6 +249,27 @@ def test_cli_exit_codes(capsys):
     assert code == 0
 
 
+def test_cli_fuss_negative_order_is_an_error(capsys):
+    code, out, err = run_cli(capsys, "fuss", "2", "--order", "-2")
+    assert code == 1 and out == ""
+    assert err == "error: moment order must be >= 0, got -2\n"
+
+
+def test_cli_cumulants_negative_order_is_an_error(capsys):
+    code, out, err = run_cli(capsys, "cumulants", "w", "--order", "-3")
+    assert code == 1 and out == ""
+    assert err == "error: cumulant order must be >= 0, got -3\n"
+    code, out, _ = run_cli(capsys, "cumulants", "w", "--order", "0", "--json")
+    assert code == 0 and json.loads(out)["r"] == ["0", "0"]
+
+
+@pytest.mark.parametrize("argv", [("hankel", "--from-r", "w/(1-w)^2"), ("fid", "w-w^2")])
+def test_cli_negative_hankel_order_names_the_order(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--order", "-1")
+    assert code == 1 and out == ""
+    assert err == "error: Hankel order must be >= 0, got -1\n"
+
+
 def test_cli_ops_and_json(capsys):
     code, out, _ = run_cli(capsys, "power", "w*(1-w^2)", "2", "--json")
     assert code == 0

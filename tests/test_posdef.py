@@ -64,6 +64,13 @@ def test_is_moment_positive_examples():
     assert hv3.minors == (1, 0, 0, 0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("scan", [is_moment_positive_up_to, fid_check])
+def test_negative_order_is_rejected(scan):
+    with pytest.raises(ValueError, match="Hankel order must be >= 0, got -1"):
+        scan(identity_f(), -1)
+    assert len(scan(identity_f(), 0).minors) == 1
+
+
 def test_fid_check_families():
     v, t = F(3, 2), F(5)
     hv = fid_check(mp(v, t), 6)
