@@ -90,7 +90,7 @@ def _order(args, what: str) -> int:
 
 def _cmd_moments(args):
     f = _f_from(args)
-    m = cf.moments(f, args.order)
+    m = cf.moments(f, _order(args, "moment"))
     return {"s": [rat_str(t) for t in m.terms]}, 0
 
 
@@ -304,7 +304,7 @@ def _cmd_monotone(args):
 def _cmd_oeis_match(args):
     cfg = _config_of(args)
     f = _f_from(args)
-    m = cf.moments(f, args.order)
+    m = cf.moments(f, _order(args, "moment"))
     hits = oe.match(m, min_overlap=args.min_overlap, fixtures=oe.load_fixtures(cfg))
     return {"matches": [{"a_number": a, "transform": t} for a, t in hits]}, 0
 
@@ -317,10 +317,17 @@ def _cmd_oeis_fetch(args):
                         "source": fx.source, "note": fx.note}}, 0
 
 
+def _region_samples(args) -> int:
+    """args.samples, or ValueError (exit 1) when it is below one."""
+    if args.samples < 1:
+        raise ValueError(f"region samples must be >= 1, got {args.samples}")
+    return args.samples
+
+
 def _cmd_region(args):
     if args.kind == "cg":
         rows = ["x,y,side"]
-        n = args.samples
+        n = _region_samples(args)
         for i in range(n + 1):
             u2 = Fraction(1, 6) + Fraction(i, n) * (Fraction(1, 2) - Fraction(1, 6))
             uf = float(u2) ** 0.5
@@ -344,7 +351,7 @@ def _cmd_region(args):
     if args.kind == "deg3":
         from . import spectra as sp
         rows = ["a,b,rr0"]
-        n = args.samples
+        n = _region_samples(args)
         for i in range(n + 1):
             a = Fraction(-4) + Fraction(8 * i, n)
             for j in range(n + 1):

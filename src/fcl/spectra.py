@@ -14,12 +14,14 @@ vanish identically whenever g has a multiple root.  Critical t values are
 then the real roots of the cleaned eliminant (multiple-root kind) together
 with parameter values where the moving part drops degree by at least two.
 
-Real-rootedness *at* an irrational critical t0 is decided exactly: the
-signed principal subresultant coefficients of the moving part and its
-w-derivative, interpolated as polynomials in t, are signed at t0; their
-permanences minus variations count the distinct real roots, the first
-nonzero one gives the degree of the gcd, and chi_{t0} is real-rooted iff
-the count is the number of distinct complex roots and g is real-rooted.
+Every rr0 verdict on the flow is read off the same split: for t != 0 the
+free power has chi = g * (A + tB), real-rooted iff g is (tested once) and
+the moving part at t is.  A rational t is substituted.  At an irrational
+t0 the signed principal subresultant coefficients of the moving part and
+its w-derivative, interpolated in t, are signed at t0; their permanences
+minus variations count the distinct real roots, and the first nonzero one
+gives the degree of the gcd.  At t = 0 the free power is delta_0, whose
+chi is 1, not chi_t(0) = P^2: the verdict there is Yes.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .classf import ClassF, free_power
+from .classf import ClassF
 from .errors import DegenerateEliminant
 from .exactalg import (AlgebraicReal, BiPoly, Poly, Rat, as_rat,
                        count_distinct_real_roots, is_real_rooted,
@@ -98,38 +100,33 @@ class NSetResult:
         return self.nonreal_pair_count == 0
 
 
-def _strip_artifact_roots(eliminant: Poly, candidates, genuine) -> Poly:
-    """Remove linear factors at non-genuine leading-collapse roots."""
-    out = eliminant
-    for tau in candidates:
-        if out(tau) == 0 and not genuine(tau):
-            out = out.exact_div(Poly([-tau, 1]))
-    return out
+def _clean_eliminant(x: BiPoly) -> Poly:
+    """Squarefree Res_w(x, x_w) of a pencil x, less its leading-collapse artifact.
 
-
-def _rational_roots(p: Poly):
-    """The root of a pencil's leading coefficient, of degree <= 1 in the parameter."""
-    return [-p.coeff(0) / p.lc] if p.degree == 1 else []
+    Where the leading coefficient of x (linear in the parameter) vanishes,
+    so does that of x_w: the Sylvester matrix gets a zero column and the
+    resultant vanishes there whether or not x has a multiple root.  That
+    root is kept only if x specialized there really has one.  A pencil
+    constant in w has no multiple roots: its eliminant is 1.
+    """
+    if x.degree_w <= 0:
+        return Poly.one()
+    raw = resultant_w(x, x.deriv_w())
+    if raw.is_zero():
+        raise DegenerateEliminant("resultant of the pencil and its w-derivative is zero")
+    rho = squarefree_part(raw)
+    lc = x.lc_poly
+    if lc.degree == 1:
+        tau = -lc.coeff(0) / lc.lc
+        xt = x.eval_param(tau)
+        if rho(tau) == 0 and (xt.is_constant() or poly_gcd(xt, xt.derivative()).is_constant()):
+            rho = rho.exact_div(Poly([-tau, 1]))
+    return rho
 
 
 def n_set(f: ClassF) -> NSetResult:
     """Eliminate w from {wP - zQ = 0, (wP - zQ)' = 0} and isolate real z."""
-    w = Poly.x()
-    a = BiPoly.from_linear(w * f.P, -f.Q)
-    b = a.deriv_w()
-    raw = resultant_w(a, b)
-    if raw.is_zero():
-        raise DegenerateEliminant("eliminant in z vanished identically")
-    sq = squarefree_part(raw)
-
-    def genuine(z0) -> bool:
-        pz = w * f.P - z0 * f.Q
-        if pz.is_zero() or pz.is_constant():
-            return False
-        return not poly_gcd(pz, pz.derivative()).is_constant()
-
-    # both leading coefficients collapse together (b = a'), at roots of lc(a)
-    sq = _strip_artifact_roots(sq, _rational_roots(a.lc_poly), genuine)
+    sq = _clean_eliminant(BiPoly.from_linear(Poly.x() * f.P, -f.Q))
     if sq.is_constant():
         return NSetResult(sq, (), 0)
     members = tuple(isolate_real_roots(sq))
@@ -162,11 +159,9 @@ def moving_part(x: BiPoly):
     b = Poly([c.coeff(1) for c in x.wcoeffs])
     if x.max_param_degree() > 1:
         raise ValueError("pencil expected to be linear in the parameter")
-    if b.is_zero():
-        g = a
-        return g, BiPoly.from_linear(Poly.one(), Poly.zero())
     g = poly_gcd(a, b)
     if g.is_constant():
+        # rebuilding x here would cost about 5% of an irrational rr0 decision
         return Poly.one(), x
     return g, BiPoly.from_linear(a.exact_div(g), b.exact_div(g))
 
@@ -177,27 +172,16 @@ def cleaned_critical_eliminant(f: ClassF):
     A constant moving part (chi_t does not actually move) has no critical
     values; the eliminant degenerates to 1.
     """
-    x = char_poly_t(f)
-    g, xh = moving_part(x)
-    if xh.degree_w <= 0:
-        return g, xh, Poly.one()
-    rho_raw = resultant_w(xh, xh.deriv_w())
-    if rho_raw.is_zero():
-        raise DegenerateEliminant("resultant of chi_t and its w-derivative is zero")
-    rho = squarefree_part(rho_raw)
-
-    def genuine(t0) -> bool:
-        pt = xh.eval_param(t0)
-        if pt.is_constant():
-            return False
-        return not poly_gcd(pt, pt.derivative()).is_constant()
-
-    rho = _strip_artifact_roots(rho, _rational_roots(xh.lc_poly), genuine)
-    return g, xh, rho
+    g, xh = moving_part(char_poly_t(f))
+    return g, xh, _clean_eliminant(xh)
 
 
 def critical_ts(f: ClassF, t_lo, t_hi) -> CriticalReport:
-    """Critical t values in (t_lo, t_hi) plus rr0 verdicts between them."""
+    """Critical t values in (t_lo, t_hi) plus rr0 verdicts between them.
+
+    Verdicts come from chi_t = g * (A + tB): g is tested once, the moving
+    part at each interval's rational sample; a sample at 0 is Yes (delta_0).
+    """
     t_lo, t_hi = as_rat(t_lo), as_rat(t_hi)
     if not t_lo < t_hi:
         raise ValueError("need t_lo < t_hi")
@@ -211,7 +195,9 @@ def critical_ts(f: ClassF, t_lo, t_hi) -> CriticalReport:
                 crits.append([r2, "multiple_root"])
 
     # degree drops by >= 2: top coefficient root where the next one vanishes too
-    for tau in _rational_roots(xh.lc_poly):
+    lc = xh.lc_poly
+    if lc.degree == 1:
+        tau = -lc.coeff(0) / lc.lc
         if t_lo < tau < t_hi and xh.eval_param(tau).degree <= xh.degree_w - 2:
             side = [c[0].compare_rational(tau) for c in crits]
             if 0 in side:
@@ -221,13 +207,11 @@ def critical_ts(f: ClassF, t_lo, t_hi) -> CriticalReport:
 
     crits = _disjoint(crits)
 
-    samples, verdicts = [], []
+    g_rooted = is_real_rooted(g)
     bounds_lo = [t_lo] + [c[0].hi for c in crits]
     bounds_hi = [c[0].lo for c in crits] + [t_hi]
-    for a, b in zip(bounds_lo, bounds_hi):
-        s = (a + b) / 2
-        samples.append(s)
-        verdicts.append(Verdict.YES if is_rr0(free_power(f, s)) else Verdict.NO)
+    samples = [(a + b) / 2 for a, b in zip(bounds_lo, bounds_hi)]
+    verdicts = [_flow_verdict(g_rooted, xh, s) for s in samples]
 
     return CriticalReport(t_lo, t_hi,
                           tuple(c[0] for c in crits),
@@ -249,19 +233,30 @@ def _disjoint(crits):
 def rr0_at_algebraic_t(f: ClassF, t0) -> Verdict:
     """Real-rootedness of chi_{t0} for an exact algebraic t0, decided exactly.
 
-    Rational t0 goes through is_rr0.  Otherwise chi_{t0} = g * (moving part
-    at t0): g is tested over Q, the moving part by the signs at t0 of its
-    signed subresultant coefficients (exactalg.is_real_rooted_at).
+    chi_{t0} = g * (A + t0 B) for t0 != 0: g is tested over Q, the moving
+    part by substitution at a rational t0 and otherwise by the signs at t0
+    of its signed subresultant coefficients (exactalg.is_real_rooted_at).
+    t0 = 0 is Yes: the zero free power is delta_0, whose chi is 1.
     """
-    if isinstance(t0, (int, Fraction)):
-        return Verdict.YES if is_rr0(free_power(f, t0)) else Verdict.NO
-    q = t0.as_fraction()
-    if q is not None:
-        return Verdict.YES if is_rr0(free_power(f, q)) else Verdict.NO
     g, xh = moving_part(char_poly_t(f))
-    if is_real_rooted(g) and is_real_rooted_at(xh.wcoeffs, t0):
+    return _flow_verdict(is_real_rooted(g), xh, t0)
+
+
+def _flow_verdict(g_rooted: bool, xh: BiPoly, t0) -> Verdict:
+    """rr0 of the free power at t0 (int, Fraction or AlgebraicReal).
+
+    g_rooted says whether g is real-rooted.  At t0 = 0 the power is delta_0.
+    """
+    q = t0 if isinstance(t0, (int, Fraction)) else t0.as_fraction()
+    if q == 0:
         return Verdict.YES
-    return Verdict.NO
+    if not g_rooted:
+        return Verdict.NO
+    if q is None:
+        rooted = is_real_rooted_at(xh.wcoeffs, t0)
+    else:
+        rooted = is_real_rooted(xh.eval_param(q))
+    return Verdict.YES if rooted else Verdict.NO
 
 
 # ----------------------------------------------------------------------

@@ -255,6 +255,23 @@ def test_cli_fuss_negative_order_is_an_error(capsys):
     assert err == "error: moment order must be >= 0, got -2\n"
 
 
+@pytest.mark.parametrize("cmd", ["moments", "oeis-match"])
+def test_cli_negative_moment_order_is_an_error(capsys, cmd):
+    code, out, err = run_cli(capsys, cmd, "w - w^2", "--order", "-1")
+    assert code == 1 and out == ""
+    assert err == "error: moment order must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("kind", ["cg", "deg3"])
+@pytest.mark.parametrize("samples", [0, -2])
+def test_cli_region_needs_a_sample(capsys, kind, samples):
+    code, out, err = run_cli(capsys, "region", kind, "--samples", str(samples))
+    assert code == 1 and out == ""
+    assert err == f"error: region samples must be >= 1, got {samples}\n"
+    code, out, _ = run_cli(capsys, "region", kind, "--samples", "1", "--csv")
+    assert code == 0 and out.count("\n") > 1
+
+
 def test_cli_cumulants_negative_order_is_an_error(capsys):
     code, out, err = run_cli(capsys, "cumulants", "w", "--order", "-3")
     assert code == 1 and out == ""

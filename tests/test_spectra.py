@@ -9,8 +9,9 @@ from conftest import rand_classf, rand_rat
 from fcl.classf import (from_r, free_power, identity_f, make_classf,
                         make_ratfun, translate)
 from fcl.euler import nk_classf
-from fcl.exactalg import (AlgebraicReal, BiPoly, Poly, isolate_real_roots,
-                          poly_gcd, resultant_w, sturm_chain)
+from fcl.exactalg import (AlgebraicReal, BiPoly, Poly, is_real_rooted,
+                          isolate_real_roots, poly_gcd, resultant_w,
+                          sturm_chain)
 from fcl.spectra import (Verdict, boundary_diagnostics, cg_region, char_poly,
                          char_poly_t, cleaned_critical_eliminant,
                          critical_ts, deg3_rr0, is_rr, is_rr0, is_singular,
@@ -333,6 +334,74 @@ def test_rr0_at_algebraic_criticals(f, t_hi, expect):
     for t0, (approx, verdict) in zip(rep.criticals, expect):
         assert not t0.is_rational() and abs(float(t0) - approx) < 1e-5
         assert rr0_at_algebraic_t(f, t0) is verdict
+
+
+# ------------------------------------ verdicts from chi_t = g * (A + tB)
+
+
+def _old_route(f, s):
+    """rr0 of the free power at s through free_power and char_poly."""
+    return Verdict.YES if is_rr0(free_power(f, s)) else Verdict.NO
+
+
+def _flow_members(rng):
+    # g = 1 + w^2 is not real-rooted; the moving part is, at each range's last sample
+    yield make_classf((1 + w**2) ** 2, 1 + w + 8 * w**2 + F(5, 3) * w**3)
+    # g = w - 1/2 is real-rooted and some verdicts are Yes
+    yield make_classf((1 - 2 * w) ** 2, 1 + w - w**3)
+    for d in (2, 3, 4):
+        for _ in range(6):
+            f = rand_classf(rng, d)
+            while max(f.P.degree, f.Q.degree) != d:
+                f = rand_classf(rng, d)
+            yield f
+
+
+@pytest.mark.parametrize("t_lo, t_hi", [(0, 10), (-3, 5)])
+def test_flow_verdicts_match_the_free_power_route(rng, t_lo, t_hi):
+    for f in _flow_members(rng):
+        rep = critical_ts(f, t_lo, t_hi)
+        for s, v in zip(rep.samples, rep.rr0_verdicts):
+            assert v is _old_route(f, s)
+            assert rr0_at_algebraic_t(f, s) is v
+            assert rr0_at_algebraic_t(f, AlgebraicReal.from_rational(s)) is v
+
+
+def test_rr0_at_zero_is_the_zero_free_power():
+    # chi_t at t = 0 is P^2, not real-rooted here, but the zero free power
+    # is delta_0 with chi = 1
+    f = make_classf(1 + w**2, 1 + w + w**3)
+    assert not is_real_rooted(f.P * f.P)
+    assert char_poly_t(f).eval_param(0) == f.P * f.P
+    assert _old_route(f, 0) is Verdict.YES
+    for t0 in (0, F(0), AlgebraicReal.from_rational(0)):
+        assert rr0_at_algebraic_t(f, t0) is Verdict.YES
+
+
+def test_flow_verdicts_do_not_build_free_powers(monkeypatch):
+    import fcl.classf
+    import fcl.spectra
+    f = f_of(Poly([1, 0, -1]))      # README: fcl criticals "w*(1-w^2)" --range 0:3
+    sqrt2 = isolate_real_roots(Poly([-2, 0, 1]))[1]
+    sqrt_half = isolate_real_roots(Poly([-1, 0, 2]))[1]
+
+    def run():
+        rep = critical_ts(f, 0, 3)
+        return ([(c.defining, c.lo, c.hi) for c in rep.criticals], rep.kinds,
+                rep.rr0_verdicts, rep.samples,
+                [rr0_at_algebraic_t(f, t0) for t0 in (F(1, 2), F(2), sqrt2, sqrt_half)])
+
+    want = run()
+
+    def old_route(*args):
+        raise AssertionError("old route called")
+
+    for module, name in ((fcl.spectra, "char_poly"), (fcl.spectra, "is_rr0"),
+                         (fcl.classf, "free_power")):
+        monkeypatch.setattr(module, name, old_route)
+    assert run() == want
+    assert want[2] == (Verdict.YES, Verdict.NO)
+    assert want[4] == [Verdict.YES, Verdict.NO, Verdict.NO, Verdict.YES]
 
 
 # ------------------------------------------------------------ region tests
