@@ -196,8 +196,9 @@ def moments(f: ClassF, n: int) -> SeriesPrefix:
     Both routes run over Z on the dilation F(c w)/c, whose moments are
     c^k s_k; c is the lcm of the coefficient denominators of P and Q, so
     P(c w) and Q(c w) are integer polynomials with constant term 1.
-    Route A inverts F(c w)/c as a power series (Newton); route B solves
-    M*P(z M) = Q(z M), which is F(z M(z)) = z, one coefficient at a time
+    Route A inverts F(c w)/c as a power series (Newton steps corrected by
+    -(F(D) - z) D'); route B solves M*P(z M) = Q(z M), which is
+    F(z M(z)) = z, one coefficient at a time
     (`_moments_from_equation`).  The integer lists are compared exactly;
     only then is each term divided, once, by c^k.
     """

@@ -19,8 +19,7 @@ import math
 from fractions import Fraction
 
 from .bipoly import BiPoly, subresultant_table
-from .poly import (Poly, Rat, _exact_div, _monic, as_rat, poly_gcd,
-                   squarefree_part)
+from .poly import Poly, Rat, _exact_div, _monic, as_rat, poly_gcd
 from .sturm import (cauchy_bound, count_distinct_real_roots, pmv, sturm_chain,
                     _remainder_chain, _sign_at, _variations_at)
 
@@ -298,16 +297,22 @@ def isolate_real_roots(p: Poly):
     root, from `_rational_roots`, comes back as a point,
     AlgebraicReal.from_rational.  Every irrational root is defined by the
     squarefree part of p divided by (x - r) for each rational root r, so
-    its defining polynomial has no rational root.
+    its defining polynomial has no rational root.  The Sturm chain of p
+    ends at a multiple of gcd(p, p'); only when that has positive degree
+    is the chain rebuilt from the squarefree part.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    s = squarefree_part(p)
-    if s.is_constant():
+    chain = sturm_chain(p)
+    if len(chain[-1]) > 1:
+        chain = sturm_chain(_monic(_exact_div(chain[0], chain[-1])))
+    elif chain[0][-1] < 0:  # negated, it is the chain of the monic p
+        chain = [[-c for c in a] for a in chain]
+    ints = chain[0]  # the primitive integer form of the squarefree part s
+    if len(ints) == 1:
         return []
-    chain = sturm_chain(s)
+    s = _monic(ints)
     bound = cauchy_bound(s)
-    ints = chain[0]  # the primitive integer form of s
 
     out = []
 

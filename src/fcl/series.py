@@ -3,10 +3,14 @@
 A series is a plain list of ints or Fractions, index n = coefficient of
 z^n, always carried to a fixed truncation order N (length N+1).
 `invert_f_series` takes polynomials as coefficient sequences, lowest
-degree first.  The ring is preserved: padding is the int 0 and a
-division by a series with constant term 1 never leaves the ring, so
-integer inputs give integer outputs and Fraction inputs give Fractions.
-Only a constant term other than 1 brings in a Fraction.
+degree first, and inverts F(w) = w p(w)/q(w) by Newton steps whose
+correction is -(F(D) - z) D': its one division is by q(D), it reads
+p(D) and q(D) off the powers of D up to max(deg p, deg q), and its
+products skip the coefficients known to be zero.  The ring is preserved:
+padding is the int 0 and a division by a series with constant term 1
+never leaves the ring, so integer inputs give integer outputs and
+Fraction inputs give Fractions.  Only a constant term other than 1 (in
+`ser_div`) brings in a Fraction.
 """
 from __future__ import annotations
 
@@ -18,11 +22,6 @@ from .exactalg import Rat
 def ser_trunc(a, n: int):
     a = list(a[: n + 1])
     return a + [0] * (n + 1 - len(a))
-
-
-def ser_mul(a, b, n: int):
-    a, b = ser_trunc(a, n), ser_trunc(b, n)
-    return [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(n + 1)]
 
 
 def ser_div(a, b, n: int):
@@ -41,42 +40,48 @@ def ser_div(a, b, n: int):
 def invert_f_series(p, q, n: int):
     """Coefficients of the composition inverse D of F(w) = w*p(w)/q(w).
 
-    p and q are coefficient sequences with p(0) = q(0) = 1.  Newton
-    iteration D <- D - (F(D) - z)/F'(D) with doubling truncation order;
-    returns D's coefficients to order n (D[0] = 0, D[1] = 1).
-    F' = chi/q^2 with chi = (p + w p')q - w p q', the exact numerator of
-    F', so the correction is (D p(D) - z q(D)) q(D) / chi(D).  Its one
-    division is by chi(D), whose constant term is p(0)q(0) = 1, so
-    integer p and q keep D integral.  Each step builds the powers
-    D^0..D^(deg p + deg q) of its D once (D^j = O(z^j), so none past the
-    step's order) and reads p(D), q(D) and chi(D) off them.
+    p and q are coefficient sequences with p(0) = q(0) = 1; returns D's
+    coefficients to order n (D[0] = 0, D[1] = 1).  Newton iteration with
+    doubling truncation order, corrected by D' in place of 1/F'(D): if
+    F(D) - z = O(z^(m+1)), differentiating gives F'(D) D' = 1 + O(z^m),
+    so D <- D - (F(D) - z) D' is exact mod z^(2m+1) and only appends
+    coefficients m+1..2m.  F(D) - z = (D p(D) - z q(D)) / q(D) is the one
+    division, by q(D), whose constant term is 1, so integer p and q keep
+    D integral.
+
+    Products skip known zeros: the iteration runs on E = D/z, so each
+    power D^j = z^j E^j is held as E^j from its first possibly nonzero
+    index, and (F(D) - z)/z is computed from its index m on.  Each step
+    builds E^0..E^k once, k = max(deg p, deg q), and reads p(D) and q(D)
+    off them.
     """
     p, q = list(p), list(q)
-    p_wdp = [(i + 1) * c for i, c in enumerate(p)]  # p + w p'
-    wdq = [i * c for i, c in enumerate(q)]  # w q'
-    deg = len(p) + len(q) - 2
-    chi = [a - b for a, b in zip(ser_mul(p_wdp, q, deg), ser_mul(p, wdq, deg))]
-
-    order = 1
-    d = [0, 1]  # D = z + O(z^2)
-    while order < n:
-        order = min(2 * order, n)
-        d = ser_trunc(d, order)
-        pows = [ser_trunc([1], order), d]
-        for _ in range(min(deg, order) - 1):
-            pows.append(ser_mul(pows[-1], d, order))
-        qd = _combine(q, pows, order)
-        resid = ser_mul(d, _combine(p, pows, order), order)
-        resid = [x - y for x, y in zip(resid, [0] + qd)]  # D p(D) - z q(D)
-        corr = ser_div(ser_mul(resid, qd, order), _combine(chi, pows, order), order)
-        d = [x - y for x, y in zip(d, corr)]
-    return ser_trunc(d, n)
+    top = max(len(p), len(q)) - 1
+    e = [1]  # E = D/z = 1 + O(z): D is exact through z^m, m = len(e)
+    while len(e) < n:
+        m = len(e)
+        order = min(2 * m, n)  # D is wanted mod z^(order+1)
+        # pows[j] = E^j mod z^(order-j), so that z^j pows[j] = D^j mod z^order
+        pows = [[1] + [0] * (order - 1), e + [0] * (order - 1 - m)]
+        for j in range(2, min(top, order - 1) + 1):
+            prev = pows[-1]
+            pows.append([sum(map(mul, e, prev[t::-1])) for t in range(order - j)])
+        pd, qd = _combine(p, pows, order), _combine(q, pows, order)
+        # h = (F(D) - z)/z = (E p(D) - q(D))/q(D), from its index m on
+        h = []
+        for u in range(m, order):
+            acc = sum(map(mul, e, pd[u::-1])) - qd[u]
+            h.append(acc - sum(map(mul, qd[1: len(h) + 1], reversed(h))))
+        # [z^(u+1)] of (F(D) - z) D' for u >= m, with D'[c] = (c + 1) E[c]
+        de = [(c + 1) * x for c, x in enumerate(e[: order - m])]
+        e += [-sum(map(mul, h[: t + 1], de[t::-1])) for t in range(order - m)]
+    return [0] + e[:n]
 
 
 def _combine(p, pows, n: int):
-    """p(D) mod z^(n+1) as sum_j p_j D^j, from pows[j] = D^j (missing powers vanish)."""
-    acc = [0] * (n + 1)
-    for c, pw in zip(p, pows):
+    """p(D) mod z^n as sum_j p_j z^j E^j, from pows[j] = E^j mod z^(n-j)."""
+    acc = [0] * n
+    for j, (c, pw) in enumerate(zip(p, pows)):
         if c:
-            acc = [x + c * y for x, y in zip(acc, pw)]
+            acc[j:] = [x + c * y for x, y in zip(acc[j:], pw)]
     return acc

@@ -15,7 +15,7 @@ from fcl.classf import (ClassF, RatFun, SeriesPrefix, boxplus, compose,
                         translate)
 from fcl.errors import ComputationError, InvalidRTransform, NotInClass
 from fcl.exactalg import Poly
-from fcl.series import invert_f_series, ser_div, ser_mul, ser_trunc
+from fcl.series import invert_f_series, ser_div, ser_trunc
 
 w = Poly.x()
 
@@ -161,6 +161,12 @@ def test_compose_monotone_paper_form():
     assert got == expect
 
 
+def ser_mul(a, b, n: int):
+    """a*b mod z^(n+1)."""
+    a, b = ser_trunc(a, n), ser_trunc(b, n)
+    return [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(n + 1)]
+
+
 def ser_compose(a, b, n: int):
     """a(b(z)) mod z^(n+1); requires b[0] == 0."""
     b = ser_trunc(b, n)
@@ -199,6 +205,26 @@ def test_series_ring_is_preserved():
     assert ser_div([1], [2, 1], 3) == [F(1, 2), F(-1, 4), F(1, 8), F(-1, 16)]
     half = ser_div([F(1, 2)], [1, -1], 3)
     assert half == [F(1, 2)] * 4 and all(type(x) is F for x in half)
+
+
+@pytest.mark.parametrize("deg_p,deg_q", [(0, 0), (0, 3), (3, 0), (2, 5), (6, 6)])
+def test_invert_f_series_inverts_at_every_order(deg_p, deg_q):
+    # D p(D) = z q(D) mod z^(n+1), i.e. F(D) = z, since q(D) is a unit; orders
+    # that are not powers of two end on a clipped Newton step
+    rng = random.Random(100 * deg_p + deg_q)
+
+    def rand_poly(deg):
+        return [1] + [rng.randint(-9, 9) for _ in range(deg - 1)] + \
+            [rng.choice([-3, -2, -1, 1, 2, 3])] * (deg > 0)
+
+    for _ in range(3):
+        p, q = rand_poly(deg_p), rand_poly(deg_q)
+        for n in range(41):
+            d = invert_f_series(p, q, n)
+            assert len(d) == n + 1 and all(type(x) is int for x in d)
+            lhs = ser_mul(d, ser_compose(p, d, n), n)
+            rhs = ser_mul([0, 1], ser_compose(q, d, n), n)
+            assert lhs == rhs, (p, q, n)
 
 
 def test_compose_d_series(rng):
@@ -308,15 +334,16 @@ def test_moments_when_chi_has_lower_degree_than_q():
     assert list(moments(f, n).terms) == moments_from_cumulants(cumulants(f, n).terms, n)
 
 
-def test_moments_route_mismatch_raises(monkeypatch):
-    route_b = fcl.classf._moments_from_equation
+@pytest.mark.parametrize("route", ["invert_f_series", "_moments_from_equation"])
+def test_moments_route_mismatch_raises(monkeypatch, route):
+    original = getattr(fcl.classf, route)
 
     def perturbed(p, q, n):
-        s = route_b(p, q, n)
-        s[n] += 1
+        s = original(p, q, n)
+        s[-1] += 1
         return s
 
-    monkeypatch.setattr(fcl.classf, "_moments_from_equation", perturbed)
+    monkeypatch.setattr(fcl.classf, route, perturbed)
     with pytest.raises(ComputationError):
         moments(AWKWARD, 6)
 
