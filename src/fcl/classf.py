@@ -204,7 +204,8 @@ def moments(f: ClassF, n: int) -> SeriesPrefix:
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    c, p, q = _integer_dilation(f)
+    c = math.lcm(f.P.as_integer_ratio()[1], f.Q.as_integer_ratio()[1])
+    p, q = (x.scale_arg(c).as_integer_ratio()[0] for x in (f.P, f.Q))
     d = invert_f_series(p, q, n + 1)
     s_a = d[1: n + 2]
     s_b = _moments_from_equation(p, q, n)
@@ -242,17 +243,6 @@ def _moments_from_equation(p, q, n: int):
     return s
 
 
-def _integer_dilation(f: ClassF):
-    """(c, P(c w), Q(c w)) with c the least positive integer making both integral."""
-    c = math.lcm(*(a.denominator for a in f.P.coeffs + f.Q.coeffs))
-    return c, _int_scale_arg(f.P, c), _int_scale_arg(f.Q, c)
-
-
-def _int_scale_arg(p: Poly, c: int):
-    """Integer coefficients of p(c w); c must clear every denominator of p."""
-    return [a.numerator * (c**i // a.denominator) for i, a in enumerate(p.coeffs)]
-
-
 def _undilate(terms, c: int):
     """Terms t_k of a c-dilated sequence back to t_k / c^k, as Fractions."""
     return tuple(Rat(t, c**k) for k, t in enumerate(terms))
@@ -272,7 +262,8 @@ def cumulants(f: ClassF, n: int) -> SeriesPrefix:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    c, p, q = _integer_dilation(f)
+    c = math.lcm(f.P.as_integer_ratio()[1], f.Q.as_integer_ratio()[1])
+    p, q = (x.scale_arg(c).as_integer_ratio()[0] for x in (f.P, f.Q))
     return SeriesPrefix(_undilate(_cumulant_series(p, q, n), c), "cumulants")
 
 

@@ -188,6 +188,8 @@ def _cmd_criticals(args):
 
 def _cmd_density(args):
     from . import density as dens
+    if args.grid < 2:
+        raise ValueError(f"density grid needs >= 2 points, got {args.grid}")
     lo, hi = _range(args.range)
     schedule = {}
     if args.eps:
@@ -202,7 +204,10 @@ def _cmd_density(args):
 def _cmd_euler(args):
     from . import euler as eu
     if args.ck is not None:
-        res = eu.ck_candidates(args.k, _frac(args.ck))
+        t_hi = _frac(args.ck)
+        if t_hi <= 0:
+            raise ValueError(f"--ck must be > 0, got {rat_str(t_hi)}")
+        res = eu.ck_candidates(args.k, t_hi)
         rep = res["report"]
         payload = {
             "criticals": [dict(_alg_payload(c, args.precision), kind=k)

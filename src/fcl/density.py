@@ -173,6 +173,8 @@ def density_grid(f: ClassF, x_lo: float, x_hi: float, n: int,
     """Tabulate the density on a uniform grid by Stieltjes inversion."""
     if n < 2:
         raise ValueError("need n >= 2")
+    if not x_lo < x_hi:
+        raise ValueError("need x_lo < x_hi")
     eps = tuple(float(e) for e in eps_schedule)
     if not eps or any(e <= 0 for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
         raise ValueError("eps schedule must be positive and decreasing")

@@ -2,7 +2,8 @@
 
 Nothing is refined unless a caller asks for it.  Isolation is Sturm
 bisection inside a Cauchy bound that stops as soon as an interval holds one
-root.  Rational roots are found apart from it, by p-adic lifting
+root; its endpoints are ints over one power-of-two multiple of the bound's
+denominator, signed in integers.  Rational roots are found apart from it, by p-adic lifting
 (`_rational_roots`), and each one collapses the interval that holds it to
 a point.  The sign of a polynomial at an irrational number is one Tarski
 query on the isolating interval as it stands (`AlgebraicReal.sign_of`).
@@ -21,7 +22,7 @@ from fractions import Fraction
 from .bipoly import BiPoly, subresultant_table
 from .poly import Poly, Rat, _exact_div, _monic, as_rat, poly_gcd
 from .sturm import (cauchy_bound, count_distinct_real_roots, pmv, sturm_chain,
-                    _remainder_chain, _sign_at, _variations_at)
+                    _remainder_chain, _sign_at, _sign_hom, _variations_at, _variations_hom)
 
 
 def _bisect(ints, slo, lo, hi):
@@ -314,26 +315,26 @@ def isolate_real_roots(p: Poly):
     s = _monic(ints)
     bound = cauchy_bound(s)
 
+    # endpoints are ints over the denominator bd * 2^k of their depth k
+    bn, bd = bound.numerator, bound.denominator
     out = []
 
-    def var(x):
-        return _variations_at(chain, x)
-
-    def split(lo, hi, vlo, vhi):
+    def split(lo, hi, k, vlo, vhi):
         # invariant: s(lo) != 0, s(hi) != 0; count in (lo, hi] = vlo - vhi
         n = vlo - vhi
         if n == 1:
-            out.append((lo, hi))
+            out.append((Fraction(lo, bd << k), Fraction(hi, bd << k)))
         if n <= 1:
             return
-        mid = (lo + hi) / 2
-        while _sign_at(ints, mid) == 0:
-            mid = (lo + mid) / 2
-        vm = var(mid)
-        split(lo, mid, vlo, vm)
-        split(mid, hi, vm, vhi)
+        lo, hi, k = 2 * lo, 2 * hi, k + 1
+        mid = (lo + hi) // 2
+        while _sign_hom(ints, mid, bd << k) == 0:
+            lo, mid, hi, k = 2 * lo, lo + mid, 2 * hi, k + 1
+        vm = _variations_hom(chain, mid, bd << k)
+        split(lo, mid, k, vlo, vm)
+        split(mid, hi, k, vm, vhi)
 
-    split(-bound, bound, var(-bound), var(bound))
+    split(-bn, bn, 0, _variations_hom(chain, -bn, bd), _variations_hom(chain, bn, bd))
     rats = _rational_roots(ints, bound)
     qi = ints  # one primitive list for every irrational root
     for r in rats:

@@ -1,11 +1,15 @@
 """Polynomials in w whose coefficients are polynomials in a parameter t.
 
-Eliminations run over Z: the arguments are scaled once to integer
-coefficients and evaluated at integer parameter nodes where their leading
-coefficients do not vanish; at each node a subresultant PRS of the two
-integer polynomials (`poly._signed_subresultants`) gives the node values,
-and Lagrange interpolation (degree bound from the determinant sizes)
-followed by one division by the scale recovers each result exactly.
+A `BiPoly` is a tuple of `Poly`s in t, one per power of w, each stored as
+int numerators over its own denominator (see `poly`).  Eliminations run
+over Z: the t-coefficients are brought to one common denominator d, read
+off the stored forms (`_int_wcoeffs`), and the integer polynomials are
+evaluated at integer parameter nodes where their leading coefficients do
+not vanish; at each node a subresultant PRS of the two integer polynomials
+(`poly._signed_subresultants`) gives the node values.  Lagrange
+interpolation (degree bound from the determinant sizes) sums the weighted
+basis numerators as ints over one common denominator, which absorbs the
+power of d, and normalises once, so each result is exact.
 `resultant_w` interpolates the resultant; `subresultant_table`
 interpolates every signed principal subresultant coefficient of x and
 its w-derivative.  Both are determinants of *generic-degree* matrices, so
@@ -16,12 +20,17 @@ cleaning) or avoid such values (`algebraic.is_real_rooted_at`).
 from __future__ import annotations
 
 import math
+from itertools import zip_longest
 
 from .poly import Poly, Rat, as_rat, _resultant_int, _signed_subresultants
 
 
 class BiPoly:
-    """Dense polynomial in w; coefficient of w^i is a Poly in the parameter."""
+    """Dense polynomial in w; coefficient of w^i is a Poly in the parameter.
+
+    `wcoeffs` has no trailing zero Poly.  Each Poly keeps its own int
+    numerators and denominator; ring operations are those of Poly.
+    """
 
     __slots__ = ("wcoeffs",)
 
@@ -34,8 +43,9 @@ class BiPoly:
     @staticmethod
     def from_linear(a: Poly, b: Poly) -> "BiPoly":
         """The pencil a(w) + t*b(w)."""
-        n = max(len(a.coeffs), len(b.coeffs))
-        return BiPoly([Poly([a.coeff(i), b.coeff(i)]) for i in range(n)])
+        (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+        return BiPoly([Poly.from_ints((x * bd, y * ad), ad * bd)
+                       for x, y in zip_longest(an, bn, fillvalue=0)])
 
     @staticmethod
     def lift(p: Poly) -> "BiPoly":
@@ -142,9 +152,10 @@ def _interpolator(xs):
 
     The node polynomial M = prod_j (t - x_j) is built once; each basis
     numerator M/(t - x_i) comes from it by synthetic division, and its
-    value at x_i is the basis denominator, so set-up and every call are
-    O(n^2).  The weighted numerators are summed over one common
-    denominator.
+    value d_i at x_i is the basis denominator, so set-up and every call are
+    O(n^2).  With L the lcm of the d_i, the values y_i times L/d_i weight
+    the numerators over the one denominator L, and the sum is normalised
+    once: interpolate(ys, den) is the interpolant divided by the int den.
     """
     m = [1]  # M, lowest degree first
     for x in xs:
@@ -162,26 +173,26 @@ def _interpolator(xs):
         for c in reversed(q):
             den = den * xi + c
         basis.append((den, q))
+    big = math.lcm(*(den for den, _ in basis))
+    basis = [(big // den, q) for den, q in basis]
 
-    def interpolate(ys) -> Poly:
-        terms = [(Rat(y, den), q) for y, (den, q) in zip(ys, basis) if y]
-        if not terms:
-            return Poly.zero()
-        big = math.lcm(*(wt.denominator for wt, _ in terms))
+    def interpolate(ys, den: int = 1) -> Poly:
         out = [0] * (len(m) - 1)
-        for wt, q in terms:
-            a = wt.numerator * (big // wt.denominator)
-            for k, c in enumerate(q):
-                out[k] += a * c
-        return Poly([Rat(c, big) for c in out])
+        for y, (wt, q) in zip(ys, basis):
+            if y:
+                a = y * wt
+                for k, c in enumerate(q):
+                    out[k] += a * c
+        return Poly.from_ints(out, big * den)
 
     return interpolate
 
 
 def _int_wcoeffs(x: BiPoly):
     """(d, lists) with d * x having the integer t-coefficient lists `lists`."""
-    d = math.lcm(*(c.denominator for cp in x.wcoeffs for c in cp.coeffs))
-    return d, [[c.numerator * (d // c.denominator) for c in cp.coeffs] for cp in x.wcoeffs]
+    forms = [cp.as_integer_ratio() for cp in x.wcoeffs]
+    d = math.lcm(*(den for _, den in forms))
+    return d, [[c * (d // den) for c in num] for num, den in forms]
 
 
 def _eval_int(a, t: int) -> int:
@@ -227,7 +238,7 @@ def resultant_w(a: BiPoly, b: BiPoly) -> Poly:
     nodes = _nodes(bound + 1, ai[-1], bi[-1])
     values = [_resultant_int([_eval_int(c, t) for c in ai], [_eval_int(c, t) for c in bi])
               for t in nodes]
-    return _interpolator(nodes)(values) * Rat(1, da ** m * db ** n)
+    return _interpolator(nodes)(values, da ** m * db ** n)
 
 
 def subresultant_table(x: BiPoly):
@@ -252,7 +263,6 @@ def subresultant_table(x: BiPoly):
         rows.append(_signed_subresultants(a, [i * c for i, c in enumerate(a)][1:]))
     interpolate = _interpolator(nodes)
     # d x has rows scaled by d: s_j(d x) = d^(2p - 1 - 2j) s_j(x), s_p(d x) = d s_p(x)
-    table = [interpolate([r[j] for r in rows]) * Rat(1, d ** (2 * p - 1 - 2 * j))
-             for j in range(p)]
-    table.append(interpolate([r[p] for r in rows]) * Rat(1, d))
+    table = [interpolate([r[j] for r in rows], d ** (2 * p - 1 - 2 * j)) for j in range(p)]
+    table.append(interpolate([r[p] for r in rows], d))
     return table

@@ -1,10 +1,16 @@
-"""Dense exact polynomials over arbitrary-precision rationals.
+"""Dense exact polynomials over the rationals, stored in integers.
 
-Coefficients are stored lowest degree first with no trailing zeros; the
-zero polynomial has an empty coefficient tuple.  Everything is exact: no
-floating point enters unless the caller evaluates at a float/complex point.
-gcds, squarefree parts and resultants run on primitive integer coefficient
-lists (`Poly.int_coeffs`), so their intermediate coefficients stay small.
+A `Poly` is a tuple of int numerators, lowest degree first with no trailing
+zero, over one positive common denominator, normalised once per result:
+trailing zeros stripped and one gcd(den, *num) divided out.  Every ring
+operation (+, -, *, **, derivative, scale_arg, compose, monic, divmod by
+pseudo-division), == and hash, and evaluation at an int or a Fraction run
+on those ints; evaluation ends in a single Fraction.  The Fraction
+coefficients (`Poly.coeffs`) are built only when someone reads them.
+Floating point enters only when the caller evaluates at a float/complex
+point.  gcds, squarefree parts and resultants run on primitive integer
+coefficient lists (`Poly.int_coeffs`), so their intermediate coefficients
+stay small.
 """
 from __future__ import annotations
 
@@ -29,66 +35,115 @@ def rat_str(x: Rat) -> str:
 
 
 class Poly:
-    """Dense univariate polynomial with Fraction coefficients."""
+    """Dense univariate polynomial over Q: int numerators over one denominator.
 
-    __slots__ = ("coeffs",)
+    The polynomial is sum_i num[i] w^i / den.  `num` is a tuple of ints,
+    lowest degree first, with no trailing zero; `den` is a positive int
+    with gcd(den, *num) = 1.  The zero polynomial is ((), 1).  The form is
+    canonical, so == and hash compare it directly.
+    """
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs=()):
-        cs = [as_rat(c) for c in coeffs]
+        cs = [c if isinstance(c, (int, Rat)) else as_rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs)
+        # den is the lcm of the reduced denominators, so gcd(den, *num) = 1
+        den = math.lcm(*[c.denominator for c in cs])
+        self._num = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self._den = den
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
+    def from_ints(num, den=1) -> "Poly":
+        """sum_i num[i] w^i / den, for ints num (lowest degree first) and den != 0."""
+        if den == 0:
+            raise ZeroDivisionError("polynomial with denominator 0")
+        return _norm(num, den)
+
+    @staticmethod
     def zero() -> "Poly":
-        return Poly(())
+        return _new((), 1)
 
     @staticmethod
     def one() -> "Poly":
-        return Poly((1,))
+        return _new((1,), 1)
 
     @staticmethod
     def const(c) -> "Poly":
-        return Poly((as_rat(c),))
+        c = c if isinstance(c, (int, Rat)) else as_rat(c)
+        return _new((c.numerator,), c.denominator) if c else _new((), 1)
 
     @staticmethod
     def x() -> "Poly":
-        return Poly((0, 1))
+        return _new((0, 1), 1)
+
+    # -- the stored form ----------------------------------------------
+
+    def as_integer_ratio(self):
+        """(num, den): the int numerator tuple, lowest degree first, and the
+        positive common denominator, with gcd(den, *num) = 1."""
+        return self._num, self._den
+
+    @property
+    def coeffs(self):
+        """The coefficients as a tuple of Fractions, lowest degree first,
+        built from the stored form at each read."""
+        den = self._den
+        return tuple(Rat(c, den) for c in self._num)
+
+    def int_coeffs(self):
+        """Primitive integer coefficients and the scale s with self = s * prim."""
+        num = self._num
+        if not num:
+            return [], Rat(1)
+        g = math.gcd(*num)
+        return [c // g for c in num] if g > 1 else list(num), Rat(g, self._den)
 
     # -- basic queries ------------------------------------------------
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self._num) <= 1
 
     @property
     def lc(self) -> Rat:
         """Leading coefficient (of the zero polynomial: 0)."""
-        return self.coeffs[-1] if self.coeffs else Rat(0)
+        return Rat(self._num[-1], self._den) if self._num else Rat(0)
 
     def coeff(self, i: int) -> Rat:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Rat(0)
+        num = self._num
+        return Rat(num[i], self._den) if 0 <= i < len(num) else Rat(0)
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other) -> "Poly":
         other = _coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coeff(i) + other.coeff(i) for i in range(n)])
+        a, da, b, db = self._num, self._den, other._num, other._den
+        if da != db:
+            g = math.gcd(da, db)
+            ma, mb = db // g, da // g
+            a, b, da = [c * ma for c in a], [c * mb for c in b], da * ma
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return _norm(out, da)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return _new(tuple(-c for c in self._num), self._den)
 
     def __sub__(self, other) -> "Poly":
         return self + (-_coerce(other))
@@ -98,16 +153,10 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Rat)):
-            return Poly([c * other for c in self.coeffs])
+            u = other.numerator
+            return _norm([c * u for c in self._num], self._den * other.denominator)
         other = _coerce(other)
-        if self.is_zero() or other.is_zero():
-            return Poly.zero()
-        out = [Rat(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
+        return _norm(_conv(self._num, other._num), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -125,53 +174,80 @@ class Poly:
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Rat)):
             other = Poly.const(other)
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return (isinstance(other, Poly) and self._num == other._num
+                and self._den == other._den)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._num, self._den))
 
     # -- calculus / evaluation -----------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return _norm([i * c for i, c in enumerate(self._num)][1:], self._den)
 
     def __call__(self, x):
-        """Horner evaluation; works for Fraction, float, complex, intervals."""
+        """Horner evaluation at x.
+
+        At an int or a Fraction u/v it is one integer Horner on the
+        numerators, homogenised at (u, v), and one final Fraction; at
+        floats, complexes and intervals it runs on the Fraction `coeffs`.
+        """
+        num = self._num
+        if not num:
+            return x * 0
+        if isinstance(x, (int, Rat)):
+            u, v = x.numerator, x.denominator
+            it = reversed(num)
+            acc, vp = next(it), 1
+            for c in it:
+                vp *= v
+                acc = acc * u + c * vp
+            return Rat(acc, self._den * vp)
         acc = None
         for c in reversed(self.coeffs):
             acc = c if acc is None else acc * x + c
-        if acc is None:
-            return x * 0
         return acc
 
     def compose(self, other: "Poly") -> "Poly":
-        acc = Poly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * other + Poly.const(c)
-        return acc
+        """self(other), by Horner on the numerators homogenised at other's denominator."""
+        num = self._num
+        if not num:
+            return self
+        b, e = other._num, other._den
+        it = reversed(num)
+        acc, ep = [next(it)], 1
+        for c in it:
+            ep *= e
+            acc = _conv(acc, b) or [0]
+            acc[0] += c * ep
+        return _norm(acc, self._den * ep)
 
     def scale_arg(self, c) -> "Poly":
         """p(c*w) for a rational c."""
         c = as_rat(c)
-        return Poly([a * c**i for i, a in enumerate(self.coeffs)])
+        u, v = c.numerator, c.denominator
+        # p(u w / v) = sum_i num_i u^i v^(n-i) w^i / (den v^n)
+        out = list(self._num)
+        up = vp = 1
+        for i in range(1, len(out)):
+            up *= u
+            out[i] *= up
+        for i in range(len(out) - 2, -1, -1):
+            vp *= v
+            out[i] *= vp
+        return _norm(out, self._den * vp)
 
     # -- division ------------------------------------------------------
 
     def divmod(self, other: "Poly"):
+        """(q, r) with self = q * other + r and deg r < deg other, by
+        pseudo-division of the numerators (`_pdivmod`)."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Rat(0)] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
-        rem = list(self.coeffs)
-        d, lc = other.degree, other.lc
-        while len(rem) - 1 >= d and rem:
-            k = len(rem) - 1 - d
-            f = rem[-1] / lc
-            q[k] = f
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] -= f * b
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Poly(q), Poly(rem)
+        q, r, s = _pdivmod(self._num, other._num)
+        s *= self._den
+        e = other._den
+        return _norm([c * e for c in q], s), _norm(r, s)
 
     def __mod__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[1]
@@ -185,19 +261,7 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        return self * (1 / self.lc)
-
-    # -- integer form --------------------------------------------------
-
-    def int_coeffs(self):
-        """Primitive integer coefficients and the scale s with self = s * prim."""
-        if self.is_zero():
-            return [], Rat(1)
-        den = math.lcm(*[c.denominator for c in self.coeffs])
-        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
-        g = math.gcd(*[abs(v) for v in ints])
-        ints = [v // g for v in ints]
-        return ints, Rat(g, den)
+        return _norm(self._num, self._num[-1])
 
     # -- printing --------------------------------------------------------
 
@@ -222,6 +286,69 @@ class Poly:
             else:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts)
+
+
+def _new(num: tuple, den: int) -> Poly:
+    """The Poly with the stored form (num, den), already normalised."""
+    p = object.__new__(Poly)
+    p._num, p._den = num, den
+    return p
+
+
+def _norm(num, den: int) -> Poly:
+    """num / den normalised: trailing zeros stripped, den > 0, and both
+    divided by one gcd(den, *num).  num is not modified."""
+    n = len(num)
+    while n and num[n - 1] == 0:
+        n -= 1
+    if not n:
+        return _new((), 1)
+    if n < len(num):
+        num = num[:n]
+    if den < 0:
+        den, num = -den, [-c for c in num]
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g > 1:
+            return _new(tuple(c // g for c in num), den // g)
+    return _new(tuple(num), den)
+
+
+def _conv(a, b):
+    """The product of int lists a and b ([] if either is empty)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _pdivmod(a, b):
+    """(q, r, s) with s a = q b + r and deg r < deg b, for int lists a and b,
+    b nonzero.  s is a power of lc(b): a step multiplies by lc(b) only when
+    lc(b) does not divide its leading coefficient, so a monic b divides
+    without any scaling."""
+    r = list(a)
+    d = len(b) - 1
+    lb = b[-1]
+    q = [0] * max(0, len(r) - d)
+    s = 1
+    for k in range(len(q) - 1, -1, -1):
+        lead = r.pop()
+        c, m = divmod(lead, lb)
+        if m:
+            r = [x * lb for x in r]
+            q = [x * lb for x in q]
+            s *= lb
+            c = lead
+        q[k] = c
+        if c:
+            for j in range(d):
+                r[k + j] -= c * b[j]
+    return q, r, s
 
 
 def _coerce(x) -> Poly:
@@ -293,7 +420,7 @@ def _gcd(a, b):
 
 
 def _monic(a) -> "Poly":
-    return Poly([Rat(c, a[-1]) for c in a])
+    return _norm(a, a[-1])
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:

@@ -74,20 +74,22 @@ def _remainder_chain(a, b):
 
 
 def _sign_at(a, x) -> int:
-    """Sign of the int list a at x, a rational or +/-infinity.
-
-    At x = u/v (v > 0) this is the sign of sum a_i u^i v^(deg - i).
-    """
+    """Sign of the int list a at x, a rational or +/-infinity."""
     if x is POS_INF:
         v = a[-1]
     elif x is NEG_INF:
         v = a[-1] if len(a) % 2 else -a[-1]
     else:
-        u, d = x.numerator, x.denominator
-        v, dp = 0, 1
-        for c in reversed(a):
-            v = v * u + c * dp
-            dp *= d
+        return _sign_hom(a, x.numerator, x.denominator)
+    return (v > 0) - (v < 0)
+
+
+def _sign_hom(a, u: int, d: int) -> int:
+    """Sign of the int list a at u/d, d > 0: the sign of sum a_i u^i d^(deg - i)."""
+    v, dp = 0, 1
+    for c in reversed(a):
+        v = v * u + c * dp
+        dp *= d
     return (v > 0) - (v < 0)
 
 
@@ -116,6 +118,11 @@ def pmv(signs) -> int:
 
 def _variations_at(chain, x) -> int:
     return sign_variations([_sign_at(p, x) for p in chain])
+
+
+def _variations_hom(chain, u: int, d: int) -> int:
+    """_variations_at at u/d, d > 0."""
+    return sign_variations([_sign_hom(p, u, d) for p in chain])
 
 
 def count_distinct_real_roots(p: Poly, lo=NEG_INF, hi=POS_INF) -> int:
@@ -159,5 +166,6 @@ def cauchy_bound(p: Poly) -> Rat:
     """B with every real root of p in (-B, B)."""
     if p.is_zero() or p.is_constant():
         return Rat(1)
-    lc = abs(p.lc)
-    return 1 + max(abs(c) for c in p.coeffs[:-1]) / lc
+    num = p.as_integer_ratio()[0]  # 1 + max |c_i| / |lc|: the denominator cancels
+    lc = abs(num[-1])
+    return Rat(lc + max(abs(c) for c in num[:-1]), lc)

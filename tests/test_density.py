@@ -87,6 +87,12 @@ def test_density_grid_validation():
         density_grid(fw, 0, 1, 5, eps_schedule=(1e-3, 1e-3))
 
 
+@pytest.mark.parametrize("lo, hi", [(5.0, -5.0), (2.0, 2.0), (0.0, float("nan"))])
+def test_density_grid_needs_an_ascending_range(lo, hi):
+    with pytest.raises(ValueError, match="need x_lo < x_hi"):
+        density_grid(wigner(1), lo, hi, 11)
+
+
 def test_density_csv_format():
     fw = wigner(1)
     t = density_grid(fw, -0.5, 0.5, 3)

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_poly, rand_rat
@@ -18,7 +18,7 @@ from fcl.exactalg import algebraic
 from fcl.exactalg.algebraic import _rational_roots
 from fcl.exactalg.bipoly import subresultant_table
 from fcl.exactalg.poly import _signed_subresultants, bareiss_det_int
-from fcl.exactalg.sturm import _sign_at, pmv
+from fcl.exactalg.sturm import _sign_at, _variations_at, pmv
 
 w = Poly.x()
 
@@ -388,6 +388,48 @@ def test_isolate_root_at_midpoint_of_bound():
         assert len(rs) == 3
         assert rs[1].as_fraction() == 0
         assert rs[0].defining == rs[2].defining == quadratic
+
+
+def _fraction_bisection(p):
+    """Isolating intervals of p by Sturm bisection on Fraction midpoints."""
+    s = squarefree_part(p)
+    chain = sturm_chain(s)
+    out = []
+
+    def split(lo, hi, vlo, vhi):
+        if vlo - vhi == 1:
+            out.append((lo, hi))
+        if vlo - vhi <= 1:
+            return
+        mid = (lo + hi) / 2
+        while s(mid) == 0:
+            mid = (lo + mid) / 2
+        vm = _variations_at(chain, mid)
+        split(lo, mid, vlo, vm)
+        split(mid, hi, vm, vhi)
+
+    b = cauchy_bound(s)
+    split(-b, b, _variations_at(chain, -b), _variations_at(chain, b))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_factored_polys())
+@example(w * (w**2 - 2))
+@example(w * Poly([-54, F(117, 64), 1]))
+@example((w**2 - 2) * (w**2 - 3) * (3 * w - 1) * (w + F(7, 3)) ** 2)
+def test_isolation_intervals_match_fraction_bisection(p):
+    # the integer bisection hands out the same rationals as Fraction midpoints
+    assume(not p.is_constant())
+    roots = isolate_real_roots(p)
+    want = _fraction_bisection(p)
+    assert len(roots) == len(want)
+    for r, (lo, hi) in zip(roots, want):
+        if r.is_rational():
+            assert lo < r.lo <= hi
+        else:
+            assert (r.lo, r.hi) == (lo, hi)
+            assert type(r.lo) is type(r.hi) is F
 
 
 def test_isolated_roots_share_one_integer_form():

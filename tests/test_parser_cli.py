@@ -287,6 +287,28 @@ def test_cli_negative_hankel_order_names_the_order(capsys, argv):
     assert err == "error: Hankel order must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("rng", ["5:-5", "2:2"])
+def test_cli_density_rejects_a_reversed_or_empty_range(capsys, rng):
+    code, out, err = run_cli(capsys, "density", "w*(1+w^2)/(1+9*w^2)", f"--range={rng}",
+                             "--grid", "11", "--json")
+    assert code == 1 and out == ""
+    assert err == "error: need x_lo < x_hi\n"
+
+
+@pytest.mark.parametrize("grid", ["0", "1", "-3"])
+def test_cli_density_grid_names_the_option(capsys, grid):
+    code, out, err = run_cli(capsys, "density", "w", "--range", "0:1", f"--grid={grid}")
+    assert code == 1 and out == ""
+    assert err == f"error: density grid needs >= 2 points, got {grid}\n"
+
+
+@pytest.mark.parametrize("ck, shown", [("0", "0"), ("-1", "-1"), ("-1/2", "-1/2")])
+def test_cli_euler_ck_names_the_option(capsys, ck, shown):
+    code, out, err = run_cli(capsys, "euler", "2", f"--ck={ck}")
+    assert code == 1 and out == ""
+    assert err == f"error: --ck must be > 0, got {shown}\n"
+
+
 def test_cli_ops_and_json(capsys):
     code, out, _ = run_cli(capsys, "power", "w*(1-w^2)", "2", "--json")
     assert code == 0
