@@ -16,7 +16,7 @@ undoes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 
 from .errors import ComputationError, InvalidRTransform, NotInClass
@@ -73,10 +73,17 @@ class RatFun:
 
 @dataclass(frozen=True)
 class SeriesPrefix:
-    """A prefix of a rational sequence: terms[n] is the n-th element."""
+    """A prefix of a rational sequence: terms[n] is the n-th element.
+
+    A prefix built by `from_dilated` (as `moments` and `cumulants` build
+    theirs) also keeps the integers it was built from, and `tail` carries
+    them over; `as_dilated_ints` reads them.  They take no part in ==, hash
+    or repr.
+    """
 
     terms: tuple
     kind: str = "generic"  # moments | cumulants | generic
+    _dilated: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(as_rat(t) for t in self.terms))
@@ -84,6 +91,38 @@ class SeriesPrefix:
             raise ValueError("moment prefix must start with 1")
         if self.kind == "cumulants" and self.terms and self.terms[0] != 0:
             raise ValueError("cumulant prefix must start with 0")
+
+    @classmethod
+    def from_dilated(cls, a, c: int, kind: str = "generic", e: int = 1) -> "SeriesPrefix":
+        """The prefix with terms[n] = a[n] / (e * c**n), for ints a[n] and
+        positive ints c and e."""
+        a = tuple(a)
+        if not set(map(type, (c, e, *a))) <= {int} or c < 1 or e < 1:
+            raise ValueError("need int terms and positive int c and e")
+        return cls(tuple(Rat(x, e * c**n) for n, x in enumerate(a)), kind)._keep(a, c, e)
+
+    def _keep(self, a, c, e):
+        object.__setattr__(self, "_dilated", (a, c, e))
+        return self
+
+    def tail(self, m: int) -> "SeriesPrefix":
+        """The generic prefix of terms[m:].  Integers a, c, e kept from
+        `from_dilated` carry over as a[m:], c and e * c**m."""
+        prefix = SeriesPrefix(self.terms[m:])
+        if self._dilated is None:
+            return prefix
+        a, c, e = self._dilated
+        return prefix._keep(a[m:], c, e * c**m)
+
+    def as_dilated_ints(self):
+        """(a, c, e): ints a[n] with terms[n] = a[n] / (e * c**n).  These are
+        the integers of `from_dilated` (or of `tail`) when the prefix was
+        built from them, else c = 1 and e is the least common denominator of
+        the terms."""
+        if self._dilated is not None:
+            return self._dilated
+        e = math.lcm(*[t.denominator for t in self.terms])
+        return tuple(t.numerator * (e // t.denominator) for t in self.terms), 1, e
 
     def __len__(self):
         return len(self.terms)
@@ -200,7 +239,7 @@ def moments(f: ClassF, n: int) -> SeriesPrefix:
     -(F(D) - z) D'); route B solves M*P(z M) = Q(z M), which is
     F(z M(z)) = z, one coefficient at a time
     (`_moments_from_equation`).  The integer lists are compared exactly;
-    only then is each term divided, once, by c^k.
+    only then is each term divided, once, by c^k (`SeriesPrefix.from_dilated`).
     """
     if n < 0:
         raise ValueError("need n >= 0")
@@ -212,7 +251,7 @@ def moments(f: ClassF, n: int) -> SeriesPrefix:
     if s_a != s_b:
         raise ComputationError(
             "moment extraction routes disagree: series inversion vs M*P(zM) = Q(zM)")
-    return SeriesPrefix(_undilate(s_a, c), "moments")
+    return SeriesPrefix.from_dilated(s_a, c, "moments")
 
 
 def _moments_from_equation(p, q, n: int):
@@ -243,11 +282,6 @@ def _moments_from_equation(p, q, n: int):
     return s
 
 
-def _undilate(terms, c: int):
-    """Terms t_k of a c-dilated sequence back to t_k / c^k, as Fractions."""
-    return tuple(Rat(t, c**k) for k, t in enumerate(terms))
-
-
 def _cumulant_series(p, q, n: int):
     """Series of the R-transform (q - p)/p, for coefficient lists with p(0) = 1."""
     num = [a - b for a, b in zip(ser_trunc(q, n), ser_trunc(p, n))]
@@ -264,7 +298,7 @@ def cumulants(f: ClassF, n: int) -> SeriesPrefix:
         raise ValueError("need n >= 1")
     c = math.lcm(f.P.as_integer_ratio()[1], f.Q.as_integer_ratio()[1])
     p, q = (x.scale_arg(c).as_integer_ratio()[0] for x in (f.P, f.Q))
-    return SeriesPrefix(_undilate(_cumulant_series(p, q, n), c), "cumulants")
+    return SeriesPrefix.from_dilated(_cumulant_series(p, q, n), c, "cumulants")
 
 
 def identity_f() -> ClassF:

@@ -1,4 +1,12 @@
-"""Exact Hankel determinants of rational sequences."""
+"""Exact Hankel determinants of rational sequences.
+
+`leading_minors` reads every leading minor of a scan off the modified
+Chebyshev algorithm (Gautschi, *Orthogonal Polynomials: Computation and
+Approximation*, 2004, ch. 2), cleared of fractions: O(K^2) exact-division
+updates to order K, on integers a_n = e c^n s_n.  `hankel_det` is one
+fraction-free (Bareiss) determinant; the scan needs it only from its first
+zero minor on.
+"""
 from __future__ import annotations
 
 import math
@@ -28,36 +36,44 @@ def hankel_det(s, k: int) -> Rat:
     return Rat(bareiss_det_int(m), den ** (k + 1))
 
 
-def leading_minors(s, k_max: int):
-    """Yield det(s[i+j]) for i,j = 0..k, for k = 0, 1, ..., k_max in turn.
+def leading_minors(a, k_max: int, c: int = 1, e: int = 1):
+    """Yield det(s[i+j]) for i,j = 0..k, for k = 0, 1, ..., k_max in turn,
+    where s_n = a_n / (e c^n) for the integers a_n and positive ints c, e.
 
-    One Bareiss elimination of the order-k_max Hankel matrix without row
-    swaps (Bareiss, Math. Comp. 22, 1968): over one common denominator den
-    of the first 2k_max+1 terms, pivot k is the integer order-k minor, and
-    the rational one is pivot k / den^(k+1).  The elimination runs one
-    column per order, so a caller that stops early pays only for the
-    orders it has read.  Every stage of the elimination is symmetric, so
-    the entries of row r it needs are read from the stored columns.
+    The minors H_k of a are e^(k+1) c^(k(k+1)) times those of s.  They come
+    from T_k[l] = H_(k-1) <pi_k, x^l>, pi_k the monic orthogonal polynomials
+    of a, so that T_k[k] = H_k.  With T_(-1) = 0, T_0 = a and
+    H_(-1) = H_(-2) = 1, the three-term recurrence cleared of fractions is
 
-    From the first zero pivot on, a pivot is no longer the minor of its
-    order, so each remaining order comes from `hankel_det`.
+        T_k[l] = (H_(k-2) (H_(k-1) T_(k-1)[l+1] - T_(k-1)[k] T_(k-1)[l])
+                  + H_(k-1) (T_(k-2)[k-1] T_(k-1)[l] - H_(k-1) T_(k-2)[l]))
+                 / H_(k-2)^2,
+
+    an exact division, for l = k..2k_max-k.  A caller that stops early pays
+    only for the orders it has read.
+
+    The recurrence divides by the minors, so from the first zero minor on
+    each order is a `hankel_det` of s, built once from a.
     """
     if k_max < 0:
         raise ValueError("order must be nonnegative")
-    h, den = _scaled(s, 2 * k_max + 1)
-    cols = []  # cols[j][r]: entry (r, j) after r elimination steps, r <= j
+    n = 2 * k_max + 1
+    if len(a) < n:
+        raise ValueError(f"need at least {n} sequence entries, got {len(a)}")
+    t2, t1 = [0] * (n + 1), list(a[:n])  # T_(k-1)[k-1:] and T_k[k:] at k = 0
+    h2, h1 = 1, t1[0]                     # H_(k-1) and H_k
+    den, step = e, 1                      # e^(k+1) c^(k(k+1)) and c^(2k)
     for k in range(k_max + 1):
-        c = h[k: 2 * k + 1]
-        prev = 1
-        for r in range(k):
-            p, cr = cols[r][r], c[r]
-            for i in range(r + 1, k):
-                c[i] = (c[i] * p - cols[i][r] * cr) // prev
-            c[k] = (c[k] * p - cr * cr) // prev
-            prev = p
-        if c[k] == 0:
+        if k:
+            u, v, w, d = h2 * h1, h1 * t2[1] - h2 * t1[1], h1 * h1, h2 * h2
+            t2, t1 = t1, [(u * x1 + v * x0 - w * y) // d
+                          for x1, x0, y in zip(t1[2:], t1[1:], t2[2:])]
+            h2, h1 = h1, t1[0]
+            step *= c * c
+            den *= e * step
+        if h1 == 0:
+            s = [Rat(x, e * c**i) for i, x in enumerate(a[:n])]
             for j in range(k, k_max + 1):
                 yield hankel_det(s, j)
             return
-        cols.append(c)
-        yield Rat(c[k], den ** (k + 1))
+        yield Rat(h1, den)

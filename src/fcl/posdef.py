@@ -5,10 +5,11 @@ not a moment sequence; a run of nonnegative minors is only ever reported
 as "positive so far".  Zero minors do not stop the scan (finitely atomic
 measures produce them legitimately).
 
-All minors of one scan come from one fraction-free elimination of the
-largest Hankel matrix (`exactalg.hankel.leading_minors`), read order by
-order.  From the first zero minor on, each order is a determinant of its
-own.
+All minors of one scan come from the fraction-free Chebyshev recurrence
+(`exactalg.hankel.leading_minors`), read order by order, on integers: the
+c-dilated ones that `moments` and `cumulants` store on their prefix, or
+else the terms over their common denominator.  From the first zero minor
+on, each order is a determinant of its own.
 """
 from __future__ import annotations
 
@@ -39,14 +40,18 @@ class HankelVerdict:
 def hankel_verdict(s, k_max: int) -> HankelVerdict:
     """Scan minors det(s[i+j]), order 0..k_max, stopping at the first < 0.
 
-    The minors are the pivots of one Bareiss elimination of the order-k_max
-    matrix, computed one order at a time, so a negative minor stops the
-    elimination too.  A zero pivot ends that correspondence: from the first
-    zero minor on, every order is a separate `hankel_det`.
+    The minors come one order at a time from the Chebyshev recurrence on
+    `s.as_dilated_ints()` (for a plain sequence, its first 2k_max+1 terms
+    over their common denominator), so a negative minor stops the work too.
+    The recurrence divides by the minors: from the first zero minor on,
+    every order is a separate `hankel_det`.
     """
-    terms = s.terms if isinstance(s, SeriesPrefix) else tuple(s)
+    _check_order(k_max)
+    if not isinstance(s, SeriesPrefix):
+        s = SeriesPrefix(tuple(s)[: 2 * k_max + 1])
+    a, c, e = s.as_dilated_ints()
     minors = []
-    for k, d in enumerate(leading_minors(terms, k_max)):
+    for k, d in enumerate(leading_minors(a, k_max, c, e)):
         minors.append(d)
         if d < 0:
             return HankelVerdict("negative_at", k, d, tuple(minors))
@@ -63,12 +68,11 @@ def fid_check(f: ClassF, k_max: int) -> HankelVerdict:
     """Hankel scan of the shifted cumulants (r_2, r_3, ...).
 
     Positive definiteness of this sequence characterizes free infinite
-    divisibility; a negative minor certifies non-FID.
+    divisibility; a negative minor certifies non-FID.  The shifted prefix
+    keeps the dilated cumulants c^n r_n of `cumulants` (`SeriesPrefix.tail`).
     """
     _check_order(k_max)
-    r = cumulants(f, 2 * k_max + 2)
-    shifted = r.terms[2:]
-    return hankel_verdict(shifted, k_max)
+    return hankel_verdict(cumulants(f, 2 * k_max + 2).tail(2), k_max)
 
 
 def _check_order(k_max: int):

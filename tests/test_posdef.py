@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -5,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fcl.exactalg.hankel as hankel_mod
+import fcl.exactalg.poly as poly_mod
 from conftest import rand_classf, rand_rat
-from fcl.classf import dilate, from_r, identity_f, make_classf, make_ratfun, moments
+from fcl.classf import (SeriesPrefix, compose, cumulants, dilate, from_r, identity_f,
+                        make_classf, make_ratfun, moments)
 from fcl.distlib import mp, wigner
 from fcl.exactalg import Poly, hankel_det
+from fcl.exactalg.poly import as_rat
 from fcl.posdef import fid_check, hankel_verdict, is_moment_positive_up_to
 
 w = Poly.x()
@@ -39,8 +43,16 @@ def test_hankel_verdict_positive():
 
 
 def test_hankel_verdict_insufficient_terms():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least 5 sequence entries, got 3"):
         hankel_verdict([1, 2, 3], 2)
+    # the dilated route: moments and shifted cumulants keep their ints
+    f = mp(F(3, 2), F(5, 4))
+    with pytest.raises(ValueError, match="need at least 5 sequence entries, got 4"):
+        hankel_verdict(moments(f, 3), 2)
+    with pytest.raises(ValueError, match="need at least 5 sequence entries, got 4"):
+        hankel_verdict(cumulants(f, 5).tail(2), 2)
+    with pytest.raises(ValueError, match="need at least 3 sequence entries, got 2"):
+        hankel_verdict(SeriesPrefix.from_dilated([4, 6], 3, e=2), 1)
 
 
 def test_zero_minor_does_not_stop_scan():
@@ -64,7 +76,11 @@ def test_is_moment_positive_examples():
     assert hv3.minors == (1, 0, 0, 0, 0, 0, 0)
 
 
-@pytest.mark.parametrize("scan", [is_moment_positive_up_to, fid_check])
+def _verdict_of_moments(f, k_max):
+    return hankel_verdict(moments(f, 2), k_max)
+
+
+@pytest.mark.parametrize("scan", [is_moment_positive_up_to, fid_check, _verdict_of_moments])
 def test_negative_order_is_rejected(scan):
     with pytest.raises(ValueError, match="Hankel order must be >= 0, got -1"):
         scan(identity_f(), -1)
@@ -173,6 +189,26 @@ def test_one_determinant_per_order_from_the_first_zero_pivot(det_calls):
     assert det_calls == [1, 2] + list(range(1, 9)) * 3
 
 
+def _sympy_minors(sympy, s, k_max):
+    ents = [sympy.Rational(v.numerator, v.denominator) for v in map(as_rat, s)]
+    out = []
+    for k in range(k_max + 1):
+        d = sympy.Matrix(k + 1, k + 1, lambda i, j: ents[i + j]).det()
+        out.append(F(int(d.p), int(d.q)))
+    return out
+
+
+def _check_against(hv, ref, k_max):
+    """hv is the scan of a sequence whose minors of order 0..k_max are ref."""
+    neg = next((k for k, d in enumerate(ref) if d < 0), None)
+    if neg is None:
+        assert hv.status == "positive_so_far" and hv.order == k_max
+        assert list(hv.minors) == ref
+    else:
+        assert hv.status == "negative_at" and hv.order == neg
+        assert hv.determinant == ref[neg] and list(hv.minors) == ref[: neg + 1]
+
+
 _small_rat = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
@@ -186,16 +222,125 @@ def test_hankel_verdict_matches_sympy(k_max, seq, atoms, cut):
     # tail nonzero and negative ones after them
     sympy = pytest.importorskip("sympy")
     seq = _atomic(atoms, 12)[:cut] + seq[cut:]
-    ents = [sympy.Rational(v.numerator, v.denominator) for v in seq]
-    ref = []
+    ref = _sympy_minors(sympy, seq, k_max)
+    _check_against(hankel_verdict(seq, k_max), ref, k_max)
+    assert _bareiss_minors(seq, k_max) == ref
+
+
+# ------------------------------- the Chebyshev recurrence against Bareiss
+
+
+def _bareiss_minors(s, k_max):
+    """det(s[i+j]), i,j = 0..k, for k = 0..k_max: the pivots of one Bareiss
+    elimination of the order-k_max Hankel matrix without row swaps, over one
+    common denominator of the first 2k_max+1 terms (pivot k over den^(k+1)).
+    From the first zero pivot on, a pivot is no longer the minor of its
+    order, so each remaining order is a `hankel_det`."""
+    s = [as_rat(x) for x in s[: 2 * k_max + 1]]
+    den = math.lcm(*[x.denominator for x in s])
+    h = [x.numerator * (den // x.denominator) for x in s]
+    out, cols = [], []  # cols[j][r]: entry (r, j) after r elimination steps
     for k in range(k_max + 1):
-        d = sympy.Matrix(k + 1, k + 1, lambda i, j: ents[i + j]).det()
-        ref.append(F(int(d.p), int(d.q)))
-    hv = hankel_verdict(seq, k_max)
-    neg = next((k for k, d in enumerate(ref) if d < 0), None)
-    if neg is None:
-        assert hv.status == "positive_so_far" and hv.order == k_max
-        assert list(hv.minors) == ref
-    else:
-        assert hv.status == "negative_at" and hv.order == neg
-        assert hv.determinant == ref[neg] and list(hv.minors) == ref[: neg + 1]
+        c = h[k: 2 * k + 1]
+        prev = 1
+        for r in range(k):
+            p, cr = cols[r][r], c[r]
+            for i in range(r + 1, k):
+                c[i] = (c[i] * p - cols[i][r] * cr) // prev
+            c[k] = (c[k] * p - cr * cr) // prev
+            prev = p
+        if c[k] == 0:
+            return out + [hankel_det(s, j) for j in range(k, k_max + 1)]
+        cols.append(c)
+        out.append(F(c[k], den ** (k + 1)))
+    return out
+
+
+def _member(rng):
+    """A random class member of degree 2 or 3."""
+    while True:
+        f = rand_classf(rng, 3)
+        if max(f.P.degree, f.Q.degree) >= 2:
+            return f
+
+
+def test_dilated_scans_match_bareiss_and_sympy(rng):
+    # random members of degree 2-3: the minors of is_moment_positive_up_to
+    # and fid_check (on the c-dilated ints of moments and cumulants) against
+    # the Bareiss oracle and sympy on the rational terms
+    sympy = pytest.importorskip("sympy")
+    seen = set()
+    for i in range(24):
+        f, k_max = _member(rng), 2 + i % 9
+        m, r = moments(f, 2 * k_max), cumulants(f, 2 * k_max + 2).tail(2)
+        for name, hv, seq in (("moments", is_moment_positive_up_to(f, k_max), m),
+                              ("fid", fid_check(f, k_max), r)):
+            ref = _bareiss_minors(seq.terms, k_max)
+            _check_against(hv, ref, k_max)
+            if k_max <= 6:
+                assert _sympy_minors(sympy, seq.terms, k_max) == ref
+            seen.add((name, hv.status, seq.as_dilated_ints()[1] > 1))
+    for name in ("moments", "fid"):
+        for status in ("negative_at", "positive_so_far"):
+            assert (name, status, True) in seen
+
+
+_PLANTED = [
+    # finitely atomic: minors zero from the atom count on (the last one
+    # has a negative weight, so its order-1 minor is negative)
+    (_atomic([(F(-1), F(1)), (F(2), F(1, 3))], 16), 8),
+    (_atomic([(F(0), F(2)), (F(1, 2), F(1)), (F(3), F(1, 5))], 16), 8),
+    (_atomic([(F(-2), F(1, 4)), (F(-1, 3), F(1)), (F(1), F(2)), (F(5, 2), F(3, 7))], 16), 8),
+    (_atomic([(F(1), F(1)), (F(-1), F(-2))], 16), 8),
+    # zero minors, then a negative one
+    ([1, 1, 1, 2, 5], 2),
+    ([3, -1, 1, -1, 1, -1, 3, 2, -2], 4),
+    ([1, 1, 1, 2, 5, 1, 1, 1, 1], 4),
+    ([F(1, 2), 0, 0, F(-1, 3), 0], 2),
+]
+
+
+@pytest.mark.parametrize("s, k_max", _PLANTED)
+@pytest.mark.parametrize("c, e", [(1, 1), (6, 1), (2, 35), (15, 4)])
+def test_planted_zero_minors_plain_and_dilated(s, k_max, c, e):
+    # the same sequence as a plain list and as a prefix built from its ints
+    # a_n = e' c^n s_n, e' = e times the common denominator
+    ref = _bareiss_minors(s, k_max)
+    assert ref == [hankel_det(s, k) for k in range(k_max + 1)] and 0 in ref
+    den = math.lcm(*[F(x).denominator for x in s])
+    a = [int(x * den * e * c**n) for n, x in enumerate(s)]
+    for seq in (s, SeriesPrefix.from_dilated(a, c, e=den * e)):
+        _check_against(hankel_verdict(seq, k_max), ref, k_max)
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    """The names of the hankel_det and bareiss_det_int calls made during the test."""
+    calls = []
+    det, bareiss = hankel_mod.hankel_det, poly_mod.bareiss_det_int
+
+    def counted_det(s, k):
+        calls.append("hankel_det")
+        return det(s, k)
+
+    def counted_bareiss(m):
+        calls.append("bareiss_det_int")
+        return bareiss(m)
+
+    monkeypatch.setattr(hankel_mod, "hankel_det", counted_det)
+    monkeypatch.setattr(hankel_mod, "bareiss_det_int", counted_bareiss)
+    monkeypatch.setattr(poly_mod, "bareiss_det_int", counted_bareiss)
+    return calls
+
+
+def test_nonzero_scan_runs_no_bareiss(bareiss_calls):
+    hv = is_moment_positive_up_to(wigner(F(7, 3)), 18)
+    assert not hv.is_negative and len(hv.minors) == 19 and all(hv.minors)
+    law = compose(mp(F(-3, 2), F(5, 4)), wigner(F(2, 3)))
+    assert not is_moment_positive_up_to(law, 12).is_negative
+    hv = fid_check(law, 18)
+    assert all(hv.minors)
+    assert bareiss_calls == []
+    # a zero minor does reach them
+    fid_check(wigner(F(7, 3)), 2)
+    assert bareiss_calls.count("hankel_det") == 2 and "bareiss_det_int" in bareiss_calls
