@@ -190,14 +190,13 @@ def _cmd_density(args):
     from . import density as dens
     if args.grid < 2:
         raise ValueError(f"density grid needs >= 2 points, got {args.grid}")
-    lo, hi = _range(args.range)
-    schedule = {}
-    if args.eps:
-        schedule["eps_schedule"] = tuple(float(Fraction(e)) for e in args.eps.split(","))
-    table = dens.density_grid(_f_from(args), float(lo), float(hi), args.grid, **schedule)
+    try:
+        lo, hi = (float(b) for b in _range(args.range))
+    except OverflowError:
+        raise ValueError(f"--range bounds must fit a float, got {args.range}") from None
+    table = dens.density_grid(_f_from(args), lo, hi, args.grid)
     rows = [{"x": x, "f": v} for x, v in table.rows()]
-    return {"density": {"rows": rows, "mass_estimate": table.mass_estimate,
-                        "eps_used": list(table.eps_used)},
+    return {"density": {"rows": rows, "mass_estimate": table.mass_estimate},
             "_csv": dens.density_csv(table)}, 0
 
 
@@ -442,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = add("density", _cmd_density, [fexpr])
     s.add_argument("--range", required=True)
     s.add_argument("--grid", type=int, default=201)
-    s.add_argument("--eps", default=None, help="comma-separated schedule")
     s = add("euler", _cmd_euler)
     s.add_argument("k", type=int)
     s.add_argument("--ck", default=None, metavar="T_HI",

@@ -1,19 +1,19 @@
 """Numeric evaluation of the inverse series D and Stieltjes inversion.
 
-Two continuation schemes share one Newton core:
+Every value solves the homogeneous pencil a*w*P(w) - b*Q(w) = 0 by one
+Newton core:
 
-* d_eval tracks the branch of F^{-1} with D(0) = 0 along the straight
-  segment 0 -> z (step count doubles on failure) — the right tool near
-  the origin where the series lives.
-* densities need G(x - i*eps) = D(1/(x - i*eps)) for tiny eps, i.e. huge
-  |z|, where a straight segment from 0 would hop branches.  There the
-  value is reached by vertical descent: start deep in the lower half
-  plane where G(zeta) ~ 1/zeta is unambiguous, then shrink Im zeta
-  geometrically down to eps, Newton-correcting at each stage.
+* d_eval, with (a, b) = (1, z), tracks the branch of F^{-1} with
+  D(0) = 0 along the straight segment 0 -> z (step count doubles on
+  failure) -- the right tool near the origin where the series lives.
+* densities need G(x - i0) = D(1/x).  With (a, b) = (zeta, 1) the pencil
+  stays regular at x = 0.  The branch is found by vertical descent: start
+  deep in the lower half plane where G(zeta) ~ 1/zeta is unambiguous,
+  halve Im zeta down to 1e-3 with a Newton correction at each stage, then
+  make one Newton solve of the real pencil x*w*P(w) - Q(w) = 0 at zeta = x.
 
-f(x) = Im G(x - i*eps)/pi extrapolated linearly in eps (Richardson across
-the schedule).  Continuation failures are reported as gaps, never
-interpolated over.
+f(x) = Im G(x - i0)/pi.  Continuation failures are reported as gaps,
+never interpolated over.
 """
 from __future__ import annotations
 
@@ -24,7 +24,8 @@ from .classf import ClassF, moments
 from .errors import ContinuationFailure
 from .exactalg import Poly
 
-_DEFAULT_EPS = (1e-3, 1e-4, 1e-5)
+_DESCENT_EPS = 1e-3   # last Im zeta of the descent before the solve at zeta = x
+_CLAMP_TOL = 1e-9     # negatives this small are rounding and read as 0
 
 
 def _float_coeffs(p: Poly):
@@ -39,11 +40,11 @@ def _horner(cs, x):
 
 
 class _Evaluator:
-    """Float view of F; Newton acts on the pencil w P(w) - z Q(w).
+    """Float view of F; Newton acts on the pencil a w P(w) - b Q(w).
 
     The pencil form stays well conditioned where F itself has a pole
-    (G approaches such points as eps shrinks at the center of symmetric
-    supports), since no near-cancelling division appears.
+    (G approaches such points at the center of symmetric supports), since
+    no near-cancelling division appears.
     """
 
     def __init__(self, f: ClassF):
@@ -55,15 +56,15 @@ class _Evaluator:
     def f(self, w):
         return w * _horner(self.p, w) / _horner(self.q, w)
 
-    def newton(self, w, z, iters: int = 80):
-        """Root of w P(w) - z Q(w) near w, or None (backward-error stop)."""
+    def newton(self, w, a, b, iters: int = 80):
+        """Root of a w P(w) - b Q(w) near w, or None (backward-error stop)."""
         for _ in range(iters):
             pw, qw = _horner(self.p, w), _horner(self.q, w)
-            resid = w * pw - z * qw
-            scale = abs(w * pw) + abs(z * qw) + 1.0
+            resid = a * w * pw - b * qw
+            scale = abs(a * w * pw) + abs(b * qw) + 1.0
             if abs(resid) <= 5e-14 * scale:
                 return w
-            deriv = pw + w * _horner(self.dp, w) - z * _horner(self.dq, w)
+            deriv = a * (pw + w * _horner(self.dp, w)) - b * _horner(self.dq, w)
             if abs(deriv) < 1e-280:
                 return None
             step = resid / deriv
@@ -86,7 +87,7 @@ def d_eval(f: ClassF, z: complex, path_steps: int = 64) -> complex:
         w = 0j
         ok = True
         for k in range(1, steps + 1):
-            w = ev.newton(w, z * k / steps)
+            w = ev.newton(w, 1, z * k / steps)
             if w is None:
                 ok = False
                 break
@@ -113,42 +114,31 @@ def support_radius_estimate(f: ClassF) -> float:
     return 2.0 * r + 1.0
 
 
-def g_eval_descent(f: ClassF, x: float, eps_values, anchor: float) -> list:
-    """G(x - i*eta) recorded at each requested eta, by vertical descent.
+def g_eval_descent(f: ClassF, x: float, anchor: float) -> complex:
+    """G(x - i0) by vertical descent, then one Newton solve at zeta = x.
 
-    Starts at eta = anchor where G ~ 1/zeta identifies the branch, then
-    halves eta (visiting every requested value on the way) with Newton
-    correction at each stage.
+    Starts at eta = anchor where G ~ 1/zeta identifies the branch, halves
+    eta down to 1e-3 with a Newton correction on zeta w P(w) - Q(w) at
+    each stage, then solves the real pencil x w P(w) - Q(w) = 0 from there.
     """
     ev = _Evaluator(f)
-    want = sorted(set(float(e) for e in eps_values), reverse=True)
-    if not want or want[-1] <= 0:
-        raise ValueError("eps values must be positive")
-
-    ladder = []
-    eta = max(anchor, 4 * want[0])
-    while eta > want[-1]:
-        ladder.append(eta)
+    etas = []
+    eta = max(anchor, 4 * _DESCENT_EPS)
+    while eta > _DESCENT_EPS:
+        etas.append(eta)
         eta /= 2
-    etas = sorted(set(ladder + want), reverse=True)
-
     w = 1 / complex(x, -etas[0])
-    out = {}
-    for eta in etas:
-        w = ev.newton(w, 1 / complex(x, -eta))
+    for eta in etas + [_DESCENT_EPS, 0.0]:
+        w = ev.newton(w, complex(x, -eta), 1)
         if w is None:
-            raise ContinuationFailure(
-                f"descent to x={x}, eps={eta} lost the branch")
-        if eta in want:
-            out[eta] = w
-    return [out[float(e)] for e in eps_values]
+            raise ContinuationFailure(f"descent to x={x}, eps={eta} lost the branch")
+    return w
 
 
 @dataclass(frozen=True)
 class DensityTable:
     xs: tuple
     fs: tuple            # density values; None marks a continuation gap
-    eps_used: tuple
     mass_estimate: float
     clamped: int         # count of small negatives clamped to 0
 
@@ -156,41 +146,23 @@ class DensityTable:
         return list(zip(self.xs, self.fs))
 
 
-def _richardson(eps, vals):
-    """Neville extrapolation to eps = 0 of a polynomial-in-eps model."""
-    v = list(vals)
-    e = list(eps)
-    n = len(v)
-    for level in range(1, n):
-        for i in range(n - level):
-            v[i] = (e[i] * v[i + 1] - e[i + level] * v[i]) / (e[i] - e[i + level])
-    return v[0]
-
-
-def density_grid(f: ClassF, x_lo: float, x_hi: float, n: int,
-                 eps_schedule=_DEFAULT_EPS,
-                 clamp_tol: float = 1e-9) -> DensityTable:
+def density_grid(f: ClassF, x_lo: float, x_hi: float, n: int) -> DensityTable:
     """Tabulate the density on a uniform grid by Stieltjes inversion."""
     if n < 2:
         raise ValueError("need n >= 2")
     if not x_lo < x_hi:
         raise ValueError("need x_lo < x_hi")
-    eps = tuple(float(e) for e in eps_schedule)
-    if not eps or any(e <= 0 for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
-        raise ValueError("eps schedule must be positive and decreasing")
     anchor = support_radius_estimate(f)
     xs = [x_lo + (x_hi - x_lo) * i / (n - 1) for i in range(n)]
     fs = []
     clamped = 0
     for x in xs:
         try:
-            ws = g_eval_descent(f, x, eps, anchor)
+            v = g_eval_descent(f, x, anchor).imag / cmath.pi
         except ContinuationFailure:
             fs.append(None)
             continue
-        vals = [w.imag / cmath.pi for w in ws]
-        v = _richardson(eps, vals) if len(vals) > 1 else vals[0]
-        if v < 0 and v >= -clamp_tol:
+        if -_CLAMP_TOL <= v < 0:
             clamped += 1
             v = 0.0
         fs.append(v)
@@ -198,7 +170,7 @@ def density_grid(f: ClassF, x_lo: float, x_hi: float, n: int,
     for (x0, f0), (x1, f1) in zip(zip(xs, fs), zip(xs[1:], fs[1:])):
         if f0 is not None and f1 is not None:
             mass += 0.5 * (f0 + f1) * (x1 - x0)
-    return DensityTable(tuple(xs), tuple(fs), eps, mass, clamped)
+    return DensityTable(tuple(xs), tuple(fs), mass, clamped)
 
 
 def reference_density(kind: str, x: float, *params) -> float:

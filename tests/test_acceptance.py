@@ -176,12 +176,12 @@ def test_criterion_12_expoly():
     assert all(m.terms[2 * n + 1] == 0 for n in range(5))
     for x in (0.0, 1.0, 2.0, 5.0):
         got = density_grid(f, x, x + 1e-9, 2).fs[0]
-        assert got == pytest.approx(reference_density("expoly", x), abs=1e-6)
+        assert got == pytest.approx(reference_density("expoly", x), abs=1e-10)
     s27 = 27 ** 0.5
     table = density_grid(f, -s27 + 1e-6, s27 - 1e-6, 801)
     assert abs(table.mass_estimate - 1) < 1e-3
     _ok(12, "chi = (1-3w^2)^2 (singular); even moments exact; density matches "
-            "the cube-root closed form within 1e-6 and mass within 1e-3")
+            "the cube-root closed form within 1e-10 and mass within 1e-3")
 
 
 def test_criterion_13_dual_method_moments():

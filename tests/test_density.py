@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -39,15 +40,25 @@ def test_density_matches_closed_forms():
     fe = make_classf(Poly([1, 0, 1]), Poly([1, 0, 9]))
     for x in (0.0, 1.0, 2.0, 5.0):
         got = density_grid(fe, x, x + 1e-9, 2).fs[0]
-        assert got == pytest.approx(reference_density("expoly", x), abs=1e-6)
+        assert got == pytest.approx(reference_density("expoly", x), abs=1e-10)
     fw = wigner(1)
     for x in (-1.9, -1.0, 0.0, 0.7, 1.9):
         got = density_grid(fw, x, x + 1e-9, 2).fs[0]
-        assert got == pytest.approx(reference_density("wigner", x, 1), abs=1e-6)
+        assert got == pytest.approx(reference_density("wigner", x, 1), abs=1e-10)
     fm = mp(1, 1)
     for x in (0.1, 0.9, 2.2, 3.9):
         got = density_grid(fm, x, x + 1e-9, 2).fs[0]
-        assert got == pytest.approx(reference_density("mp", x, 1, 1), abs=1e-5)
+        assert got == pytest.approx(reference_density("mp", x, 1, 1), abs=1e-10)
+
+
+def test_density_near_an_atom():
+    # mp(-2, 1/2) has an atom of mass 1/2 at x = 0; the grid hits it exactly
+    t = density_grid(mp(-2, Fraction(1, 2)), -7, 1, 401)
+    assert 0.0 in t.xs and all(v is not None and v >= 0 for v in t.fs)
+    for x, v in t.rows():
+        if x != 0:
+            assert abs(v - reference_density("mp", x, -2, 0.5)) <= 1e-10
+    assert density_grid(wigner(1), 0.0, 1.0, 2).fs[0] == pytest.approx(1 / math.pi, abs=1e-12)
 
 
 def test_density_symmetry():
@@ -83,8 +94,6 @@ def test_density_grid_validation():
     fw = wigner(1)
     with pytest.raises(ValueError):
         density_grid(fw, 0, 1, 1)
-    with pytest.raises(ValueError):
-        density_grid(fw, 0, 1, 5, eps_schedule=(1e-3, 1e-3))
 
 
 @pytest.mark.parametrize("lo, hi", [(5.0, -5.0), (2.0, 2.0), (0.0, float("nan"))])
@@ -105,5 +114,4 @@ def test_density_csv_format():
 
 def test_descent_support_radius():
     assert support_radius_estimate(wigner(1)) > 2.0
-    ws = g_eval_descent(wigner(1), 0.0, [1e-3, 1e-4], 8.0)
-    assert len(ws) == 2 and all(v.imag > 0 for v in ws)
+    assert g_eval_descent(wigner(1), 0.0, 8.0).imag > 0

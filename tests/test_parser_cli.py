@@ -207,7 +207,9 @@ def test_cli_values_with_leading_minus(capsys):
 
 def test_cli_unknown_option_is_a_usage_error():
     for argv in (("moments", "w - w^2", "--bogus"), ("moments", "--bogus"),
-                 ("--bogus", "moments", "w - w^2")):
+                 ("--bogus", "moments", "w - w^2"),
+                 # the ε schedule is gone: density solves at ε = 0 directly
+                 ("density", "w - w^2", "--range=-1:1", "--eps", "1e-3")):
         code, err = _cli_quiet(*argv)
         assert code == 2 and "error:" in err
 
@@ -287,12 +289,17 @@ def test_cli_negative_hankel_order_names_the_order(capsys, argv):
     assert err == "error: Hankel order must be >= 0, got -1\n"
 
 
-@pytest.mark.parametrize("rng", ["5:-5", "2:2"])
-def test_cli_density_rejects_a_reversed_or_empty_range(capsys, rng):
+@pytest.mark.parametrize("rng, msg", [
+    pytest.param(rng, msg, id=rng) for rng, msg in (
+        ("5:-5", "need x_lo < x_hi"),
+        ("2:2", "need x_lo < x_hi"),
+        ("0:1e400", "--range bounds must fit a float, got 0:1e400"),
+        ("-1e400:0", "--range bounds must fit a float, got -1e400:0"))])
+def test_cli_density_rejects_a_reversed_or_empty_range(capsys, rng, msg):
     code, out, err = run_cli(capsys, "density", "w*(1+w^2)/(1+9*w^2)", f"--range={rng}",
                              "--grid", "11", "--json")
     assert code == 1 and out == ""
-    assert err == "error: need x_lo < x_hi\n"
+    assert err == f"error: {msg}\n"
 
 
 @pytest.mark.parametrize("grid", ["0", "1", "-3"])
