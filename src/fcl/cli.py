@@ -469,6 +469,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_digits(args):
+    """ValueError (exit 1) when --approx or --precision is negative."""
+    for opt in ("approx", "precision"):
+        v = getattr(args, opt)
+        if v is not None and v < 0:
+            raise ValueError(f"--{opt} must be >= 0, got {v}")
+
+
 def _approximate(obj, digits):
     """Recursively add float renderings next to exact strings."""
     if isinstance(obj, dict):
@@ -477,9 +485,10 @@ def _approximate(obj, digits):
             out[k] = _approximate(v, digits)
             if k in ("value", "determinant") and isinstance(v, str) and v:
                 try:
-                    out[k + "_approx"] = f"{float(Fraction(v)):.{digits}g}"
-                except ValueError:
-                    pass
+                    q = Fraction(v)
+                except ValueError:  # not a rational
+                    continue
+                out[k + "_approx"] = f"{float(q):.{digits}g}"
         return out
     if isinstance(obj, list):
         return [_approximate(v, digits) for v in obj]
@@ -511,6 +520,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_digits(args)
         payload, code = args.fn(args)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)

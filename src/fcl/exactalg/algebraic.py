@@ -6,7 +6,8 @@ root; its endpoints are ints over one power-of-two multiple of the bound's
 denominator, signed in integers.  Rational roots are found apart from it, by p-adic lifting
 (`_rational_roots`), and each one collapses the interval that holds it to
 a point.  The sign of a polynomial at an irrational number is one Tarski
-query on the isolating interval as it stands (`AlgebraicReal.sign_of`).
+query on the isolating interval as it stands (`AlgebraicReal.sign_of`),
+or none for a constant or a linear polynomial whose root is not inside it.
 
 Refinement, for the callers that need narrower intervals (`refined_to`,
 comparisons, `separate`), is one bisection step, `_bisect`, on the
@@ -19,9 +20,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .bipoly import BiPoly, subresultant_table
+from .bipoly import BiPoly, lower_subresultants
 from .poly import Poly, Rat, _exact_div, _monic, as_rat, poly_gcd
-from .sturm import (cauchy_bound, count_distinct_real_roots, pmv, sturm_chain,
+from .sturm import (cauchy_bound, count_distinct_real_roots, sturm_chain,
                     _remainder_chain, _sign_at, _sign_hom, _variations_at, _variations_hom)
 
 
@@ -146,14 +147,21 @@ class AlgebraicReal:
     def sign_of(self, p: Poly) -> int:
         """Exact sign of p at this number, without refinement.
 
-        On a proper interval, where the number is the only root of
-        P = defining in (lo, hi) and P(lo) P(hi) != 0, it is the Tarski query
+        A rational number is substituted.  An irrational one lies inside
+        (lo, hi), where a constant p, or a linear p whose root is not
+        inside (lo, hi), has one sign, the sign it has at lo or hi.  Every
+        other p, where the number is the only root of P = defining in
+        (lo, hi) and P(lo) P(hi) != 0, gets the Tarski query
         Var(lo) - Var(hi) of the chain P, P' p, -rem(P, P' p), ... (Basu,
         Pollack and Roy, Algorithms in Real Algebraic Geometry, ch. 2).
         """
         q = p.int_coeffs()[0]
-        if self.lo == self.hi or not q:
+        if self.lo == self.hi or len(q) < 2:
             return _sign_at(q, self.lo)
+        if len(q) == 2:
+            slo, shi = _sign_at(q, self.lo), _sign_at(q, self.hi)
+            if slo * shi >= 0:  # the root of q is not inside (lo, hi)
+                return slo or shi
         a = self._ints
         b = [0] * (len(a) + len(q) - 2)
         for i, c in enumerate(a[1:], 1):
@@ -356,24 +364,34 @@ def isolate_real_roots(p: Poly):
 def is_real_rooted_at(wcoeffs, t0: AlgebraicReal) -> bool:
     """Whether sum_i c_i(t0) w^i has only real roots, for c_i in Q[t].
 
-    Leading coefficients that vanish at t0 are dropped first (is_root_of),
-    so the rest, x of degree p in w, keeps its degree at t0.  The signed
-    principal subresultant coefficients s_p, ..., s_0 of x and its
-    w-derivative are interpolated once as polynomials in t
-    (`subresultant_table`), and their signs at t0 come from sign_of, so the
-    answer is exact.  x(t0) has PmV(signs) distinct real roots and
-    p - d distinct complex ones, d being the smallest j with s_j(t0) != 0,
-    i.e. deg gcd(x, x') at t0; it is real-rooted iff the two agree (Basu,
-    Pollack and Roy, Algorithms in Real Algebraic Geometry, ch. 4 and 9).
+    Leading coefficients that vanish at t0 are dropped first, so the rest,
+    x of degree p in w, keeps its degree at t0; `top` is the sign of lc(x)
+    there.  x(t0) has PmV(s_p, ..., s_0) distinct real roots and p - d
+    distinct complex ones, s_j being the signed principal subresultant
+    coefficients of x and its w-derivative at t0 and d the smallest j with
+    s_j != 0, i.e. deg gcd(x, x') at t0 (Basu, Pollack and Roy, Algorithms
+    in Real Algebraic Geometry, ch. 4 and 9).  Each consecutive nonzero
+    pair adds at most 1 to PmV, and 1 only at distance 1 with equal signs,
+    so PmV = p - d iff s_p, ..., s_d are all nonzero with one sign.
+    s_p = lc(x) and s_{p-1} = p lc(x) share the sign `top`; the rest are
+    scanned from s_{p-2} down, each interpolated in t
+    (`lower_subresultants`) and signed exactly at t0 (`sign_of`) only when
+    reached.  The other sign answers No; a zero answers whether every
+    entry below it is zero too; the end of the table answers Yes.
     """
     cs = list(wcoeffs)
-    while cs and t0.is_root_of(cs[-1]):
+    while cs:
+        top = t0.sign_of(cs[-1])
+        if top:
+            break
         cs.pop()
-    if not cs:
+    else:
         raise ValueError("polynomial vanishes at t0")
-    p = len(cs) - 1
-    if p == 0:
-        return True
-    signs = [t0.sign_of(s) for s in subresultant_table(BiPoly(cs))]
-    d = next(j for j, s in enumerate(signs) if s)
-    return pmv(signs) == p - d
+    entries = lower_subresultants(BiPoly(cs))
+    for s in entries:
+        sign = t0.sign_of(s)
+        if sign == -top:
+            return False
+        if sign == 0:
+            return all(t0.sign_of(r) == 0 for r in entries)
+    return True

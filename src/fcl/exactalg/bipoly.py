@@ -10,12 +10,14 @@ not vanish; at each node a subresultant PRS of the two integer polynomials
 interpolation (degree bound from the determinant sizes) sums the weighted
 basis numerators as ints over one common denominator, which absorbs the
 power of d, and normalises once, so each result is exact.
-`resultant_w` interpolates the resultant; `subresultant_table`
-interpolates every signed principal subresultant coefficient of x and
-its w-derivative.  Both are determinants of *generic-degree* matrices, so
-parameter values where leading coefficients collapse may contribute
-spurious factors; callers strip those (see the spectra eliminant
-cleaning) or avoid such values (`algebraic.is_real_rooted_at`).
+`resultant_w` interpolates the resultant.  `lower_subresultants` yields
+the signed principal subresultant coefficients of x and its w-derivative
+below the top two, lc(x) and p lc(x), each interpolated only when it is
+read; `subresultant_table` lists them all.  Both are determinants of
+*generic-degree* matrices, so parameter values where leading
+coefficients collapse may contribute spurious factors; callers strip
+those (see the spectra eliminant cleaning) or avoid such values
+(`algebraic.is_real_rooted_at`).
 """
 from __future__ import annotations
 
@@ -241,20 +243,22 @@ def resultant_w(a: BiPoly, b: BiPoly) -> Poly:
     return _interpolator(nodes)(values, da ** m * db ** n)
 
 
-def subresultant_table(x: BiPoly):
-    """[s_0, ..., s_p]: the signed principal subresultant coefficients of x
-    and its w-derivative as polynomials in the parameter, p = deg_w x >= 1.
+def lower_subresultants(x: BiPoly):
+    """s_{p-2}, ..., s_0 in that order: the signed principal subresultant
+    coefficients of x and its w-derivative below the top two, as
+    polynomials in the parameter, p = deg_w x; nothing when p < 2.
 
     s_j is the determinant of `poly._signed_subresultants` built from the
-    coefficients of x and x' (so s_p = lc(x)); it has 2p - 1 - 2j rows, so
-    degree at most (2p - 1 - 2j) deg_t x.  At a parameter value where
-    lc(x) does not vanish the s_j specialise: there the specialisation of
-    x has PmV(s_p, ..., s_0) distinct real roots (Basu, Pollack and Roy,
-    ch. 4 and 9), and deg gcd(x, x') is the smallest j with s_j != 0.
+    coefficients of x and x'; it has 2p - 1 - 2j rows, so degree at most
+    (2p - 1 - 2j) deg_t x.  The subresultant PRS runs once at every node;
+    each s_j is interpolated only when the generator reaches it, so a
+    caller that stops early skips the entries of highest degree.  The top
+    two need no interpolation: s_p = lc(x) and s_{p-1} = p lc(x), the
+    leading coefficient of x'.
     """
     p = x.degree_w
-    if p < 1:
-        raise ValueError("need a polynomial of positive degree in w")
+    if p < 2:
+        return
     d, xi = _int_wcoeffs(x)
     nodes = _nodes((2 * p - 1) * max(x.max_param_degree(), 0) + 1, xi[-1])
     rows = []
@@ -262,7 +266,24 @@ def subresultant_table(x: BiPoly):
         a = [_eval_int(c, t) for c in xi]
         rows.append(_signed_subresultants(a, [i * c for i, c in enumerate(a)][1:]))
     interpolate = _interpolator(nodes)
-    # d x has rows scaled by d: s_j(d x) = d^(2p - 1 - 2j) s_j(x), s_p(d x) = d s_p(x)
-    table = [interpolate([r[j] for r in rows], d ** (2 * p - 1 - 2 * j)) for j in range(p)]
-    table.append(interpolate([r[p] for r in rows], d))
-    return table
+    # d x has rows scaled by d: s_j(d x) = d^(2p - 1 - 2j) s_j(x)
+    for j in range(p - 2, -1, -1):
+        yield interpolate([r[j] for r in rows], d ** (2 * p - 1 - 2 * j))
+
+
+def subresultant_table(x: BiPoly):
+    """[s_0, ..., s_p]: every signed principal subresultant coefficient of x
+    and its w-derivative as a polynomial in the parameter, p = deg_w x >= 1.
+
+    s_p = lc(x), s_{p-1} = p lc(x) and the rest come from
+    `lower_subresultants`.  At a parameter value where lc(x) does not
+    vanish the s_j specialise: there the specialisation of x has
+    PmV(s_p, ..., s_0) distinct real roots (Basu, Pollack and Roy, ch. 4
+    and 9), and deg gcd(x, x') is the smallest j with s_j != 0.  So it is
+    real-rooted iff s_p, ..., s_d are all nonzero with one sign, d being
+    that smallest j (`algebraic.is_real_rooted_at`).
+    """
+    if x.degree_w < 1:
+        raise ValueError("need a polynomial of positive degree in w")
+    lc = x.lc_poly
+    return [*reversed(list(lower_subresultants(x))), x.degree_w * lc, lc]

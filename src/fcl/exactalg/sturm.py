@@ -98,24 +98,6 @@ def sign_variations(signs) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
-def pmv(signs) -> int:
-    """Permanences minus variations of a sign list s_0, ..., s_p (s_p != 0).
-
-    Consecutive nonzero entries s_i, s_j at an odd distance k = j - i add
-    eps_k s_i s_j, eps_k = (-1)^(k(k-1)/2); at an even distance they add
-    nothing (Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry,
-    ch. 4).  Applied to the signed subresultant coefficients of p and p'
-    it counts the distinct real roots of p.
-    """
-    nz = [(j, s) for j, s in enumerate(signs) if s]
-    total = 0
-    for (i, a), (j, b) in zip(nz, nz[1:]):
-        k = j - i
-        if k % 2:
-            total += a * b if k % 4 == 1 else -a * b
-    return total
-
-
 def _variations_at(chain, x) -> int:
     return sign_variations([_sign_at(p, x) for p in chain])
 

@@ -17,11 +17,15 @@ with parameter values where the moving part drops degree by at least two.
 Every rr0 verdict on the flow is read off the same split: for t != 0 the
 free power has chi = g * (A + tB), real-rooted iff g is (tested once) and
 the moving part at t is.  A rational t is substituted.  At an irrational
-t0 the signed principal subresultant coefficients of the moving part and
-its w-derivative, interpolated in t, are signed at t0; their permanences
-minus variations count the distinct real roots, and the first nonzero one
-gives the degree of the gcd.  At t = 0 the free power is delta_0, whose
-chi is 1, not chi_t(0) = P^2: the verdict there is Yes.
+t0 the moving part x, of degree p in w at t0, is real-rooted iff its
+signed principal subresultant coefficients s_p, ..., s_d with its
+w-derivative are all nonzero at t0 with one sign, d being the smallest j
+with s_j(t0) != 0 (their permanences minus variations then reach p - d).
+s_p = lc(x) and s_{p-1} = p lc(x) share one sign, so a scan from s_{p-2}
+down, each entry interpolated in t and signed at t0 only when reached,
+stops at the first entry of the other sign or at the first zero.  At
+t = 0 the free power is delta_0, whose chi is 1, not chi_t(0) = P^2: the
+verdict there is Yes.
 """
 from __future__ import annotations
 
@@ -234,9 +238,12 @@ def rr0_at_algebraic_t(f: ClassF, t0) -> Verdict:
     """Real-rootedness of chi_{t0} for an exact algebraic t0, decided exactly.
 
     chi_{t0} = g * (A + t0 B) for t0 != 0: g is tested over Q, the moving
-    part by substitution at a rational t0 and otherwise by the signs at t0
-    of its signed subresultant coefficients (exactalg.is_real_rooted_at).
-    t0 = 0 is Yes: the zero free power is delta_0, whose chi is 1.
+    part by substitution at a rational t0 and otherwise by a top-down scan
+    of the signs at t0 of its signed subresultant coefficients
+    (exactalg.is_real_rooted_at): s_p = lc and s_{p-1} = p lc give the
+    sign the rest must keep, down to the first zero, below which every
+    entry must vanish.  t0 = 0 is Yes: the zero free power is delta_0,
+    whose chi is 1.
     """
     g, xh = moving_part(char_poly_t(f))
     return _flow_verdict(is_real_rooted(g), xh, t0)

@@ -7,7 +7,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_poly, rand_rat
-from fcl.errors import NotSquarefree
+from fcl.classf import make_classf
+from fcl.errors import NotInClass, NotSquarefree
+from fcl.euler import nk_classf
 from fcl.exactalg import (NEG_INF, POS_INF, AlgebraicReal, BiPoly, Iv, Poly,
                           cauchy_bound, count_distinct_real_roots, hankel_det,
                           is_real_rooted, is_real_rooted_at, is_squarefree,
@@ -18,7 +20,8 @@ from fcl.exactalg import algebraic
 from fcl.exactalg.algebraic import _rational_roots
 from fcl.exactalg.bipoly import subresultant_table
 from fcl.exactalg.poly import _signed_subresultants, bareiss_det_int
-from fcl.exactalg.sturm import _sign_at, _variations_at, pmv
+from fcl.exactalg.sturm import _sign_at, _variations_at
+from fcl.spectra import char_poly_t, critical_ts, moving_part
 
 w = Poly.x()
 
@@ -281,6 +284,24 @@ def test_signed_subresultants_match_determinants():
     assert gaps > 0  # some runs went through defective subresultants
 
 
+def pmv(signs) -> int:
+    """Permanences minus variations of a sign list s_0, ..., s_p (s_p != 0).
+
+    Consecutive nonzero entries s_i, s_j at an odd distance k = j - i add
+    eps_k s_i s_j, eps_k = (-1)^(k(k-1)/2); at an even distance they add
+    nothing (Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry,
+    ch. 4).  Applied to the signed subresultant coefficients of p and p'
+    it counts the distinct real roots of p.
+    """
+    nz = [(j, s) for j, s in enumerate(signs) if s]
+    total = 0
+    for (i, a), (j, b) in zip(nz, nz[1:]):
+        k = j - i
+        if k % 2:
+            total += a * b if k % 4 == 1 else -a * b
+    return total
+
+
 def test_pmv_examples():
     assert pmv([1, 1, 1]) == 2 and pmv([-1, 1, 1]) == 0
     # zeros: an odd gap k = 3 adds eps_3 = -1 times the sign product,
@@ -507,6 +528,21 @@ def test_isolation_and_signs_do_not_refine(monkeypatch):
     # roots -sqrt(2) < 1/3 < 1.3247 (the real root of w^3 - w - 1) < sqrt(2)
     assert signs == [[0, -1, -1, 0], [-1, 0, 1, 1], [-1, -1, 0, 1], [-1, 1, 1, 1]]
 
+    def no_chain(*args):
+        raise AssertionError("built a remainder chain")
+
+    # a constant, and a linear q whose root is not inside (lo, hi), are
+    # signed by position, with no Tarski query
+    monkeypatch.setattr(algebraic, "_remainder_chain", no_chain)
+    for r in roots:
+        assert [r.sign_of(Poly.const(c)) for c in (-5, 0, F(2, 3))] == [-1, 0, 1]
+        below, above = r.lo - F(1, 7), r.hi + 1
+        assert r.sign_of(w - below) == 1 and r.sign_of(3 * w - 3 * above) == -1
+        assert r.sign_of(below - w) == -1
+        # a root at an end of a proper interval is outside the number's (lo, hi)
+        proper = 1 if r.lo < r.hi else 0
+        assert r.sign_of(w - r.lo) == r.sign_of(r.hi - w) == proper
+
 
 def test_is_real_rooted_at_splits_modulus():
     # t0 = sqrt(2) and sqrt(3) share the reducible defining (t^2-2)(t^2-3);
@@ -523,6 +559,127 @@ def test_is_real_rooted_at_splits_modulus():
     q = [Poly([1]), Poly([0, 1]), Poly([-2, 0, 1])]
     assert is_real_rooted_at(q, sqrt2)
     assert not is_real_rooted_at(q, sqrt3)
+
+
+def _full_table_rule(wcoeffs, t0: AlgebraicReal) -> bool:
+    """Real-rootedness at t0 by the rule on the whole table: after the
+    leading coefficients that vanish at t0 are dropped, x of degree p is
+    real-rooted iff PmV(s_p, ..., s_0) = p - d, d the smallest j with
+    s_j(t0) != 0."""
+    cs = list(wcoeffs)
+    while t0.is_root_of(cs[-1]):
+        cs.pop()
+    p = len(cs) - 1
+    if p < 1:
+        return True
+    signs = [t0.sign_of(s) for s in subresultant_table(BiPoly(cs))]
+    d = next(j for j, s in enumerate(signs) if s)
+    return pmv(signs) == p - d
+
+
+def _sympy_number(sympy, a: AlgebraicReal):
+    """a as a sympy number: the root of a.defining of the same rank."""
+    k = next(i for i, r in enumerate(isolate_real_roots(a.defining)) if r == a)
+    return _sympy_poly(sympy, a.defining).real_roots(multiple=False)[k][0]
+
+
+def _sympy_real_rooted_at(sympy, wcoeffs, x) -> bool:
+    """Whether sum_i c_i(x) w^i has only real roots, for a real algebraic
+    sympy number x: over Q(x) it is divided by its gcd with its derivative,
+    and the squarefree quotient has every root real, to 50 digits."""
+    field = sympy.QQ.algebraic_field(x)
+    gen = field.from_sympy(x)
+    vals = []
+    for c in reversed(wcoeffs):
+        v = field.zero
+        for q in reversed(c.coeffs):
+            v = v * gen + field.convert(sympy.Rational(q.numerator, q.denominator))
+        vals.append(v)
+    sw = sympy.Symbol("w")
+    p = sympy.Poly.from_list(vals, sw, domain=field)
+    if p.degree() < 1:
+        return True
+    s = sympy.quo(p, sympy.gcd(p, p.diff(sw)))
+    approx = sympy.Poly([sympy.N(field.to_sympy(c), 60) for c in s.rep.to_list()], sw)
+    return all(abs(sympy.im(z)) < 1e-30 for z in approx.nroots(n=50, maxsteps=200))
+
+
+def _rand_member3(rng):
+    """A class member with deg P = deg Q = 3."""
+    while True:
+        p, q = (Poly([1, rand_rat(rng), rand_rat(rng), rand_rat(rng, nonzero=True)])
+                for _ in range(2))
+        try:
+            return make_classf(p, q)
+        except NotInClass:
+            continue
+
+
+def _oracle_cases(rng):
+    """(pencil, t0): random integer pencils linear in t, deg_w 2-6, at
+    irrational roots of random t-polynomials (some reducible) and of their
+    own s_0 and s_1, so that zero entries occur; and the moving parts of
+    random degree-3 members at their irrational criticals in (0, 10)."""
+    cases = []
+    for _ in range(6):
+        p = rng.randint(2, 6)
+        while True:
+            x = BiPoly([Poly([rng.randint(-4, 4), rng.randint(-4, 4)]) for _ in range(p + 1)])
+            if x.degree_w == p:
+                break
+        ms = [Poly([rng.randint(-6, 6) for _ in range(rng.randint(2, 4))] + [1])
+              for _ in range(2)]
+        table = subresultant_table(x)
+        for m in (ms[0], ms[0] * ms[1], table[0], table[1]):
+            if m.degree > 0:
+                ts = [r for r in isolate_real_roots(m) if not r.is_rational()]
+                cases += [(x.wcoeffs, t0) for t0 in rng.sample(ts, min(2, len(ts)))]
+    crits = 0
+    while crits < 6:
+        f = _rand_member3(rng)
+        _, xh = moving_part(char_poly_t(f))
+        for c in critical_ts(f, 0, 10).criticals:
+            if not c.is_rational():
+                cases.append((xh.wcoeffs, c))
+                crits += 1
+    return cases
+
+
+def test_is_real_rooted_at_matches_the_full_table(rng):
+    verdicts = set()
+    for wcoeffs, t0 in _oracle_cases(rng):
+        got = is_real_rooted_at(wcoeffs, t0)
+        assert got == _full_table_rule(wcoeffs, t0)
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_is_real_rooted_at_matches_sympy(rng):
+    sympy = pytest.importorskip("sympy")
+    for wcoeffs, t0 in _oracle_cases(rng):
+        x = _sympy_number(sympy, t0)
+        assert is_real_rooted_at(wcoeffs, t0) == _sympy_real_rooted_at(sympy, wcoeffs, x)
+
+
+def test_is_real_rooted_at_stops_at_the_first_other_sign(monkeypatch):
+    # nk_classf(6): a moving part of degree 8 in w, criticals near 0.88,
+    # 5.62 and 26.19 in (0, 2000); the first is No, the last Yes
+    f = nk_classf(6)
+    _, xh = moving_part(char_poly_t(f))
+    no, _, yes = critical_ts(f, 0, 2000).criticals
+    p = xh.degree_w
+    signed = []
+    sign_of = AlgebraicReal.sign_of
+    monkeypatch.setattr(AlgebraicReal, "sign_of",
+                        lambda self, q: signed.append(q) or sign_of(self, q))
+    assert not is_real_rooted_at(xh.wcoeffs, no)
+    # the full table would sign all p + 1 entries
+    assert 0 < len(signed) < p + 1
+    signed.clear()
+    assert is_real_rooted_at(xh.wcoeffs, yes)
+    assert len(signed) == p  # lc(x), then s_{p-2}, ..., s_0
+    monkeypatch.undo()
+    assert not _full_table_rule(xh.wcoeffs, no) and _full_table_rule(xh.wcoeffs, yes)
 
 
 # ------------------------------------------------ refinement sympy oracle

@@ -15,7 +15,7 @@ def _run(*args):
                           text=True, cwd=_ROOT, timeout=300, check=False)
 
 
-@pytest.mark.parametrize("workload", ["flow_scan", "moment_hankel"])
+@pytest.mark.parametrize("workload", ["flow_scan", "algebraic_rr0", "moment_hankel"])
 def test_one_hash_per_seed_and_repeatable(workload):
     res = _run(workload, "4", "4", "5", "--scale", "0.05", "--root", str(_ROOT))
     assert res.returncode == 0, res.stderr

@@ -316,6 +316,19 @@ def test_cli_euler_ck_names_the_option(capsys, ck, shown):
     assert err == f"error: --ck must be > 0, got {shown}\n"
 
 
+@pytest.mark.parametrize("option", ["--approx", "--precision"])
+def test_cli_negative_digits_name_the_option(capsys, option):
+    argv = ("criticals", "w*(1+w)^2", "--range", "0:10", "--json")
+    code, out, err = run_cli(capsys, *argv, f"{option}=-1")
+    assert code == 1 and out == ""
+    assert err == f"error: {option} must be >= 0, got -1\n"
+    code, out, _ = run_cli(capsys, *argv, f"{option}=0")
+    assert code == 0
+    critical = json.loads(out)["criticals"][0]
+    assert critical["value"] == "1"
+    assert ("value_approx" in critical) == (option == "--approx")
+
+
 def test_cli_ops_and_json(capsys):
     code, out, _ = run_cli(capsys, "power", "w*(1-w^2)", "2", "--json")
     assert code == 0
