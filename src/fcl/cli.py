@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -61,10 +62,9 @@ def _alg_payload(a, digits: int) -> dict:
     q = a.as_fraction()
     if q is not None:
         return {"value": rat_str(q)}
-    d = max(digits, 12)
-    r = a.refined_to(Fraction(1, 10 ** d))
+    scale = 10 ** digits
+    r = a.refined_to(Fraction(1, scale))
     # outward-rounded endpoints with tame denominators keep the enclosure
-    scale = 10 ** d
     lo = Fraction((r.lo * scale).__floor__(), scale)
     hi = Fraction((r.hi * scale).__ceil__(), scale)
     ints, _ = r.defining.int_coeffs()
@@ -367,11 +367,8 @@ def _cmd_region(args):
 
 def _config_of(args):
     from .config import load_config
-    return load_config({
-        "fixtures": getattr(args, "fixtures", None),
-        "network": getattr(args, "network", None),
-        "config": getattr(args, "config", None),
-    })
+    return load_config({"fixtures": args.fixtures, "network": args.network,
+                        "config": args.config})
 
 
 # ----------------------------------------------------------------------
@@ -403,9 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="add decimal approximations with this many digits")
     common.add_argument("--precision", type=int, default=50,
                         help="digits of printed isolating intervals")
-    common.add_argument("--fixtures", default=None, help="extra fixture/cache directory")
-    common.add_argument("--network", choices=["on", "off"], default=None)
-    common.add_argument("--config", default=None, help="config file path")
+
+    oeis_cfg = argparse.ArgumentParser(add_help=False)
+    oeis_cfg.add_argument("--fixtures", default=None, help="extra fixture/cache directory")
+    oeis_cfg.add_argument("--network", choices=["on", "off"], default=None)
+    oeis_cfg.add_argument("--config", default=None, help="config file path")
 
     fexpr = argparse.ArgumentParser(add_help=False)
     fexpr.add_argument("expr", help="rational expression in w")
@@ -457,10 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
     s = add("monotone", _cmd_monotone)
     s.add_argument("kind", choices=list(_MONOTONE_ARITY))
     s.add_argument("params", nargs="+")
-    s = add("oeis-match", _cmd_oeis_match, [fexpr])
+    s = add("oeis-match", _cmd_oeis_match, [fexpr, oeis_cfg])
     s.add_argument("--order", type=int, default=12)
     s.add_argument("--min-overlap", type=int, default=6)
-    s = add("oeis-fetch", _cmd_oeis_fetch)
+    s = add("oeis-fetch", _cmd_oeis_fetch, [oeis_cfg])
     s.add_argument("a_number")
     s = add("region", _cmd_region)
     s.add_argument("kind", choices=["cg", "lb", "deg3"])
@@ -529,15 +528,22 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     csv_text = payload.pop("_csv", None)
-    if args.csv and csv_text is not None:
-        sys.stdout.write(csv_text)
-    else:
-        if args.approx is not None:
-            payload = _approximate(payload, args.approx)
-        if args.json:
-            print(json.dumps(payload, indent=1))
+    try:
+        if args.csv and csv_text is not None:
+            sys.stdout.write(csv_text)
         else:
-            print(_render_text(payload))
+            if args.approx is not None:
+                payload = _approximate(payload, args.approx)
+            if args.json:
+                print(json.dumps(payload, indent=1))
+            else:
+                print(_render_text(payload))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: what is left of stdout, and the flush at
+        # exit, go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

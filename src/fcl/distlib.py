@@ -247,7 +247,7 @@ def _in_quad_field(x, d) -> "_QuadExt":
 
 
 class _QuadExt:
-    """p + q*sqrt(d) with rational p, q and fixed positive non-square d."""
+    """p + q*sqrt(d) with rational p, q and fixed positive d; q = 0 when d is a square."""
 
     __slots__ = ("p", "q", "d")
 
@@ -314,16 +314,16 @@ def _sqrt_rat(x: Rat):
 
 
 def _quad_roots(s_sum: Rat, s_prod: Rat):
-    """Roots of x^2 - s_sum*x + s_prod, ascending; None if complex/equal."""
+    """(lo, hi, disc): the roots of x^2 - s_sum*x + s_prod, ascending, as
+    _QuadExt over disc, the discriminant (q = 0 when disc is a square);
+    None if complex/equal."""
     disc = s_sum**2 - 4 * s_prod
     if disc <= 0:
         return None
     sq = _sqrt_rat(disc)
-    if sq is not None:
-        return ((s_sum - sq) / 2, (s_sum + sq) / 2, disc, True)
-    lo = _QuadExt(s_sum / 2, Fraction(-1, 2), disc)
-    hi = _QuadExt(s_sum / 2, Fraction(1, 2), disc)
-    return (lo, hi, disc, False)
+    half_root = _QuadExt(0, Fraction(1, 2), disc) if sq is None else _QuadExt(sq / 2, 0, disc)
+    centre = _QuadExt(s_sum / 2, 0, disc)
+    return centre - half_root, centre + half_root, disc
 
 
 # ----------------------------------------------------------------------
@@ -365,19 +365,13 @@ def _monot_wmp(t, v, s) -> dict:
     if roots is None:
         raise DecompositionNotReal(
             "the semicircle-into-MP decomposition needs v^2 > 4t")
-    v1, v2, disc, rational = roots
-    if rational:
-        c1 = s * v**2 / (v1 * (v1 - v2))
-        c2 = s * v**2 / (v2 * (v2 - v1))
-        atoms = [Atom("dirac", (s * v,)), Atom("wigner", (t,)),
-                 Atom("mp", (v1, c1)), Atom("mp", (v2, c2))]
-    else:
-        sv2 = _QuadExt(s * v**2, 0, disc)
-        c1 = sv2 / (v1 * (v1 - v2))
-        c2 = sv2 / (v2 * (v2 - v1))
-        atoms = [Atom("dirac", (s * v,)), Atom("wigner", (t,)),
-                 Atom("mp", (v1.to_number(), c1.to_number())),
-                 Atom("mp", (v2.to_number(), c2.to_number()))]
+    v1, v2, disc = roots
+    sv2 = _QuadExt(s * v**2, 0, disc)
+    c1 = sv2 / (v1 * (v1 - v2))
+    c2 = sv2 / (v2 * (v2 - v1))
+    atoms = [Atom("dirac", (s * v,)), Atom("wigner", (t,)),
+             Atom("mp", (v1.to_number(), c1.to_number())),
+             Atom("mp", (v2.to_number(), c2.to_number()))]
     rec["decomposition"] = atoms
     rec["identity_check"] = check_r_identity(atoms, f)
     return rec
@@ -416,21 +410,15 @@ def _monot_mpmp(u, s, v, t) -> dict:
     if roots is None:
         raise DecompositionNotReal(
             "the MP-into-MP decomposition needs (u - su + v)^2 > 4uv")
-    um, up, disc, rational = roots
+    um, up, disc = roots
     p_part = t * (1 - s) / 2
     num = t * ((1 - s) ** 2 * u - (1 + s) * v)
-    if rational:
-        sq = _sqrt_rat(disc)
-        am = p_part + num / (2 * sq)
-        ap = p_part - num / (2 * sq)
-        atoms = [Atom("mp", (u, s)), Atom("mp", (um, am)), Atom("mp", (up, ap))]
-    else:
-        half_ratio = _QuadExt(0, Fraction(num, 1) / (2 * disc), disc)  # num/(2 sqrt)
-        am = _QuadExt(p_part, 0, disc) + half_ratio
-        ap = _QuadExt(p_part, 0, disc) - half_ratio
-        atoms = [Atom("mp", (u, s)),
-                 Atom("mp", (um.to_number(), am.to_number())),
-                 Atom("mp", (up.to_number(), ap.to_number()))]
+    half_ratio = _QuadExt(num / 2, 0, disc) / (up - um)  # num/(2 sqrt(disc))
+    am = _QuadExt(p_part, 0, disc) + half_ratio
+    ap = _QuadExt(p_part, 0, disc) - half_ratio
+    atoms = [Atom("mp", (u, s)),
+             Atom("mp", (um.to_number(), am.to_number())),
+             Atom("mp", (up.to_number(), ap.to_number()))]
     rec["decomposition"] = atoms
     rec["identity_check"] = check_r_identity(atoms, f)
     return rec

@@ -5,14 +5,20 @@ bisection inside a Cauchy bound that stops as soon as an interval holds one
 root; its endpoints are ints over one power-of-two multiple of the bound's
 denominator, signed in integers.  Rational roots are found apart from it, by p-adic lifting
 (`_rational_roots`), and each one collapses the interval that holds it to
-a point.  The sign of a polynomial at an irrational number is one Tarski
-query on the isolating interval as it stands (`AlgebraicReal.sign_of`),
-or none for a constant or a linear polynomial whose root is not inside it.
+a point.
 
-Refinement, for the callers that need narrower intervals (`refined_to`,
-comparisons, `separate`), is one bisection step, `_bisect`, on the
-primitive integer form of the defining polynomial: a single integer sign at
-the midpoint against the stored sign at lo.  Refinement is pure: methods
+Every exact predicate is decided by `AlgebraicReal.sign_of`: the sign of a
+polynomial at an irrational number is one Tarski query on the isolating
+interval as it stands, or none for a constant or a linear polynomial whose
+root is not inside it.  `is_root_of` is sign_of(p) == 0, `compare_rational`
+is sign_of(x - q) when q is inside the interval, and two irrationals are
+equal when one is a root of the other's defining polynomial inside the
+other's interval.
+
+Bisection only refines, for the callers that need narrower intervals
+(`refined_to`, `refine_inside`, `separate`): one step, `_bisect`, on the
+primitive integer form of the defining polynomial is a single integer sign
+at the midpoint against the stored sign at lo.  Refinement is pure: methods
 return new numbers with narrower intervals, the original is never mutated.
 """
 from __future__ import annotations
@@ -21,7 +27,7 @@ import math
 from fractions import Fraction
 
 from .bipoly import BiPoly, lower_subresultants
-from .poly import Poly, Rat, _exact_div, _monic, as_rat, poly_gcd
+from .poly import Poly, Rat, _exact_div, _monic, as_rat
 from .sturm import (cauchy_bound, count_distinct_real_roots, sturm_chain,
                     _remainder_chain, _sign_at, _sign_hom, _variations_at, _variations_hom)
 
@@ -127,22 +133,9 @@ class AlgebraicReal:
 
     # -- exact predicates --------------------------------------------------
 
-    def equals_rational(self, q) -> bool:
-        q = as_rat(q)
-        return self.lo <= q <= self.hi and _sign_at(self._ints, q) == 0
-
     def is_root_of(self, p: Poly) -> bool:
         """Exact test whether p vanishes at this number."""
-        if p.is_zero():
-            return True
-        if self.is_rational():
-            return p(self.lo) == 0
-        g = poly_gcd(self.defining, p)
-        if g.is_constant():
-            return False
-        # all roots of g are roots of defining; the only root of defining in
-        # our interval is this number, so g has a root here iff it is ours
-        return count_distinct_real_roots(g, self.lo, self.hi) == 1
+        return self.sign_of(p) == 0
 
     def sign_of(self, p: Poly) -> int:
         """Exact sign of p at this number, without refinement.
@@ -171,40 +164,31 @@ class AlgebraicReal:
         return _variations_at(chain, self.lo) - _variations_at(chain, self.hi)
 
     def compare_rational(self, q) -> int:
+        """The sign of self - q: read off the interval when q is outside
+        it, else sign_of(x - q)."""
         q = as_rat(q)
-        if self.equals_rational(q):
-            return 0
-        lo, hi = self.lo, self.hi
-        while lo <= q <= hi:
-            lo, hi = _bisect(self._ints, self._slo, lo, hi)
-        return -1 if hi < q else 1
+        if q < self.lo:
+            return 1
+        if q > self.hi:
+            return -1
+        return self.sign_of(Poly([-q, 1]))
 
     def __lt__(self, other):
-        if isinstance(other, AlgebraicReal):
-            return _compare(self, other) < 0
-        return self.compare_rational(other) < 0
+        return _compare(self, other) < 0
 
     def __le__(self, other):
-        if isinstance(other, AlgebraicReal):
-            return _compare(self, other) <= 0
-        return self.compare_rational(other) <= 0
+        return _compare(self, other) <= 0
 
     def __gt__(self, other):
-        if isinstance(other, AlgebraicReal):
-            return _compare(self, other) > 0
-        return self.compare_rational(other) > 0
+        return _compare(self, other) > 0
 
     def __ge__(self, other):
-        if isinstance(other, AlgebraicReal):
-            return _compare(self, other) >= 0
-        return self.compare_rational(other) >= 0
+        return _compare(self, other) >= 0
 
     def __eq__(self, other):
-        if isinstance(other, AlgebraicReal):
-            return _compare(self, other) == 0
-        if isinstance(other, (int, Fraction)):
-            return self.equals_rational(other)
-        return NotImplemented
+        if not isinstance(other, (AlgebraicReal, int, Fraction)):
+            return NotImplemented
+        return _compare(self, other) == 0
 
     def __hash__(self):
         raise TypeError("AlgebraicReal is unhashable (use as_fraction for rationals)")
@@ -218,22 +202,19 @@ def _from_parts(defining, ints, slo, lo, hi) -> AlgebraicReal:
     return a
 
 
-def _compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
+def _compare(a: AlgebraicReal, b) -> int:
+    """The sign of a - b, for b an AlgebraicReal or a rational."""
+    if not isinstance(b, AlgebraicReal):
+        return a.compare_rational(b)
     if b.is_rational():
         return a.compare_rational(b.lo)
     if a.is_rational():
         return -b.compare_rational(a.lo)
-    # Equality: each isolating interval contains exactly one root of the
-    # respective defining polynomial, hence at most one root of
-    # g = gcd(defining_a, defining_b), and when a (resp. b) is a root of g
-    # that g-root *is* a (resp. b).  So a == b iff the intersection of the
-    # intervals contains a root of g.
-    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
-    if lo <= hi:
-        g = poly_gcd(a.defining, b.defining)
-        if not g.is_constant() and a.is_root_of(g) and b.is_root_of(g):
-            if g(lo) == 0 or (lo < hi and count_distinct_real_roots(g, lo, hi) >= 1):
-                return 0
+    # a is the only root of a.defining in (a.lo, a.hi), so b == a iff b is
+    # a root of a.defining inside that interval
+    if (max(a.lo, b.lo) < min(a.hi, b.hi) and b.sign_of(a.defining) == 0
+            and b.compare_rational(a.lo) > 0 and b.compare_rational(a.hi) < 0):
+        return 0
     a, b = a.separate(b)
     return -1 if a.hi < b.lo else 1
 

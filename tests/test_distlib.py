@@ -415,8 +415,8 @@ def test_check_r_identity_rejects_wrong_sqrt_weight():
     t, v, s = F(1), F(3), F(2)
     rec = monotone_family("wmp", t=t, v=v, s=s)
     # positions (v -+ sqrt(d))/2 with d = v^2 - 4t, weights s v^2/(v_i (v_i - v_j))
-    v1, v2, d, rational = _quad_roots(v, t)
-    assert not rational and d == 5
+    v1, v2, d = _quad_roots(v, t)
+    assert v1.q != 0 and d == 5
     sv2 = _QuadExt(s * v**2, 0, d)
     c1, c2 = sv2 / (v1 * (v1 - v2)), sv2 / (v2 * (v2 - v1))
     head = rec["decomposition"][:2]
@@ -466,8 +466,9 @@ def test_check_r_identity_needs_one_quadratic_field():
 
 
 def test_quad_roots():
-    assert _quad_roots(F(3), F(2))[:2] == (1, 2)
+    lo, hi, disc = _quad_roots(F(3), F(2))
+    assert (lo.p, lo.q, hi.p, hi.q, disc) == (1, 0, 2, 0, 1)
     assert _quad_roots(F(2), F(1)) is None
     assert _quad_roots(F(1), F(1)) is None
-    lo, hi, disc, rational = _quad_roots(F(1), F(-1))
-    assert not rational and disc == 5
+    lo, hi, disc = _quad_roots(F(1), F(-1))
+    assert (lo.p, lo.q, hi.q, disc) == (F(1, 2), F(-1, 2), F(1, 2), 5)

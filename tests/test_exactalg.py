@@ -16,7 +16,7 @@ from fcl.exactalg import (NEG_INF, POS_INF, AlgebraicReal, BiPoly, Iv, Poly,
                           isolate_real_roots, iv_poly_eval, poly_gcd,
                           resultant, resultant_w, squarefree_part,
                           sturm_chain, sturm_count)
-from fcl.exactalg import algebraic
+from fcl.exactalg import algebraic, poly
 from fcl.exactalg.algebraic import _rational_roots
 from fcl.exactalg.bipoly import subresultant_table
 from fcl.exactalg.poly import _signed_subresultants, bareiss_det_int
@@ -542,6 +542,27 @@ def test_isolation_and_signs_do_not_refine(monkeypatch):
         # a root at an end of a proper interval is outside the number's (lo, hi)
         proper = 1 if r.lo < r.hi else 0
         assert r.sign_of(w - r.lo) == r.sign_of(r.hi - w) == proper
+
+
+def test_predicates_decide_by_sign_of_alone(monkeypatch):
+    # built first: __init__ counts the roots of outside input
+    r = AlgebraicReal(w**2 - 2, 1, 2)
+    wide = AlgebraicReal((w**2 - 2) * (w - 5), F(7, 5), 3)
+
+    def forbidden(*args):
+        raise AssertionError("decided off the sign_of route")
+
+    monkeypatch.setattr(poly, "poly_gcd", forbidden)
+    for name in ("poly_gcd", "count_distinct_real_roots", "_bisect"):
+        monkeypatch.setattr(algebraic, name, forbidden, raising=False)
+    # below, at lo, inside on either side of sqrt(2), at hi, above
+    qs = (F(1, 2), 1, F(7, 5), F(3, 2), 2, 3)
+    assert [r.compare_rational(q) for q in qs] == [1, 1, 1, -1, -1, -1]
+    assert [r == q for q in qs] == [False] * 6
+    assert r.is_root_of(w**2 - 2) and r.is_root_of(w**4 - 4) and r.is_root_of(Poly.zero())
+    assert not r.is_root_of(w**2 - 3) and not r.is_root_of(w - F(7, 5))
+    # sqrt(2) under two defining polynomials, on overlapping intervals
+    assert r == wide and wide == r and r <= wide and not r < wide
 
 
 def test_is_real_rooted_at_splits_modulus():

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -327,6 +328,58 @@ def test_cli_negative_digits_name_the_option(capsys, option):
     critical = json.loads(out)["criticals"][0]
     assert critical["value"] == "1"
     assert ("value_approx" in critical) == (option == "--approx")
+
+
+def test_cli_precision_sets_the_interval_digits(capsys):
+    code, out, _ = run_cli(capsys, "euler", "2", "--ck", "10", "--json", "--precision", "3")
+    assert code == 0
+    cand = json.loads(out)["ck"]["candidate"]
+    lo, hi = (F(x) for x in cand["interval"])
+    assert 1000 % lo.denominator == 0 and 1000 % hi.denominator == 0
+    assert 0 < hi - lo <= F(2, 1000)
+    p = Poly([int(c) for c in cand["defining"]])
+    assert p(lo) * p(hi) < 0
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone; fileno() is a real descriptor."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, s):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_cli_broken_pipe_exits_1_without_traceback():
+    rfd, wfd = os.pipe()
+    os.close(rfd)
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(_ClosedPipe(wfd)), contextlib.redirect_stderr(err):
+            code = main(["monotone", "wmp", "1", "3", "1", "--json"])
+        # the descriptor now leads to devnull: a write no longer fails
+        assert os.write(wfd, b"rest") == 4
+    finally:
+        os.close(wfd)
+    assert code == 1 and err.getvalue() == ""
+
+
+def test_cli_config_options_belong_to_oeis(capsys, tmp_path):
+    for opt, value in (("--network", "on"), ("--fixtures", str(tmp_path)),
+                       ("--config", str(tmp_path / "fcl.conf"))):
+        code, err = _cli_quiet("moments", "w", opt, value)
+        assert code == 2 and f"unrecognized arguments: {opt}" in err
+    code, out, _ = run_cli(capsys, "oeis-match", "w - w^2", "--network", "off",
+                           "--fixtures", str(tmp_path), "--json")
+    assert code == 0
+    assert {"a_number": "A000108", "transform": "identity"} in json.loads(out)["matches"]
+    code, _, err = run_cli(capsys, "oeis-fetch", "A999999", "--network", "off")
+    assert code == 1 and "network" in err.lower()
 
 
 def test_cli_ops_and_json(capsys):
