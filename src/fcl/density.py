@@ -114,14 +114,17 @@ def support_radius_estimate(f: ClassF) -> float:
     return 2.0 * r + 1.0
 
 
-def g_eval_descent(f: ClassF, x: float, anchor: float) -> complex:
+def g_eval_descent(f: ClassF, x: float, anchor: float,
+                   ev: _Evaluator | None = None) -> complex:
     """G(x - i0) by vertical descent, then one Newton solve at zeta = x.
 
     Starts at eta = anchor where G ~ 1/zeta identifies the branch, halves
     eta down to 1e-3 with a Newton correction on zeta w P(w) - Q(w) at
     each stage, then solves the real pencil x w P(w) - Q(w) = 0 from there.
+    `ev`, the float view of f, is built here unless the caller passes one.
     """
-    ev = _Evaluator(f)
+    if ev is None:
+        ev = _Evaluator(f)
     etas = []
     eta = max(anchor, 4 * _DESCENT_EPS)
     while eta > _DESCENT_EPS:
@@ -147,18 +150,20 @@ class DensityTable:
 
 
 def density_grid(f: ClassF, x_lo: float, x_hi: float, n: int) -> DensityTable:
-    """Tabulate the density on a uniform grid by Stieltjes inversion."""
+    """Tabulate the density on a uniform grid by Stieltjes inversion; one
+    float view of f serves every point."""
     if n < 2:
         raise ValueError("need n >= 2")
     if not x_lo < x_hi:
         raise ValueError("need x_lo < x_hi")
     anchor = support_radius_estimate(f)
+    ev = _Evaluator(f)
     xs = [x_lo + (x_hi - x_lo) * i / (n - 1) for i in range(n)]
     fs = []
     clamped = 0
     for x in xs:
         try:
-            v = g_eval_descent(f, x, anchor).imag / cmath.pi
+            v = g_eval_descent(f, x, anchor, ev).imag / cmath.pi
         except ContinuationFailure:
             fs.append(None)
             continue

@@ -9,7 +9,8 @@ a point.
 
 Every exact predicate is decided by `AlgebraicReal.sign_of`: the sign of a
 polynomial at an irrational number is one Tarski query on the isolating
-interval as it stands, or none for a constant or a linear polynomial whose
+interval as it stands, its chain started from P' p reduced mod the
+defining polynomial P, or none for a constant or a linear polynomial whose
 root is not inside it.  `is_root_of` is sign_of(p) == 0, `compare_rational`
 is sign_of(x - q) when q is inside the interval, and two irrationals are
 equal when one is a root of the other's defining polynomial inside the
@@ -27,7 +28,7 @@ import math
 from fractions import Fraction
 
 from .bipoly import BiPoly, lower_subresultants
-from .poly import Poly, Rat, _exact_div, _monic, as_rat
+from .poly import Poly, Rat, _exact_div, _monic, _prem, as_rat
 from .sturm import (cauchy_bound, count_distinct_real_roots, sturm_chain,
                     _remainder_chain, _sign_at, _sign_hom, _variations_at, _variations_hom)
 
@@ -144,9 +145,14 @@ class AlgebraicReal:
         (lo, hi), where a constant p, or a linear p whose root is not
         inside (lo, hi), has one sign, the sign it has at lo or hi.  Every
         other p, where the number is the only root of P = defining in
-        (lo, hi) and P(lo) P(hi) != 0, gets the Tarski query
-        Var(lo) - Var(hi) of the chain P, P' p, -rem(P, P' p), ... (Basu,
-        Pollack and Roy, Algorithms in Real Algebraic Geometry, ch. 2).
+        (lo, hi) and P(lo) P(hi) != 0, gets the Tarski query: the Cauchy
+        index of P' p / P on (lo, hi), Var(lo) - Var(hi) of the chain P,
+        R, -rem(P, R), ... (Basu, Pollack and Roy, Algorithms in Real
+        Algebraic Geometry, ch. 2).  R is P' p itself when its degree is
+        below deg P, else `_prem(P' p, P)`, a positive multiple of
+        rem(P' p, P): the two differ by a polynomial, which has no pole,
+        so the index is the same, for a P with multiple roots too, and the
+        chain starts below deg P.
         """
         q = p.int_coeffs()[0]
         if self.lo == self.hi or len(q) < 2:
@@ -160,6 +166,8 @@ class AlgebraicReal:
         for i, c in enumerate(a[1:], 1):
             for j, d in enumerate(q):
                 b[i - 1 + j] += i * c * d
+        if len(b) >= len(a):
+            b = _prem(b, a)
         chain = _remainder_chain(a, b)
         return _variations_at(chain, self.lo) - _variations_at(chain, self.hi)
 
@@ -357,8 +365,11 @@ def is_real_rooted_at(wcoeffs, t0: AlgebraicReal) -> bool:
     s_p = lc(x) and s_{p-1} = p lc(x) share the sign `top`; the rest are
     scanned from s_{p-2} down, each interpolated in t
     (`lower_subresultants`) and signed exactly at t0 (`sign_of`) only when
-    reached.  The other sign answers No; a zero answers whether every
-    entry below it is zero too; the end of the table answers Yes.
+    reached.  s_j costs (2p - 1 - 2j) deg_t x + 1 nodes, and a node's PRS
+    makes a pseudo-division only when an entry needs it; each sign is one
+    Tarski query whose chain starts below deg t0.defining.  The other sign
+    answers No; a zero answers whether every entry below it is zero too;
+    the end of the table answers Yes.
     """
     cs = list(wcoeffs)
     while cs:

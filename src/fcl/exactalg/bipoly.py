@@ -6,25 +6,27 @@ over Z: the t-coefficients are brought to one common denominator d, read
 off the stored forms (`_int_wcoeffs`), and the integer polynomials are
 evaluated at integer parameter nodes where their leading coefficients do
 not vanish; at each node a subresultant PRS of the two integer polynomials
-(`poly._signed_subresultants`) gives the node values.  Lagrange
+(`poly._subresultant_scan`) gives the node values.  Lagrange
 interpolation (degree bound from the determinant sizes) sums the weighted
 basis numerators as ints over one common denominator, which absorbs the
 power of d, and normalises once, so each result is exact.
 `resultant_w` interpolates the resultant.  `lower_subresultants` yields
 the signed principal subresultant coefficients of x and its w-derivative
-below the top two, lc(x) and p lc(x), each interpolated only when it is
-read; `subresultant_table` lists them all.  Both are determinants of
-*generic-degree* matrices, so parameter values where leading
-coefficients collapse may contribute spurious factors; callers strip
-those (see the spectra eliminant cleaning) or avoid such values
-(`algebraic.is_real_rooted_at`).
+below the top two, lc(x) and p lc(x), each only when it is read: s_j is
+interpolated from its own (2p - 1 - 2j) deg_t x + 1 nodes, and each
+node's PRS runs only down to s_j.  `subresultant_table` lists them all.
+Both are determinants of *generic-degree* matrices, so parameter values
+where leading coefficients collapse may contribute spurious factors;
+callers strip those (see the spectra eliminant cleaning) or avoid such
+values (`algebraic.is_real_rooted_at`).
 """
 from __future__ import annotations
 
+import functools
 import math
 from itertools import zip_longest
 
-from .poly import Poly, Rat, as_rat, _resultant_int, _signed_subresultants
+from .poly import Poly, Rat, as_rat, _resultant_int, _subresultant_scan
 
 
 class BiPoly:
@@ -149,7 +151,8 @@ def _coerce(x) -> BiPoly:
     raise TypeError(f"cannot coerce {type(x).__name__} to BiPoly")
 
 
-def _interpolator(xs):
+@functools.lru_cache(maxsize=64)
+def _interpolator(xs: tuple):
     """Exact interpolation at the distinct integer nodes xs: values -> Poly.
 
     The node polynomial M = prod_j (t - x_j) is built once; each basis
@@ -158,6 +161,9 @@ def _interpolator(xs):
     O(n^2).  With L the lcm of the d_i, the values y_i times L/d_i weight
     the numerators over the one denominator L, and the sum is normalised
     once: interpolate(ys, den) is the interpolant divided by the int den.
+    The bases are memoised on the node tuple: node sets are nearly always
+    prefixes of 0, 1, -1, 2, ..., so `resultant_w` and every s_j of
+    `lower_subresultants` reuse the same few.
     """
     m = [1]  # M, lowest degree first
     for x in xs:
@@ -240,7 +246,7 @@ def resultant_w(a: BiPoly, b: BiPoly) -> Poly:
     nodes = _nodes(bound + 1, ai[-1], bi[-1])
     values = [_resultant_int([_eval_int(c, t) for c in ai], [_eval_int(c, t) for c in bi])
               for t in nodes]
-    return _interpolator(nodes)(values, da ** m * db ** n)
+    return _interpolator(tuple(nodes))(values, da ** m * db ** n)
 
 
 def lower_subresultants(x: BiPoly):
@@ -248,27 +254,34 @@ def lower_subresultants(x: BiPoly):
     coefficients of x and its w-derivative below the top two, as
     polynomials in the parameter, p = deg_w x; nothing when p < 2.
 
-    s_j is the determinant of `poly._signed_subresultants` built from the
+    s_j is the determinant of `poly._subresultant_scan` built from the
     coefficients of x and x'; it has 2p - 1 - 2j rows, so degree at most
-    (2p - 1 - 2j) deg_t x.  The subresultant PRS runs once at every node;
-    each s_j is interpolated only when the generator reaches it, so a
-    caller that stops early skips the entries of highest degree.  The top
-    two need no interpolation: s_p = lc(x) and s_{p-1} = p lc(x), the
-    leading coefficient of x'.
+    (2p - 1 - 2j) deg_t x, and it is interpolated from the first
+    (2p - 1 - 2j) deg_t x + 1 nodes alone, when the generator reaches it.
+    Each node keeps one lazy scan, advanced only down to the entry being
+    read, so a pseudo-division runs at a node only when an entry needs it:
+    a caller that stops after s_{p-2} pays for 3 deg_t x + 1 nodes and one
+    pseudo-division at each.  The top two need no interpolation:
+    s_p = lc(x) and s_{p-1} = p lc(x), the leading coefficient of x'.
     """
     p = x.degree_w
     if p < 2:
         return
     d, xi = _int_wcoeffs(x)
-    nodes = _nodes((2 * p - 1) * max(x.max_param_degree(), 0) + 1, xi[-1])
-    rows = []
-    for t in nodes:
-        a = [_eval_int(c, t) for c in xi]
-        rows.append(_signed_subresultants(a, [i * c for i, c in enumerate(a)][1:]))
-    interpolate = _interpolator(nodes)
-    # d x has rows scaled by d: s_j(d x) = d^(2p - 1 - 2j) s_j(x)
+    k = max(x.max_param_degree(), 0)
+    nodes = _nodes((2 * p - 1) * k + 1, xi[-1])
+    scans = []
     for j in range(p - 2, -1, -1):
-        yield interpolate([r[j] for r in rows], d ** (2 * p - 1 - 2 * j))
+        n = (2 * p - 1 - 2 * j) * k + 1
+        while len(scans) < n:
+            a = [_eval_int(c, nodes[len(scans)]) for c in xi]
+            scan = _subresultant_scan(a, [i * c for i, c in enumerate(a)][1:])
+            for _ in range(p - 1 - j):  # s_{p-1}, ..., s_{j+1}, as the others
+                next(scan)
+            scans.append(scan)
+        # d x has rows scaled by d: s_j(d x) = d^(2p - 1 - 2j) s_j(x)
+        yield _interpolator(tuple(nodes[:n]))([next(scan) for scan in scans],
+                                              d ** (2 * p - 1 - 2 * j))
 
 
 def subresultant_table(x: BiPoly):
@@ -276,12 +289,14 @@ def subresultant_table(x: BiPoly):
     and its w-derivative as a polynomial in the parameter, p = deg_w x >= 1.
 
     s_p = lc(x), s_{p-1} = p lc(x) and the rest come from
-    `lower_subresultants`.  At a parameter value where lc(x) does not
-    vanish the s_j specialise: there the specialisation of x has
-    PmV(s_p, ..., s_0) distinct real roots (Basu, Pollack and Roy, ch. 4
-    and 9), and deg gcd(x, x') is the smallest j with s_j != 0.  So it is
-    real-rooted iff s_p, ..., s_d are all nonzero with one sign, d being
-    that smallest j (`algebraic.is_real_rooted_at`).
+    `lower_subresultants`, s_j interpolated from its first
+    (2p - 1 - 2j) deg_t x + 1 nodes, so the whole table runs the PRS to
+    its end at all (2p - 1) deg_t x + 1 nodes.  At a parameter value
+    where lc(x) does not vanish the s_j specialise: there the
+    specialisation of x has PmV(s_p, ..., s_0) distinct real roots (Basu,
+    Pollack and Roy, ch. 4 and 9), and deg gcd(x, x') is the smallest j
+    with s_j != 0.  So it is real-rooted iff s_p, ..., s_d are all nonzero
+    with one sign, d being that smallest j (`algebraic.is_real_rooted_at`).
     """
     if x.degree_w < 1:
         raise ValueError("need a polynomial of positive degree in w")

@@ -489,41 +489,55 @@ def _pseudo_rem(a, b):
     return a
 
 
-def _signed_subresultants(a, b):
-    """Signed principal subresultant coefficients [s_0, ..., s_p] of int lists.
+def _subresultant_scan(a, b):
+    """The signed principal subresultant coefficients s_(p-1), ..., s_0 of
+    int lists a and b, top-down, each pseudo-division run only when the
+    next entry is asked for.
 
     Needs deg b < deg a = p.  For j <= deg b = q, s_j is the determinant
     of the rows x^(q-j-1) a, ..., a, b, x b, ..., x^(p-j-1) b, coefficients
     written highest degree first and the first p + q - 2j columns kept;
-    s_j = 0 for q < j < p, and s_p = lc(a).  They come from the
-    subresultant PRS with Lazard's reduction (Ducos, "Optimizations of the
-    subresultant algorithm", JPAA 145 (2000)), every division exact: it
-    yields the standard coefficients psc_j, and s_j = eps_(p-j) psc_j with
+    s_j = 0 for q < j < p, and s_p = lc(a) (not yielded).  They come from
+    the subresultant PRS with Lazard's reduction (Ducos, "Optimizations of
+    the subresultant algorithm", JPAA 145 (2000)), every division exact: it
+    gives the standard coefficients psc_j, and s_j = eps_(p-j) psc_j with
     eps_i = (-1)^(i(i-1)/2) (Basu, Pollack and Roy, Algorithms in Real
-    Algebraic Geometry, ch. 4 and 8).  With b = a', the smallest j with
-    s_j != 0 is deg gcd(a, a').
+    Algebraic Geometry, ch. 4 and 8).  s_(p-1), ..., s_q need no division;
+    each later PRS member costs one pseudo-division, made when the entry
+    below the last one yielded is read, so a caller that stops after s_j
+    pays only for the members of degree >= j.  With b = a', the smallest
+    j with s_j != 0 is deg gcd(a, a').
     """
     p, q = len(a) - 1, len(b) - 1
-    psc = [0] * p
+    yield from [0] * (p - 1 - q)
     s = b[-1] ** (p - q)
-    psc[q] = s
+    yield s if (p - q) % 4 < 2 else -s
+    if q == 0:
+        return
     A, B = b, _pseudo_rem(a, [-c for c in b])
     while B:
         d, e = len(A) - 1, len(B) - 1
         delta = d - e
+        yield from [0] * (delta - 1)
         if delta > 1:
             # Lazard: S_e = lc(B)^(delta-1) B / s^(delta-1)
             num, den = B[-1] ** (delta - 1), s ** (delta - 1)
             C = [c * num // den for c in B]
         else:
             C = B
-        psc[e] = C[-1]
+        yield C[-1] if (p - e) % 4 < 2 else -C[-1]
         if e == 0:
-            break
+            return
         den = s ** delta * A[-1]
         B = [c // den for c in _pseudo_rem(A, [-c for c in B])]
         A, s = C, C[-1]
-    return [c if (p - j) % 4 < 2 else -c for j, c in enumerate(psc)] + [a[-1]]
+    yield from [0] * (len(A) - 1)
+
+
+def _signed_subresultants(a, b):
+    """[s_0, ..., s_p]: `_subresultant_scan(a, b)` read to its end, every
+    pseudo-division run, bottom-up, then s_p = lc(a)."""
+    return [*reversed(list(_subresultant_scan(a, b))), a[-1]]
 
 
 def _resultant_int(a, b) -> int:

@@ -23,9 +23,14 @@ w-derivative are all nonzero at t0 with one sign, d being the smallest j
 with s_j(t0) != 0 (their permanences minus variations then reach p - d).
 s_p = lc(x) and s_{p-1} = p lc(x) share one sign, so a scan from s_{p-2}
 down, each entry interpolated in t and signed at t0 only when reached,
-stops at the first entry of the other sign or at the first zero.  At
-t = 0 the free power is delta_0, whose chi is 1, not chi_t(0) = P^2: the
-verdict there is Yes.
+stops at the first entry of the other sign or at the first zero.  Each
+entry costs only its own nodes: s_j is interpolated from
+(2p - 1 - 2j) deg_t x + 1 of them, and each node's subresultant PRS runs
+a pseudo-division only when the scan reads the entry that needs it.  Its
+sign at t0 is one Tarski query, P' s_j reduced mod t0's defining
+polynomial P before the chain is built, so the chain starts below deg P.
+At t = 0 the free power is delta_0, whose chi is 1, not chi_t(0) = P^2:
+the verdict there is Yes.
 """
 from __future__ import annotations
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from fcl import density
 from fcl.classf import identity_f, make_classf, moments
 from fcl.density import (d_eval, density_csv, density_grid, g_eval_descent,
                          reference_density, support_radius_estimate)
@@ -115,3 +116,19 @@ def test_density_csv_format():
 def test_descent_support_radius():
     assert support_radius_estimate(wigner(1)) > 2.0
     assert g_eval_descent(wigner(1), 0.0, 8.0).imag > 0
+
+
+def test_density_grid_builds_one_evaluator(monkeypatch):
+    # one float view of f per grid, one descent per point, same values
+    f = make_classf(Poly([1, 0, 1]), Poly([1, 0, 9]))
+    anchor = support_radius_estimate(f)
+    xs = [-5 + 10 * i / 40 for i in range(41)]
+    alone = [g_eval_descent(f, x, anchor) for x in xs]
+    built, descents = [], []
+    evaluator, descent = density._Evaluator, density.g_eval_descent
+    monkeypatch.setattr(density, "_Evaluator", lambda f: built.append(f) or evaluator(f))
+    monkeypatch.setattr(density, "g_eval_descent",
+                        lambda *args: descents.append(args) or descent(*args))
+    table = density_grid(f, -5, 5, 41)
+    assert len(built) == 1 and len(descents) == 41
+    assert list(table.fs) == [w.imag / math.pi for w in alone]

@@ -16,9 +16,9 @@ from fcl.exactalg import (NEG_INF, POS_INF, AlgebraicReal, BiPoly, Iv, Poly,
                           isolate_real_roots, iv_poly_eval, poly_gcd,
                           resultant, resultant_w, squarefree_part,
                           sturm_chain, sturm_count)
-from fcl.exactalg import algebraic, poly
+from fcl.exactalg import algebraic, bipoly, poly
 from fcl.exactalg.algebraic import _rational_roots
-from fcl.exactalg.bipoly import subresultant_table
+from fcl.exactalg.bipoly import _nodes, lower_subresultants, subresultant_table
 from fcl.exactalg.poly import _signed_subresultants, bareiss_det_int
 from fcl.exactalg.sturm import _sign_at, _variations_at
 from fcl.spectra import char_poly_t, critical_ts, moving_part
@@ -818,6 +818,65 @@ def test_sign_of_matches_sympy(pc, qcs, gc):
         assert r.sign_of(m + g) == _sign_at_sympy_root(sympy, g, x)
 
 
+def _sign_by_refinement(r: AlgebraicReal, q: Poly) -> int:
+    """The sign of q at r off the Tarski route: 0 when gcd(q, defining)
+    has a root inside r's interval, else the sign of q at hi once
+    bisection has left q no root in [lo, hi]."""
+    if r.is_rational():
+        return _sign_at(q.int_coeffs()[0], r.lo)
+    g = poly_gcd(q, r.defining)
+    if g.degree > 0 and count_distinct_real_roots(g, r.lo, r.hi) == 1:
+        return 0
+    while count_distinct_real_roots(q, r.lo, r.hi) or q(r.lo) == 0:
+        r = r.refined_to(r.width() / 2)
+    return _sign_at(q.int_coeffs()[0], r.hi)
+
+
+def test_sign_of_reduces_the_query_mod_the_defining_polynomial(monkeypatch, rng):
+    # q of degree deg P .. 2 deg P + 1, so P' q is of degree >= deg P; the
+    # chain must start below deg P, for a squared defining polynomial too
+    try:
+        import sympy
+    except ImportError:
+        sympy = None
+    chain = algebraic._remainder_chain
+
+    def reduced_chain(a, b):
+        assert len(b) < len(a), "the Tarski chain starts at or above deg P"
+        return chain(a, b)
+
+    # the oracles and isolation build their chains in `sturm`, unpatched
+    monkeypatch.setattr(algebraic, "_remainder_chain", reduced_chain)
+
+    definings = [w**3 - w - 1, w**4 - 10 * w**2 + 1, (w**2 - 2) * (w**3 - 3),
+                 (3 * w**2 - 5) * (w - F(1, 2))]
+    seen = set()
+    for p in definings:
+        roots = isolate_real_roots(p)
+        exact = ([x for x, _ in _sympy_poly(sympy, p).real_roots(multiple=False)]
+                 if sympy else [None] * len(roots))
+        for r, x in zip(roots, exact):
+            if r.is_rational():
+                continue
+            square = AlgebraicReal(r.defining**2, r.lo, r.hi)
+            n = r.defining.degree
+            for _ in range(4):
+                g = Poly([rng.randint(-5, 5) for _ in range(rng.randint(0, n + 1))] + [1])
+                h = Poly([rng.randint(-5, 5) for _ in range(rng.randint(1, n))])
+                c = rng.choice([-3, -1, 2, 7])
+                for q in (r.defining * g + c, r.defining * g, r.defining * g + h,
+                          Poly([rng.randint(-9, 9) for _ in range(2 * n + 1)] + [1])):
+                    assert n <= q.degree <= 2 * n + 1
+                    want = (_sign_at_sympy_root(sympy, q, x) if sympy
+                            else _sign_by_refinement(r, q))
+                    assert (r.sign_of(q), square.sign_of(q)) == (want, want)
+                    seen.add(want)
+                # q = c mod P takes the sign of c; a multiple of P vanishes
+                assert r.sign_of(r.defining * g + c) == (c > 0) - (c < 0)
+                assert r.sign_of(r.defining * g) == square.sign_of(r.defining * g) == 0
+    assert seen == {-1, 0, 1}
+
+
 def test_interval_arithmetic():
     a = Iv(1, 2)
     assert (a * a).lo == 1 and (a * a).hi == 4
@@ -900,6 +959,81 @@ def test_subresultant_table_specialises(rng):
             p = len(a) - 1
             assert [tj(t0) for tj in table[:p]] == [c ** (2 * p - 1 - 2 * j) * s[j]
                                                    for j in range(p)]
+
+
+def test_lower_subresultants_read_only_their_own_nodes(monkeypatch, rng):
+    # p = 6, deg_t = 1: s_4 = s_{p-2} has degree <= 3, so it needs 4 nodes
+    # and, at each, the one pseudo-division below s_5 = 6 lc(x); the lc
+    # 1 + t vanishes at the node -1, which is skipped
+    x = BiPoly([Poly([rng.randint(-4, 4), rng.randint(-4, 4)]) for _ in range(6)]
+               + [Poly([1, 1])])
+    scans, divisions = [], []
+    scan, pseudo_rem = bipoly._subresultant_scan, poly._pseudo_rem
+    monkeypatch.setattr(bipoly, "_subresultant_scan",
+                        lambda a, b: scans.append(a[:]) or scan(a, b))
+    monkeypatch.setattr(poly, "_pseudo_rem",
+                        lambda a, b: divisions.append(1) or pseudo_rem(a, b))
+    s4 = next(lower_subresultants(x))
+    assert len(scans) == 4 and len(divisions) == 4
+    assert scans == [[int(c(t)) for c in x.wcoeffs] for t in (0, 1, 2, -2)]
+    monkeypatch.undo()
+    assert s4 == subresultant_table(x)[4]
+
+
+def _lagrange(nodes, values, den):
+    """The interpolant of (nodes, values) divided by den, by the Fraction
+    Lagrange formula."""
+    out = Poly.zero()
+    for i, (ti, yi) in enumerate(zip(nodes, values)):
+        basis = Poly.one()
+        for j, tj in enumerate(nodes):
+            if j != i:
+                basis = basis * Poly([F(-tj, ti - tj), F(1, ti - tj)])
+        out = out + basis * F(yi, den)
+    return out
+
+
+def _full_node_table(x: BiPoly):
+    """s_{p-2}, ..., s_0 of x and x': the whole PRS at all (2p - 1) deg_t + 1
+    nodes, each s_j interpolated from every node by `_lagrange`."""
+    p, k = x.degree_w, max(x.max_param_degree(), 0)
+    d = math.lcm(*(c.as_integer_ratio()[1] for c in x.wcoeffs))
+    xi = [[int(v) for v in (c * d).coeffs] for c in x.wcoeffs]
+    nodes = _nodes((2 * p - 1) * k + 1, xi[-1])
+    rows = []
+    for t in nodes:
+        a = [sum(v * t**i for i, v in enumerate(c)) for c in xi]
+        rows.append(_signed_subresultants(a, [i * v for i, v in enumerate(a)][1:]))
+    return [_lagrange(nodes, [r[j] for r in rows], d ** (2 * p - 1 - 2 * j))
+            for j in range(p - 2, -1, -1)]
+
+
+def test_lower_subresultants_match_the_full_node_table(rng):
+    cases = []
+    for deg_t in (1, 2, 3):
+        for _ in range(4):
+            p = rng.randint(2, 6)
+            cs = [Poly([rand_rat(rng) for _ in range(deg_t + 1)]) for _ in range(p)]
+            # a leading coefficient with a root at a small integer node
+            root = rng.choice([0, 1, -1, 2])
+            cs.append(Poly([-root, 1]) * Poly([rng.randint(1, 3)] * deg_t))
+            cases.append(BiPoly(cs))
+    t = Poly.x()
+    # defective PRS: degree gaps > 1 at every node (sparse in w), at the
+    # node 0 alone (w^6 + t x(w)), and entries that vanish identically
+    # (a squared factor, so deg gcd(x, x') > 0 at every t)
+    cases += [BiPoly([Poly.one(), Poly.zero(), t, Poly.zero(), Poly.zero(), Poly.zero(),
+                      Poly.one()]),
+              BiPoly([t * 3, t * -2, t, t * 5, Poly.zero(), Poly.zero(), Poly.one()]),
+              BiPoly([Poly([1, 2]), Poly.zero(), Poly([2, 1]), Poly.const(3)])
+              * BiPoly([t, Poly.zero(), Poly.one()]) * BiPoly([t, Poly.zero(), Poly.one()]),
+              BiPoly([Poly([F(1, 2), 1]), Poly([0, F(-2, 3)]), Poly([F(1, 4), 0, 1])])]
+    zero_entries = 0
+    for x in cases:
+        got = list(lower_subresultants(x))
+        assert got == _full_node_table(x)
+        zero_entries += sum(1 for s in got if s.is_zero())
+    assert zero_entries > 0
 
 
 def test_bipoly_eval_and_ops():
