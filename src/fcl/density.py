@@ -114,17 +114,14 @@ def support_radius_estimate(f: ClassF) -> float:
     return 2.0 * r + 1.0
 
 
-def g_eval_descent(f: ClassF, x: float, anchor: float,
-                   ev: _Evaluator | None = None) -> complex:
+def g_eval_descent(ev: _Evaluator, x: float, anchor: float) -> complex:
     """G(x - i0) by vertical descent, then one Newton solve at zeta = x.
 
-    Starts at eta = anchor where G ~ 1/zeta identifies the branch, halves
-    eta down to 1e-3 with a Newton correction on zeta w P(w) - Q(w) at
-    each stage, then solves the real pencil x w P(w) - Q(w) = 0 from there.
-    `ev`, the float view of f, is built here unless the caller passes one.
+    `ev` is the float view _Evaluator(f) of the law.  Starts at eta =
+    anchor where G ~ 1/zeta identifies the branch, halves eta down to 1e-3
+    with a Newton correction on zeta w P(w) - Q(w) at each stage, then
+    solves the real pencil x w P(w) - Q(w) = 0 from there.
     """
-    if ev is None:
-        ev = _Evaluator(f)
     etas = []
     eta = max(anchor, 4 * _DESCENT_EPS)
     while eta > _DESCENT_EPS:
@@ -163,7 +160,7 @@ def density_grid(f: ClassF, x_lo: float, x_hi: float, n: int) -> DensityTable:
     clamped = 0
     for x in xs:
         try:
-            v = g_eval_descent(f, x, anchor, ev).imag / cmath.pi
+            v = g_eval_descent(ev, x, anchor).imag / cmath.pi
         except ContinuationFailure:
             fs.append(None)
             continue

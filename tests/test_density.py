@@ -5,8 +5,8 @@ import pytest
 
 from fcl import density
 from fcl.classf import identity_f, make_classf, moments
-from fcl.density import (d_eval, density_csv, density_grid, g_eval_descent,
-                         reference_density, support_radius_estimate)
+from fcl.density import (_CLAMP_TOL, _Evaluator, d_eval, density_csv, density_grid,
+                         g_eval_descent, reference_density, support_radius_estimate)
 from fcl.distlib import mp, wigner
 from fcl.exactalg import Poly
 
@@ -115,7 +115,7 @@ def test_density_csv_format():
 
 def test_descent_support_radius():
     assert support_radius_estimate(wigner(1)) > 2.0
-    assert g_eval_descent(wigner(1), 0.0, 8.0).imag > 0
+    assert g_eval_descent(_Evaluator(wigner(1)), 0.0, 8.0).imag > 0
 
 
 def test_density_grid_builds_one_evaluator(monkeypatch):
@@ -123,7 +123,9 @@ def test_density_grid_builds_one_evaluator(monkeypatch):
     f = make_classf(Poly([1, 0, 1]), Poly([1, 0, 9]))
     anchor = support_radius_estimate(f)
     xs = [-5 + 10 * i / 40 for i in range(41)]
-    alone = [g_eval_descent(f, x, anchor) for x in xs]
+    # each point on its own evaluator, clamped as density_grid clamps
+    alone = [g_eval_descent(_Evaluator(f), x, anchor).imag / math.pi for x in xs]
+    alone = [0.0 if -_CLAMP_TOL <= v < 0 else v for v in alone]
     built, descents = [], []
     evaluator, descent = density._Evaluator, density.g_eval_descent
     monkeypatch.setattr(density, "_Evaluator", lambda f: built.append(f) or evaluator(f))
@@ -131,4 +133,4 @@ def test_density_grid_builds_one_evaluator(monkeypatch):
                         lambda *args: descents.append(args) or descent(*args))
     table = density_grid(f, -5, 5, 41)
     assert len(built) == 1 and len(descents) == 41
-    assert list(table.fs) == [w.imag / math.pi for w in alone]
+    assert list(table.fs) == alone
