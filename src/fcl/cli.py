@@ -392,7 +392,54 @@ class _ArgumentParser(argparse.ArgumentParser):
         return None
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name: (handler, takes an F expression, takes the oeis options,
+#        [(argument name, add_argument keywords), ...])
+_COMMANDS = {
+    "moments": (_cmd_moments, True, False, [("--order", {"type": int, "default": 10})]),
+    "cumulants": (_cmd_cumulants, True, False, [("--order", {"type": int, "default": 10})]),
+    "charpoly": (_cmd_charpoly, True, False, []),
+    "chart": (_cmd_chart, True, False, []),
+    "rr0": (_cmd_rr0, True, False, []),
+    "rr": (_cmd_rr, True, False, []),
+    "singular": (_cmd_singular, True, False, []),
+    "nset": (_cmd_nset, True, False, []),
+    "hankel": (_cmd_hankel, True, False, [("--order", {"type": int, "default": 12})]),
+    "fid": (_cmd_fid, True, False, [("--order", {"type": int, "default": 12})]),
+    "convolve": (_cmd_convolve, True, False, [("expr2", {})]),
+    "power": (_cmd_power, True, False, [("t", {})]),
+    "compose": (_cmd_compose, True, False, [("expr2", {"help": "inner F"})]),
+    "translate": (_cmd_translate, True, False, [("u", {})]),
+    "dilate": (_cmd_dilate, True, False, [("c", {})]),
+    "criticals": (_cmd_criticals, True, False, [("--range", {"required": True})]),
+    "density": (_cmd_density, True, False, [("--range", {"required": True}),
+                                            ("--grid", {"type": int, "default": 201})]),
+    "euler": (_cmd_euler, False, False, [
+        ("k", {"type": int}),
+        ("--ck", {"default": None, "metavar": "T_HI",
+                  "help": "scan (0, T_HI) for the threshold candidate"})]),
+    "fuss": (_cmd_fuss, False, False, [("r", {"type": int}),
+                                       ("--order", {"type": int, "default": 10})]),
+    "dist": (_cmd_dist, False, False, [("kind", {"choices": list(_DIST_ARITY)}),
+                                       ("params", {"nargs": "+"})]),
+    "deconv": (_cmd_deconv, False, False, [("kind", {"choices": list(_DECONV_ARITY)}),
+                                           ("params", {"nargs": "+"})]),
+    "monotone": (_cmd_monotone, False, False, [("kind", {"choices": list(_MONOTONE_ARITY)}),
+                                               ("params", {"nargs": "+"})]),
+    "oeis-match": (_cmd_oeis_match, True, True, [("--order", {"type": int, "default": 12}),
+                                                 ("--min-overlap", {"type": int, "default": 6})]),
+    "oeis-fetch": (_cmd_oeis_fetch, False, True, [("a_number", {})]),
+    "region": (_cmd_region, False, False, [("kind", {"choices": ["cg", "lb", "deg3"]}),
+                                           ("--b", {"default": "1"}),
+                                           ("--samples", {"type": int, "default": 64})]),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The fcl parser: every subcommand, or only `command` when it names one.
+
+    A parser with one subcommand parses that subcommand's arguments as the
+    full one does, and its usage line lists every command all the same.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON")
     common.add_argument("--csv", action="store_true", help="emit CSV where tabular")
@@ -414,57 +461,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="apply the free power T before the operation")
 
     p = _ArgumentParser(prog="fcl", description="exact calculus on rational F-functions")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, parents=(), **kw):
-        sp_ = sub.add_parser(name, parents=[common, *parents], **kw)
-        sp_.set_defaults(fn=fn)
-        return sp_
-
-    s = add("moments", _cmd_moments, [fexpr]); s.add_argument("--order", type=int, default=10)
-    s = add("cumulants", _cmd_cumulants, [fexpr]); s.add_argument("--order", type=int, default=10)
-    add("charpoly", _cmd_charpoly, [fexpr])
-    add("chart", _cmd_chart, [fexpr])
-    add("rr0", _cmd_rr0, [fexpr])
-    add("rr", _cmd_rr, [fexpr])
-    add("singular", _cmd_singular, [fexpr])
-    add("nset", _cmd_nset, [fexpr])
-    s = add("hankel", _cmd_hankel, [fexpr]); s.add_argument("--order", type=int, default=12)
-    s = add("fid", _cmd_fid, [fexpr]); s.add_argument("--order", type=int, default=12)
-    s = add("convolve", _cmd_convolve, [fexpr]); s.add_argument("expr2")
-    s = add("power", _cmd_power, [fexpr]); s.add_argument("t")
-    s = add("compose", _cmd_compose, [fexpr]); s.add_argument("expr2", help="inner F")
-    s = add("translate", _cmd_translate, [fexpr]); s.add_argument("u")
-    s = add("dilate", _cmd_dilate, [fexpr]); s.add_argument("c")
-    s = add("criticals", _cmd_criticals, [fexpr]); s.add_argument("--range", required=True)
-    s = add("density", _cmd_density, [fexpr])
-    s.add_argument("--range", required=True)
-    s.add_argument("--grid", type=int, default=201)
-    s = add("euler", _cmd_euler)
-    s.add_argument("k", type=int)
-    s.add_argument("--ck", default=None, metavar="T_HI",
-                   help="scan (0, T_HI) for the threshold candidate")
-    s = add("fuss", _cmd_fuss)
-    s.add_argument("r", type=int)
-    s.add_argument("--order", type=int, default=10)
-    s = add("dist", _cmd_dist)
-    s.add_argument("kind", choices=list(_DIST_ARITY))
-    s.add_argument("params", nargs="+")
-    s = add("deconv", _cmd_deconv)
-    s.add_argument("kind", choices=list(_DECONV_ARITY))
-    s.add_argument("params", nargs="+")
-    s = add("monotone", _cmd_monotone)
-    s.add_argument("kind", choices=list(_MONOTONE_ARITY))
-    s.add_argument("params", nargs="+")
-    s = add("oeis-match", _cmd_oeis_match, [fexpr, oeis_cfg])
-    s.add_argument("--order", type=int, default=12)
-    s.add_argument("--min-overlap", type=int, default=6)
-    s = add("oeis-fetch", _cmd_oeis_fetch, [oeis_cfg])
-    s.add_argument("a_number")
-    s = add("region", _cmd_region)
-    s.add_argument("kind", choices=["cg", "lb", "deg3"])
-    s.add_argument("--b", default="1")
-    s.add_argument("--samples", type=int, default=64)
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    # one subcommand alone still shows every command in the usage line
+    metavar = None if len(names) > 1 else "{" + ",".join(_COMMANDS) + "}"
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        fn, takes_f, takes_oeis, arguments = _COMMANDS[name]
+        parents = [common] + [fexpr] * takes_f + [oeis_cfg] * takes_oeis
+        s = sub.add_parser(name, parents=parents)
+        s.set_defaults(fn=fn)
+        for arg, kw in arguments:
+            s.add_argument(arg, **kw)
     return p
 
 
@@ -516,7 +523,10 @@ def _render_text(obj, indent=0):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only the named subcommand's parser is built; --help, no arguments and
+    # an unknown command get the full one
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         _check_digits(args)

@@ -29,8 +29,9 @@ from fractions import Fraction
 
 from .bipoly import BiPoly, lower_subresultants
 from .poly import Poly, Rat, _exact_div, _monic, _prem, as_rat
-from .sturm import (cauchy_bound, count_distinct_real_roots, sturm_chain,
-                    _remainder_chain, _sign_at, _sign_hom, _variations_at, _variations_hom)
+from .sturm import (cauchy_bound, count_distinct_real_roots, real_rooted_from_signs,
+                    sturm_chain, _remainder_chain, _sign_at, _sign_hom, _variations_at,
+                    _variations_hom)
 
 
 def _bisect(ints, slo, lo, hi):
@@ -355,21 +356,14 @@ def is_real_rooted_at(wcoeffs, t0: AlgebraicReal) -> bool:
 
     Leading coefficients that vanish at t0 are dropped first, so the rest,
     x of degree p in w, keeps its degree at t0; `top` is the sign of lc(x)
-    there.  x(t0) has PmV(s_p, ..., s_0) distinct real roots and p - d
-    distinct complex ones, s_j being the signed principal subresultant
-    coefficients of x and its w-derivative at t0 and d the smallest j with
-    s_j != 0, i.e. deg gcd(x, x') at t0 (Basu, Pollack and Roy, Algorithms
-    in Real Algebraic Geometry, ch. 4 and 9).  Each consecutive nonzero
-    pair adds at most 1 to PmV, and 1 only at distance 1 with equal signs,
-    so PmV = p - d iff s_p, ..., s_d are all nonzero with one sign.
-    s_p = lc(x) and s_{p-1} = p lc(x) share the sign `top`; the rest are
-    scanned from s_{p-2} down, each interpolated in t
+    there.  The answer is `real_rooted_from_signs`, the rule that
+    `sturm.is_real_rooted` applies over Q, on top * sign(s_j(t0)) for
+    j = p - 2, ..., 0, s_j the signed principal subresultant coefficients
+    of x and its w-derivative.  Each s_j is interpolated in t
     (`lower_subresultants`) and signed exactly at t0 (`sign_of`) only when
-    reached.  s_j costs (2p - 1 - 2j) deg_t x + 1 nodes, and a node's PRS
-    makes a pseudo-division only when an entry needs it; each sign is one
-    Tarski query whose chain starts below deg t0.defining.  The other sign
-    answers No; a zero answers whether every entry below it is zero too;
-    the end of the table answers Yes.
+    the rule reads it: s_j costs (2p - 1 - 2j) deg_t x + 1 nodes, a node's
+    PRS makes a pseudo-division only when an entry needs it, and each sign
+    is one Tarski query whose chain starts below deg t0.defining.
     """
     cs = list(wcoeffs)
     while cs:
@@ -379,11 +373,4 @@ def is_real_rooted_at(wcoeffs, t0: AlgebraicReal) -> bool:
         cs.pop()
     else:
         raise ValueError("polynomial vanishes at t0")
-    entries = lower_subresultants(BiPoly(cs))
-    for s in entries:
-        sign = t0.sign_of(s)
-        if sign == -top:
-            return False
-        if sign == 0:
-            return all(t0.sign_of(r) == 0 for r in entries)
-    return True
+    return real_rooted_from_signs(top * t0.sign_of(s) for s in lower_subresultants(BiPoly(cs)))

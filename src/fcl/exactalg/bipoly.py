@@ -26,7 +26,7 @@ import functools
 import math
 from itertools import zip_longest
 
-from .poly import Poly, Rat, as_rat, _resultant_int, _subresultant_scan
+from .poly import Poly, Rat, as_rat, _eval_int, _resultant_int, _subresultant_scan
 
 
 class BiPoly:
@@ -205,13 +205,6 @@ def _int_wcoeffs(x: BiPoly):
     forms = [cp.as_integer_ratio() for cp in x.wcoeffs]
     d = math.lcm(*(den for _, den in forms))
     return d, [[c * (d // den) for c in num] for num, den in forms]
-
-
-def _eval_int(a, t: int) -> int:
-    v = 0
-    for c in reversed(a):
-        v = v * t + c
-    return v
 
 
 def _nodes(count: int, *lcs):

@@ -10,7 +10,12 @@ coefficients (`Poly.coeffs`) are built only when someone reads them.
 Floating point enters only when the caller evaluates at a float/complex
 point.  gcds, squarefree parts and resultants run on primitive integer
 coefficient lists (`Poly.int_coeffs`), so their intermediate coefficients
-stay small.
+stay small.  A gcd is first tried by the heuristic gcd (GCDHEU: one
+integer gcd of the values at a large point, read back as a polynomial and
+proved by trial division), and only when that fails by the primitive PRS.
+The signed subresultant PRS (`_subresultant_scan`) yields its entries
+top-down and lazily, for resultants and for the real-rootedness rule in
+`sturm`.
 """
 from __future__ import annotations
 
@@ -394,26 +399,89 @@ def _prem(a, b):
 
 
 def _exact_div(a, b):
-    """The int list q with a = q * b, when b divides a over Z."""
-    a = list(a)
+    """The int list q with a = q * b, or None when b does not divide a over Z."""
     d = len(b) - 1
+    if len(a) <= d:
+        return None
+    a = list(a)
     lb = b[-1]
     q = [0] * (len(a) - d)
     for k in range(len(q) - 1, -1, -1):
-        c = a[k + d] // lb
+        c, m = divmod(a[k + d], lb)
+        if m:
+            return None
         q[k] = c
         if c:
             for j in range(d):
                 a[k + j] -= c * b[j]
-    return q
+    return None if any(a[:d]) else q
+
+
+_HEU_TRIES = 6
+
+
+def _gcd_heuristic(a, b):
+    """GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989): a
+    primitive gcd of the primitive int lists a, b, both of positive degree,
+    or None when every try fails.
+
+    A try evaluates a and b at an integer xi >= 2 min(|a|, |b|) + 2 (max
+    norms), takes the integer gcd of the two values, rebuilds G from its
+    symmetric xi-adic digits (each of modulus at most xi/2) and accepts
+    pp(G) when it divides a and b over Z.  It is then the gcd g: g =
+    pp(G) h for some h in Z[x], and G(xi) = cont(G) pp(G)(xi) is the
+    integer gcd, a multiple of g(xi), so h(xi) divides cont(G), which
+    divides every digit and so has modulus at most xi/2.  Every root of h
+    is a root of a and of b, of modulus below 1 + min(|a|, |b|) <= xi/2
+    (Cauchy), so deg h >= 1 would give |h(xi)| > xi/2: h is a unit.  A
+    constant G is accepted at once (the gcd is 1).  Each failed try
+    multiplies xi by about 2.73.
+    """
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(_HEU_TRIES):
+        gamma = math.gcd(_eval_int(a, xi), _eval_int(b, xi))
+        g = []
+        while gamma:
+            d = gamma % xi
+            if 2 * d > xi:
+                d -= xi
+            g.append(d)
+            gamma = (gamma - d) // xi
+        g = _primitive(g)
+        if len(g) == 1:
+            return [1]
+        if _exact_div(a, g) is not None and _exact_div(b, g) is not None:
+            return g
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _eval_int(a, x: int) -> int:
+    """The int list a at the int x, by Horner."""
+    v = 0
+    for c in reversed(a):
+        v = v * x + c
+    return v
 
 
 def _gcd(a, b):
-    """A primitive gcd of int lists a, b, not both zero, by the primitive PRS."""
+    """A primitive gcd of int lists a, b, not both zero: `_gcd_heuristic`
+    when both have positive degree, and the primitive PRS (`_prs_gcd`) when
+    it fails or does not apply."""
     if len(a) < len(b):
         a, b = b, a
     a = _primitive(a)
     b = _primitive(b)
+    if len(b) > 1:
+        g = _gcd_heuristic(a, b)
+        if g is not None:
+            return g
+    return _prs_gcd(a, b)
+
+
+def _prs_gcd(a, b):
+    """A primitive gcd of primitive int lists a, b with deg a >= deg b, by
+    the primitive PRS."""
     while b:
         a, b = b, _prem(a, b)
     return a
@@ -424,7 +492,8 @@ def _monic(a) -> "Poly":
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic greatest common divisor, by the primitive PRS over Z."""
+    """Monic greatest common divisor: the heuristic gcd, else the primitive
+    PRS over Z (`_gcd`)."""
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
     return _monic(_gcd(p.int_coeffs()[0], q.int_coeffs()[0]))

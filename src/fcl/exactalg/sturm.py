@@ -1,4 +1,4 @@
-"""Sturm chains and exact real-root counting.
+"""Sturm chains, exact real-root counting, and real-rootedness.
 
 Chains are primitive polynomial remainder sequences over Z (Collins,
 "Subresultants and reduced polynomial remainder sequences", J. ACM 1967):
@@ -14,13 +14,19 @@ coefficients), V(lo) - V(hi) is the number of distinct real roots in
 are counted once; the public `sturm_count` nevertheless insists on
 squarefree input, as callers are expected to have separated multiplicity
 questions already.
+
+Real-rootedness is a yes/no question and builds no Sturm chain:
+`is_real_rooted` reads the signed subresultant coefficients of p and p'
+top-down from `poly._subresultant_scan` and stops at the first entry that
+settles the answer (`real_rooted_from_signs`, the rule that
+`algebraic.is_real_rooted_at` also applies at an algebraic parameter).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from ..errors import NotSquarefree
-from .poly import Poly, Rat, _prem, _primitive
+from .poly import Poly, Rat, _prem, _primitive, _subresultant_scan
 
 NEG_INF = object()
 POS_INF = object()
@@ -132,16 +138,48 @@ def sturm_count(p: Poly, lo=NEG_INF, hi=POS_INF) -> int:
 def is_real_rooted(p: Poly) -> bool:
     """True iff every complex root of p is real (constants vacuously qualify).
 
-    The chain ends at a multiple of gcd(p, p'), so p has deg p - deg gcd
-    distinct complex roots; it is real-rooted iff all of them are real.
+    Read from the signed subresultant coefficients s_(p-1), ..., s_0 of
+    a and a', a the primitive integer form of p with lc(a) > 0
+    (`poly._subresultant_scan`), by `real_rooted_from_signs`: s_p = lc(a)
+    and s_(p-1) = p lc(a) are positive, and the scan stops at the first
+    entry that settles the answer, so a No usually costs a pseudo-division
+    or two and no Sturm chain.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
     if p.is_constant():
         return True
-    chain = sturm_chain(p)
-    real = _variations_at(chain, NEG_INF) - _variations_at(chain, POS_INF)
-    return real == len(chain[0]) - len(chain[-1])
+    a = p.int_coeffs()[0]
+    if a[-1] < 0:
+        a = [-c for c in a]
+    scan = _subresultant_scan(a, [i * c for i, c in enumerate(a)][1:])
+    next(scan)  # s_(p-1) = p lc(a) > 0
+    return real_rooted_from_signs(scan)
+
+
+def real_rooted_from_signs(entries) -> bool:
+    """Whether x of degree p >= 1 is real-rooted, from s_(p-2), ..., s_0,
+    the signed principal subresultant coefficients of x and x' read
+    top-down, each a number of the sign of s_j * lc(x).
+
+    x has PmV(s_p, ..., s_0) distinct real roots and p - d distinct complex
+    ones, d the smallest j with s_j != 0, i.e. deg gcd(x, x') (Basu, Pollack
+    and Roy, Algorithms in Real Algebraic Geometry, ch. 4 and 9).  Each
+    consecutive nonzero pair adds at most 1 to PmV, and 1 only at distance
+    1 with equal signs, so PmV = p - d iff s_p, ..., s_d are all nonzero
+    with one sign; s_p = lc(x) and s_(p-1) = p lc(x) have the sign of
+    lc(x).  A negative entry answers No; the first zero answers whether
+    every later entry is zero too; the end answers Yes.  `entries` is read
+    only as far as the answer needs, so a lazy iterator pays only for the
+    entries read.
+    """
+    entries = iter(entries)
+    for s in entries:
+        if s < 0:
+            return False
+        if s == 0:
+            return all(r == 0 for r in entries)
+    return True
 
 
 def cauchy_bound(p: Poly) -> Rat:

@@ -16,9 +16,14 @@ with parameter values where the moving part drops degree by at least two.
 
 Every rr0 verdict on the flow is read off the same split: for t != 0 the
 free power has chi = g * (A + tB), real-rooted iff g is (tested once) and
-the moving part at t is.  A rational t is substituted.  At an irrational
-t0 the moving part x, of degree p in w at t0, is real-rooted iff its
-signed principal subresultant coefficients s_p, ..., s_d with its
+the moving part at t is.  A rational t is substituted, and the polynomial
+it gives is tested by `exactalg.is_real_rooted`, which reads the signed
+subresultant coefficients with its derivative top-down and stops at the
+first one that settles the answer, with no Sturm chain.  (The gcd g of the
+split and the squarefree part of each eliminant try the heuristic gcd
+before the primitive PRS.)  At an irrational t0 the same rule is applied
+to signs at t0: the moving part x, of degree p in w at t0, is real-rooted
+iff its signed principal subresultant coefficients s_p, ..., s_d with its
 w-derivative are all nonzero at t0 with one sign, d being the smallest j
 with s_j(t0) != 0 (their permanences minus variations then reach p - d).
 s_p = lc(x) and s_{p-1} = p lc(x) share one sign, so a scan from s_{p-2}

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -16,11 +17,11 @@ from fcl.exactalg import (NEG_INF, POS_INF, AlgebraicReal, BiPoly, Iv, Poly,
                           isolate_real_roots, iv_poly_eval, poly_gcd,
                           resultant, resultant_w, squarefree_part,
                           sturm_chain, sturm_count)
-from fcl.exactalg import algebraic, bipoly, poly
+from fcl.exactalg import algebraic, bipoly, poly, sturm
 from fcl.exactalg.algebraic import _rational_roots
 from fcl.exactalg.bipoly import _nodes, lower_subresultants, subresultant_table
 from fcl.exactalg.poly import _signed_subresultants, bareiss_det_int
-from fcl.exactalg.sturm import _sign_at, _variations_at
+from fcl.exactalg.sturm import _sign_at, _variations_at, real_rooted_from_signs
 from fcl.spectra import char_poly_t, critical_ts, moving_part
 
 w = Poly.x()
@@ -54,6 +55,11 @@ def test_gcd_examples():
     chi = (1 - 2 * w) ** 3
     # Euclid by hand: gcd(chi, chi') = (w - 1/2)^2 after monic normalization
     assert poly_gcd(chi, chi.derivative()) == Poly([F(1, 4), -1, 1])
+    # zero and constant inputs skip the heuristic gcd
+    big = 3 * w**2 - 2**200 * w + 7
+    assert poly_gcd(big, Poly.zero()) == poly_gcd(Poly.zero(), big) == big.monic()
+    assert poly_gcd(big, Poly.const(-5)) == poly_gcd(Poly.const(F(2, 3)), big) == Poly.one()
+    assert poly_gcd(Poly.const(4), Poly.const(6)) == poly_gcd(Poly.const(4), Poly.zero()) == 1
     with pytest.raises(ValueError):
         poly_gcd(Poly.zero(), Poly.zero())
 
@@ -65,6 +71,7 @@ def test_squarefree_part():
     assert squarefree_part(p) == Poly([F(-1, 3), 0, 1])
     q = Poly([1, 2, 7])
     assert squarefree_part(q) == q.monic()
+    assert squarefree_part(Poly.const(-3)) == Poly.one()
     with pytest.raises(ValueError):
         squarefree_part(Poly.zero())
 
@@ -223,6 +230,155 @@ def test_real_root_counts_match_sympy(p):
     roots = _sympy_poly(sympy, p).real_roots(multiple=False)
     assert count_distinct_real_roots(p) == len(roots)
     assert is_real_rooted(p) == (sum(m for _, m in roots) == p.degree)
+
+
+# ------------------------------------------- the heuristic gcd and the scan
+
+
+_big = st.integers(-2**200, 2**200)
+
+
+@st.composite
+def _big_polys(draw, max_deg=3):
+    """Int polynomials with coefficients up to 2^200, either leading sign."""
+    cs = draw(st.lists(_big, max_size=max_deg)) + [draw(_big.filter(bool))]
+    return Poly(cs)
+
+
+@st.composite
+def _gcd_pairs(draw):
+    """(a, b): a planted common factor g, g^2 or none, cofactors with
+    repeated factors, and now and then a zero or constant input."""
+    g = draw(_big_polys()) ** draw(st.integers(0, 2))
+    a, b = (g * draw(_big_polys()) * draw(_big_polys(2)) ** draw(st.integers(1, 3))
+            for _ in range(2))
+    a = draw(st.sampled_from([a, a, a, Poly.zero(), Poly.const(draw(_big.filter(bool)))]))
+    return a, b
+
+
+def _prs_monic_gcd(p: Poly, q: Poly) -> Poly:
+    """The monic gcd by the primitive PRS alone, the route before the heuristic."""
+    a, b = p.int_coeffs()[0], q.int_coeffs()[0]
+    if len(a) < len(b):
+        a, b = b, a
+    return poly._monic(poly._prs_gcd(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gcd_pairs())
+def test_heuristic_gcd_matches_the_prs_and_sympy(pair):
+    a, b = pair
+    g = poly_gcd(a, b)
+    assert g == poly_gcd(b, a) == _prs_monic_gcd(a, b)
+    if not a.is_constant():
+        sqf = squarefree_part(a)
+        assert sqf == a.exact_div(_prs_monic_gcd(a, a.derivative())).monic()
+    try:
+        import sympy
+    except ImportError:
+        return
+    assert g == _from_sympy(sympy.gcd(_sympy_poly(sympy, a), _sympy_poly(sympy, b)).monic())
+    if not a.is_constant():
+        assert sqf == _from_sympy(sympy.sqf_part(_sympy_poly(sympy, a)).monic())
+
+
+def test_gcd_when_the_heuristic_fails(monkeypatch):
+    rng = random.Random(2121)
+    pairs = []
+    for _ in range(30):
+        g = Poly([rng.randint(-2**80, 2**80) for _ in range(rng.randint(1, 3))]
+                 + [rng.randint(1, 9)]) ** rng.randint(1, 2)
+        pairs.append((g * rand_poly(rng, 3), -g * rand_poly(rng, 4) ** 2))
+    want = [(poly_gcd(a, b), squarefree_part(b)) for a, b in pairs]
+    assert all(not g.is_constant() for g, _ in want)
+    tries = []
+
+    def fails(a, b):
+        tries.append((a, b))
+        return None
+
+    monkeypatch.setattr(poly, "_gcd_heuristic", fails)
+    assert [(poly_gcd(a, b), squarefree_part(b)) for a, b in pairs] == want
+    assert len(tries) >= len(pairs)
+
+
+def test_heuristic_gcd_retries_after_a_wrong_candidate(monkeypatch):
+    # at xi = 4 and xi = 10 the values of x and x + 20 share the factor xi,
+    # whose digits rebuild x, which divides x but not x + 20; xi = 27 gives 1
+    seen = []
+    exact_div = poly._exact_div
+
+    def traced(a, b):
+        seen.append(b)
+        return exact_div(a, b)
+
+    monkeypatch.setattr(poly, "_exact_div", traced)
+    assert poly._gcd_heuristic([0, 1], [20, 1]) == [1]
+    assert seen == [[0, 1]] * 4
+    assert poly_gcd(w, w + 20) == Poly.one()
+
+
+def _real_rooted_polys():
+    """Products of linear factors (real-rooted, repeated roots allowed) and
+    of _factored_polys (mostly not)."""
+    linear = st.lists(st.builds(lambda u, v: Poly([u, v]), _coef, _coef.filter(bool)),
+                      min_size=1, max_size=8)
+    return st.one_of(linear.map(lambda fs: math.prod(fs, start=Poly.one())),
+                     _factored_polys())
+
+
+@settings(max_examples=80, deadline=None)
+@given(_real_rooted_polys())
+def test_is_real_rooted_reads_no_sturm_chain(p):
+    distinct = p.degree - (poly_gcd(p, p.derivative()).degree if p.degree > 0 else 0)
+    want = count_distinct_real_roots(p) == distinct
+    try:
+        import sympy
+    except ImportError:
+        pass
+    else:
+        roots = _sympy_poly(sympy, p).real_roots(multiple=False)
+        assert want == (sum(m for _, m in roots) == p.degree)
+
+    def no_chain(a, b):
+        raise AssertionError("is_real_rooted built a Sturm chain")
+
+    with mock.patch.object(sturm, "_remainder_chain", no_chain):
+        assert is_real_rooted(p) == want
+
+
+def test_is_real_rooted_stops_at_the_first_negative_entry(monkeypatch):
+    # s_8 of w^10 + w^8 + 1 and its derivative is negative: the sum of the
+    # squared root differences is 10 p_2 - p_1^2 = -20 < 0
+    calls = []
+    pseudo_rem = poly._pseudo_rem
+
+    def counted(a, b):
+        calls.append(len(a))
+        return pseudo_rem(a, b)
+
+    monkeypatch.setattr(poly, "_pseudo_rem", counted)
+    assert not is_real_rooted(w**10 + w**8 + 1)
+    assert calls == [11]
+    calls.clear()
+    assert is_real_rooted(math.prod((w - k for k in range(10)), start=Poly.one()))
+    assert len(calls) == 9  # a Yes reads every entry
+
+
+def test_real_rooted_from_signs_reads_only_what_it_needs():
+    read = []
+
+    def entries(signs):
+        for s in signs:
+            read.append(s)
+            yield s
+
+    assert not real_rooted_from_signs(entries([1, 2, -1, 5, 0]))
+    assert read == [1, 2, -1]
+    read.clear()
+    assert real_rooted_from_signs(entries([3, 0, 0, 0]))
+    assert not real_rooted_from_signs(entries([0, 0, 1]))
+    assert real_rooted_from_signs([])
 
 
 @settings(max_examples=40, deadline=None)

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fcl.classf import ClassF
-from fcl.cli import main
+from fcl.cli import _COMMANDS, build_parser, main
 from fcl.config import load_config
 from fcl.errors import InvalidRTransform, NotInClass, ParseError
 from fcl.exactalg import Poly
@@ -156,13 +156,19 @@ def run_cli(capsys, *argv):
 
 def _cli_quiet(*argv):
     """Exit code and stderr of one call; argparse's usage errors exit 2."""
+    code, _, err = _cli_all(*argv)
+    return code, err
+
+
+def _cli_all(*argv):
+    """Exit code, stdout and stderr of one call that may exit through argparse."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(list(argv))
         except SystemExit as e:
             code = e.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 _DEEP = ("(" * 200 + "w" + ")" * 200, "-" * 2000 + " w", "+".join(["w"] * 3000))
@@ -213,6 +219,47 @@ def test_cli_unknown_option_is_a_usage_error():
                  ("density", "w - w^2", "--range=-1:1", "--eps", "1e-3")):
         code, err = _cli_quiet(*argv)
         assert code == 2 and "error:" in err
+
+
+def _commands(parser):
+    """The parser's subcommand parsers by name."""
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
+def test_cli_help_lists_every_command():
+    code, out, _ = _cli_all("--help")
+    assert code == 0 and len(_COMMANDS) == 25
+    listed = out.split("{", 1)[1].split("}", 1)[0].split(",")
+    assert listed == list(_COMMANDS)
+
+
+def test_cli_unknown_command_exits_2():
+    for argv in (("nosuch",), ("nosuch", "w"), ()):
+        code, out, err = _cli_all(*argv)
+        assert code == 2 and out == "" and "error:" in err
+    # the full parser answers, so every command is offered
+    assert all(name in _cli_all("nosuch")[2] for name in _COMMANDS)
+
+
+def test_cli_subcommand_help_exits_0():
+    code, out, _ = _cli_all("moments", "--help")
+    assert code == 0 and out.startswith("usage: fcl moments")
+    assert "--order" in out and "--from-r" in out
+
+
+def test_build_parser_one_command_matches_the_full_parser():
+    full = build_parser()
+    assert list(_commands(full)) == list(_COMMANDS)
+    for name in _COMMANDS:
+        one = build_parser(name)
+        assert list(_commands(one)) == [name]
+        assert _commands(one)[name].format_help() == _commands(full)[name].format_help()
+        assert one.format_usage() == full.format_usage()
+    for argv in (["moments", "-w*(w-1)", "--order", "3", "--json"],
+                 ["density", "w", "--range=-2:2", "--grid", "5"],
+                 ["oeis-match", "w", "--network", "off"], ["euler", "2", "--ck", "10"],
+                 ["region", "lb", "--samples", "3"]):
+        assert vars(build_parser(argv[0]).parse_args(argv)) == vars(full.parse_args(argv))
 
 
 def test_cli_moments_json(capsys):
