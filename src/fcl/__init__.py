@@ -22,7 +22,7 @@ _EXPORTS = {
     "errors": ("ComputationError", "ContinuationFailure",
                "DecompositionNotReal", "DegenerateEliminant", "FclError",
                "InvalidRTransform", "NetworkDisabled", "NotFound",
-               "NotInClass", "NotSquarefree", "ParseError"),
+               "NotInClass", "ParseError"),
     "exactalg.algebraic": ("AlgebraicReal",),
     "exactalg.bipoly": ("BiPoly",),
     "exactalg.poly": ("Poly", "Rat"),

@@ -1,16 +1,12 @@
-"""Numeric evaluation of the inverse series D and Stieltjes inversion.
+"""Numeric density by Stieltjes inversion.
 
-Every value solves the homogeneous pencil a*w*P(w) - b*Q(w) = 0 by one
-Newton core:
-
-* d_eval, with (a, b) = (1, z), tracks the branch of F^{-1} with
-  D(0) = 0 along the straight segment 0 -> z (step count doubles on
-  failure) -- the right tool near the origin where the series lives.
-* densities need G(x - i0) = D(1/x).  With (a, b) = (zeta, 1) the pencil
-  stays regular at x = 0.  The branch is found by vertical descent: start
-  deep in the lower half plane where G(zeta) ~ 1/zeta is unambiguous,
-  halve Im zeta down to 1e-3 with a Newton correction at each stage, then
-  make one Newton solve of the real pencil x*w*P(w) - Q(w) = 0 at zeta = x.
+The density needs G(x - i0) = D(1/x), D the inverse of F.  D(z) is a
+root w of w*P(w) - z*Q(w); every value solves that pencil written in
+zeta = 1/z, zeta*w*P(w) - Q(w) = 0, which stays regular at x = 0, by one
+Newton core.  The branch is found by vertical descent: start deep in the
+lower half plane where G(zeta) ~ 1/zeta is unambiguous, halve Im zeta
+down to 1e-3 with a Newton correction at each stage, then make one Newton
+solve of the real pencil x*w*P(w) - Q(w) = 0 at zeta = x.
 
 f(x) = Im G(x - i0)/pi.  Continuation failures are reported as gaps,
 never interpolated over.
@@ -40,7 +36,7 @@ def _horner(cs, x):
 
 
 class _Evaluator:
-    """Float view of F; Newton acts on the pencil a w P(w) - b Q(w).
+    """Float view of F; Newton acts on the pencil zeta w P(w) - Q(w).
 
     The pencil form stays well conditioned where F itself has a pole
     (G approaches such points at the center of symmetric supports), since
@@ -53,18 +49,15 @@ class _Evaluator:
         self.dp = _float_coeffs(f.P.derivative())
         self.dq = _float_coeffs(f.Q.derivative())
 
-    def f(self, w):
-        return w * _horner(self.p, w) / _horner(self.q, w)
-
-    def newton(self, w, a, b, iters: int = 80):
-        """Root of a w P(w) - b Q(w) near w, or None (backward-error stop)."""
+    def newton(self, w, zeta, iters: int = 80):
+        """Root of zeta w P(w) - Q(w) near w, or None (backward-error stop)."""
         for _ in range(iters):
             pw, qw = _horner(self.p, w), _horner(self.q, w)
-            resid = a * w * pw - b * qw
-            scale = abs(a * w * pw) + abs(b * qw) + 1.0
+            resid = zeta * w * pw - qw
+            scale = abs(zeta * w * pw) + abs(qw) + 1.0
             if abs(resid) <= 5e-14 * scale:
                 return w
-            deriv = a * (pw + w * _horner(self.dp, w)) - b * _horner(self.dq, w)
+            deriv = zeta * (pw + w * _horner(self.dp, w)) - _horner(self.dq, w)
             if abs(deriv) < 1e-280:
                 return None
             step = resid / deriv
@@ -72,37 +65,6 @@ class _Evaluator:
             if abs(step) <= 1e-14 * (1 + abs(w)):
                 return w
         return None
-
-
-def d_eval(f: ClassF, z: complex, path_steps: int = 64) -> complex:
-    """The branch of F^{-1} with D(0) = 0, continued along 0 -> z.
-
-    Result satisfies |F(D) - z| < 1e-12 (1 + |z|); ContinuationFailure
-    when the path runs too close to a point with F'(w) = 0.
-    """
-    ev = _Evaluator(f)
-    z = complex(z)
-    steps = max(2, path_steps)
-    while True:
-        w = 0j
-        ok = True
-        for k in range(1, steps + 1):
-            w = ev.newton(w, 1, z * k / steps)
-            if w is None:
-                ok = False
-                break
-        if ok:
-            try:
-                ok = abs(ev.f(w) - z) < 1e-12 * (1 + abs(z))
-            except ZeroDivisionError:
-                ok = False
-        if ok:
-            return w
-        if steps >= 1024:
-            raise ContinuationFailure(
-                f"branch tracking to z={z} failed at {steps} steps "
-                "(path passes near a critical value of F)")
-        steps *= 2
 
 
 def support_radius_estimate(f: ClassF) -> float:
@@ -129,7 +91,7 @@ def g_eval_descent(ev: _Evaluator, x: float, anchor: float) -> complex:
         eta /= 2
     w = 1 / complex(x, -etas[0])
     for eta in etas + [_DESCENT_EPS, 0.0]:
-        w = ev.newton(w, complex(x, -eta), 1)
+        w = ev.newton(w, complex(x, -eta))
         if w is None:
             raise ContinuationFailure(f"descent to x={x}, eps={eta} lost the branch")
     return w

@@ -17,10 +17,6 @@ class ComputationError(FclError):
     """Two independent computation routes disagreed; indicates a bug."""
 
 
-class NotSquarefree(FclError):
-    """Operation requires a squarefree polynomial."""
-
-
 class DegenerateEliminant(FclError):
     """A resultant eliminant vanished identically after cleaning."""
 

@@ -14,7 +14,7 @@ _EXPORTS = {
     "poly": ("Poly", "Rat", "as_rat", "is_squarefree", "poly_gcd", "rat_str",
              "resultant", "squarefree_part"),
     "sturm": ("NEG_INF", "POS_INF", "cauchy_bound", "count_distinct_real_roots",
-              "is_real_rooted", "sturm_chain", "sturm_count"),
+              "is_real_rooted", "sturm_chain"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -29,8 +29,6 @@ def as_rat(x) -> Rat:
     """Coerce ints, strings like '27/8' and Fractions to Fraction."""
     if isinstance(x, Rat):
         return x
-    if isinstance(x, str):
-        return Rat(x)
     return Rat(x)
 
 
@@ -374,47 +372,29 @@ def _primitive(a):
 
 
 def _prem(a, b):
-    """Primitive positive multiple of a rem b, for int lists with b nonzero.
+    """Primitive positive multiple of a rem b, for int lists with b nonzero
+    and deg a >= deg b (every caller has that).
 
-    Each step multiplies by |lc(b)| and subtracts sign(lc(b)) * lead * x^k * b,
-    so the result is |lc(b)|^e (a rem b) divided by its positive content:
-    signs are those of the Euclidean remainder, as Sturm chains need
+    `_pseudo_rem(a, b)` is lc(b)^e (a rem b) with e = deg a - deg b + 1, so
+    its primitive part is a positive multiple of a rem b unless lc(b)^e < 0,
+    that is lc(b) < 0 and e odd (deg a - deg b even); it is then negated.
+    Signs are those of the Euclidean remainder, as Sturm chains need
     (Collins, J. ACM 14 (1967), primitive PRS).
     """
-    a = list(a)
-    d = len(b) - 1
-    lb = b[-1]
-    m = abs(lb)
-    bs = b[:-1] if lb > 0 else [-c for c in b[:-1]]
-    while len(a) > d:
-        lead = a.pop()
-        if m != 1:
-            a = [c * m for c in a]
-        k = len(a) - d
-        for j, c in enumerate(bs):
-            a[k + j] -= lead * c
-        while a and a[-1] == 0:
-            a.pop()
-    return _primitive(a)
+    r = _primitive(_pseudo_rem(a, b))
+    if b[-1] < 0 and (len(a) - len(b)) % 2 == 0:
+        return [-c for c in r]
+    return r
 
 
 def _exact_div(a, b):
-    """The int list q with a = q * b, or None when b does not divide a over Z."""
-    d = len(b) - 1
-    if len(a) <= d:
-        return None
-    a = list(a)
-    lb = b[-1]
-    q = [0] * (len(a) - d)
-    for k in range(len(q) - 1, -1, -1):
-        c, m = divmod(a[k + d], lb)
-        if m:
-            return None
-        q[k] = c
-        if c:
-            for j in range(d):
-                a[k + j] -= c * b[j]
-    return None if any(a[:d]) else q
+    """The int list q with a = q * b, or None when b does not divide a over Z.
+
+    `_pdivmod` scales by lc(b) (s != 1) exactly when some quotient
+    coefficient is not an integer.
+    """
+    q, r, s = _pdivmod(a, b)
+    return q if s == 1 and q and not any(r) else None
 
 
 _HEU_TRIES = 6

@@ -11,9 +11,7 @@ Counts follow the (lo, hi] convention: with V(x) the number of sign changes
 in the chain at x (zeros skipped, signs at +/-infinity taken from leading
 coefficients), V(lo) - V(hi) is the number of distinct real roots in
 (lo, hi].  Chains terminate at a multiple of gcd(p, p'), so multiple roots
-are counted once; the public `sturm_count` nevertheless insists on
-squarefree input, as callers are expected to have separated multiplicity
-questions already.
+are counted once.
 
 Real-rootedness is a yes/no question and builds no Sturm chain:
 `is_real_rooted` reads the signed subresultant coefficients of p and p'
@@ -25,20 +23,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..errors import NotSquarefree
 from .poly import Poly, Rat, _prem, _primitive, _subresultant_scan
 
 NEG_INF = object()
 POS_INF = object()
 
 
-def _endpoints(lo, hi, strict: bool):
-    """lo and hi normalised, after checking lo <= hi (lo < hi when strict)
-    in the order NEG_INF < rationals < POS_INF."""
+def _endpoints(lo, hi):
+    """lo and hi normalised, after checking lo <= hi in the order
+    NEG_INF < rationals < POS_INF."""
     lo, hi = _norm_endpoint(lo), _norm_endpoint(hi)
     key = [(-1, 0) if x is NEG_INF else (1, 0) if x is POS_INF else (0, x) for x in (lo, hi)]
-    if key[0] > key[1] or (strict and key[0] == key[1]):
-        raise ValueError("need lo < hi" if strict else "need lo <= hi")
+    if key[0] > key[1]:
+        raise ValueError("need lo <= hi")
     return lo, hi
 
 
@@ -117,21 +114,10 @@ def count_distinct_real_roots(p: Poly, lo=NEG_INF, hi=POS_INF) -> int:
     """Distinct real roots of any nonzero p in (lo, hi] (no squarefree demand)."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    lo, hi = _endpoints(lo, hi, strict=False)
+    lo, hi = _endpoints(lo, hi)
     if p.is_constant():
         return 0
     chain = sturm_chain(p)
-    return _variations_at(chain, lo) - _variations_at(chain, hi)
-
-
-def sturm_count(p: Poly, lo=NEG_INF, hi=POS_INF) -> int:
-    """Number of real roots of a squarefree p in (lo, hi]; +/-inf endpoints allowed."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    chain = sturm_chain(p)
-    if len(chain[-1]) > 1:
-        raise NotSquarefree("sturm_count requires a squarefree polynomial")
-    lo, hi = _endpoints(lo, hi, strict=True)
     return _variations_at(chain, lo) - _variations_at(chain, hi)
 
 

@@ -47,8 +47,8 @@ from .classf import ClassF
 from .errors import DegenerateEliminant
 from .exactalg import (AlgebraicReal, BiPoly, Poly, Rat, as_rat,
                        count_distinct_real_roots, is_real_rooted,
-                       is_real_rooted_at, isolate_real_roots, poly_gcd,
-                       resultant_w, squarefree_part)
+                       is_real_rooted_at, is_squarefree, isolate_real_roots,
+                       poly_gcd, resultant_w, squarefree_part)
 
 
 class Verdict(Enum):
@@ -91,14 +91,6 @@ def is_singular(f: ClassF) -> bool:
     return count_distinct_real_roots(g) >= 1
 
 
-def boundary_diagnostics(f: ClassF) -> dict:
-    """Degree deficiency and singularity flags for boundary analysis."""
-    chi = char_poly(f)
-    deficient = chi.degree <= f.P.degree + f.Q.degree - 2
-    return {"degree_deficient": deficient, "singular": is_singular(f),
-            "chi_degree": chi.degree}
-
-
 # ----------------------------------------------------------------------
 # the multiple-root locus in z
 
@@ -132,8 +124,10 @@ def _clean_eliminant(x: BiPoly) -> Poly:
     lc = x.lc_poly
     if lc.degree == 1:
         tau = -lc.coeff(0) / lc.lc
+        # xt != 0: x = A + sB with A = -tau B holds neither for the coprime,
+        # nonconstant moving part nor for n_set's A = wP, B = -Q (see w = 0)
         xt = x.eval_param(tau)
-        if rho(tau) == 0 and (xt.is_constant() or poly_gcd(xt, xt.derivative()).is_constant()):
+        if rho(tau) == 0 and is_squarefree(xt):
             rho = rho.exact_div(Poly([-tau, 1]))
     return rho
 

@@ -4,37 +4,11 @@ from fractions import Fraction
 import pytest
 
 from fcl import density
-from fcl.classf import identity_f, make_classf, moments
-from fcl.density import (_CLAMP_TOL, _Evaluator, d_eval, density_csv, density_grid,
+from fcl.classf import make_classf, moments
+from fcl.density import (_CLAMP_TOL, _Evaluator, density_csv, density_grid,
                          g_eval_descent, reference_density, support_radius_estimate)
 from fcl.distlib import mp, wigner
 from fcl.exactalg import Poly
-
-
-def test_d_eval_identity():
-    assert d_eval(identity_f(), 0.3 + 0.4j) == pytest.approx(0.3 + 0.4j, abs=1e-12)
-
-
-def test_d_eval_catalan_branch():
-    f = make_classf(Poly([1, -1]), Poly.one())
-    # quadratic-formula branch with D(0) = 0
-    assert d_eval(f, 0.125) == pytest.approx((1 - math.sqrt(0.5)) / 2, abs=1e-10)
-
-
-def test_d_eval_pick_property():
-    f = make_classf(Poly([1, -1]), Poly.one())
-    for z in (0.1 + 0.2j, -0.05 + 0.3j, 0.2 + 0.01j):
-        assert d_eval(f, z).imag > 0
-    fw = wigner(1)
-    for z in (0.3 + 0.1j, -0.2 + 0.4j):
-        assert d_eval(fw, z).imag > 0
-
-
-def test_d_eval_residual_contract():
-    f = make_classf(Poly([1, 0, 1]), Poly([1, 0, 9]))
-    z = 0.11 + 0.07j
-    w0 = d_eval(f, z)
-    assert abs(f.eval(w0) - z) < 1e-12 * (1 + abs(z))
 
 
 def test_density_matches_closed_forms():

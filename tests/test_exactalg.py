@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 from conftest import rand_poly, rand_rat
 from fcl.classf import make_classf
-from fcl.errors import NotInClass, NotSquarefree
+from fcl.errors import NotInClass
 from fcl.euler import nk_classf
 from fcl.exactalg import (NEG_INF, POS_INF, AlgebraicReal, BiPoly, Iv, Poly,
                           cauchy_bound, count_distinct_real_roots, hankel_det,
                           is_real_rooted, is_real_rooted_at, is_squarefree,
                           isolate_real_roots, iv_poly_eval, poly_gcd,
                           resultant, resultant_w, squarefree_part,
-                          sturm_chain, sturm_count)
+                          sturm_chain)
 from fcl.exactalg import algebraic, bipoly, poly, sturm
 from fcl.exactalg.algebraic import _rational_roots
 from fcl.exactalg.bipoly import _nodes, lower_subresultants, subresultant_table
@@ -90,22 +90,20 @@ def test_squarefree_divides_and_cofactor(rng):
 
 
 def test_sturm_count_examples():
-    assert sturm_count(Poly([1, -4, 1])) == 2        # discriminant 12 > 0
-    assert sturm_count(Poly([1, -2, 2])) == 0        # no real roots
-    assert sturm_count(w, -1, 1) == 1
-    assert sturm_count(Poly([1, -4, 1]), NEG_INF, POS_INF) == 2
-    with pytest.raises(NotSquarefree):
-        sturm_count((1 - 2 * w) ** 2)
+    assert count_distinct_real_roots(Poly([1, -4, 1])) == 2   # discriminant 12 > 0
+    assert count_distinct_real_roots(Poly([1, -2, 2])) == 0   # no real roots
+    assert count_distinct_real_roots(w, -1, 1) == 1
+    assert count_distinct_real_roots(Poly([1, -4, 1]), NEG_INF, POS_INF) == 2
     with pytest.raises(ValueError):
-        sturm_count(Poly.zero())
+        count_distinct_real_roots(Poly.zero())
 
 
 def test_sturm_halfopen_convention():
     # roots of w^2 - 1 at +-1; (lo, hi] includes hi, excludes lo
     p = w**2 - 1
-    assert sturm_count(p, -1, 1) == 1
-    assert sturm_count(p, -2, 1) == 2
-    assert sturm_count(p, 1, 2) == 0
+    assert count_distinct_real_roots(p, -1, 1) == 1
+    assert count_distinct_real_roots(p, -2, 1) == 2
+    assert count_distinct_real_roots(p, 1, 2) == 0
 
 
 def test_sturm_count_random_products(rng):
@@ -122,8 +120,7 @@ def test_sturm_count_random_products(rng):
             p = p * Poly([b, a, 1])
         if p.is_constant():
             continue
-        assert sturm_count(p) == len(roots)
-        assert count_distinct_real_roots(p) == p.degree - 2 * pairs
+        assert count_distinct_real_roots(p) == len(roots) == p.degree - 2 * pairs
 
 
 def test_reversed_endpoints_raise():
@@ -131,14 +128,10 @@ def test_reversed_endpoints_raise():
     p = w**2 - 2
     for lo, hi in ((POS_INF, NEG_INF), (2, -2), (POS_INF, 0), (0, NEG_INF)):
         with pytest.raises(ValueError):
-            sturm_count(p, lo, hi)
-        with pytest.raises(ValueError):
             count_distinct_real_roots(p, lo, hi)
-    with pytest.raises(ValueError):
-        sturm_count(p, 1, 1)
     assert count_distinct_real_roots(p, 1, 1) == 0
     assert count_distinct_real_roots(p, NEG_INF, NEG_INF) == 0
-    assert count_distinct_real_roots(p, NEG_INF, 0) == sturm_count(p, 0, POS_INF) == 1
+    assert count_distinct_real_roots(p, NEG_INF, 0) == count_distinct_real_roots(p, 0, POS_INF) == 1
 
 
 def test_is_real_rooted():
@@ -316,6 +309,56 @@ def test_heuristic_gcd_retries_after_a_wrong_candidate(monkeypatch):
     assert poly._gcd_heuristic([0, 1], [20, 1]) == [1]
     assert seen == [[0, 1]] * 4
     assert poly_gcd(w, w + 20) == Poly.one()
+
+
+_small = st.integers(-30, 30)
+
+
+@st.composite
+def _int_lists(draw, min_deg=0, max_deg=4):
+    """Int coefficient lists, lowest degree first, with a nonzero lead."""
+    deg = draw(st.integers(min_deg, max_deg))
+    return draw(st.lists(_small, min_size=deg, max_size=deg)) + [draw(_small.filter(bool))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_int_lists(), st.integers(0, 3), st.data())
+@example([3, 1], 0, None)              # deg a = deg b, lc(b) < 0 below
+@example([1, 0, -3], 0, None)
+@example([1, 0, -3], 1, None)
+@example([2, 5, -7], 2, None)
+def test_prem_is_a_primitive_positive_multiple_of_the_remainder(b, k, data):
+    if data is None:  # the explicit examples: lc(b) < 0, deg a - deg b = k
+        b = [-c for c in b] if b[-1] > 0 else b
+        a = [1] * (len(b) + k - 1) + [5]
+    else:
+        a = data.draw(_int_lists(len(b) - 1 + k, len(b) - 1 + k))
+    r = poly._prem(a, b)
+    want = Poly(a) % Poly(b)
+    if want.is_zero():
+        assert r == []
+        return
+    assert math.gcd(*r) == 1
+    ratio = Poly(r).lc / want.lc
+    assert ratio > 0 and Poly(r) == want * ratio
+
+
+@settings(max_examples=150, deadline=None)
+@given(_int_lists(), _int_lists(), st.integers(2, 5), _int_lists(max_deg=3))
+@example([1], [1, 2], 2, [1])          # (1 + 2x) / (2 + 4x) = 1/2
+def test_exact_div_is_the_integral_quotient_or_none(q, b, d, r):
+    a = Poly(q) * Poly(b)
+    got = poly._exact_div(list(a.as_integer_ratio()[0]), b)
+    assert got == q and Poly(got) == a.divmod(Poly(b))[0]
+    # b scaled by d: the quotient over Q is q / d, integral only if d | q
+    bd = [d * c for c in b]
+    integral = all(c % d == 0 for c in q)
+    assert poly._exact_div(list(a.as_integer_ratio()[0]), bd) == (
+        [c // d for c in q] if integral else None)
+    # a nonzero remainder of degree below deg b
+    rem = Poly(r[:len(b) - 1])
+    if not rem.is_zero():
+        assert poly._exact_div(list((a + rem).as_integer_ratio()[0]), b) is None
 
 
 def _real_rooted_polys():

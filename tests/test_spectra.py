@@ -12,7 +12,7 @@ from fcl.euler import nk_classf
 from fcl.exactalg import (AlgebraicReal, BiPoly, Poly, is_real_rooted,
                           isolate_real_roots, poly_gcd, resultant_w,
                           sturm_chain)
-from fcl.spectra import (Verdict, boundary_diagnostics, cg_region, char_poly,
+from fcl.spectra import (Verdict, cg_region, char_poly,
                          char_poly_t, cleaned_critical_eliminant,
                          critical_ts, deg3_rr0, is_rr, is_rr0, is_singular,
                          lb_curve, moving_part, n_set, r3_poly_rr0,
@@ -201,11 +201,6 @@ def test_is_singular_examples():
     chi = char_poly(fc)
     assert chi == Poly([1, 0, -2, 0, -3])  # chi = 1 - 2w^2 - 3w^4 squarefree
     assert not is_singular(fc)
-
-
-def test_boundary_diagnostics():
-    d = boundary_diagnostics(f_of(Poly([1, -1]) * Poly([1, -2, 2])))
-    assert d["singular"] and d["chi_degree"] == 3
 
 
 # ---------------------------------------------------------------- criticals
