@@ -28,11 +28,11 @@ _EXPORTS = {
     "exactalg.poly": ("Poly", "Rat"),
     "posdef": ("HankelVerdict", "fid_check", "hankel_verdict",
                "is_moment_positive_up_to"),
-    "spectra": ("CriticalReport", "NSetResult", "Verdict", "char_poly",
-                "char_poly_t", "cg_region", "critical_ts", "deg3_rr0",
-                "is_rr", "is_rr0", "is_singular", "lb_curve", "n_set",
-                "r3_poly_rr0", "r4_c0_classify", "r4_singular_params",
-                "rr0_at_algebraic_t"),
+    "spectra": ("CriticalReport", "NSetResult", "Pencil", "Verdict",
+                "char_poly", "char_poly_t", "cg_region", "critical_ts",
+                "deg3_rr0", "is_rr", "is_rr0", "is_singular", "lb_curve",
+                "n_set", "r3_poly_rr0", "r4_c0_classify",
+                "r4_singular_params", "rr0_at_algebraic_t"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -77,22 +77,6 @@ class BiPoly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other) -> "BiPoly":
-        other = _coerce(other)
-        n = max(len(self.wcoeffs), len(other.wcoeffs))
-        return BiPoly([self.coeff(i) + other.coeff(i) for i in range(n)])
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly([-c for c in self.wcoeffs])
-
-    def __sub__(self, other) -> "BiPoly":
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other) -> "BiPoly":
-        return _coerce(other) + (-self)
-
     def __mul__(self, other) -> "BiPoly":
         if isinstance(other, (int, Rat, Poly)):
             other = BiPoly([other if isinstance(other, Poly) else Poly.const(other)])
@@ -104,8 +88,6 @@ class BiPoly:
                 for j, b in enumerate(other.wcoeffs):
                     out[i + j] = out[i + j] + a * b
         return BiPoly(out)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BiPoly) and self.wcoeffs == other.wcoeffs
@@ -139,16 +121,6 @@ class BiPoly:
             else:
                 parts.append(f"({cs})*{wvar}^{i}")
         return " + ".join(parts)
-
-
-def _coerce(x) -> BiPoly:
-    if isinstance(x, BiPoly):
-        return x
-    if isinstance(x, Poly):
-        return BiPoly([x])
-    if isinstance(x, (int, Rat)):
-        return BiPoly([Poly.const(x)])
-    raise TypeError(f"cannot coerce {type(x).__name__} to BiPoly")
 
 
 @functools.lru_cache(maxsize=64)

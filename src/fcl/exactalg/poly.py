@@ -211,20 +211,6 @@ class Poly:
             acc = c if acc is None else acc * x + c
         return acc
 
-    def compose(self, other: "Poly") -> "Poly":
-        """self(other), by Horner on the numerators homogenised at other's denominator."""
-        num = self._num
-        if not num:
-            return self
-        b, e = other._num, other._den
-        it = reversed(num)
-        acc, ep = [next(it)], 1
-        for c in it:
-            ep *= e
-            acc = _conv(acc, b) or [0]
-            acc[0] += c * ep
-        return _norm(acc, self._den * ep)
-
     def scale_arg(self, c) -> "Poly":
         """p(c*w) for a rational c."""
         c = as_rat(c)

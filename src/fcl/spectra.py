@@ -2,40 +2,43 @@
 
 chi_F = (P + wP')Q - wPQ' is the numerator of F'; its real-rootedness is
 the strong (rr0) membership test.  The weaker rr test asks that every z
-for which wP - zQ acquires a multiple root is real; that set is cut out by
-a resultant in z, cleaned of artifacts introduced by leading-coefficient
-collapse of the generic Sylvester matrix.
+for which wP - zQ acquires a multiple root is real.
 
-chi_t, the characteristic polynomial of the free power flow, is linear in
-t.  Its t-independent factor g = gcd of the two pencil parts is split off
-before eliminating w: g cannot create or destroy transitions (it is the
-same polynomial at every t), while leaving it in would make the resultant
-vanish identically whenever g has a multiple root.  Critical t values are
-then the real roots of the cleaned eliminant (multiple-root kind) together
-with parameter values where the moving part drops degree by at least two.
+Both questions scan a pencil x = A(w) + s B(w), linear in one parameter s:
+chi_t of the free power flow (s = t) and wP - zQ (s = z).  A `Pencil`
+splits, cleans and decides one of them in one place.  Its content
+g = gcd(A, B) is split off first: g is the same polynomial at every s, so
+it cannot create or destroy a transition, while leaving it in would make
+the eliminant vanish identically whenever g has a multiple root.  (A
+normalised member has P, Q coprime and Q(0) = 1, so the content of
+wP - zQ is 1.)  The eliminant is the squarefree resultant in s of the
+moving part and its w-derivative, cleaned of the artifact that
+leading-coefficient collapse of the generic Sylvester matrix introduces
+at tau, the root of a linear leading coefficient.  Critical values are
+its real roots (multiple-root kind) together with tau when the moving
+part drops degree by at least two there.
 
-Every rr0 verdict on the flow is read off the same split: for t != 0 the
-free power has chi = g * (A + tB), real-rooted iff g is (tested once) and
-the moving part at t is.  A rational t is substituted, and the polynomial
-it gives is tested by `exactalg.is_real_rooted`, which reads the signed
-subresultant coefficients with its derivative top-down and stops at the
-first one that settles the answer, with no Sturm chain.  (The gcd g of the
-split and the squarefree part of each eliminant try the heuristic gcd
-before the primitive PRS.)  At an irrational t0 the same rule is applied
-to signs at t0: the moving part x, of degree p in w at t0, is real-rooted
+The pencil is real-rooted at s iff g is (tested once) and the moving part
+at s is.  A rational s is substituted, and the polynomial it gives is
+tested by `exactalg.is_real_rooted`, which reads the signed subresultant
+coefficients with its derivative top-down and stops at the first one
+that settles the answer, with no Sturm chain.  (The gcd g of the split
+and the squarefree part of each eliminant try the heuristic gcd before
+the primitive PRS.)  At an irrational s0 the same rule is applied to
+signs at s0: the moving part x, of degree p in w at s0, is real-rooted
 iff its signed principal subresultant coefficients s_p, ..., s_d with its
-w-derivative are all nonzero at t0 with one sign, d being the smallest j
-with s_j(t0) != 0 (their permanences minus variations then reach p - d).
+w-derivative are all nonzero at s0 with one sign, d being the smallest j
+with s_j(s0) != 0 (their permanences minus variations then reach p - d).
 s_p = lc(x) and s_{p-1} = p lc(x) share one sign, so a scan from s_{p-2}
-down, each entry interpolated in t and signed at t0 only when reached,
+down, each entry interpolated in s and signed at s0 only when reached,
 stops at the first entry of the other sign or at the first zero.  Each
 entry costs only its own nodes: s_j is interpolated from
-(2p - 1 - 2j) deg_t x + 1 of them, and each node's subresultant PRS runs
+(2p - 1 - 2j) deg_s x + 1 of them, and each node's subresultant PRS runs
 a pseudo-division only when the scan reads the entry that needs it.  Its
-sign at t0 is one Tarski query, P' s_j reduced mod t0's defining
+sign at s0 is one Tarski query, P' s_j reduced mod s0's defining
 polynomial P before the chain is built, so the chain starts below deg P.
-At t = 0 the free power is delta_0, whose chi is 1, not chi_t(0) = P^2:
-the verdict there is Yes.
+On the flow, t = 0 is the free power delta_0, whose chi is 1, not
+chi_t(0) = P^2: the verdict there is Yes.
 """
 from __future__ import annotations
 
@@ -92,6 +95,95 @@ def is_singular(f: ClassF) -> bool:
 
 
 # ----------------------------------------------------------------------
+# a pencil linear in its parameter
+
+
+class Pencil:
+    """x = A(w) + s B(w), split once as g(w) * (A' + s B'), g = gcd(A, B).
+
+    `content` is the monic g, `moving` the moving part A' + s B' (x itself
+    when g is constant, so x is not rebuilt), and `tau` the root of the
+    moving part's leading coefficient when that is linear in s, else None.
+    g is tested for real-rootedness here, once.
+    """
+
+    __slots__ = ("content", "moving", "tau", "_content_rooted")
+
+    def __init__(self, x: BiPoly):
+        if x.max_param_degree() > 1:
+            raise ValueError("pencil expected to be linear in the parameter")
+        a = Poly([c.coeff(0) for c in x.wcoeffs])
+        b = Poly([c.coeff(1) for c in x.wcoeffs])
+        g = poly_gcd(a, b)
+        if g.is_constant():
+            # rebuilding x here would cost about 5% of an irrational rr0 decision
+            g = Poly.one()
+        else:
+            x = BiPoly.from_linear(a.exact_div(g), b.exact_div(g))
+        lc = x.lc_poly
+        self.content, self.moving = g, x
+        self.tau = -lc.coeff(0) / lc.lc if lc.degree == 1 else None
+        self._content_rooted = is_real_rooted(g)
+
+    def eliminant(self) -> Poly:
+        """Squarefree Res_w(x, x_w) of the moving part x, less its artifact.
+
+        Where lc(x) vanishes (at tau), so does that of x_w: the Sylvester
+        matrix gets a zero column and the resultant vanishes there whether
+        or not x has a multiple root.  tau is kept only if x specialized
+        there really has one.  A moving part constant in w has no multiple
+        roots: its eliminant is 1.
+        """
+        x, tau = self.moving, self.tau
+        if x.degree_w <= 0:
+            return Poly.one()
+        raw = resultant_w(x, x.deriv_w())
+        if raw.is_zero():
+            raise DegenerateEliminant("resultant of the pencil and its w-derivative is zero")
+        rho = squarefree_part(raw)
+        # x(tau) != 0: else A = -tau B, a content that the split took out
+        if tau is not None and rho(tau) == 0 and is_squarefree(x.eval_param(tau)):
+            rho = rho.exact_div(Poly([-tau, 1]))
+        return rho
+
+    def criticals(self, lo, hi) -> list:
+        """Ascending [AlgebraicReal, kind] pairs in (lo, hi), intervals disjoint.
+
+        kind is 'multiple_root' for a real root of the eliminant,
+        'degree_drop' for tau where the moving part drops degree by at least
+        two, and 'both' when they coincide.
+        """
+        crits = []
+        rho = self.eliminant()
+        if not rho.is_constant():
+            for r in isolate_real_roots(rho):
+                r2 = r.refine_inside(lo, hi)
+                if r2 is not None:
+                    crits.append([r2, "multiple_root"])
+        x, tau = self.moving, self.tau
+        if tau is not None and lo < tau < hi and x.eval_param(tau).degree <= x.degree_w - 2:
+            side = [c[0].compare_rational(tau) for c in crits]
+            if 0 in side:
+                crits[side.index(0)][1] = "both"
+            else:
+                crits.insert(side.count(-1), [AlgebraicReal.from_rational(tau), "degree_drop"])
+        for i in range(len(crits) - 1):
+            crits[i][0], crits[i + 1][0] = crits[i][0].separate(crits[i + 1][0])
+        return crits
+
+    def real_rooted_at(self, s) -> bool:
+        """Whether x at s (int, Fraction or AlgebraicReal) has only real roots:
+        g is, and the moving part at s is, substituted at a rational s and
+        read from its subresultant signs at an irrational one."""
+        if not self._content_rooted:
+            return False
+        q = s if isinstance(s, (int, Fraction)) else s.as_fraction()
+        if q is None:
+            return is_real_rooted_at(self.moving.wcoeffs, s)
+        return is_real_rooted(self.moving.eval_param(q))
+
+
+# ----------------------------------------------------------------------
 # the multiple-root locus in z
 
 
@@ -106,35 +198,9 @@ class NSetResult:
         return self.nonreal_pair_count == 0
 
 
-def _clean_eliminant(x: BiPoly) -> Poly:
-    """Squarefree Res_w(x, x_w) of a pencil x, less its leading-collapse artifact.
-
-    Where the leading coefficient of x (linear in the parameter) vanishes,
-    so does that of x_w: the Sylvester matrix gets a zero column and the
-    resultant vanishes there whether or not x has a multiple root.  That
-    root is kept only if x specialized there really has one.  A pencil
-    constant in w has no multiple roots: its eliminant is 1.
-    """
-    if x.degree_w <= 0:
-        return Poly.one()
-    raw = resultant_w(x, x.deriv_w())
-    if raw.is_zero():
-        raise DegenerateEliminant("resultant of the pencil and its w-derivative is zero")
-    rho = squarefree_part(raw)
-    lc = x.lc_poly
-    if lc.degree == 1:
-        tau = -lc.coeff(0) / lc.lc
-        # xt != 0: x = A + sB with A = -tau B holds neither for the coprime,
-        # nonconstant moving part nor for n_set's A = wP, B = -Q (see w = 0)
-        xt = x.eval_param(tau)
-        if rho(tau) == 0 and is_squarefree(xt):
-            rho = rho.exact_div(Poly([-tau, 1]))
-    return rho
-
-
 def n_set(f: ClassF) -> NSetResult:
     """Eliminate w from {wP - zQ = 0, (wP - zQ)' = 0} and isolate real z."""
-    sq = _clean_eliminant(BiPoly.from_linear(Poly.x() * f.P, -f.Q))
+    sq = Pencil(BiPoly.from_linear(Poly.x() * f.P, -f.Q)).eliminant()
     if sq.is_constant():
         return NSetResult(sq, (), 0)
     members = tuple(isolate_real_roots(sq))
@@ -161,77 +227,35 @@ class CriticalReport:
     samples: tuple                    # rational sample point per interval
 
 
-def moving_part(x: BiPoly):
-    """Split chi_t = g(w) * (A + tB) with g the t-independent content."""
-    a = Poly([c.coeff(0) for c in x.wcoeffs])
-    b = Poly([c.coeff(1) for c in x.wcoeffs])
-    if x.max_param_degree() > 1:
-        raise ValueError("pencil expected to be linear in the parameter")
-    g = poly_gcd(a, b)
-    if g.is_constant():
-        # rebuilding x here would cost about 5% of an irrational rr0 decision
-        return Poly.one(), x
-    return g, BiPoly.from_linear(a.exact_div(g), b.exact_div(g))
-
-
 def cleaned_critical_eliminant(f: ClassF):
-    """(g, moving part, cleaned squarefree resultant in t).
+    """(g, moving part, cleaned squarefree resultant in t) of chi_t's pencil.
 
-    A constant moving part (chi_t does not actually move) has no critical
-    values; the eliminant degenerates to 1.
+    A by-name accessor over `Pencil`: perfbench's tracer wraps it.
     """
-    g, xh = moving_part(char_poly_t(f))
-    return g, xh, _clean_eliminant(xh)
+    p = Pencil(char_poly_t(f))
+    return p.content, p.moving, p.eliminant()
 
 
 def critical_ts(f: ClassF, t_lo, t_hi) -> CriticalReport:
     """Critical t values in (t_lo, t_hi) plus rr0 verdicts between them.
 
-    Verdicts come from chi_t = g * (A + tB): g is tested once, the moving
-    part at each interval's rational sample; a sample at 0 is Yes (delta_0).
+    Verdicts come from chi_t's pencil at each interval's rational sample;
+    a sample at 0 is Yes (delta_0).
     """
     t_lo, t_hi = as_rat(t_lo), as_rat(t_hi)
     if not t_lo < t_hi:
         raise ValueError("need t_lo < t_hi")
-    g, xh, rho = cleaned_critical_eliminant(f)
-
-    crits = []
-    if not rho.is_constant():
-        for r in isolate_real_roots(rho):
-            r2 = r.refine_inside(t_lo, t_hi)
-            if r2 is not None:
-                crits.append([r2, "multiple_root"])
-
-    # degree drops by >= 2: top coefficient root where the next one vanishes too
-    lc = xh.lc_poly
-    if lc.degree == 1:
-        tau = -lc.coeff(0) / lc.lc
-        if t_lo < tau < t_hi and xh.eval_param(tau).degree <= xh.degree_w - 2:
-            side = [c[0].compare_rational(tau) for c in crits]
-            if 0 in side:
-                crits[side.index(0)][1] = "both"
-            else:
-                crits.insert(side.count(-1), [AlgebraicReal.from_rational(tau), "degree_drop"])
-
-    crits = _disjoint(crits)
-
-    g_rooted = is_real_rooted(g)
+    pencil = Pencil(char_poly_t(f))
+    crits = pencil.criticals(t_lo, t_hi)
     bounds_lo = [t_lo] + [c[0].hi for c in crits]
     bounds_hi = [c[0].lo for c in crits] + [t_hi]
     samples = [(a + b) / 2 for a, b in zip(bounds_lo, bounds_hi)]
-    verdicts = [_flow_verdict(g_rooted, xh, s) for s in samples]
-
+    verdicts = [Verdict.YES if s == 0 or pencil.real_rooted_at(s) else Verdict.NO
+                for s in samples]
     return CriticalReport(t_lo, t_hi,
                           tuple(c[0] for c in crits),
                           tuple(c[1] for c in crits),
                           tuple(verdicts), tuple(samples))
-
-
-def _disjoint(crits):
-    """Refine consecutive criticals until their intervals are disjoint."""
-    for i in range(len(crits) - 1):
-        crits[i][0], crits[i + 1][0] = crits[i][0].separate(crits[i + 1][0])
-    return crits
 
 
 # ----------------------------------------------------------------------
@@ -241,33 +265,17 @@ def _disjoint(crits):
 def rr0_at_algebraic_t(f: ClassF, t0) -> Verdict:
     """Real-rootedness of chi_{t0} for an exact algebraic t0, decided exactly.
 
-    chi_{t0} = g * (A + t0 B) for t0 != 0: g is tested over Q, the moving
-    part by substitution at a rational t0 and otherwise by a top-down scan
-    of the signs at t0 of its signed subresultant coefficients
-    (exactalg.is_real_rooted_at): s_p = lc and s_{p-1} = p lc give the
-    sign the rest must keep, down to the first zero, below which every
-    entry must vanish.  t0 = 0 is Yes: the zero free power is delta_0,
-    whose chi is 1.
+    chi_{t0} = g * (A + t0 B) for t0 != 0 (`Pencil.real_rooted_at`): g is
+    tested over Q, the moving part by substitution at a rational t0 and
+    otherwise by a top-down scan of the signs at t0 of its signed
+    subresultant coefficients (exactalg.is_real_rooted_at): s_p = lc and
+    s_{p-1} = p lc give the sign the rest must keep, down to the first
+    zero, below which every entry must vanish.  t0 = 0 is Yes: the zero
+    free power is delta_0, whose chi is 1.
     """
-    g, xh = moving_part(char_poly_t(f))
-    return _flow_verdict(is_real_rooted(g), xh, t0)
-
-
-def _flow_verdict(g_rooted: bool, xh: BiPoly, t0) -> Verdict:
-    """rr0 of the free power at t0 (int, Fraction or AlgebraicReal).
-
-    g_rooted says whether g is real-rooted.  At t0 = 0 the power is delta_0.
-    """
+    pencil = Pencil(char_poly_t(f))
     q = t0 if isinstance(t0, (int, Fraction)) else t0.as_fraction()
-    if q == 0:
-        return Verdict.YES
-    if not g_rooted:
-        return Verdict.NO
-    if q is None:
-        rooted = is_real_rooted_at(xh.wcoeffs, t0)
-    else:
-        rooted = is_real_rooted(xh.eval_param(q))
-    return Verdict.YES if rooted else Verdict.NO
+    return Verdict.YES if q == 0 or pencil.real_rooted_at(t0) else Verdict.NO
 
 
 # ----------------------------------------------------------------------

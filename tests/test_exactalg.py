@@ -22,7 +22,7 @@ from fcl.exactalg.algebraic import _rational_roots
 from fcl.exactalg.bipoly import _nodes, lower_subresultants, subresultant_table
 from fcl.exactalg.poly import _signed_subresultants, bareiss_det_int
 from fcl.exactalg.sturm import _sign_at, _variations_at, real_rooted_from_signs
-from fcl.spectra import char_poly_t, critical_ts, moving_part
+from fcl.spectra import Pencil, char_poly_t, critical_ts
 
 w = Poly.x()
 
@@ -34,7 +34,6 @@ def test_poly_basic_ops():
     assert Poly([1, -1]).derivative() == Poly([-1])
     assert Poly([1, 0, -1]).derivative() == Poly([0, -2])          # d/dw (1 - w^2)
     assert Poly.const(5).derivative() == Poly.zero()
-    assert Poly([0, 0, 1]).compose(Poly([1, 1])) == Poly([1, 2, 1])  # (1+w)^2
     assert (1 - 2 * w) ** 2 * (1 - 2 * w) == Poly([1, -6, 12, -8])
     assert Poly([1, 2, 3])(F(1, 2)) == 1 + 1 + F(3, 4)
     assert (w**3 - w).divmod(w - 1) == (w**2 + w, Poly.zero())
@@ -857,7 +856,7 @@ def _oracle_cases(rng):
     crits = 0
     while crits < 6:
         f = _rand_member3(rng)
-        _, xh = moving_part(char_poly_t(f))
+        xh = Pencil(char_poly_t(f)).moving
         for c in critical_ts(f, 0, 10).criticals:
             if not c.is_rational():
                 cases.append((xh.wcoeffs, c))
@@ -885,7 +884,7 @@ def test_is_real_rooted_at_stops_at_the_first_other_sign(monkeypatch):
     # nk_classf(6): a moving part of degree 8 in w, criticals near 0.88,
     # 5.62 and 26.19 in (0, 2000); the first is No, the last Yes
     f = nk_classf(6)
-    _, xh = moving_part(char_poly_t(f))
+    xh = Pencil(char_poly_t(f)).moving
     no, _, yes = critical_ts(f, 0, 2000).criticals
     p = xh.degree_w
     signed = []

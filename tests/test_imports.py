@@ -71,3 +71,26 @@ def test_algebraic_decisions_do_not_load_intervals():
         "assert not c.is_rational()\n"
         "rr0_at_algebraic_t(f, c), n_set(f)")
     assert "fcl.spectra" in loaded and "fcl.exactalg.intervals" not in loaded
+
+
+def _tracer_targets():
+    """(module, attribute) of each entry of perfbench's tracer TARGETS, read
+    from the source without importing or changing perfbench."""
+    import ast
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "fclbench" / "tracing.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return [(entry.elts[1].value, entry.elts[2].value) for entry in node.value.elts]
+    raise AssertionError("no TARGETS in the tracer")
+
+
+def test_every_tracer_target_resolves():
+    # a name the tracer wraps must outlive it, or `perfbench/run.py --trace 1` fails
+    targets = _tracer_targets()
+    assert len(targets) >= 30
+    for module, attr in targets:
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            assert hasattr(obj, part), f"{module}.{attr}"
+            obj = getattr(obj, part)
+        assert callable(obj), f"{module}.{attr}"

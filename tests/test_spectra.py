@@ -12,12 +12,11 @@ from fcl.euler import nk_classf
 from fcl.exactalg import (AlgebraicReal, BiPoly, Poly, is_real_rooted,
                           isolate_real_roots, poly_gcd, resultant_w,
                           sturm_chain)
-from fcl.spectra import (Verdict, cg_region, char_poly,
+from fcl.spectra import (Pencil, Verdict, cg_region, char_poly,
                          char_poly_t, cleaned_critical_eliminant,
                          critical_ts, deg3_rr0, is_rr, is_rr0, is_singular,
-                         lb_curve, moving_part, n_set, r3_poly_rr0,
-                         r4_c0_classify, r4_singular_params,
-                         rr0_at_algebraic_t)
+                         lb_curve, n_set, r3_poly_rr0, r4_c0_classify,
+                         r4_singular_params, rr0_at_algebraic_t)
 
 w = Poly.x()
 
@@ -283,6 +282,74 @@ def test_multiple_root_criticals_certify(rng):
         if kind in ("multiple_root", "both") and c.as_fraction() is not None:
             pt = xh.eval_param(c.as_fraction())
             assert not poly_gcd(pt, pt.derivative()).is_constant()
+
+
+# -------------------------------------------------------------- the pencil
+
+
+def _random_pencils(rng):
+    """chi_t and w*P - z*Q of random members of degree 2 to 4, and two
+    chi_t whose content is 1 + w^2 and w - 1/2."""
+    for f in (make_classf((1 + w**2) ** 2, 1 + w + 8 * w**2 + F(5, 3) * w**3),
+              make_classf((1 - 2 * w) ** 2, 1 + w - w**3)):
+        yield char_poly_t(f)
+    for d in (2, 3, 4):
+        for _ in range(6):
+            f = rand_classf(rng, d)
+            while max(f.P.degree, f.Q.degree) != d:
+                f = rand_classf(rng, d)
+            yield char_poly_t(f)
+            yield BiPoly.from_linear(w * f.P, -f.Q)
+
+
+def test_pencil_splits_off_a_monic_content(rng):
+    contents = []
+    for x in _random_pencils(rng):
+        p = Pencil(x)
+        assert BiPoly.lift(p.content) * p.moving == x
+        assert p.content.lc == 1
+        a = Poly([c.coeff(0) for c in p.moving.wcoeffs])
+        b = Poly([c.coeff(1) for c in p.moving.wcoeffs])
+        assert poly_gcd(a, b).is_constant()
+        if p.content.is_constant():
+            assert p.moving is x
+        contents.append(p.content)
+    assert contents[:2] == [1 + w**2, w - F(1, 2)]
+    assert all(g == 1 for g in contents[2:])
+
+
+def test_pencil_tau_is_the_root_of_a_linear_leading_coefficient(rng):
+    kinds = set()
+    for x in _random_pencils(rng):
+        p = Pencil(x)
+        lc = p.moving.lc_poly
+        if lc.degree == 1:
+            assert lc(p.tau) == 0
+        else:
+            assert p.tau is None
+        kinds.add(lc.degree)
+    assert kinds == {0, 1}
+    # (1 + s) w^2 + w - s and w^2 + s
+    assert Pencil(BiPoly([Poly([0, -1]), Poly.one(), Poly([1, 1])])).tau == -1
+    assert Pencil(BiPoly([Poly([0, 1]), Poly.zero(), Poly.one()])).tau is None
+
+
+def test_pencil_quadratic_in_the_parameter_is_refused():
+    with pytest.raises(ValueError, match="linear in the parameter"):
+        Pencil(BiPoly([Poly([0, 0, 1]), Poly.one()]))    # w + s^2
+
+
+def test_critical_ts_and_n_set_make_one_resultant_each(monkeypatch, rng):
+    import fcl.spectra
+    calls = []
+    resultant_w = fcl.spectra.resultant_w
+    monkeypatch.setattr(fcl.spectra, "resultant_w",
+                        lambda a, b: calls.append(a) or resultant_w(a, b))
+    for f in (nk_classf(3), rand_classf(rng, 4)):
+        for scan in (lambda: critical_ts(f, -5, 50), lambda: n_set(f)):
+            calls.clear()
+            scan()
+            assert len(calls) == 1
 
 
 # ------------------------------------------------- algebraic rr0 verdicts
