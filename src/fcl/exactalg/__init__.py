@@ -8,13 +8,12 @@ from importlib import import_module
 
 _EXPORTS = {
     "algebraic": ("AlgebraicReal", "is_real_rooted_at", "isolate_real_roots"),
-    "bipoly": ("BiPoly", "resultant_w", "subresultant_table"),
+    "bipoly": ("BiPoly", "resultant_w"),
     "hankel": ("hankel_det", "leading_minors"),
     "intervals": ("Iv", "iv_poly_eval"),
     "poly": ("Poly", "Rat", "as_rat", "is_squarefree", "poly_gcd", "rat_str",
              "resultant", "squarefree_part"),
-    "sturm": ("NEG_INF", "POS_INF", "cauchy_bound", "count_distinct_real_roots",
-              "is_real_rooted", "sturm_chain"),
+    "sturm": ("cauchy_bound", "count_distinct_real_roots", "is_real_rooted", "sturm_chain"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

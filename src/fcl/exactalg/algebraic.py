@@ -9,12 +9,13 @@ a point.
 
 Every exact predicate is decided by `AlgebraicReal.sign_of`: the sign of a
 polynomial at an irrational number is one Tarski query on the isolating
-interval as it stands, its chain started from P' p reduced mod the
-defining polynomial P, or none for a constant or a linear polynomial whose
-root is not inside it.  `is_root_of` is sign_of(p) == 0, `compare_rational`
-is sign_of(x - q) when q is inside the interval, and two irrationals are
-equal when one is a root of the other's defining polynomial inside the
-other's interval.
+interval as it stands, read from `poly._remainder_chain` (the remainder
+sequence of every gcd and Sturm count too) started from P' p reduced mod
+the defining polynomial P, or none for a constant or a linear polynomial
+whose root is not inside it.  `is_root_of` is sign_of(p) == 0,
+`compare_rational` is sign_of(x - q) when q is inside the interval, and
+two irrationals are equal when one is a root of the other's defining
+polynomial inside the other's interval.
 
 Bisection only refines, for the callers that need narrower intervals
 (`refined_to`, `refine_inside`, `separate`): one step, `_bisect`, on the
@@ -28,10 +29,9 @@ import math
 from fractions import Fraction
 
 from .bipoly import BiPoly, lower_subresultants
-from .poly import Poly, Rat, _exact_div, _monic, _prem, as_rat
+from .poly import Poly, Rat, _exact_div, _monic, _prem, _remainder_chain, as_rat
 from .sturm import (cauchy_bound, count_distinct_real_roots, real_rooted_from_signs,
-                    sturm_chain, _remainder_chain, _sign_at, _sign_hom, _variations_at,
-                    _variations_hom)
+                    sturm_chain, _sign_at, _sign_hom, _variations_at, _variations_hom)
 
 
 def _bisect(ints, slo, lo, hi):
@@ -55,18 +55,17 @@ class AlgebraicReal:
 
     __slots__ = ("defining", "lo", "hi", "_ints", "_slo")
 
-    def __init__(self, defining: Poly, lo, hi, _checked=False):
+    def __init__(self, defining: Poly, lo, hi):
         lo, hi = as_rat(lo), as_rat(hi)
         if lo > hi:
             raise ValueError("interval endpoints out of order")
         ints = defining.int_coeffs()[0]
         slo = _sign_at(ints, lo)
-        if not _checked:
-            if lo == hi:
-                if slo != 0:
-                    raise ValueError("point interval is not a root")
-            elif slo == 0 or count_distinct_real_roots(defining, lo, hi) != 1:
-                raise ValueError("interval does not isolate exactly one root")
+        if lo == hi:
+            if slo != 0:
+                raise ValueError("point interval is not a root")
+        elif slo == 0 or count_distinct_real_roots(defining, lo, hi) != 1:
+            raise ValueError("interval does not isolate exactly one root")
         if lo < hi and _sign_at(ints, hi) == 0:
             lo, slo = hi, 0  # the root is hi itself
         self.defining = defining
@@ -80,7 +79,8 @@ class AlgebraicReal:
     @staticmethod
     def from_rational(q) -> "AlgebraicReal":
         q = as_rat(q)
-        return AlgebraicReal(Poly([-q, 1]), q, q, _checked=True)
+        p = Poly([-q, 1])
+        return _from_parts(p, p.int_coeffs()[0], 0, q, q)
 
     # -- queries -------------------------------------------------------
 

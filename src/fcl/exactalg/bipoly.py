@@ -14,11 +14,11 @@ power of d, and normalises once, so each result is exact.
 the signed principal subresultant coefficients of x and its w-derivative
 below the top two, lc(x) and p lc(x), each only when it is read: s_j is
 interpolated from its own (2p - 1 - 2j) deg_t x + 1 nodes, and each
-node's PRS runs only down to s_j.  `subresultant_table` lists them all.
-Both are determinants of *generic-degree* matrices, so parameter values
-where leading coefficients collapse may contribute spurious factors;
-callers strip those (see the spectra eliminant cleaning) or avoid such
-values (`algebraic.is_real_rooted_at`).
+node's PRS runs only down to s_j.  Both are determinants of
+*generic-degree* matrices, so parameter values where leading coefficients
+collapse may contribute spurious factors; callers strip those (see the
+spectra eliminant cleaning) or avoid such values
+(`algebraic.is_real_rooted_at`).
 """
 from __future__ import annotations
 
@@ -251,23 +251,3 @@ def lower_subresultants(x: BiPoly):
         # d x has rows scaled by d: s_j(d x) = d^(2p - 1 - 2j) s_j(x)
         yield _interpolator(tuple(nodes[:n]))([next(scan) for scan in scans],
                                               d ** (2 * p - 1 - 2 * j))
-
-
-def subresultant_table(x: BiPoly):
-    """[s_0, ..., s_p]: every signed principal subresultant coefficient of x
-    and its w-derivative as a polynomial in the parameter, p = deg_w x >= 1.
-
-    s_p = lc(x), s_{p-1} = p lc(x) and the rest come from
-    `lower_subresultants`, s_j interpolated from its first
-    (2p - 1 - 2j) deg_t x + 1 nodes, so the whole table runs the PRS to
-    its end at all (2p - 1) deg_t x + 1 nodes.  At a parameter value
-    where lc(x) does not vanish the s_j specialise: there the
-    specialisation of x has PmV(s_p, ..., s_0) distinct real roots (Basu,
-    Pollack and Roy, ch. 4 and 9), and deg gcd(x, x') is the smallest j
-    with s_j != 0.  So it is real-rooted iff s_p, ..., s_d are all nonzero
-    with one sign, d being that smallest j (`algebraic.is_real_rooted_at`).
-    """
-    if x.degree_w < 1:
-        raise ValueError("need a polynomial of positive degree in w")
-    lc = x.lc_poly
-    return [*reversed(list(lower_subresultants(x))), x.degree_w * lc, lc]

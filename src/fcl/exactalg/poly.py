@@ -10,12 +10,14 @@ coefficients (`Poly.coeffs`) are built only when someone reads them.
 Floating point enters only when the caller evaluates at a float/complex
 point.  gcds, squarefree parts and resultants run on primitive integer
 coefficient lists (`Poly.int_coeffs`), so their intermediate coefficients
-stay small.  A gcd is first tried by the heuristic gcd (GCDHEU: one
+stay small.  One primitive remainder sequence over Z, `_remainder_chain`,
+serves the gcd, the Sturm chains of `sturm` and the Tarski queries of
+`algebraic`.  A gcd is first tried by the heuristic gcd (GCDHEU: one
 integer gcd of the values at a large point, read back as a polynomial and
-proved by trial division), and only when that fails by the primitive PRS.
-The signed subresultant PRS (`_subresultant_scan`) yields its entries
-top-down and lazily, for resultants and for the real-rootedness rule in
-`sturm`.
+proved by trial division), and only when that fails is it the chain's last
+member.  The signed subresultant PRS (`_subresultant_scan`) yields its
+entries top-down and lazily, for resultants and for the real-rootedness
+rule in `sturm`.
 """
 from __future__ import annotations
 
@@ -373,6 +375,23 @@ def _prem(a, b):
     return r
 
 
+def _remainder_chain(a, b):
+    """The primitive remainder sequence a, b, -rem(a, b), ... of int lists,
+    a nonzero and deg a >= deg b: after a, each member is primitive and a
+    positive multiple of the matching signed remainder over Q, so it keeps
+    the signs a Sturm chain or a Tarski query reads.  It stops at a
+    constant or before a zero remainder, so its last member is a primitive
+    gcd of a and b (a itself when b is zero)."""
+    chain = [a]
+    r = _primitive(b)
+    while r:
+        chain.append(r)
+        if len(r) == 1:
+            break
+        r = [-c for c in _prem(chain[-2], r)]
+    return chain
+
+
 def _exact_div(a, b):
     """The int list q with a = q * b, or None when b does not divide a over Z.
 
@@ -432,8 +451,8 @@ def _eval_int(a, x: int) -> int:
 
 def _gcd(a, b):
     """A primitive gcd of int lists a, b, not both zero: `_gcd_heuristic`
-    when both have positive degree, and the primitive PRS (`_prs_gcd`) when
-    it fails or does not apply."""
+    when both have positive degree, and the last member of
+    `_remainder_chain` when it fails or does not apply."""
     if len(a) < len(b):
         a, b = b, a
     a = _primitive(a)
@@ -442,15 +461,7 @@ def _gcd(a, b):
         g = _gcd_heuristic(a, b)
         if g is not None:
             return g
-    return _prs_gcd(a, b)
-
-
-def _prs_gcd(a, b):
-    """A primitive gcd of primitive int lists a, b with deg a >= deg b, by
-    the primitive PRS."""
-    while b:
-        a, b = b, _prem(a, b)
-    return a
+    return _remainder_chain(a, b)[-1]
 
 
 def _monic(a) -> "Poly":
@@ -459,7 +470,7 @@ def _monic(a) -> "Poly":
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Monic greatest common divisor: the heuristic gcd, else the primitive
-    PRS over Z (`_gcd`)."""
+    remainder sequence over Z (`_gcd`)."""
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
     return _monic(_gcd(p.int_coeffs()[0], q.int_coeffs()[0]))
@@ -569,12 +580,6 @@ def _subresultant_scan(a, b):
     yield from [0] * (len(A) - 1)
 
 
-def _signed_subresultants(a, b):
-    """[s_0, ..., s_p]: `_subresultant_scan(a, b)` read to its end, every
-    pseudo-division run, bottom-up, then s_p = lc(a)."""
-    return [*reversed(list(_subresultant_scan(a, b))), a[-1]]
-
-
 def _resultant_int(a, b) -> int:
     """Res(a, b) of int lists with nonzero leading coefficients."""
     n, m = len(a) - 1, len(b) - 1
@@ -589,8 +594,9 @@ def _resultant_int(a, b) -> int:
         while r and r[-1] == 0:
             r.pop()
         return _resultant_int(a, r) // a[-1] ** (len(r) - 1) if r else 0
-    # the Sylvester matrix is the s_0 matrix with its b rows reversed
-    s0 = _signed_subresultants(a, b)[0]
+    # the Sylvester matrix is the s_0 matrix with its b rows reversed; s_0
+    # is the scan's last entry
+    *_, s0 = _subresultant_scan(a, b)
     return s0 if n % 4 < 2 else -s0
 
 

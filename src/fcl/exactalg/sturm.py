@@ -1,17 +1,19 @@
 """Sturm chains, exact real-root counting, and real-rootedness.
 
-Chains are primitive polynomial remainder sequences over Z (Collins,
-"Subresultants and reduced polynomial remainder sequences", J. ACM 1967):
-each member is an integer coefficient list, lowest degree first, and a
-positive rational multiple of the matching member of the Euclidean chain
-p, p', -rem(...) over Q, so sign variations are the same.  Signs at a
-rational a/b are taken from the member homogenised at (a, b), in integers.
+A Sturm chain is `poly._remainder_chain` of p and p', the primitive
+remainder sequence over Z (Collins, "Subresultants and reduced polynomial
+remainder sequences", J. ACM 1967) that the gcd and the Tarski queries of
+`algebraic` also run: each member is an integer coefficient list, lowest
+degree first, and a positive rational multiple of the matching member of
+the Euclidean chain p, p', -rem(...) over Q, so sign variations are the
+same.  Signs at a rational a/b are taken from the member homogenised at
+(a, b), in integers.
 
 Counts follow the (lo, hi] convention: with V(x) the number of sign changes
-in the chain at x (zeros skipped, signs at +/-infinity taken from leading
-coefficients), V(lo) - V(hi) is the number of distinct real roots in
-(lo, hi].  Chains terminate at a multiple of gcd(p, p'), so multiple roots
-are counted once.
+in the chain at x (zeros skipped), V(lo) - V(hi) is the number of distinct
+real roots in (lo, hi].  An end given as None is unbounded; there each
+member has the sign of its leading term.  Chains terminate at a multiple
+of gcd(p, p'), so multiple roots are counted once.
 
 Real-rootedness is a yes/no question and builds no Sturm chain:
 `is_real_rooted` reads the signed subresultant coefficients of p and p'
@@ -21,36 +23,7 @@ settles the answer (`real_rooted_from_signs`, the rule that
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .poly import Poly, Rat, _prem, _primitive, _subresultant_scan
-
-NEG_INF = object()
-POS_INF = object()
-
-
-def _endpoints(lo, hi):
-    """lo and hi normalised, after checking lo <= hi in the order
-    NEG_INF < rationals < POS_INF."""
-    lo, hi = _norm_endpoint(lo), _norm_endpoint(hi)
-    key = [(-1, 0) if x is NEG_INF else (1, 0) if x is POS_INF else (0, x) for x in (lo, hi)]
-    if key[0] > key[1]:
-        raise ValueError("need lo <= hi")
-    return lo, hi
-
-
-def _norm_endpoint(x):
-    if x is None:
-        raise ValueError("endpoint may not be None")
-    if isinstance(x, float):
-        if x == float("inf"):
-            return POS_INF
-        if x == float("-inf"):
-            return NEG_INF
-        return Fraction(x)
-    if x is NEG_INF or x is POS_INF:
-        return x
-    return Rat(x)
+from .poly import Poly, Rat, _remainder_chain, _subresultant_scan, as_rat
 
 
 def sturm_chain(p: Poly):
@@ -63,28 +36,9 @@ def sturm_chain(p: Poly):
     return _remainder_chain(a, [i * c for i, c in enumerate(a)][1:])
 
 
-def _remainder_chain(a, b):
-    """Primitive integer chain a, b, -rem(a, b), ... of int lists, a nonzero,
-    each member a positive multiple of the signed remainder over Q."""
-    chain = [a]
-    r = _primitive(b)
-    while r:
-        chain.append(r)
-        if len(r) == 1:
-            break
-        r = [-c for c in _prem(chain[-2], r)]
-    return chain
-
-
 def _sign_at(a, x) -> int:
-    """Sign of the int list a at x, a rational or +/-infinity."""
-    if x is POS_INF:
-        v = a[-1]
-    elif x is NEG_INF:
-        v = a[-1] if len(a) % 2 else -a[-1]
-    else:
-        return _sign_hom(a, x.numerator, x.denominator)
-    return (v > 0) - (v < 0)
+    """Sign of the int list a at the rational x."""
+    return _sign_hom(a, x.numerator, x.denominator)
 
 
 def _sign_hom(a, u: int, d: int) -> int:
@@ -110,15 +64,23 @@ def _variations_hom(chain, u: int, d: int) -> int:
     return sign_variations([_sign_hom(p, u, d) for p in chain])
 
 
-def count_distinct_real_roots(p: Poly, lo=NEG_INF, hi=POS_INF) -> int:
-    """Distinct real roots of any nonzero p in (lo, hi] (no squarefree demand)."""
+def count_distinct_real_roots(p: Poly, lo=None, hi=None) -> int:
+    """Distinct real roots of any nonzero p in (lo, hi] (no squarefree
+    demand), for rationals lo <= hi; None is -infinity as lo and +infinity
+    as hi."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    lo, hi = _endpoints(lo, hi)
+    if lo is not None and hi is not None and as_rat(lo) > as_rat(hi):
+        raise ValueError("need lo <= hi")
     if p.is_constant():
         return 0
     chain = sturm_chain(p)
-    return _variations_at(chain, lo) - _variations_at(chain, hi)
+    if lo is None:
+        vlo = sign_variations([c[-1] if len(c) % 2 else -c[-1] for c in chain])
+    else:
+        vlo = _variations_at(chain, as_rat(lo))
+    vhi = sign_variations([c[-1] for c in chain]) if hi is None else _variations_at(chain, as_rat(hi))
+    return vlo - vhi
 
 
 def is_real_rooted(p: Poly) -> bool:

@@ -8,9 +8,10 @@ Grammar (precedence ^ > unary minus > * / > + -, left associative):
     power  := atom ('^' exponent)?
     atom   := INTEGER | 'w' | '(' expr ')'
 
-Exponents must be nonnegative integer literals (a parenthesized constant
-is accepted, but it has to evaluate to a nonnegative integer).  The AST is
-plain tuples; evaluation produces a reduced num/den pair of polynomials.
+Exponents must be nonnegative integer literals, or a parenthesized
+expression whose value (by `eval_ratio`, so `(w/w)` and `(w-w+2)` count by
+their values 1 and 2) is a nonnegative integer.  The AST is plain tuples;
+evaluation produces a reduced num/den pair of polynomials.
 
 Size limits, fixed: parentheses and unary minus nest at most MAX_DEPTH
 levels, and the AST is at most MAX_DEPTH operators deep (a sum of
@@ -151,8 +152,9 @@ class _Parser:
             inner, _ = self.expr()
             self.take(")")
             self.nesting -= 1
-            val = _const_value(inner)
-            if val is None or val.denominator != 1 or val < 0:
+            num, den = eval_ratio(inner)
+            val = num.coeff(0)
+            if num.degree > 0 or den.degree > 0 or val.denominator != 1 or val < 0:
                 raise ParseError("exponent must be a nonnegative integer",
                                  position=t.pos)
             return int(val)
@@ -193,36 +195,6 @@ def _check_power(degree: int, bits: int, e: int):
     if degree * e > MAX_POWER_DEGREE or bits * e > MAX_POWER_BITS:
         raise ParseError(f"power too large: degree {degree} or {bits}-bit "
                          f"coefficients raised to {e}")
-
-
-def _const_value(ast):
-    """Rational value of a constant subtree, None if w occurs."""
-    kind = ast[0]
-    if kind == "num":
-        return ast[1]
-    if kind == "w":
-        return None
-    if kind == "neg":
-        v = _const_value(ast[1])
-        return None if v is None else -v
-    if kind == "pow":
-        v = _const_value(ast[1])
-        if v is None:
-            return None
-        _check_power(0, max(v.numerator.bit_length(), v.denominator.bit_length()), ast[2])
-        return v ** ast[2]
-    a, b = _const_value(ast[1]), _const_value(ast[2])
-    if a is None or b is None:
-        return None
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    raise ValueError(kind)
 
 
 def eval_ratio(ast):

@@ -11,7 +11,7 @@ from conftest import rand_poly, rand_rat
 from fcl.classf import make_classf
 from fcl.errors import NotInClass
 from fcl.euler import nk_classf
-from fcl.exactalg import (NEG_INF, POS_INF, AlgebraicReal, BiPoly, Iv, Poly,
+from fcl.exactalg import (AlgebraicReal, BiPoly, Iv, Poly,
                           cauchy_bound, count_distinct_real_roots, hankel_det,
                           is_real_rooted, is_real_rooted_at, is_squarefree,
                           isolate_real_roots, iv_poly_eval, poly_gcd,
@@ -19,12 +19,25 @@ from fcl.exactalg import (NEG_INF, POS_INF, AlgebraicReal, BiPoly, Iv, Poly,
                           sturm_chain)
 from fcl.exactalg import algebraic, bipoly, poly, sturm
 from fcl.exactalg.algebraic import _rational_roots
-from fcl.exactalg.bipoly import _nodes, lower_subresultants, subresultant_table
-from fcl.exactalg.poly import _signed_subresultants, bareiss_det_int
+from fcl.exactalg.bipoly import _nodes, lower_subresultants
+from fcl.exactalg.poly import bareiss_det_int
 from fcl.exactalg.sturm import _sign_at, _variations_at, real_rooted_from_signs
 from fcl.spectra import Pencil, char_poly_t, critical_ts
 
 w = Poly.x()
+
+
+def _signed_subresultants(a, b):
+    """[s_0, ..., s_p]: `poly._subresultant_scan(a, b)` read to its end,
+    bottom-up, then s_p = lc(a)."""
+    return [*reversed(list(poly._subresultant_scan(a, b))), a[-1]]
+
+
+def _subresultant_table(x: BiPoly):
+    """[s_0, ..., s_p] of x and its w-derivative as polynomials in the
+    parameter: `lower_subresultants` bottom-up, then p lc(x) and lc(x)."""
+    lc = x.lc_poly
+    return [*reversed(list(lower_subresultants(x))), x.degree_w * lc, lc]
 
 
 # ---------------------------------------------------------------- arithmetic
@@ -92,7 +105,7 @@ def test_sturm_count_examples():
     assert count_distinct_real_roots(Poly([1, -4, 1])) == 2   # discriminant 12 > 0
     assert count_distinct_real_roots(Poly([1, -2, 2])) == 0   # no real roots
     assert count_distinct_real_roots(w, -1, 1) == 1
-    assert count_distinct_real_roots(Poly([1, -4, 1]), NEG_INF, POS_INF) == 2
+    assert count_distinct_real_roots(Poly([1, -4, 1]), None, None) == 2
     with pytest.raises(ValueError):
         count_distinct_real_roots(Poly.zero())
 
@@ -123,14 +136,12 @@ def test_sturm_count_random_products(rng):
 
 
 def test_reversed_endpoints_raise():
-    # NEG_INF < every rational < POS_INF; an empty (lo, hi] is only lo == hi
+    # an empty (lo, hi] is only lo == hi; None is an unbounded end
     p = w**2 - 2
-    for lo, hi in ((POS_INF, NEG_INF), (2, -2), (POS_INF, 0), (0, NEG_INF)):
-        with pytest.raises(ValueError):
-            count_distinct_real_roots(p, lo, hi)
+    with pytest.raises(ValueError):
+        count_distinct_real_roots(p, 2, -2)
     assert count_distinct_real_roots(p, 1, 1) == 0
-    assert count_distinct_real_roots(p, NEG_INF, NEG_INF) == 0
-    assert count_distinct_real_roots(p, NEG_INF, 0) == count_distinct_real_roots(p, 0, POS_INF) == 1
+    assert count_distinct_real_roots(p, None, 0) == count_distinct_real_roots(p, 0, None) == 1
 
 
 def test_is_real_rooted():
@@ -224,6 +235,19 @@ def test_real_root_counts_match_sympy(p):
     assert is_real_rooted(p) == (sum(m for _, m in roots) == p.degree)
 
 
+@settings(max_examples=60, deadline=None)
+@given(_factored_polys(), st.builds(F, st.integers(-40, 40), st.integers(1, 12)))
+@example((w**2 - 2) * (3 * w - 1) ** 2, F(1, 3))
+@example(w * (w + 1), F(0))
+def test_counts_split_at_a_rational(p, q):
+    # (-inf, q] and (q, +inf) partition the line, whether or not q is a root
+    total = count_distinct_real_roots(p)
+    assert total == len(isolate_real_roots(p))
+    assert count_distinct_real_roots(p, None, q) + count_distinct_real_roots(p, q, None) == total
+    with pytest.raises(ValueError):
+        count_distinct_real_roots(p, q + F(1, 7), q)
+
+
 # ------------------------------------------- the heuristic gcd and the scan
 
 
@@ -249,11 +273,16 @@ def _gcd_pairs(draw):
 
 
 def _prs_monic_gcd(p: Poly, q: Poly) -> Poly:
-    """The monic gcd by the primitive PRS alone, the route before the heuristic."""
+    """The monic gcd by the primitive remainder sequence alone, the last
+    member of `_remainder_chain`; `poly_gcd` with the heuristic forced to
+    fail, so that it falls back to the same chain, must agree."""
     a, b = p.int_coeffs()[0], q.int_coeffs()[0]
     if len(a) < len(b):
         a, b = b, a
-    return poly._monic(poly._prs_gcd(a, b))
+    g = poly._monic(poly._remainder_chain(a, b)[-1])
+    with mock.patch.object(poly, "_gcd_heuristic", lambda a, b: None):
+        assert poly_gcd(p, q) == g
+    return g
 
 
 @settings(max_examples=60, deadline=None)
@@ -791,7 +820,7 @@ def _full_table_rule(wcoeffs, t0: AlgebraicReal) -> bool:
     p = len(cs) - 1
     if p < 1:
         return True
-    signs = [t0.sign_of(s) for s in subresultant_table(BiPoly(cs))]
+    signs = [t0.sign_of(s) for s in _subresultant_table(BiPoly(cs))]
     d = next(j for j, s in enumerate(signs) if s)
     return pmv(signs) == p - d
 
@@ -848,7 +877,7 @@ def _oracle_cases(rng):
                 break
         ms = [Poly([rng.randint(-6, 6) for _ in range(rng.randint(2, 4))] + [1])
               for _ in range(2)]
-        table = subresultant_table(x)
+        table = _subresultant_table(x)
         for m in (ms[0], ms[0] * ms[1], table[0], table[1]):
             if m.degree > 0:
                 ts = [r for r in isolate_real_roots(m) if not r.is_rational()]
@@ -1146,7 +1175,7 @@ def test_subresultant_table_specialises(rng):
     for _ in range(8):
         x = BiPoly([Poly([rand_rat(rng), rand_rat(rng, nonzero=True)])
                     for _ in range(rng.randint(3, 6))])
-        table = subresultant_table(x)
+        table = _subresultant_table(x)
         assert len(table) == x.degree_w + 1 and table[-1] == x.lc_poly
         for t0 in (F(1, 2), F(-7, 3), F(13, 5)):
             xt = x.eval_param(t0)
@@ -1175,7 +1204,7 @@ def test_lower_subresultants_read_only_their_own_nodes(monkeypatch, rng):
     assert len(scans) == 4 and len(divisions) == 4
     assert scans == [[int(c(t)) for c in x.wcoeffs] for t in (0, 1, 2, -2)]
     monkeypatch.undo()
-    assert s4 == subresultant_table(x)[4]
+    assert s4 == _subresultant_table(x)[4]
 
 
 def _lagrange(nodes, values, den):

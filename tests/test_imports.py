@@ -94,3 +94,23 @@ def test_every_tracer_target_resolves():
             assert hasattr(obj, part), f"{module}.{attr}"
             obj = getattr(obj, part)
         assert callable(obj), f"{module}.{attr}"
+
+
+def test_every_exactalg_export_has_a_caller_in_fcl():
+    # an export that only tests call is a route to delete: each name in
+    # fcl.exactalg.__all__ is read by the code of some fcl module (its own
+    # module counts, the export table does not) or wrapped by the tracer
+    import ast
+    src = Path(fcl.__file__).resolve().parent
+    table = src / "exactalg" / "__init__.py"
+    used = set()
+    for path in src.rglob("*.py"):
+        if path != table:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    traced = {attr for module, attr in _tracer_targets() if module.startswith("fcl.exactalg")}
+    unused = sorted(set(fcl.exactalg.__all__) - used - traced)
+    assert not unused, unused

@@ -86,6 +86,24 @@ def test_parse_zero_division():
         eval_ratio(parse_expr("1/(w - w)"))
 
 
+def test_parenthesized_exponent_is_taken_by_its_value(monkeypatch):
+    # the exponent is evaluated by eval_ratio, so w may cancel in it
+    assert eval_ratio(parse_expr("w^(w/w)")) == (w, Poly.one())
+    assert eval_ratio(parse_expr("w^(w-w+2)")) == (w**2, Poly.one())
+    for text in ("w^(w)", "w^(1/2)", "w^(-1)", "w^(w^2/w)"):
+        with pytest.raises(ParseError, match="exponent must be a nonnegative integer"):
+            parse_expr(text)
+    with pytest.raises(ZeroDivisionError, match="division by the zero polynomial"):
+        parse_expr("w^(1/0)")
+    # 2^(10^6) is refused before any power that large is taken
+    exponents = []
+    power = Poly.__pow__
+    monkeypatch.setattr(Poly, "__pow__", lambda p, n: exponents.append(n) or power(p, n))
+    with pytest.raises(ParseError, match="power too large"):
+        parse_expr("w^(2^(10^6))")
+    assert set(exponents) == {6}  # 10^6, numerator and denominator
+
+
 def test_to_classf_errors():
     with pytest.raises(NotInClass):
         to_classf(parse_expr("1 + w"))     # F(0) != 0
@@ -291,6 +309,8 @@ def test_cli_criticals(capsys):
 def test_cli_exit_codes(capsys):
     code, _, err = run_cli(capsys, "moments", "w^(1/2)")
     assert code == 2 and "exponent" in err
+    code, _, err = run_cli(capsys, "moments", "w^(1/0)")
+    assert code == 1 and err == "error: division by the zero polynomial\n"
     code, _, err = run_cli(capsys, "moments", "1 + w")
     assert code == 1 and "error" in err
     code, _, err = run_cli(capsys, "dilate", "w - w^2", "0")
