@@ -15,10 +15,10 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "classf": ("ClassF", "RatFun", "SeriesPrefix", "boxplus", "compose",
-               "cumulants", "dilate", "free_power", "from_r", "identity_f",
-               "make_classf", "make_ratfun", "moments", "r_transform",
-               "translate"),
+    "classf": ("ClassF", "RatFun", "SeriesPrefix", "boxplus", "char_poly",
+               "compose", "cumulants", "dilate", "free_power", "from_r",
+               "identity_f", "make_classf", "make_ratfun", "moments",
+               "r_transform", "translate"),
     "errors": ("ComputationError", "ContinuationFailure",
                "DecompositionNotReal", "DegenerateEliminant", "FclError",
                "InvalidRTransform", "NetworkDisabled", "NotFound",
@@ -29,7 +29,7 @@ _EXPORTS = {
     "posdef": ("HankelVerdict", "fid_check", "hankel_verdict",
                "is_moment_positive_up_to"),
     "spectra": ("CriticalReport", "NSetResult", "Pencil", "Verdict",
-                "char_poly", "char_poly_t", "cg_region", "critical_ts",
+                "char_poly_t", "cg_region", "critical_ts",
                 "deg3_rr0", "is_rr", "is_rr0", "is_singular", "lb_curve",
                 "n_set", "r3_poly_rr0", "r4_c0_classify",
                 "r4_singular_params", "rr0_at_algebraic_t"),

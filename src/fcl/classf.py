@@ -180,6 +180,12 @@ def from_r(r: RatFun) -> ClassF:
     return make_classf(r.den, r.den + r.num)
 
 
+def char_poly(f: ClassF) -> Poly:
+    """chi_F = (P + wP')Q - wPQ', the numerator of F'; its constant term is 1."""
+    w = Poly.x()
+    return (f.P + w * f.P.derivative()) * f.Q - w * f.P * f.Q.derivative()
+
+
 def translate(f: ClassF, u) -> ClassF:
     """F/(1 + u F): adds u*w to the R-transform."""
     u = as_rat(u)

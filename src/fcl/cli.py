@@ -101,8 +101,7 @@ def _cmd_cumulants(args):
 
 
 def _cmd_charpoly(args):
-    from . import spectra as sp
-    return {"chi": _poly_payload(sp.char_poly(_f_from(args)))}, 0
+    return {"chi": _poly_payload(cf.char_poly(_f_from(args)))}, 0
 
 
 def _cmd_chart(args):
@@ -227,10 +226,9 @@ def _cmd_euler(args):
 
 def _cmd_fuss(args):
     from . import distlib as dl
-    from . import spectra as sp
     f = dl.fuss_f(args.r)
     ms = [rat_str(dl.fuss_moment(args.r, n)) for n in range(_order(args, "moment") + 1)]
-    chi_ok = sp.char_poly(f) == dl.fuss_chi(args.r)
+    chi_ok = cf.char_poly(f) == dl.fuss_chi(args.r)
     return {"fuss": dict(_classf_payload(f), moments=ms, chi_check=chi_ok)}, 0
 
 
@@ -250,12 +248,11 @@ def _params(args, arity: dict) -> list:
 
 def _cmd_dist(args):
     from . import distlib as dl
-    from . import spectra as sp
     ps = _params(args, _DIST_ARITY)
     f = {"dirac": dl.dirac, "wigner": dl.wigner, "mp": dl.mp}[args.kind](*ps)
     rt = cf.r_transform(f)
     return {"dist": dict(_classf_payload(f),
-                         chi=_poly_payload(sp.char_poly(f)),
+                         chi=_poly_payload(cf.char_poly(f)),
                          r_transform=repr(rt))}, 0
 
 
@@ -280,28 +277,18 @@ def _atom_payload(a, digits: int) -> dict:
 
 def _cmd_monotone(args):
     from . import distlib as dl
-    digits = args.precision
-    kind = args.kind
     ps = _params(args, _MONOTONE_ARITY)
-    if kind == "wmp":
-        rec = dl.monotone_family("wmp", t=ps[0], v=ps[1], s=ps[2])
-    elif kind == "mpw":
-        rec = dl.monotone_family("mpw", v=ps[0], s=ps[1], t=ps[2])
-    elif kind == "mpmp":
-        rec = dl.monotone_family("mpmp", u=ps[0], s=ps[1], v=ps[2], t=ps[3])
-    elif kind == "ww":
-        rec = dl.monotone_family("ww", s=ps[0], t=ps[1])
-    elif kind == "dirac-w":
-        rec = dl.dirac_monotone(ps[0], "wigner", ps[1])
+    if args.kind.startswith("dirac-"):
+        target = "wigner" if args.kind == "dirac-w" else "mp"
+        rec = dl.dirac_monotone(ps[0], target, *ps[1:])
     else:
-        rec = dl.dirac_monotone(ps[0], "mp", ps[1], ps[2])
+        rec = dl.monotone_family(args.kind, *ps)
     out = dict(_classf_payload(rec["f"]))
     if "chi" in rec:
         out["chi"] = _poly_payload(rec["chi"])
         out["chi_check"] = rec["chi_check"]
-    if rec.get("decomposition") is not None:
-        out["decomposition"] = [_atom_payload(a, digits) for a in rec["decomposition"]]
-        out["identity_check"] = rec["identity_check"]
+    out["decomposition"] = [_atom_payload(a, args.precision) for a in rec["decomposition"]]
+    out["identity_check"] = rec["identity_check"]
     return {"monotone": out}, 0
 
 
@@ -512,8 +499,11 @@ def _render_text(obj, indent=0):
             else:
                 lines.append(f"{pad}{k}: {v}")
     elif isinstance(obj, list):
+        # each item starts with "-" at the list's indent; a non-empty dict
+        # or list follows on its own lines one level deeper
         for v in obj:
-            if isinstance(v, (dict, list)):
+            if isinstance(v, (dict, list)) and v:
+                lines.append(f"{pad}-")
                 lines.append(_render_text(v, indent + 1))
             else:
                 lines.append(f"{pad}- {v}")

@@ -14,11 +14,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classf import (ClassF, RatFun, compose, from_r, make_classf,
-                     make_ratfun, r_transform, translate)
+from .classf import (ClassF, RatFun, char_poly, compose, from_r, make_classf,
+                     make_ratfun, r_transform)
 from .errors import DecompositionNotReal
 from .exactalg import AlgebraicReal, Poly, Rat, as_rat
-from .spectra import char_poly
 
 _W = Poly.x()
 
@@ -105,17 +104,10 @@ class LevyData:
 
 def levy_r(data: LevyData) -> RatFun:
     """R = u w + c0 w^2 + sum_k c_k u_k w / (1 - u_k w), exactly."""
-    den = Poly.one()
-    for a, _ in data.atoms:
-        den = den * Poly([1, -a])
-    num = Poly([0, data.u, data.c0]) * den
-    for k, (a, c) in enumerate(data.atoms):
-        rest = Poly.one()
-        for j, (a2, _) in enumerate(data.atoms):
-            if j != k:
-                rest = rest * Poly([1, -a2])
-        num = num + Poly([0, c * a]) * rest
-    return make_ratfun(num, den)
+    r = make_ratfun(Poly([0, data.u, data.c0]), Poly.one())
+    for a, c in data.atoms:
+        r = r + make_ratfun(Poly([0, c * a]), Poly([1, -a]))
+    return r
 
 
 def from_levy(data: LevyData) -> ClassF:
@@ -124,6 +116,18 @@ def from_levy(data: LevyData) -> ClassF:
 
 # ----------------------------------------------------------------------
 # deconvolution families (singular elements with factored chi)
+
+
+def _record(f: ClassF, claimed: Poly, check: str = "chi_check", atoms=None) -> dict:
+    """A catalog entry: F, its chi, the closed form claimed for chi and,
+    under the key `check`, their exact equality; with `atoms`, also the
+    decomposition and its exact R-transform identity check."""
+    chi = char_poly(f)
+    rec = {"f": f, "chi": chi, "chi_claimed": claimed, check: chi == claimed}
+    if atoms is not None:
+        rec["decomposition"] = atoms
+        rec["identity_check"] = check_r_identity(atoms, f)
+    return rec
 
 
 def deconv_wmp(u, x) -> dict:
@@ -139,10 +143,8 @@ def deconv_wmp(u, x) -> dict:
         raise ValueError("need u != 0")
     a, b = u**2 * x**3, (1 - x) ** 3
     r = make_ratfun(Poly([0, 0, a]) * Poly([1, -u]) + Poly([0, b * u]), Poly([1, -u]))
-    f = from_r(r)
     claimed = Poly([1, -u * x]) ** 2 * Poly([1, -2 * u + 2 * u * x, -(u**2) * x])
-    return {"f": f, "chi": char_poly(f), "chi_claimed": claimed,
-            "chi_factored_check": char_poly(f) == claimed}
+    return _record(from_r(r), claimed, "chi_factored_check")
 
 
 def deconv_mpmp(u, v, x) -> dict:
@@ -154,10 +156,8 @@ def deconv_mpmp(u, v, x) -> dict:
     b = (v - x) ** 3 / (v**2 * (v - u))
     num = Poly([0, a * u]) * Poly([1, -v]) + Poly([0, b * v]) * Poly([1, -u])
     r = make_ratfun(num, Poly([1, -u]) * Poly([1, -v]))
-    f = from_r(r)
     claimed = Poly([1, -x]) ** 2 * Poly([1, 2 * (x - u - v), 3 * u * v - x * u - x * v])
-    return {"f": f, "chi": char_poly(f), "chi_claimed": claimed,
-            "chi_factored_check": char_poly(f) == claimed}
+    return _record(from_r(r), claimed, "chi_factored_check")
 
 
 # ----------------------------------------------------------------------
@@ -330,37 +330,31 @@ def _quad_roots(s_sum: Rat, s_prod: Rat):
 # monotone convolution catalog
 
 
-def monotone_family(kind: str, **params) -> dict:
+def monotone_family(kind: str, *args, **params) -> dict:
     """Composition families with exact chi factorizations and decompositions.
 
     kind: 'wmp'  = semicircle into MP      (params t, v, s)
           'mpw'  = MP into semicircle      (params v, s, t)
           'mpmp' = MP into MP              (params u, s, v, t)
           'ww'   = semicircle into semicircle (params s, t)
+    The parameters go by name or by position, in the order listed.
     F is the composition F_second(F_first(w)); chi_check records the exact
     polynomial equality against the rationalized closed form.  Raises
     DecompositionNotReal when the signed decomposition would need complex
     weights (the chi information is still available through compose and
     char_poly directly).
     """
-    if kind == "wmp":
-        return _monot_wmp(**params)
-    if kind == "mpw":
-        return _monot_mpw(**params)
-    if kind == "mpmp":
-        return _monot_mpmp(**params)
-    if kind == "ww":
-        return _monot_ww(**params)
-    raise ValueError(f"unknown monotone kind {kind!r}")
+    family = _MONOTONE.get(kind)
+    if family is None:
+        raise ValueError(f"unknown monotone kind {kind!r}")
+    return family(*args, **params)
 
 
 def _monot_wmp(t, v, s) -> dict:
     t, v, s = as_rat(t), as_rat(v), as_rat(s)
     f = compose(mp(v, s), wigner(t))
-    chi = char_poly(f)
     base = Poly([1, -v, t])
     claimed = Poly([1, 0, -t]) * (base * base - Poly([0, v]) ** 2 * s)
-    rec = {"f": f, "chi": chi, "chi_claimed": claimed, "chi_check": chi == claimed}
     roots = _quad_roots(v, t)
     if roots is None:
         raise DecompositionNotReal(
@@ -372,19 +366,15 @@ def _monot_wmp(t, v, s) -> dict:
     atoms = [Atom("dirac", (s * v,)), Atom("wigner", (t,)),
              Atom("mp", (v1.to_number(), c1.to_number())),
              Atom("mp", (v2.to_number(), c2.to_number()))]
-    rec["decomposition"] = atoms
-    rec["identity_check"] = check_r_identity(atoms, f)
-    return rec
+    return _record(f, claimed, atoms=atoms)
 
 
 def _monot_mpw(v, s, t) -> dict:
     v, s, t = as_rat(v), as_rat(s), as_rat(t)
     f = compose(wigner(t), mp(v, s))
-    chi = char_poly(f)
     a = Poly([1, -v * (1 - s)])
     b = Poly([0, 1, -v])  # w(1 - vw)
     claimed = Poly([1, -2 * v, v**2 * (1 - s)]) * (a * a - t * b * b)
-    rec = {"f": f, "chi": chi, "chi_claimed": claimed, "chi_check": chi == claimed}
     if s == 1:
         atoms = [Atom("rpoly", (Poly([0, 0, t, -t * v]),)), Atom("mp", (v, Rat(1)))]
     else:
@@ -392,19 +382,15 @@ def _monot_mpw(v, s, t) -> dict:
                  Atom("wigner", (t / (1 - s),)),
                  Atom("mp", (v, s)),
                  Atom("mp", (v * (1 - s), s * t / ((s - 1) ** 3 * v**2)))]
-    rec["decomposition"] = atoms
-    rec["identity_check"] = check_r_identity(atoms, f)
-    return rec
+    return _record(f, claimed, atoms=atoms)
 
 
 def _monot_mpmp(u, s, v, t) -> dict:
     u, s, v, t = as_rat(u), as_rat(s), as_rat(v), as_rat(t)
     f = compose(mp(v, t), mp(u, s))
-    chi = char_poly(f)
     a = Poly([1, -u * (1 - s)])
     b = Poly([0, v]) * Poly([1, -u])  # vw(1 - uw)
     claimed = Poly([1, -2 * u, u**2 * (1 - s)]) * ((a - b) * (a - b) - t * b * b)
-    rec = {"f": f, "chi": chi, "chi_claimed": claimed, "chi_check": chi == claimed}
     ssum = u - s * u + v
     roots = _quad_roots(ssum, u * v)
     if roots is None:
@@ -419,23 +405,20 @@ def _monot_mpmp(u, s, v, t) -> dict:
     atoms = [Atom("mp", (u, s)),
              Atom("mp", (um.to_number(), am.to_number())),
              Atom("mp", (up.to_number(), ap.to_number()))]
-    rec["decomposition"] = atoms
-    rec["identity_check"] = check_r_identity(atoms, f)
-    return rec
+    return _record(f, claimed, atoms=atoms)
 
 
 def _monot_ww(s, t) -> dict:
     s, t = as_rat(s), as_rat(t)
     f = compose(wigner(t), wigner(s))
-    chi = char_poly(f)
     a = Poly([1, 0, s])
     claimed = Poly([1, 0, -s]) * (a * a - Poly([0, 0, t]))
-    rec = {"f": f, "chi": chi, "chi_claimed": claimed, "chi_check": chi == claimed}
     atoms = [Atom("wigner", (s,)),
              Atom("rfun", (make_ratfun(Poly([0, 0, t]), Poly([1, 0, s])),))]
-    rec["decomposition"] = atoms
-    rec["identity_check"] = check_r_identity(atoms, f)
-    return rec
+    return _record(f, claimed, atoms=atoms)
+
+
+_MONOTONE = {"wmp": _monot_wmp, "mpw": _monot_mpw, "mpmp": _monot_mpmp, "ww": _monot_ww}
 
 
 def dirac_monotone(u, target: str, *args) -> dict:

@@ -37,7 +37,8 @@ def eulerian_tilde(k: int) -> Poly:
     if k < 0:
         raise ValueError("need k >= 0")
     w = Poly.x()
-    via_def = (k + 1) * eulerian(k) + (1 - w) * eulerian(k).derivative()
+    e = eulerian(k)
+    via_def = (k + 1) * e + (1 - w) * e.derivative()
     via_rec = Poly.one()
     for j in range(1, k + 1):
         via_rec = (j * w - w + 2) * via_rec + w * (1 - w) * via_rec.derivative()

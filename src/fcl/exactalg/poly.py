@@ -240,9 +240,6 @@ class Poly:
         e = other._den
         return _norm([c * e for c in q], s), _norm(r, s)
 
-    def __mod__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[1]
-
     def exact_div(self, other: "Poly") -> "Poly":
         q, r = self.divmod(other)
         if not r.is_zero():

@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .classf import ClassF, RatFun, make_classf, make_ratfun
-from .errors import NotInClass, ParseError
+from .errors import InvalidRTransform, NotInClass, ParseError
 from .exactalg import Poly, poly_gcd
 
 MAX_DEPTH = 100
@@ -248,7 +248,6 @@ def to_classf(ast) -> ClassF:
 
 def to_rtransform(ast) -> RatFun:
     """Interpret the expression as an R-transform (must vanish at 0)."""
-    from .errors import InvalidRTransform
     num, den = eval_ratio(ast)
     if den(0) == 0:
         raise InvalidRTransform("R must be finite at w = 0")

@@ -42,11 +42,12 @@ chi_t(0) = P^2: the verdict there is Yes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .classf import ClassF
+from .classf import ClassF, char_poly
 from .errors import DegenerateEliminant
 from .exactalg import (AlgebraicReal, BiPoly, Poly, Rat, as_rat,
                        count_distinct_real_roots, is_real_rooted,
@@ -61,12 +62,6 @@ class Verdict(Enum):
 
 # ----------------------------------------------------------------------
 # characteristic polynomials
-
-
-def char_poly(f: ClassF) -> Poly:
-    """chi_F = (P + wP')Q - wPQ'; always has constant term 1."""
-    w = Poly.x()
-    return (f.P + w * f.P.derivative()) * f.Q - w * f.P * f.Q.derivative()
 
 
 def char_poly_t(f: ClassF) -> BiPoly:
@@ -320,7 +315,6 @@ def lb_curve(b, n_samples: int):
     v runs over [-sqrt(b/2), sqrt(b/2)] with rationally under-approximated
     endpoints, mapped through r4_singular_params.
     """
-    import math as _math
     b = as_rat(b)
     if b <= 0:
         raise ValueError("need b > 0")
@@ -328,7 +322,7 @@ def lb_curve(b, n_samples: int):
         raise ValueError("need at least two samples")
     scale = 10**9
     half = b / 2
-    vmax = Fraction(_math.isqrt(half.numerator * half.denominator * scale**2),
+    vmax = Fraction(math.isqrt(half.numerator * half.denominator * scale**2),
                     half.denominator * scale)
     step = 2 * vmax / (n_samples - 1)
     return [r4_singular_params(b, -vmax + i * step) for i in range(n_samples)]

@@ -232,6 +232,23 @@ def test_monotone_mpmp():
         monotone_family("mpmp", u=F(1), s=F(1), v=F(3), t=F(1))
 
 
+def test_monotone_parameter_error_wins_over_the_decomposition_error():
+    # F is built before the decomposition is tried, so a bad parameter is
+    # reported as such, not as a decomposition that needs complex weights
+    for kind, params in (("wmp", dict(t=1, v=0, s=1)), ("mpmp", dict(u=0, s=1, v=1, t=1))):
+        with pytest.raises(ValueError, match=r"^need v != 0$"):
+            monotone_family(kind, **params)
+
+
+def test_monotone_family_takes_positional_parameters():
+    by_name = monotone_family("mpmp", u=F(1), s=F(2), v=F(8), t=F(3))
+    by_position = monotone_family("mpmp", 1, 2, 8, 3)
+    for key in ("f", "chi", "chi_claimed", "chi_check", "identity_check"):
+        assert by_position[key] == by_name[key], key
+    with pytest.raises(ValueError, match="unknown monotone kind"):
+        monotone_family("wigner", 1, 1)
+
+
 def test_monotone_ww():
     rec = monotone_family("ww", s=F(1), t=F(1))
     assert rec["f"] == make_classf(Poly([1, 0, 1]), Poly([1, 0, 3, 0, 1]))

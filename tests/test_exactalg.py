@@ -156,7 +156,7 @@ def _euclid_sturm_chain(p: Poly):
     """The Sturm chain p, p', -rem(...) over Q, by Fraction long division."""
     chain = [p, p.derivative()]
     while not chain[-1].is_zero() and chain[-1].degree > 0:
-        chain.append(-(chain[-2] % chain[-1]))
+        chain.append(-chain[-2].divmod(chain[-1])[1])
     if chain[-1].is_zero():
         chain.pop()
     return chain
@@ -362,7 +362,7 @@ def test_prem_is_a_primitive_positive_multiple_of_the_remainder(b, k, data):
     else:
         a = data.draw(_int_lists(len(b) - 1 + k, len(b) - 1 + k))
     r = poly._prem(a, b)
-    want = Poly(a) % Poly(b)
+    want = Poly(a).divmod(Poly(b))[1]
     if want.is_zero():
         assert r == []
         return

@@ -38,13 +38,27 @@ def test_import_cli_loads_no_subcommand_module():
     assert "fcl.oeis" in loaded
 
 
-def test_density_command_does_not_load_spectra():
+@pytest.mark.parametrize("argv, module, loads_spectra", [
+    (["density", "w*(1+w^2)/(1+9*w^2)", "--range=-5:5", "--grid", "5", "--csv"],
+     "fcl.density", False),
+    (["charpoly", "w*(1-w)^2/(1-w+w^2)", "--power", "27/8"], "fcl.classf", False),
+    (["dist", "mp", "1", "3"], "fcl.distlib", False),
+    (["deconv", "wmp", "1", "-1"], "fcl.distlib", False),
+    (["monotone", "wmp", "1", "3", "1"], "fcl.distlib", False),
+    (["fuss", "3", "--order", "8"], "fcl.distlib", False),
+    # the lb region samples spectra.lb_curve
+    (["region", "lb", "--samples", "5", "--csv"], "fcl.spectra", True),
+], ids=["density", "charpoly", "dist", "deconv", "monotone", "fuss", "region-lb"])
+def test_command_loads_spectra_only_when_it_calls_it(argv, module, loads_spectra):
     loaded = _loaded_after(
         "import contextlib, io, fcl.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert fcl.cli.main(['density', 'w*(1+w^2)/(1+9*w^2)', '--range=-5:5',"
-        " '--grid', '5', '--csv']) == 0")
-    assert "fcl.density" in loaded and "fcl.spectra" not in loaded
+        f"    assert fcl.cli.main({argv!r}) == 0")
+    assert module in loaded
+    assert ("fcl.spectra" in loaded) == loads_spectra
+    if argv[0] == "charpoly":
+        # chi_F is ClassF algebra: the polynomial kernel alone
+        assert {m for m in loaded if m.startswith("fcl.exactalg.")} == {"fcl.exactalg.poly"}
 
 
 @pytest.mark.parametrize("pkg", [fcl, fcl.exactalg], ids=lambda p: p.__name__)

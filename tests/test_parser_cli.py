@@ -304,6 +304,37 @@ def test_cli_criticals(capsys):
     assert data["criticals"][0]["value"] == "1"
     assert data["criticals"][0]["kind"] == "degree_drop"
     assert data["rr0_verdicts"] == ["yes", "no"]
+    # the text form keeps each field on a line of its own
+    code, out, _ = run_cli(capsys, "criticals", "w*(1-w^2)", "--range", "0:3")
+    lines = [x.strip() for x in out.splitlines()]
+    assert code == 0 and "value: 1" in lines and "kind: degree_drop" in lines
+    i = lines.index("rr0_verdicts:")
+    assert lines[i + 1: i + 3] == ["- yes", "- no"]
+
+
+def test_cli_text_marks_each_list_item(capsys):
+    # a scalar item is "- v", an empty list "- []", and a non-empty dict or
+    # list a bare "-" with its own lines one level deeper
+    code, out, _ = run_cli(capsys, "chart", "w*(1-w^2)")
+    assert code == 0
+    assert out.splitlines() == [
+        "chi_t:", "  w_coeffs:",
+        "    -", "      - 1",
+        "    - []",
+        "    -", "      - -2", "      - -1",
+        "    - []",
+        "    -", "      - 1", "      - -1",
+        "  pretty: (1) + (-2 - t)*w^2 + (1 - t)*w^4"]
+    code, out, _ = run_cli(capsys, "monotone", "wmp", "1", "3", "1")
+    lines = out.splitlines()
+    assert code == 0
+    atoms = lines[lines.index("  decomposition:") + 1: lines.index("  identity_check: True")]
+    assert atoms[:5] == ["    -", "      kind: dirac", "      params:",
+                         "        -", "          value: 3"]
+    starts = [i for i, line in enumerate(atoms) if line == "    -"]
+    assert [atoms[i + 1] for i in starts] == [
+        "      kind: dirac", "      kind: wigner", "      kind: mp", "      kind: mp"]
+    assert all(line.startswith("      ") for i, line in enumerate(atoms) if i not in starts)
 
 
 def test_cli_exit_codes(capsys):
@@ -491,6 +522,9 @@ def test_cli_dist_deconv_monotone_fuss(capsys):
     assert data["chi_check"] is True and data["identity_check"] is True
     code, _, err = run_cli(capsys, "monotone", "wmp", "1", "1", "2", "--json")
     assert code == 1 and "decomposition" in err
+    # a parameter error is reported before the decomposition is tried
+    code, out, err = run_cli(capsys, "monotone", "wmp", "1", "0", "1")
+    assert (code, out, err) == (1, "", "error: need v != 0\n")
     code, out, _ = run_cli(capsys, "fuss", "2", "--order", "6", "--json")
     data = json.loads(out)["fuss"]
     assert data["chi_check"] is True
