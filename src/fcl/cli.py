@@ -135,11 +135,11 @@ def _cmd_nset(args):
             "all_real": ns.all_real}, 0
 
 
-def _verdict_payload(hv) -> dict:
+def _verdict_payload(hv, what: str = "a moment sequence") -> dict:
     return {"status": hv.status, "order": hv.order,
             "determinant": rat_str(hv.determinant) if hv.is_negative else None,
             "minors": [rat_str(m) for m in hv.minors],
-            "note": hv.describe()}
+            "note": hv.describe(what)}
 
 
 def _cmd_hankel(args):
@@ -149,7 +149,8 @@ def _cmd_hankel(args):
 
 def _cmd_fid(args):
     from . import posdef as pd
-    return {"fid": _verdict_payload(pd.fid_check(_f_from(args), args.order))}, 0
+    # a negative minor of the shifted cumulants rules out free infinite divisibility
+    return {"fid": _verdict_payload(pd.fid_check(_f_from(args), args.order), "FID")}, 0
 
 
 def _cmd_convolve(args):
@@ -492,8 +493,10 @@ def _render_text(obj, indent=0):
     pad = "  " * indent
     lines = []
     if isinstance(obj, dict):
+        # a non-empty dict or list value follows on its own lines one level
+        # deeper; an empty one prints inline, as [] or {}
         for k, v in obj.items():
-            if isinstance(v, (dict, list)):
+            if isinstance(v, (dict, list)) and v:
                 lines.append(f"{pad}{k}:")
                 lines.append(_render_text(v, indent + 1))
             else:

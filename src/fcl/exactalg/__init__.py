@@ -8,7 +8,7 @@ from importlib import import_module
 
 _EXPORTS = {
     "algebraic": ("AlgebraicReal", "is_real_rooted_at", "isolate_real_roots"),
-    "bipoly": ("BiPoly", "resultant_w"),
+    "bipoly": ("BiPoly", "lower_subresultants", "resultant_w"),
     "hankel": ("hankel_det", "leading_minors"),
     "intervals": ("Iv", "iv_poly_eval"),
     "poly": ("Poly", "Rat", "as_rat", "is_squarefree", "poly_gcd", "rat_str",

@@ -351,7 +351,7 @@ def isolate_real_roots(p: Poly):
 # -- real-rootedness at an algebraic parameter ------------------------------
 
 
-def is_real_rooted_at(wcoeffs, t0: AlgebraicReal) -> bool:
+def is_real_rooted_at(wcoeffs, t0: AlgebraicReal, entries=None) -> bool:
     """Whether sum_i c_i(t0) w^i has only real roots, for c_i in Q[t].
 
     Leading coefficients that vanish at t0 are dropped first, so the rest,
@@ -364,8 +364,15 @@ def is_real_rooted_at(wcoeffs, t0: AlgebraicReal) -> bool:
     the rule reads it: s_j costs (2p - 1 - 2j) deg_t x + 1 nodes, a node's
     PRS makes a pseudo-division only when an entry needs it, and each sign
     is one Tarski query whose chain starts below deg t0.defining.
+
+    `entries`, when given, stands in for `lower_subresultants` of the
+    whole of wcoeffs: an iterable of those s_j, read in the same order
+    and as far, so a caller that keeps them across decisions at other t0
+    pays only for the signs.  They are s_j of x only when no leading
+    coefficient vanishes at t0; one that does raises ValueError.
     """
     cs = list(wcoeffs)
+    n = len(cs)
     while cs:
         top = t0.sign_of(cs[-1])
         if top:
@@ -373,4 +380,8 @@ def is_real_rooted_at(wcoeffs, t0: AlgebraicReal) -> bool:
         cs.pop()
     else:
         raise ValueError("polynomial vanishes at t0")
-    return real_rooted_from_signs(top * t0.sign_of(s) for s in lower_subresultants(BiPoly(cs)))
+    if entries is None:
+        entries = lower_subresultants(BiPoly(cs))
+    elif len(cs) < n:
+        raise ValueError("subresultant entries given, but the leading coefficient vanishes at t0")
+    return real_rooted_from_signs(top * t0.sign_of(s) for s in entries)

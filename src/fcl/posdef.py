@@ -30,10 +30,11 @@ class HankelVerdict:
     def is_negative(self) -> bool:
         return self.status == "negative_at"
 
-    def describe(self) -> str:
+    def describe(self, what: str = "a moment sequence") -> str:
+        """The verdict in words; `what` names what a negative minor rules out."""
         if self.is_negative:
             return (f"negative_at(order={self.order}, det={self.determinant}) "
-                    f"— certified not a moment sequence")
+                    f"— certified not {what}")
         return f"positive_so_far(order<= {self.order}) — inconclusive"
 
 

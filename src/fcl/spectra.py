@@ -39,9 +39,19 @@ sign at s0 is one Tarski query, P' s_j reduced mod s0's defining
 polynomial P before the chain is built, so the chain starts below deg P.
 On the flow, t = 0 is the free power delta_0, whose chi is 1, not
 chi_t(0) = P^2: the verdict there is Yes.
+
+The s_j do not depend on s0, so a `Pencil` keeps those it has built and
+replays them at the next irrational s0; each is built only when a
+decision first reads it.  chi_t's pencil is memoised per member
+(`flow_pencil`, an lru_cache of 64 pencils keyed on the frozen ClassF),
+so a scan that decides many criticals of one member, as
+`euler.ck_candidates` does, splits chi_t once and interpolates each s_j
+once.  The memo and the kept entries are not meant for concurrent
+threads.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -52,7 +62,7 @@ from .errors import DegenerateEliminant
 from .exactalg import (AlgebraicReal, BiPoly, Poly, Rat, as_rat,
                        count_distinct_real_roots, is_real_rooted,
                        is_real_rooted_at, is_squarefree, isolate_real_roots,
-                       poly_gcd, resultant_w, squarefree_part)
+                       lower_subresultants, poly_gcd, resultant_w, squarefree_part)
 
 
 class Verdict(Enum):
@@ -100,9 +110,17 @@ class Pencil:
     when g is constant, so x is not rebuilt), and `tau` the root of the
     moving part's leading coefficient when that is linear in s, else None.
     g is tested for real-rootedness here, once.
+
+    The moving part's s_{p-2}, ..., s_0 (`lower_subresultants`), the
+    polynomials in s that an irrational decision signs, do not depend on
+    the point: the pencil keeps them in `_entries`, each built only when a
+    decision first reads past the list's end, and every decision replays
+    the list by index, so interleaved decisions read the same entries and
+    a later one on the same pencil pays only for its signs.  Extending the
+    list is not safe from concurrent threads.
     """
 
-    __slots__ = ("content", "moving", "tau", "_content_rooted")
+    __slots__ = ("content", "moving", "tau", "_content_rooted", "_entries", "_scan")
 
     def __init__(self, x: BiPoly):
         if x.max_param_degree() > 1:
@@ -119,6 +137,22 @@ class Pencil:
         self.content, self.moving = g, x
         self.tau = -lc.coeff(0) / lc.lc if lc.degree == 1 else None
         self._content_rooted = is_real_rooted(g)
+        self._entries = []
+        self._scan = lower_subresultants(x)  # a generator: nothing runs until read
+
+    def _subresultants(self):
+        """s_{p-2}, ..., s_0 of the moving part, from `_entries` where built
+        and from the one shared scan past its end."""
+        entries = self._entries
+        i = 0
+        while True:
+            if i == len(entries):
+                s = next(self._scan, None)
+                if s is None:
+                    return
+                entries.append(s)
+            yield entries[i]
+            i += 1
 
     def eliminant(self) -> Poly:
         """Squarefree Res_w(x, x_w) of the moving part x, less its artifact.
@@ -169,12 +203,17 @@ class Pencil:
     def real_rooted_at(self, s) -> bool:
         """Whether x at s (int, Fraction or AlgebraicReal) has only real roots:
         g is, and the moving part at s is, substituted at a rational s and
-        read from its subresultant signs at an irrational one."""
+        read from its subresultant signs at an irrational one.
+
+        There the pencil's kept entries are passed on: lc of the moving part
+        has degree at most 1 in s, so it vanishes at no irrational s and
+        `is_real_rooted_at` drops no coefficient (it raises if it would).
+        """
         if not self._content_rooted:
             return False
         q = s if isinstance(s, (int, Fraction)) else s.as_fraction()
         if q is None:
-            return is_real_rooted_at(self.moving.wcoeffs, s)
+            return is_real_rooted_at(self.moving.wcoeffs, s, self._subresultants())
         return is_real_rooted(self.moving.eval_param(q))
 
 
@@ -222,12 +261,26 @@ class CriticalReport:
     samples: tuple                    # rational sample point per interval
 
 
+@functools.lru_cache(maxsize=64)
+def flow_pencil(f: ClassF) -> Pencil:
+    """`Pencil(char_poly_t(f))`, built once per member and shared.
+
+    Keyed on the frozen ClassF, so equal members built apart share one
+    pencil; the 64 most recently used are kept.  `critical_ts`,
+    `rr0_at_algebraic_t` and `cleaned_critical_eliminant` all read it, so
+    chi_t is split once, and the subresultant entries a decision at one
+    irrational t0 builds are replayed at the next.  Not meant for
+    concurrent threads (see `Pencil`).
+    """
+    return Pencil(char_poly_t(f))
+
+
 def cleaned_critical_eliminant(f: ClassF):
     """(g, moving part, cleaned squarefree resultant in t) of chi_t's pencil.
 
-    A by-name accessor over `Pencil`: perfbench's tracer wraps it.
+    A by-name accessor over `flow_pencil`: perfbench's tracer wraps it.
     """
-    p = Pencil(char_poly_t(f))
+    p = flow_pencil(f)
     return p.content, p.moving, p.eliminant()
 
 
@@ -240,7 +293,7 @@ def critical_ts(f: ClassF, t_lo, t_hi) -> CriticalReport:
     t_lo, t_hi = as_rat(t_lo), as_rat(t_hi)
     if not t_lo < t_hi:
         raise ValueError("need t_lo < t_hi")
-    pencil = Pencil(char_poly_t(f))
+    pencil = flow_pencil(f)
     crits = pencil.criticals(t_lo, t_hi)
     bounds_lo = [t_lo] + [c[0].hi for c in crits]
     bounds_hi = [c[0].lo for c in crits] + [t_hi]
@@ -267,8 +320,14 @@ def rr0_at_algebraic_t(f: ClassF, t0) -> Verdict:
     s_{p-1} = p lc give the sign the rest must keep, down to the first
     zero, below which every entry must vanish.  t0 = 0 is Yes: the zero
     free power is delta_0, whose chi is 1.
+
+    The pencil comes from `flow_pencil`, which keeps the 64 most recently
+    used members' pencils.  Each keeps the s_j it has built, so a later
+    decision on the same member, at any t0, interpolates only the entries
+    no earlier one read and otherwise pays only for the Tarski queries.
+    Not meant for concurrent threads.
     """
-    pencil = Pencil(char_poly_t(f))
+    pencil = flow_pencil(f)
     q = t0 if isinstance(t0, (int, Fraction)) else t0.as_fraction()
     return Verdict.YES if q == 0 or pencil.real_rooted_at(t0) else Verdict.NO
 

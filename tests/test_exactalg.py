@@ -1350,3 +1350,16 @@ def test_cauchy_bound_contains_roots(rng):
         if s.is_constant():
             continue
         assert count_distinct_real_roots(s, -b, b) == count_distinct_real_roots(s)
+
+
+def test_is_real_rooted_at_reads_given_entries_only_at_full_degree():
+    # (t^2 - 2) w^2 + w - t: its leading coefficient vanishes at sqrt 2
+    x = BiPoly([Poly([0, -1]), Poly.one(), Poly([-2, 0, 1])])
+    sqrt2 = isolate_real_roots(Poly([-2, 0, 1]))[1]
+    sqrt3 = isolate_real_roots(Poly([-3, 0, 1]))[1]
+    assert is_real_rooted_at(x.wcoeffs, sqrt2)       # w - sqrt 2
+    with pytest.raises(ValueError, match="leading coefficient vanishes"):
+        is_real_rooted_at(x.wcoeffs, sqrt2, lower_subresultants(x))
+    # at sqrt 3 nothing drops, and the given entries are the ones it would build
+    assert (is_real_rooted_at(x.wcoeffs, sqrt3, list(lower_subresultants(x)))
+            == is_real_rooted_at(x.wcoeffs, sqrt3))

@@ -337,6 +337,33 @@ def test_cli_text_marks_each_list_item(capsys):
     assert all(line.startswith("      ") for i, line in enumerate(atoms) if i not in starts)
 
 
+def test_cli_text_prints_an_empty_value_inline(capsys):
+    # no real member: the empty list is "key: []", not the key and a blank line
+    code, out, _ = run_cli(capsys, "nset", "w*(1+w^2)")
+    assert code == 0
+    assert out.splitlines() == [
+        "z_poly:", "  coeffs:", "    - 4/27", "    - 0", "    - 1",
+        "  pretty: 4/27 + w^2",
+        "real_members: []",
+        "nonreal_pair_count: 1",
+        "all_real: False"]
+    from fcl.cli import _render_text
+    assert _render_text({"a": {}, "b": [], "c": {"d": []}}).splitlines() == [
+        "a: {}", "b: []", "c:", "  d: []"]
+
+
+def test_cli_fid_note_names_fid(capsys):
+    # it is the shifted cumulants whose minor is negative: the law is not FID,
+    # while `hankel` certifies the moments
+    code, out, _ = run_cli(capsys, "fid", "--from-r", "3*w^2 + w^3", "--order", "3", "--json")
+    assert code == 0
+    assert json.loads(out)["fid"]["note"] == "negative_at(order=1, det=-1) — certified not FID"
+    code, out, _ = run_cli(capsys, "hankel", "--from-r", "w/(1-w)^2", "--order", "5")
+    assert code == 0
+    assert out.splitlines()[-1] == ("  note: negative_at(order=5, det=-3374) "
+                                    "— certified not a moment sequence")
+
+
 def test_cli_exit_codes(capsys):
     code, _, err = run_cli(capsys, "moments", "w^(1/2)")
     assert code == 2 and "exponent" in err

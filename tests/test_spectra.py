@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 from conftest import rand_classf, rand_rat
 from fcl.classf import (from_r, free_power, identity_f, make_classf,
                         make_ratfun, translate)
-from fcl.euler import nk_classf
+from fcl.euler import ck_candidates, nk_classf
 from fcl.exactalg import (AlgebraicReal, BiPoly, Poly, is_real_rooted,
-                          isolate_real_roots, poly_gcd, resultant_w,
+                          is_real_rooted_at, isolate_real_roots,
+                          lower_subresultants, poly_gcd, resultant_w,
                           sturm_chain)
 from fcl.spectra import (Pencil, Verdict, cg_region, char_poly,
                          char_poly_t, cleaned_critical_eliminant,
-                         critical_ts, deg3_rr0, is_rr, is_rr0, is_singular,
+                         critical_ts, deg3_rr0, flow_pencil, is_rr, is_rr0,
+                         is_singular,
                          lb_curve, n_set, r3_poly_rr0, r4_c0_classify,
                          r4_singular_params, rr0_at_algebraic_t)
 
@@ -464,6 +466,131 @@ def test_flow_verdicts_do_not_build_free_powers(monkeypatch):
     assert run() == want
     assert want[2] == (Verdict.YES, Verdict.NO)
     assert want[4] == [Verdict.YES, Verdict.NO, Verdict.NO, Verdict.YES]
+
+
+# ------------------------------------ chi_t's pencil, memoised per member
+
+
+def test_equal_members_share_one_flow_pencil():
+    flow_pencil.cache_clear()
+    a, b = (make_classf(1 - F(9, 2) * w**2, 1 - 2 * w**2 - F(3, 2) * w**4) for _ in range(2))
+    assert a == b and a is not b
+    assert flow_pencil(a) is flow_pencil(b)
+    assert flow_pencil(nk_classf(3)) is flow_pencil(nk_classf(3))
+    assert flow_pencil.cache_info().currsize == 2
+
+
+def test_a_second_decision_on_a_member_interpolates_nothing(monkeypatch):
+    from fcl.exactalg import bipoly
+    f = nk_classf(6)
+    no_a, no_b, yes = critical_ts(f, 0, 2000).criticals
+    flow_pencil.cache_clear()
+    nodes = []
+    scan = bipoly._subresultant_scan
+    monkeypatch.setattr(bipoly, "_subresultant_scan", lambda a, b: nodes.append(a) or scan(a, b))
+    signed = []
+    sign_of = AlgebraicReal.sign_of
+    monkeypatch.setattr(AlgebraicReal, "sign_of",
+                        lambda self, q: signed.append(q) or sign_of(self, q))
+    assert rr0_at_algebraic_t(f, yes) is Verdict.YES    # reads every entry
+    assert nodes
+    nodes.clear()
+    for t0, verdict in ((no_a, Verdict.NO), (no_b, Verdict.NO), (yes, Verdict.YES)):
+        signed.clear()
+        assert rr0_at_algebraic_t(f, t0) is verdict
+        assert nodes == [] and signed    # the Tarski queries alone
+
+
+def test_flow_pencil_memo_keeps_at_most_64(rng):
+    flow_pencil.cache_clear()
+    members = []
+    while len(members) < 100:
+        f = rand_classf(rng, 3)
+        if f not in members:
+            members.append(f)
+    for f in members:
+        flow_pencil(f)
+    info = flow_pencil.cache_info()
+    assert info.misses == 100 and info.currsize <= 64
+
+
+def _candidate(k):
+    c = ck_candidates(k, 2000)["candidate"]
+    return None if c is None else (c.defining, c.lo, c.hi)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_ck_candidates_agree_with_a_cold_and_a_warm_memo(k):
+    flow_pencil.cache_clear()
+    cold = _candidate(k)
+    assert cold is not None
+    # warm: every critical decided first, the last one first
+    f = nk_classf(k)
+    for t0 in reversed(critical_ts(f, 0, 2000).criticals):
+        rr0_at_algebraic_t(f, t0)
+    assert _candidate(k) == cold
+
+
+def _irrational_criticals(rng):
+    """(f, t0), each member's criticals ascending: every irrational critical
+    of nk_classf(2..6) in (0, 2000), then 40 of random degree-3 members in
+    (0, 10)."""
+    cases = []
+    for k in range(2, 7):
+        f = nk_classf(k)
+        cases += [(f, c) for c in critical_ts(f, 0, 2000).criticals if not c.is_rational()]
+    n = 0
+    while n < 40:
+        f = rand_classf(rng, 3)
+        if max(f.P.degree, f.Q.degree) != 3:
+            continue
+        for c in critical_ts(f, 0, 10).criticals:
+            if not c.is_rational() and n < 40:
+                cases.append((f, c))
+                n += 1
+    return cases
+
+
+@pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
+def test_memo_verdicts_match_a_fresh_pencil(rng, descending):
+    cases = _irrational_criticals(rng)
+    if descending:
+        cases.reverse()
+    want = [Pencil(char_poly_t(f)).real_rooted_at(t0) for f, t0 in cases]
+    flow_pencil.cache_clear()
+    got = [rr0_at_algebraic_t(f, t0) is Verdict.YES for f, t0 in cases]
+    assert got == want
+    assert set(want) == {True, False}
+    # every memoised pencil holds entries its moving part would give afresh
+    for f in {f for f, _ in cases}:
+        p = flow_pencil(f)
+        assert p._entries == list(lower_subresultants(p.moving))[:len(p._entries)]
+
+
+def test_a_decision_that_stops_at_the_first_entry_then_one_that_reads_all():
+    f = nk_classf(3)
+    no, yes = critical_ts(f, 0, 2000).criticals
+    flow_pencil.cache_clear()
+    pencil = flow_pencil(f)
+    p = pencil.moving.degree_w
+    assert rr0_at_algebraic_t(f, no) is Verdict.NO
+    assert len(pencil._entries) == 1           # s_{p-2} alone
+    assert rr0_at_algebraic_t(f, yes) is Verdict.YES
+    assert len(pencil._entries) == p - 1       # s_{p-2}, ..., s_0
+    assert pencil._entries == list(lower_subresultants(pencil.moving))
+    assert rr0_at_algebraic_t(f, no) is Verdict.NO
+    assert is_real_rooted_at(pencil.moving.wcoeffs, yes)
+    assert not is_real_rooted_at(pencil.moving.wcoeffs, no)
+
+
+def test_interleaved_reads_of_a_pencil_see_the_same_entries():
+    pencil = Pencil(char_poly_t(nk_classf(4)))
+    want = list(lower_subresultants(pencil.moving))
+    a, b = pencil._subresultants(), pencil._subresultants()
+    got_a, got_b = [next(a)], [next(b), next(b)]
+    got_a += list(a)
+    got_b += list(b)
+    assert got_a == got_b == want == pencil._entries
 
 
 # ------------------------------------------------------------ region tests
