@@ -52,6 +52,7 @@ threads.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -142,17 +143,22 @@ class Pencil:
 
     def _subresultants(self):
         """s_{p-2}, ..., s_0 of the moving part, from `_entries` where built
-        and from the one shared scan past its end."""
+        and from the one shared scan past its end.
+
+        There are p - 1 of them, so a scan that runs short raises instead
+        of ending the list early.  A scan that raised (an interrupt, say)
+        is finished: it is replaced by a fresh one past the kept entries
+        before the error goes on, so the next decision reads them all."""
         entries = self._entries
-        i = 0
-        while True:
+        for i in range(max(self.moving.degree_w - 1, 0)):
             if i == len(entries):
-                s = next(self._scan, None)
-                if s is None:
-                    return
-                entries.append(s)
+                try:
+                    entries.append(next(self._scan))
+                except BaseException:
+                    self._scan = itertools.islice(lower_subresultants(self.moving),
+                                                  len(entries), None)
+                    raise
             yield entries[i]
-            i += 1
 
     def eliminant(self) -> Poly:
         """Squarefree Res_w(x, x_w) of the moving part x, less its artifact.
@@ -266,7 +272,13 @@ def flow_pencil(f: ClassF) -> Pencil:
     """`Pencil(char_poly_t(f))`, built once per member and shared.
 
     Keyed on the frozen ClassF, so equal members built apart share one
-    pencil; the 64 most recently used are kept.  `critical_ts`,
+    pencil; the 64 most recently used are kept.  `euler.ck_candidates`
+    reads one member's pencil back to back; a pool that first scans each
+    member's criticals and then decides them in shuffled order, as the
+    `algebraic_rr0` benchmark does, reads a pencil again at most 40
+    other members later (30-41 members a pool, on nine seeds).  A scan
+    that cycles through more than 64 members, as `flow_scan`'s 70 do,
+    never finds its pencil.  `critical_ts`,
     `rr0_at_algebraic_t` and `cleaned_critical_eliminant` all read it, so
     chi_t is split once, and the subresultant entries a decision at one
     irrational t0 builds are replayed at the next.  Not meant for

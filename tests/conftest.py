@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -31,3 +32,12 @@ def rand_classf(rng, max_deg=4) -> ClassF:
 @pytest.fixture
 def rng():
     return random.Random(20260810)
+
+
+@pytest.fixture(autouse=True)
+def cold_flow_pencil():
+    """Start every test with an empty chi_t pencil memo, so no test passes
+    on a pencil, or on subresultant entries, an earlier test built."""
+    spectra = sys.modules.get("fcl.spectra")   # not imported here: see test_imports
+    if spectra is not None:
+        spectra.flow_pencil.cache_clear()

@@ -463,6 +463,7 @@ def test_flow_verdicts_do_not_build_free_powers(monkeypatch):
     for module, name in ((fcl.spectra, "char_poly"), (fcl.spectra, "is_rr0"),
                          (fcl.classf, "free_power")):
         monkeypatch.setattr(module, name, old_route)
+    flow_pencil.cache_clear()      # the patched run builds chi_t's pencil anew
     assert run() == want
     assert want[2] == (Verdict.YES, Verdict.NO)
     assert want[4] == [Verdict.YES, Verdict.NO, Verdict.NO, Verdict.YES]
@@ -472,7 +473,6 @@ def test_flow_verdicts_do_not_build_free_powers(monkeypatch):
 
 
 def test_equal_members_share_one_flow_pencil():
-    flow_pencil.cache_clear()
     a, b = (make_classf(1 - F(9, 2) * w**2, 1 - 2 * w**2 - F(3, 2) * w**4) for _ in range(2))
     assert a == b and a is not b
     assert flow_pencil(a) is flow_pencil(b)
@@ -502,7 +502,6 @@ def test_a_second_decision_on_a_member_interpolates_nothing(monkeypatch):
 
 
 def test_flow_pencil_memo_keeps_at_most_64(rng):
-    flow_pencil.cache_clear()
     members = []
     while len(members) < 100:
         f = rand_classf(rng, 3)
@@ -521,7 +520,6 @@ def _candidate(k):
 
 @pytest.mark.parametrize("k", range(2, 7))
 def test_ck_candidates_agree_with_a_cold_and_a_warm_memo(k):
-    flow_pencil.cache_clear()
     cold = _candidate(k)
     assert cold is not None
     # warm: every critical decided first, the last one first
@@ -581,6 +579,38 @@ def test_a_decision_that_stops_at_the_first_entry_then_one_that_reads_all():
     assert rr0_at_algebraic_t(f, no) is Verdict.NO
     assert is_real_rooted_at(pencil.moving.wcoeffs, yes)
     assert not is_real_rooted_at(pencil.moving.wcoeffs, no)
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def test_a_scan_that_raised_is_rebuilt_past_the_kept_entries(monkeypatch):
+    from fcl.exactalg import bipoly
+    f = nk_classf(4)
+    no, yes = critical_ts(f, 0, 2000).criticals
+    pencil = flow_pencil(f)
+    assert pencil.moving.max_param_degree() == 1
+    want = Pencil(char_poly_t(f)).real_rooted_at(no)
+    assert not want
+    # s_{p-2} takes 3 nodes + 1; the fifth node scan, for s_{p-3}, fails once
+    calls = []
+    scan = bipoly._subresultant_scan
+
+    def failing_once(a, b):
+        calls.append(a)
+        if len(calls) == 5:
+            raise _Interrupted
+        return scan(a, b)
+
+    monkeypatch.setattr(bipoly, "_subresultant_scan", failing_once)
+    with pytest.raises(_Interrupted):
+        rr0_at_algebraic_t(f, no)
+    assert len(pencil._entries) == 1
+    # a dead scan cut short would end the signs at s_{p-2} and answer Yes
+    assert rr0_at_algebraic_t(f, no) is Verdict.NO
+    assert rr0_at_algebraic_t(f, yes) is Verdict.YES
+    assert pencil._entries == list(lower_subresultants(pencil.moving))
 
 
 def test_interleaved_reads_of_a_pencil_see_the_same_entries():
