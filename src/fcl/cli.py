@@ -78,7 +78,7 @@ def _poly_payload(p: Poly) -> dict:
 
 
 # ----------------------------------------------------------------------
-# handlers: each returns (payload, exit_code)
+# handlers: each returns its payload
 
 
 def _order(args, what: str) -> int:
@@ -91,39 +91,39 @@ def _order(args, what: str) -> int:
 def _cmd_moments(args):
     f = _f_from(args)
     m = cf.moments(f, _order(args, "moment"))
-    return {"s": [rat_str(t) for t in m.terms]}, 0
+    return {"s": [rat_str(t) for t in m.terms]}
 
 
 def _cmd_cumulants(args):
     f = _f_from(args)
     r = cf.cumulants(f, max(_order(args, "cumulant"), 1))
-    return {"r": [rat_str(t) for t in r.terms]}, 0
+    return {"r": [rat_str(t) for t in r.terms]}
 
 
 def _cmd_charpoly(args):
-    return {"chi": _poly_payload(cf.char_poly(_f_from(args)))}, 0
+    return {"chi": _poly_payload(cf.char_poly(_f_from(args)))}
 
 
 def _cmd_chart(args):
     from . import spectra as sp
     x = sp.char_poly_t(_f_from(args))
     return {"chi_t": {"w_coeffs": [[rat_str(c) for c in p.coeffs] for p in x.wcoeffs],
-                      "pretty": x.to_str()}}, 0
+                      "pretty": x.to_str()}}
 
 
 def _cmd_rr0(args):
     from . import spectra as sp
-    return {"rr0": sp.is_rr0(_f_from(args))}, 0
+    return {"rr0": sp.is_rr0(_f_from(args))}
 
 
 def _cmd_rr(args):
     from . import spectra as sp
-    return {"rr": sp.is_rr(_f_from(args))}, 0
+    return {"rr": sp.is_rr(_f_from(args))}
 
 
 def _cmd_singular(args):
     from . import spectra as sp
-    return {"singular": sp.is_singular(_f_from(args))}, 0
+    return {"singular": sp.is_singular(_f_from(args))}
 
 
 def _cmd_nset(args):
@@ -132,7 +132,7 @@ def _cmd_nset(args):
     return {"z_poly": _poly_payload(ns.z_poly),
             "real_members": [_alg_payload(r, args.precision) for r in ns.real_members],
             "nonreal_pair_count": ns.nonreal_pair_count,
-            "all_real": ns.all_real}, 0
+            "all_real": ns.all_real}
 
 
 def _verdict_payload(hv, what: str = "a moment sequence") -> dict:
@@ -144,35 +144,35 @@ def _verdict_payload(hv, what: str = "a moment sequence") -> dict:
 
 def _cmd_hankel(args):
     from . import posdef as pd
-    return {"hankel": _verdict_payload(pd.is_moment_positive_up_to(_f_from(args), args.order))}, 0
+    return {"hankel": _verdict_payload(pd.is_moment_positive_up_to(_f_from(args), args.order))}
 
 
 def _cmd_fid(args):
     from . import posdef as pd
     # a negative minor of the shifted cumulants rules out free infinite divisibility
-    return {"fid": _verdict_payload(pd.fid_check(_f_from(args), args.order), "FID")}, 0
+    return {"fid": _verdict_payload(pd.fid_check(_f_from(args), args.order), "FID")}
 
 
 def _cmd_convolve(args):
     f1, f2 = _f_from(args, "expr"), _f_from(args, "expr2")
-    return _classf_payload(cf.boxplus(f1, f2)), 0
+    return _classf_payload(cf.boxplus(f1, f2))
 
 
 def _cmd_power(args):
-    return _classf_payload(cf.free_power(_f_from(args), _frac(args.t))), 0
+    return _classf_payload(cf.free_power(_f_from(args), _frac(args.t)))
 
 
 def _cmd_compose(args):
     outer, inner = _f_from(args, "expr"), _f_from(args, "expr2")
-    return _classf_payload(cf.compose(outer, inner)), 0
+    return _classf_payload(cf.compose(outer, inner))
 
 
 def _cmd_translate(args):
-    return _classf_payload(cf.translate(_f_from(args), _frac(args.u))), 0
+    return _classf_payload(cf.translate(_f_from(args), _frac(args.u)))
 
 
 def _cmd_dilate(args):
-    return _classf_payload(cf.dilate(_f_from(args), _frac(args.c))), 0
+    return _classf_payload(cf.dilate(_f_from(args), _frac(args.c)))
 
 
 def _cmd_criticals(args):
@@ -183,7 +183,7 @@ def _cmd_criticals(args):
             "criticals": [dict(_alg_payload(c, args.precision), kind=k)
                           for c, k in zip(rep.criticals, rep.kinds)],
             "rr0_verdicts": [v.value for v in rep.rr0_verdicts],
-            "samples": [rat_str(s) for s in rep.samples]}, 0
+            "samples": [rat_str(s) for s in rep.samples]}
 
 
 def _cmd_density(args):
@@ -197,7 +197,7 @@ def _cmd_density(args):
     table = dens.density_grid(_f_from(args), lo, hi, args.grid)
     rows = [{"x": x, "f": v} for x, v in table.rows()]
     return {"density": {"rows": rows, "mass_estimate": table.mass_estimate},
-            "_csv": dens.density_csv(table)}, 0
+            "_csv": dens.density_csv(table)}
 
 
 def _cmd_euler(args):
@@ -214,7 +214,7 @@ def _cmd_euler(args):
             "rr0_verdicts": [v.value for v in rep.rr0_verdicts],
             "candidate": None if res["candidate"] is None
             else _alg_payload(res["candidate"], args.precision)}
-        return {"ck": payload}, 0
+        return {"ck": payload}
     tab = eu.euler_table(args.k)
     f = eu.nk_classf(args.k) if args.k >= 1 else None
     out = {"k": args.k,
@@ -222,7 +222,7 @@ def _cmd_euler(args):
            "e_tilde_row": [rat_str(c) for c in tab.e_tilde_row]}
     if f is not None:
         out["nk_classf"] = _classf_payload(f)
-    return {"euler": out}, 0
+    return {"euler": out}
 
 
 def _cmd_fuss(args):
@@ -230,7 +230,7 @@ def _cmd_fuss(args):
     f = dl.fuss_f(args.r)
     ms = [rat_str(dl.fuss_moment(args.r, n)) for n in range(_order(args, "moment") + 1)]
     chi_ok = cf.char_poly(f) == dl.fuss_chi(args.r)
-    return {"fuss": dict(_classf_payload(f), moments=ms, chi_check=chi_ok)}, 0
+    return {"fuss": dict(_classf_payload(f), moments=ms, chi_check=chi_ok)}
 
 
 # parameter count of each kind of `dist`, `deconv` and `monotone`
@@ -254,7 +254,7 @@ def _cmd_dist(args):
     rt = cf.r_transform(f)
     return {"dist": dict(_classf_payload(f),
                          chi=_poly_payload(cf.char_poly(f)),
-                         r_transform=repr(rt))}, 0
+                         r_transform=repr(rt))}
 
 
 def _cmd_deconv(args):
@@ -264,11 +264,11 @@ def _cmd_deconv(args):
     return {"deconv": dict(_classf_payload(rec["f"]),
                            chi=_poly_payload(rec["chi"]),
                            chi_claimed=_poly_payload(rec["chi_claimed"]),
-                           chi_factored_check=rec["chi_factored_check"])}, 0
+                           chi_factored_check=rec["chi_factored_check"])}
 
 
 def _atom_payload(a, digits: int) -> dict:
-    if a.kind in ("rpoly",):
+    if a.kind == "rpoly":
         return {"kind": a.kind, "r_part": a.params[0].to_str()}
     if a.kind == "rfun":
         return {"kind": a.kind, "r_part": repr(a.params[0])}
@@ -290,7 +290,7 @@ def _cmd_monotone(args):
         out["chi_check"] = rec["chi_check"]
     out["decomposition"] = [_atom_payload(a, args.precision) for a in rec["decomposition"]]
     out["identity_check"] = rec["identity_check"]
-    return {"monotone": out}, 0
+    return {"monotone": out}
 
 
 def _cmd_oeis_match(args):
@@ -298,7 +298,7 @@ def _cmd_oeis_match(args):
     f = _f_from(args)
     m = cf.moments(f, _order(args, "moment"))
     hits = oe.match(m, min_overlap=args.min_overlap, fixtures=oe.load_fixtures(cfg))
-    return {"matches": [{"a_number": a, "transform": t} for a, t in hits]}, 0
+    return {"matches": [{"a_number": a, "transform": t} for a, t in hits]}
 
 
 def _cmd_oeis_fetch(args):
@@ -306,7 +306,7 @@ def _cmd_oeis_fetch(args):
     fx = oe.fetch(args.a_number, cfg)
     return {"fixture": {"a_number": fx.a_number, "offset": fx.offset,
                         "terms": [str(t) for t in fx.terms],
-                        "source": fx.source, "note": fx.note}}, 0
+                        "source": fx.source, "note": fx.note}}
 
 
 def _region_samples(args) -> int:
@@ -333,13 +333,13 @@ def _cmd_region(args):
             x = 2 * (inner ** 0.5) if inner > 0 else 0.0
             rows.append(f"{x!r},{y!r},upper")
             rows.append(f"{-x!r},{y!r},upper")
-        return {"_csv": "\n".join(rows) + "\n", "region": "cg"}, 0
+        return {"_csv": "\n".join(rows) + "\n", "region": "cg"}
     if args.kind == "lb":
         from . import spectra as sp
         pts = sp.lb_curve(_frac(args.b), args.samples)
         rows = ["c,d"] + [f"{float(c)!r},{float(d)!r}" for c, d in pts]
         return {"_csv": "\n".join(rows) + "\n", "region": "lb",
-                "points": [[rat_str(c), rat_str(d)] for c, d in pts]}, 0
+                "points": [[rat_str(c), rat_str(d)] for c, d in pts]}
     if args.kind == "deg3":
         from . import spectra as sp
         rows = ["a,b,rr0"]
@@ -349,7 +349,7 @@ def _cmd_region(args):
             for j in range(n + 1):
                 b = Fraction(-4) + Fraction(8 * j, n)
                 rows.append(f"{float(a)!r},{float(b)!r},{int(sp.deg3_rr0(a, b, 1))}")
-        return {"_csv": "\n".join(rows) + "\n", "region": "deg3"}, 0
+        return {"_csv": "\n".join(rows) + "\n", "region": "deg3"}
     raise ParseError(f"unknown region {args.kind!r}")
 
 
@@ -523,7 +523,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_digits(args)
-        payload, code = args.fn(args)
+        payload = args.fn(args)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -547,7 +547,7 @@ def main(argv=None) -> int:
         # exit, go to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -7,13 +7,14 @@ Each public name is imported from its submodule on first access
 from importlib import import_module
 
 _EXPORTS = {
-    "algebraic": ("AlgebraicReal", "is_real_rooted_at", "isolate_real_roots"),
+    "algebraic": ("AlgebraicReal", "isolate_real_roots"),
     "bipoly": ("BiPoly", "lower_subresultants", "resultant_w"),
     "hankel": ("hankel_det", "leading_minors"),
     "intervals": ("Iv", "iv_poly_eval"),
     "poly": ("Poly", "Rat", "as_rat", "is_squarefree", "poly_gcd", "rat_str",
              "resultant", "squarefree_part"),
-    "sturm": ("cauchy_bound", "count_distinct_real_roots", "is_real_rooted", "sturm_chain"),
+    "sturm": ("cauchy_bound", "count_distinct_real_roots", "is_real_rooted",
+              "real_rooted_from_signs", "sturm_chain"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -28,10 +28,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .bipoly import BiPoly, lower_subresultants
 from .poly import Poly, Rat, _exact_div, _monic, _prem, _remainder_chain, as_rat
-from .sturm import (cauchy_bound, count_distinct_real_roots, real_rooted_from_signs,
-                    sturm_chain, _sign_at, _sign_hom, _variations_at, _variations_hom)
+from .sturm import (cauchy_bound, count_distinct_real_roots, sturm_chain,
+                    _sign_at, _sign_hom, _variations_at, _variations_hom)
 
 
 def _bisect(ints, slo, lo, hi):
@@ -347,41 +346,3 @@ def isolate_real_roots(p: Poly):
             roots.append(_from_parts(q, qi, _sign_at(qi, lo), lo, hi))
     return roots
 
-
-# -- real-rootedness at an algebraic parameter ------------------------------
-
-
-def is_real_rooted_at(wcoeffs, t0: AlgebraicReal, entries=None) -> bool:
-    """Whether sum_i c_i(t0) w^i has only real roots, for c_i in Q[t].
-
-    Leading coefficients that vanish at t0 are dropped first, so the rest,
-    x of degree p in w, keeps its degree at t0; `top` is the sign of lc(x)
-    there.  The answer is `real_rooted_from_signs`, the rule that
-    `sturm.is_real_rooted` applies over Q, on top * sign(s_j(t0)) for
-    j = p - 2, ..., 0, s_j the signed principal subresultant coefficients
-    of x and its w-derivative.  Each s_j is interpolated in t
-    (`lower_subresultants`) and signed exactly at t0 (`sign_of`) only when
-    the rule reads it: s_j costs (2p - 1 - 2j) deg_t x + 1 nodes, a node's
-    PRS makes a pseudo-division only when an entry needs it, and each sign
-    is one Tarski query whose chain starts below deg t0.defining.
-
-    `entries`, when given, stands in for `lower_subresultants` of the
-    whole of wcoeffs: an iterable of those s_j, read in the same order
-    and as far, so a caller that keeps them across decisions at other t0
-    pays only for the signs.  They are s_j of x only when no leading
-    coefficient vanishes at t0; one that does raises ValueError.
-    """
-    cs = list(wcoeffs)
-    n = len(cs)
-    while cs:
-        top = t0.sign_of(cs[-1])
-        if top:
-            break
-        cs.pop()
-    else:
-        raise ValueError("polynomial vanishes at t0")
-    if entries is None:
-        entries = lower_subresultants(BiPoly(cs))
-    elif len(cs) < n:
-        raise ValueError("subresultant entries given, but the leading coefficient vanishes at t0")
-    return real_rooted_from_signs(top * t0.sign_of(s) for s in entries)

@@ -17,8 +17,8 @@ interpolated from its own (2p - 1 - 2j) deg_t x + 1 nodes, and each
 node's PRS runs only down to s_j.  Both are determinants of
 *generic-degree* matrices, so parameter values where leading coefficients
 collapse may contribute spurious factors; callers strip those (see the
-spectra eliminant cleaning) or avoid such values
-(`algebraic.is_real_rooted_at`).
+spectra eliminant cleaning) or read them only where no leading
+coefficient vanishes (see `spectra.Pencil.real_rooted_at`).
 """
 from __future__ import annotations
 

@@ -19,7 +19,7 @@ Real-rootedness is a yes/no question and builds no Sturm chain:
 `is_real_rooted` reads the signed subresultant coefficients of p and p'
 top-down from `poly._subresultant_scan` and stops at the first entry that
 settles the answer (`real_rooted_from_signs`, the rule that
-`algebraic.is_real_rooted_at` also applies at an algebraic parameter).
+`spectra.Pencil.real_rooted_at` also applies at an algebraic parameter).
 """
 from __future__ import annotations
 

@@ -19,35 +19,22 @@ its real roots (multiple-root kind) together with tau when the moving
 part drops degree by at least two there.
 
 The pencil is real-rooted at s iff g is (tested once) and the moving part
-at s is.  A rational s is substituted, and the polynomial it gives is
-tested by `exactalg.is_real_rooted`, which reads the signed subresultant
-coefficients with its derivative top-down and stops at the first one
-that settles the answer, with no Sturm chain.  (The gcd g of the split
-and the squarefree part of each eliminant try the heuristic gcd before
-the primitive PRS.)  At an irrational s0 the same rule is applied to
-signs at s0: the moving part x, of degree p in w at s0, is real-rooted
-iff its signed principal subresultant coefficients s_p, ..., s_d with its
-w-derivative are all nonzero at s0 with one sign, d being the smallest j
-with s_j(s0) != 0 (their permanences minus variations then reach p - d).
-s_p = lc(x) and s_{p-1} = p lc(x) share one sign, so a scan from s_{p-2}
-down, each entry interpolated in s and signed at s0 only when reached,
-stops at the first entry of the other sign or at the first zero.  Each
-entry costs only its own nodes: s_j is interpolated from
-(2p - 1 - 2j) deg_s x + 1 of them, and each node's subresultant PRS runs
-a pseudo-division only when the scan reads the entry that needs it.  Its
-sign at s0 is one Tarski query, P' s_j reduced mod s0's defining
-polynomial P before the chain is built, so the chain starts below deg P.
-On the flow, t = 0 is the free power delta_0, whose chi is 1, not
-chi_t(0) = P^2: the verdict there is Yes.
+at s is: `Pencil.real_rooted_at` decides it, by substitution at a
+rational s and from the signs at an irrational s of the moving part's
+signed subresultant coefficients, with one rule
+(`exactalg.real_rooted_from_signs`) and no Sturm chain.  (The gcd g of
+the split and the squarefree part of each eliminant try the heuristic
+gcd before the primitive PRS.)  On the flow, t = 0 is the free power
+delta_0, whose chi is 1, not chi_t(0) = P^2: the verdict there is Yes.
 
-The s_j do not depend on s0, so a `Pencil` keeps those it has built and
-replays them at the next irrational s0; each is built only when a
-decision first reads it.  chi_t's pencil is memoised per member
+Those coefficients do not depend on s, so a `Pencil` keeps those it has
+built and replays them at the next irrational s; each is built only when
+a decision first reads it.  chi_t's pencil is memoised per member
 (`flow_pencil`, an lru_cache of 64 pencils keyed on the frozen ClassF),
 so a scan that decides many criticals of one member, as
-`euler.ck_candidates` does, splits chi_t once and interpolates each s_j
-once.  The memo and the kept entries are not meant for concurrent
-threads.
+`euler.ck_candidates` does, splits chi_t once and interpolates each
+coefficient once.  The memo and the kept entries are not meant for
+concurrent threads.
 """
 from __future__ import annotations
 
@@ -61,9 +48,9 @@ from fractions import Fraction
 from .classf import ClassF, char_poly
 from .errors import DegenerateEliminant
 from .exactalg import (AlgebraicReal, BiPoly, Poly, Rat, as_rat,
-                       count_distinct_real_roots, is_real_rooted,
-                       is_real_rooted_at, is_squarefree, isolate_real_roots,
-                       lower_subresultants, poly_gcd, resultant_w, squarefree_part)
+                       count_distinct_real_roots, is_real_rooted, is_squarefree,
+                       isolate_real_roots, lower_subresultants, poly_gcd,
+                       real_rooted_from_signs, resultant_w, squarefree_part)
 
 
 class Verdict(Enum):
@@ -113,12 +100,12 @@ class Pencil:
     g is tested for real-rootedness here, once.
 
     The moving part's s_{p-2}, ..., s_0 (`lower_subresultants`), the
-    polynomials in s that an irrational decision signs, do not depend on
-    the point: the pencil keeps them in `_entries`, each built only when a
-    decision first reads past the list's end, and every decision replays
-    the list by index, so interleaved decisions read the same entries and
-    a later one on the same pencil pays only for its signs.  Extending the
-    list is not safe from concurrent threads.
+    polynomials in s that `real_rooted_at` signs at an irrational s, do
+    not depend on the point: the pencil keeps them in `_entries`, each
+    built only when a decision first reads past the list's end, and every
+    decision replays the list by index, so interleaved decisions read the
+    same entries and a later one on the same pencil pays only for its
+    signs.  Extending the list is not safe from concurrent threads.
     """
 
     __slots__ = ("content", "moving", "tau", "_content_rooted", "_entries", "_scan")
@@ -208,18 +195,31 @@ class Pencil:
 
     def real_rooted_at(self, s) -> bool:
         """Whether x at s (int, Fraction or AlgebraicReal) has only real roots:
-        g is, and the moving part at s is, substituted at a rational s and
-        read from its subresultant signs at an irrational one.
+        g is, and the moving part at s is.
 
-        There the pencil's kept entries are passed on: lc of the moving part
-        has degree at most 1 in s, so it vanishes at no irrational s and
-        `is_real_rooted_at` drops no coefficient (it raises if it would).
+        A rational s is substituted, and `exactalg.is_real_rooted` tests the
+        polynomial it gives.  At an irrational s the same rule,
+        `real_rooted_from_signs`, reads the moving part x, of degree p in w,
+        from the signs at s of its signed principal subresultant
+        coefficients s_j with its w-derivative: s_p = lc(x) and
+        s_{p-1} = p lc(x) share the sign `top`, so the scan passes
+        top * sign s_j(s) for s_{p-2}, ..., s_0 and stops at the first entry
+        of the other sign or at the first zero.  lc(x) is a nonzero
+        polynomial of degree at most 1 in s over Q, so it vanishes at no
+        irrational s: x keeps degree p there, and the kept s_j, determinants
+        of the generic-degree matrix, are those of x at s.  Each s_j is
+        interpolated in s only when the scan first reads it, from
+        (2p - 1 - 2j) deg_s x + 1 nodes whose subresultant PRS runs a
+        pseudo-division only when an entry needs it; its sign at s is one
+        Tarski query (`AlgebraicReal.sign_of`), whose chain starts below the
+        degree of s's defining polynomial.
         """
         if not self._content_rooted:
             return False
         q = s if isinstance(s, (int, Fraction)) else s.as_fraction()
         if q is None:
-            return is_real_rooted_at(self.moving.wcoeffs, s, self._subresultants())
+            top = s.sign_of(self.moving.lc_poly)
+            return real_rooted_from_signs(top * s.sign_of(e) for e in self._subresultants())
         return is_real_rooted(self.moving.eval_param(q))
 
 
@@ -325,12 +325,8 @@ def critical_ts(f: ClassF, t_lo, t_hi) -> CriticalReport:
 def rr0_at_algebraic_t(f: ClassF, t0) -> Verdict:
     """Real-rootedness of chi_{t0} for an exact algebraic t0, decided exactly.
 
-    chi_{t0} = g * (A + t0 B) for t0 != 0 (`Pencil.real_rooted_at`): g is
-    tested over Q, the moving part by substitution at a rational t0 and
-    otherwise by a top-down scan of the signs at t0 of its signed
-    subresultant coefficients (exactalg.is_real_rooted_at): s_p = lc and
-    s_{p-1} = p lc give the sign the rest must keep, down to the first
-    zero, below which every entry must vanish.  t0 = 0 is Yes: the zero
+    chi_{t0} = g * (A + t0 B) for t0 != 0, decided by
+    `Pencil.real_rooted_at` on chi_t's pencil.  t0 = 0 is Yes: the zero
     free power is delta_0, whose chi is 1.
 
     The pencil comes from `flow_pencil`, which keeps the 64 most recently

@@ -13,7 +13,7 @@ from fcl.errors import NotInClass
 from fcl.euler import nk_classf
 from fcl.exactalg import (AlgebraicReal, BiPoly, Iv, Poly,
                           cauchy_bound, count_distinct_real_roots, hankel_det,
-                          is_real_rooted, is_real_rooted_at, is_squarefree,
+                          is_real_rooted, is_squarefree,
                           isolate_real_roots, iv_poly_eval, poly_gcd,
                           resultant, resultant_w, squarefree_part,
                           sturm_chain)
@@ -792,21 +792,24 @@ def test_predicates_decide_by_sign_of_alone(monkeypatch):
     assert r == wide and wide == r and r <= wide and not r < wide
 
 
+# ----------------------------- real-rootedness at an algebraic t0 (Pencil)
+
+
 def test_is_real_rooted_at_splits_modulus():
     # t0 = sqrt(2) and sqrt(3) share the reducible defining (t^2-2)(t^2-3);
-    # w^2 + t^2 - 2 has the double root 0 at sqrt(2) and no real root at
-    # sqrt(3).  Its subresultant table is s_2 = 1, s_1 = 2, s_0 = -4(t^2 - 2):
-    # at sqrt(2) the exact sign of s_0 is 0, so d = 1 and PmV(1, 2) = 1 = p - d;
-    # at sqrt(3) the signs 1, 1, -1 give PmV = 0 < p.
+    # the pencil t w^2 + 2w + t/2, of content 1, has the double root
+    # -sqrt(2)/2 at sqrt(2) and no real root at sqrt(3).  Its subresultant
+    # table is s_2 = t, s_1 = 2t, s_0 = 4t - 2t^3: at sqrt(2) the exact sign
+    # of s_0 is 0, so d = 1 and PmV(s_2, s_1) = 1 = p - d; at sqrt(3) the
+    # signs 1, 1, -1 give PmV = 0 < p.
     m = Poly([6, 0, -5, 0, 1])
     sqrt2, sqrt3 = AlgebraicReal(m, F(7, 5), F(3, 2)), AlgebraicReal(m, F(17, 10), F(9, 5))
-    p = [Poly([-2, 0, 1]), Poly.zero(), Poly.one()]
-    assert is_real_rooted_at(p, sqrt2)
-    assert not is_real_rooted_at(p, sqrt3)
-    # (t^2 - 2) w^2 + t w + 1: linear at sqrt(2), discriminant -1 at sqrt(3)
-    q = [Poly([1]), Poly([0, 1]), Poly([-2, 0, 1])]
-    assert is_real_rooted_at(q, sqrt2)
-    assert not is_real_rooted_at(q, sqrt3)
+    x = BiPoly.from_linear(Poly([0, 2]), Poly([F(1, 2), 0, 1]))
+    assert _subresultant_table(x)[0] == Poly([0, 4, 0, -2])
+    pencil = Pencil(x)
+    assert pencil.content == Poly.one()
+    assert pencil.real_rooted_at(sqrt2)
+    assert not pencil.real_rooted_at(sqrt3)
 
 
 def _full_table_rule(wcoeffs, t0: AlgebraicReal) -> bool:
@@ -864,7 +867,7 @@ def _rand_member3(rng):
 
 
 def _oracle_cases(rng):
-    """(pencil, t0): random integer pencils linear in t, deg_w 2-6, at
+    """(x, t0): random integer pencils x linear in t, deg_w 2-6, at
     irrational roots of random t-polynomials (some reducible) and of their
     own s_0 and s_1, so that zero entries occur; and the moving parts of
     random degree-3 members at their irrational criticals in (0, 10)."""
@@ -881,50 +884,51 @@ def _oracle_cases(rng):
         for m in (ms[0], ms[0] * ms[1], table[0], table[1]):
             if m.degree > 0:
                 ts = [r for r in isolate_real_roots(m) if not r.is_rational()]
-                cases += [(x.wcoeffs, t0) for t0 in rng.sample(ts, min(2, len(ts)))]
+                cases += [(x, t0) for t0 in rng.sample(ts, min(2, len(ts)))]
     crits = 0
     while crits < 6:
         f = _rand_member3(rng)
         xh = Pencil(char_poly_t(f)).moving
         for c in critical_ts(f, 0, 10).criticals:
             if not c.is_rational():
-                cases.append((xh.wcoeffs, c))
+                cases.append((xh, c))
                 crits += 1
     return cases
 
 
 def test_is_real_rooted_at_matches_the_full_table(rng):
     verdicts = set()
-    for wcoeffs, t0 in _oracle_cases(rng):
-        got = is_real_rooted_at(wcoeffs, t0)
-        assert got == _full_table_rule(wcoeffs, t0)
+    for x, t0 in _oracle_cases(rng):
+        got = Pencil(x).real_rooted_at(t0)
+        assert got == _full_table_rule(x.wcoeffs, t0)
         verdicts.add(got)
     assert verdicts == {True, False}
 
 
 def test_is_real_rooted_at_matches_sympy(rng):
     sympy = pytest.importorskip("sympy")
-    for wcoeffs, t0 in _oracle_cases(rng):
-        x = _sympy_number(sympy, t0)
-        assert is_real_rooted_at(wcoeffs, t0) == _sympy_real_rooted_at(sympy, wcoeffs, x)
+    for x, t0 in _oracle_cases(rng):
+        got = Pencil(x).real_rooted_at(t0)
+        assert got == _sympy_real_rooted_at(sympy, x.wcoeffs, _sympy_number(sympy, t0))
 
 
 def test_is_real_rooted_at_stops_at_the_first_other_sign(monkeypatch):
     # nk_classf(6): a moving part of degree 8 in w, criticals near 0.88,
     # 5.62 and 26.19 in (0, 2000); the first is No, the last Yes
     f = nk_classf(6)
-    xh = Pencil(char_poly_t(f)).moving
+    pencil = Pencil(char_poly_t(f))
+    xh = pencil.moving
     no, _, yes = critical_ts(f, 0, 2000).criticals
     p = xh.degree_w
     signed = []
     sign_of = AlgebraicReal.sign_of
     monkeypatch.setattr(AlgebraicReal, "sign_of",
                         lambda self, q: signed.append(q) or sign_of(self, q))
-    assert not is_real_rooted_at(xh.wcoeffs, no)
+    assert not pencil.real_rooted_at(no)
     # the full table would sign all p + 1 entries
     assert 0 < len(signed) < p + 1
     signed.clear()
-    assert is_real_rooted_at(xh.wcoeffs, yes)
+    assert pencil.real_rooted_at(yes)
     assert len(signed) == p  # lc(x), then s_{p-2}, ..., s_0
     monkeypatch.undo()
     assert not _full_table_rule(xh.wcoeffs, no) and _full_table_rule(xh.wcoeffs, yes)
@@ -1350,16 +1354,3 @@ def test_cauchy_bound_contains_roots(rng):
         if s.is_constant():
             continue
         assert count_distinct_real_roots(s, -b, b) == count_distinct_real_roots(s)
-
-
-def test_is_real_rooted_at_reads_given_entries_only_at_full_degree():
-    # (t^2 - 2) w^2 + w - t: its leading coefficient vanishes at sqrt 2
-    x = BiPoly([Poly([0, -1]), Poly.one(), Poly([-2, 0, 1])])
-    sqrt2 = isolate_real_roots(Poly([-2, 0, 1]))[1]
-    sqrt3 = isolate_real_roots(Poly([-3, 0, 1]))[1]
-    assert is_real_rooted_at(x.wcoeffs, sqrt2)       # w - sqrt 2
-    with pytest.raises(ValueError, match="leading coefficient vanishes"):
-        is_real_rooted_at(x.wcoeffs, sqrt2, lower_subresultants(x))
-    # at sqrt 3 nothing drops, and the given entries are the ones it would build
-    assert (is_real_rooted_at(x.wcoeffs, sqrt3, list(lower_subresultants(x)))
-            == is_real_rooted_at(x.wcoeffs, sqrt3))

@@ -56,6 +56,9 @@ def test_command_loads_spectra_only_when_it_calls_it(argv, module, loads_spectra
         f"    assert fcl.cli.main({argv!r}) == 0")
     assert module in loaded
     assert ("fcl.spectra" in loaded) == loads_spectra
+    # bipoly's parameter eliminations serve spectra alone: the algebraic
+    # numbers of dist, deconv, monotone and fuss do not load it
+    assert ("fcl.exactalg.bipoly" in loaded) == loads_spectra
     if argv[0] == "charpoly":
         # chi_F is ClassF algebra: the polynomial kernel alone
         assert {m for m in loaded if m.startswith("fcl.exactalg.")} == {"fcl.exactalg.poly"}
@@ -76,6 +79,10 @@ def test_lazy_exports_are_the_submodules_objects(pkg):
 
 
 def test_algebraic_decisions_do_not_load_intervals():
+    # the kernel's algebraic numbers stand on poly <- sturm <- algebraic
+    assert _loaded_after("from fcl.exactalg import AlgebraicReal, isolate_real_roots") == {
+        "fcl", "fcl.exactalg", "fcl.exactalg.poly", "fcl.exactalg.sturm",
+        "fcl.exactalg.algebraic"}
     # signs at algebraic numbers are Tarski queries; `intervals` has no fcl caller
     loaded = _loaded_after(
         "from fcl.euler import nk_classf\n"

@@ -10,9 +10,8 @@ from fcl.classf import (from_r, free_power, identity_f, make_classf,
                         make_ratfun, translate)
 from fcl.euler import ck_candidates, nk_classf
 from fcl.exactalg import (AlgebraicReal, BiPoly, Poly, is_real_rooted,
-                          is_real_rooted_at, isolate_real_roots,
-                          lower_subresultants, poly_gcd, resultant_w,
-                          sturm_chain)
+                          isolate_real_roots, lower_subresultants, poly_gcd,
+                          resultant_w, sturm_chain)
 from fcl.spectra import (Pencil, Verdict, cg_region, char_poly,
                          char_poly_t, cleaned_critical_eliminant,
                          critical_ts, deg3_rr0, flow_pencil, is_rr, is_rr0,
@@ -577,8 +576,8 @@ def test_a_decision_that_stops_at_the_first_entry_then_one_that_reads_all():
     assert len(pencil._entries) == p - 1       # s_{p-2}, ..., s_0
     assert pencil._entries == list(lower_subresultants(pencil.moving))
     assert rr0_at_algebraic_t(f, no) is Verdict.NO
-    assert is_real_rooted_at(pencil.moving.wcoeffs, yes)
-    assert not is_real_rooted_at(pencil.moving.wcoeffs, no)
+    fresh = Pencil(char_poly_t(f))
+    assert fresh.real_rooted_at(yes) and not fresh.real_rooted_at(no)
 
 
 class _Interrupted(Exception):
