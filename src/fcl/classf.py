@@ -238,26 +238,42 @@ def _homogenized(p: Poly, f: ClassF, d: int) -> Poly:
 def moments(f: ClassF, n: int) -> SeriesPrefix:
     """Exact moments s_0..s_n by two independent routes; must agree.
 
+    The terms are the integers of `dilated_moments`, each divided, once,
+    by c^k (`SeriesPrefix.from_dilated`).
+    """
+    return SeriesPrefix.from_dilated(*dilated_moments(f, n), "moments")
+
+
+def dilated_moments(f: ClassF, n: int):
+    """(a, c): the ints a_k = c^k s_k, k = 0..n, and c, by two independent
+    routes that must agree.
+
     Both routes run over Z on the dilation F(c w)/c, whose moments are
     c^k s_k; c is the lcm of the coefficient denominators of P and Q, so
     P(c w) and Q(c w) are integer polynomials with constant term 1.
     Route A inverts F(c w)/c as a power series (Newton steps corrected by
     -(F(D) - z) D'); route B solves M*P(z M) = Q(z M), which is
     F(z M(z)) = z, one coefficient at a time
-    (`_moments_from_equation`).  The integer lists are compared exactly;
-    only then is each term divided, once, by c^k (`SeriesPrefix.from_dilated`).
+    (`_moments_from_equation`).  The integer lists are compared exactly.
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    c = math.lcm(f.P.as_integer_ratio()[1], f.Q.as_integer_ratio()[1])
-    p, q = (x.scale_arg(c).as_integer_ratio()[0] for x in (f.P, f.Q))
+    c, p, q = _dilation(f)
     d = invert_f_series(p, q, n + 1)
     s_a = d[1: n + 2]
     s_b = _moments_from_equation(p, q, n)
     if s_a != s_b:
         raise ComputationError(
             "moment extraction routes disagree: series inversion vs M*P(zM) = Q(zM)")
-    return SeriesPrefix.from_dilated(s_a, c, "moments")
+    return s_a, c
+
+
+def _dilation(f: ClassF):
+    """(c, p, q): the lcm c of the coefficient denominators of P and Q, and
+    the integer coefficient lists of P(c w) and Q(c w)."""
+    c = math.lcm(f.P.as_integer_ratio()[1], f.Q.as_integer_ratio()[1])
+    p, q = (x.scale_arg(c).as_integer_ratio()[0] for x in (f.P, f.Q))
+    return c, p, q
 
 
 def _moments_from_equation(p, q, n: int):
@@ -297,14 +313,18 @@ def _cumulant_series(p, q, n: int):
 def cumulants(f: ClassF, n: int) -> SeriesPrefix:
     """Free cumulants r_1..r_n (index 0 holds the structural 0).
 
-    Computed over Z as the cumulants c^k r_k of F(c w)/c (see `moments`),
-    then divided by c^k.
+    The terms are the integers of `dilated_cumulants`, each divided by c^k.
     """
+    return SeriesPrefix.from_dilated(*dilated_cumulants(f, n), "cumulants")
+
+
+def dilated_cumulants(f: ClassF, n: int):
+    """(a, c): the ints a_k = c^k r_k, k = 0..n (a_0 = 0), and c: the
+    cumulants of F(c w)/c over Z (see `dilated_moments`)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    c = math.lcm(f.P.as_integer_ratio()[1], f.Q.as_integer_ratio()[1])
-    p, q = (x.scale_arg(c).as_integer_ratio()[0] for x in (f.P, f.Q))
-    return SeriesPrefix.from_dilated(_cumulant_series(p, q, n), c, "cumulants")
+    c, p, q = _dilation(f)
+    return _cumulant_series(p, q, n), c
 
 
 def identity_f() -> ClassF:

@@ -3,9 +3,13 @@
 `leading_minors` reads every leading minor of a scan off the modified
 Chebyshev algorithm (Gautschi, *Orthogonal Polynomials: Computation and
 Approximation*, 2004, ch. 2), cleared of fractions: O(K^2) exact-division
-updates to order K, on integers a_n = e c^n s_n.  `hankel_det` is one
-fraction-free (Bareiss) determinant; the scan needs it only from its first
-zero minor on.
+updates to order K, on integers a_n = e c^n s_n.  At the first zero minor
+H_k the recurrence already holds the residuals <pi_k, x^l>, l = k..2K-k,
+of the orthogonal polynomial pi_k: when all are zero the prefix obeys
+pi_k's recurrence, its Hankel matrix has rank at most k (Iohvidov, *Hankel
+and Toeplitz Matrices and Forms*, 1982) and every later minor is 0.
+`hankel_det` is one fraction-free (Bareiss) determinant; the scan needs it
+only from a zero minor with a nonzero residual on.
 """
 from __future__ import annotations
 
@@ -52,8 +56,15 @@ def leading_minors(a, k_max: int, c: int = 1, e: int = 1):
     an exact division, for l = k..2k_max-k.  A caller that stops early pays
     only for the orders it has read.
 
-    The recurrence divides by the minors, so from the first zero minor on
-    each order is a `hankel_det` of s, built once from a.
+    The recurrence divides by the minors, so it stops at the first zero
+    minor H_k (H_(k-1) != 0).  There T_k[k..2k_max-k] = H_(k-1) <pi_k, x^l>
+    are the residuals of pi_k's recurrence; T_0 = a at k = 0.  If all are
+    0, then sum_i pi_k[i] a_(i+l) = 0 for l = 0..2k_max-k (below k by
+    orthogonality), so every column j >= k of the order-k_max Hankel matrix
+    is a combination of the k columns before it.  The matrix has rank at
+    most k, and the orders k..k_max yield 0 with no determinant.  If one
+    residual is nonzero, each order from k on is a `hankel_det` of s, built
+    once from a.
     """
     if k_max < 0:
         raise ValueError("order must be nonnegative")
@@ -72,6 +83,10 @@ def leading_minors(a, k_max: int, c: int = 1, e: int = 1):
             step *= c * c
             den *= e * step
         if h1 == 0:
+            if not any(t1):  # zero residuals: rank <= k
+                for _ in range(k, k_max + 1):
+                    yield Rat(0)
+                return
             s = [Rat(x, e * c**i) for i, x in enumerate(a[:n])]
             for j in range(k, k_max + 1):
                 yield hankel_det(s, j)

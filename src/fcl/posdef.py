@@ -7,15 +7,17 @@ measures produce them legitimately).
 
 All minors of one scan come from the fraction-free Chebyshev recurrence
 (`exactalg.hankel.leading_minors`), read order by order, on integers: the
-c-dilated ones that `moments` and `cumulants` store on their prefix, or
-else the terms over their common denominator.  From the first zero minor
-on, each order is a determinant of its own.
+c-dilated ones of `dilated_moments` and `dilated_cumulants` (the two checks
+build no `SeriesPrefix`), or else the terms over their common denominator.
+The recurrence stops at the first zero minor H_k.  If the residuals it holds
+there are all zero, the Hankel matrix has rank at most k and every later
+minor is 0; otherwise each later order is a determinant of its own.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classf import ClassF, SeriesPrefix, cumulants, moments
+from .classf import ClassF, SeriesPrefix, dilated_cumulants, dilated_moments
 from .exactalg import Rat, leading_minors
 
 
@@ -44,36 +46,48 @@ def hankel_verdict(s, k_max: int) -> HankelVerdict:
     The minors come one order at a time from the Chebyshev recurrence on
     `s.as_dilated_ints()` (for a plain sequence, its first 2k_max+1 terms
     over their common denominator), so a negative minor stops the work too.
-    The recurrence divides by the minors: from the first zero minor on,
-    every order is a separate `hankel_det`.
+    The recurrence divides by the minors.  At the first zero minor H_k, zero
+    residuals of the orthogonal polynomial pi_k (the prefix obeys pi_k's
+    recurrence, so the Hankel matrix has rank at most k) make every later
+    minor 0 with no determinant; a nonzero residual makes every later order
+    a separate `hankel_det`.
     """
     _check_order(k_max)
     if not isinstance(s, SeriesPrefix):
         s = SeriesPrefix(tuple(s)[: 2 * k_max + 1])
-    a, c, e = s.as_dilated_ints()
-    minors = []
-    for k, d in enumerate(leading_minors(a, k_max, c, e)):
-        minors.append(d)
-        if d < 0:
-            return HankelVerdict("negative_at", k, d, tuple(minors))
-    return HankelVerdict("positive_so_far", k_max, Rat(0), tuple(minors))
+    return _scan(*s.as_dilated_ints(), k_max)
 
 
 def is_moment_positive_up_to(f: ClassF, k_max: int) -> HankelVerdict:
-    """Finite-order positive definiteness of the moment sequence of F."""
+    """Finite-order positive definiteness of the moment sequence of F:
+    `hankel_verdict(moments(f, 2 k_max), k_max)`, on the ints of
+    `dilated_moments`."""
     _check_order(k_max)
-    return hankel_verdict(moments(f, 2 * k_max), k_max)
+    a, c = dilated_moments(f, 2 * k_max)
+    return _scan(a, c, 1, k_max)
 
 
 def fid_check(f: ClassF, k_max: int) -> HankelVerdict:
     """Hankel scan of the shifted cumulants (r_2, r_3, ...).
 
     Positive definiteness of this sequence characterizes free infinite
-    divisibility; a negative minor certifies non-FID.  The shifted prefix
-    keeps the dilated cumulants c^n r_n of `cumulants` (`SeriesPrefix.tail`).
+    divisibility; a negative minor certifies non-FID.  The scan reads the
+    dilated cumulants c^n r_n of `dilated_cumulants` from n = 2 on, so that
+    r_(n+2) = a_(n+2) / (c^2 c^n).
     """
     _check_order(k_max)
-    return hankel_verdict(cumulants(f, 2 * k_max + 2).tail(2), k_max)
+    a, c = dilated_cumulants(f, 2 * k_max + 2)
+    return _scan(a[2:], c, c * c, k_max)
+
+
+def _scan(a, c: int, e: int, k_max: int) -> HankelVerdict:
+    """The verdict on the minors of s_n = a_n / (e c^n), n = 0..2k_max."""
+    minors = []
+    for k, d in enumerate(leading_minors(a, k_max, c, e)):
+        minors.append(d)
+        if d < 0:
+            return HankelVerdict("negative_at", k, d, tuple(minors))
+    return HankelVerdict("positive_so_far", k_max, Rat(0), tuple(minors))
 
 
 def _check_order(k_max: int):

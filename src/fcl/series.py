@@ -25,9 +25,12 @@ def ser_trunc(a, n: int):
 
 
 def ser_div(a, b, n: int):
-    """a/b mod z^(n+1); requires b[0] != 0."""
-    a, b = ser_trunc(a, n), ser_trunc(b, n)
-    if b[0] == 0:
+    """a/b mod z^(n+1); requires b[0] != 0.
+
+    b is not padded, so a divisor of degree d costs O(n d), not O(n^2).
+    """
+    a, b = ser_trunc(a, n), list(b[: n + 1])
+    if not b or b[0] == 0:
         raise ZeroDivisionError("series division needs a unit constant term")
     inv0 = None if b[0] == 1 else Rat(1) / b[0]
     out = []

@@ -240,6 +240,38 @@ def test_series_ring_is_preserved():
     assert half == [F(1, 2)] * 4 and all(type(x) is F for x in half)
 
 
+def _padded_ser_div(a, b, n):
+    """a/b mod z^(n+1) by schoolbook division with both series padded to n+1."""
+    a, b = ser_trunc(a, n), ser_trunc(b, n)
+    out = []
+    for k in range(n + 1):
+        acc = a[k] - sum(b[i] * out[k - i] for i in range(1, k + 1))
+        out.append(F(acc) / b[0])
+    return out
+
+
+_ints = st.integers(-9, 9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_ints | small_rat, max_size=12),
+       st.one_of(_ints, small_rat).filter(bool),
+       st.lists(_ints | small_rat, max_size=14), st.integers(0, 10))
+def test_ser_div_matches_padded_schoolbook(a, b0, b_rest, n):
+    # b0 != 1 takes the Fraction path; b may be longer than n + 1
+    b = [b0] + b_rest
+    out = ser_div(a, b, n)
+    assert len(out) == n + 1 and out == _padded_ser_div(a, b, n)
+    if b0 == 1 and all(type(x) is int for x in a + b):
+        assert all(type(x) is int for x in out)
+
+
+@pytest.mark.parametrize("b", [[], [0], [0, 1, 2]])
+def test_ser_div_needs_a_unit_constant_term(b):
+    with pytest.raises(ZeroDivisionError):
+        ser_div([1, 2], b, 3)
+
+
 @pytest.mark.parametrize("deg_p,deg_q", [(0, 0), (0, 3), (3, 0), (2, 5), (6, 6)])
 def test_invert_f_series_inverts_at_every_order(deg_p, deg_q):
     # D p(D) = z q(D) mod z^(n+1), i.e. F(D) = z, since q(D) is a unit; orders

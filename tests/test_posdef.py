@@ -171,22 +171,39 @@ def test_no_zero_pivot_needs_no_separate_determinant(det_calls):
     assert hv.minors == (1,) * 11 and det_calls == []
 
 
-def test_one_determinant_per_order_from_the_first_zero_pivot(det_calls):
+def test_zero_residuals_settle_the_tail_without_a_determinant(det_calls):
+    # at the first zero minor every residual <pi_k, x^l> is zero: the
+    # prefix obeys pi_k's recurrence, so the Hankel matrix has rank at most k
     atoms = [(F(0), F(2)), (F(1, 2), F(1)), (F(3), F(1, 5))]
-    hankel_verdict(_atomic(atoms, 16), 8)               # first zero at 3, scan to 8
-    assert det_calls == [3, 4, 5, 6, 7, 8]
-    det_calls.clear()
-    hankel_verdict([3, -1, 1, -1, 1, -1, 3, 2, -2], 4)  # first zero at 2, negative at 4
-    assert det_calls == [2, 3, 4]
-    det_calls.clear()
-    hankel_verdict([1, 1, 1, 2, 5, 1, 1, 1, 1], 4)      # zero at 1, negative at 2
-    assert det_calls == [1, 2]
+    hv = hankel_verdict(_atomic(atoms, 16), 8)           # first zero at 3, scan to 8
+    assert hv.minors[3:] == (0,) * 6 and all(hv.minors[:3])
     # the point mass at 0 and the FID sequences of wigner and mp: every
     # minor after order 0 is zero
     for hv in (is_moment_positive_up_to(identity_f(), 8),
                fid_check(wigner(F(5, 2)), 8), fid_check(mp(F(-3, 2), F(5, 2)), 8)):
         assert not hv.is_negative and hv.minors[1:] == (0,) * 8
-    assert det_calls == [1, 2] + list(range(1, 9)) * 3
+    assert det_calls == []
+
+
+def test_all_zero_sequence_gives_zeros_without_a_determinant(det_calls):
+    # k = 0: the residuals are the terms themselves
+    for seq in ([0] * 9, SeriesPrefix.from_dilated([0] * 9, 3, e=5)):
+        hv = hankel_verdict(seq, 4)
+        assert hv.status == "positive_so_far" and hv.minors == (0,) * 5
+    assert det_calls == []
+
+
+def test_one_determinant_per_order_from_the_first_zero_pivot(det_calls):
+    # the sequences whose residuals at the first zero minor are not all zero
+    hankel_verdict([3, -1, 1, -1, 1, -1, 3, 2, -2], 4)  # first zero at 2, negative at 4
+    assert det_calls == [2, 3, 4]
+    det_calls.clear()
+    hankel_verdict([1, 1, 1, 2, 5, 1, 1, 1, 1], 4)      # zero at 1, negative at 2
+    assert det_calls == [1, 2]
+    det_calls.clear()
+    # k = 0 with a nonzero term further on
+    hv = hankel_verdict([0, 0, 1, 0, 0], 2)
+    assert hv.minors == (0, 0, -1) and det_calls == [0, 1, 2]
 
 
 def _sympy_minors(sympy, s, k_max):
@@ -341,6 +358,37 @@ def test_nonzero_scan_runs_no_bareiss(bareiss_calls):
     hv = fid_check(law, 18)
     assert all(hv.minors)
     assert bareiss_calls == []
-    # a zero minor does reach them
-    fid_check(wigner(F(7, 3)), 2)
+    # so do zero residuals
+    assert fid_check(wigner(F(7, 3)), 8).minors[1:] == (0,) * 8
+    assert bareiss_calls == []
+    # a zero minor with a nonzero residual does reach them
+    hankel_verdict([1, 1, 1, 2, 5, 1, 1, 1, 1], 4)
     assert bareiss_calls.count("hankel_det") == 2 and "bareiss_det_int" in bareiss_calls
+
+
+def _laws_and_members(rng):
+    yield from (wigner(F(7, 3)), mp(F(-3, 2), F(5, 4)), identity_f(),
+                compose(mp(F(-3, 2), F(5, 4)), wigner(F(2, 3))))
+    for _ in range(12):
+        yield _member(rng)
+
+
+def test_checks_scan_integers_only(rng, monkeypatch):
+    # the verdicts of the two checks are those of hankel_verdict on the
+    # prefixes of moments and cumulants, but the checks build no prefix
+    cases = []
+    for i, f in enumerate(_laws_and_members(rng)):
+        k_max = 2 + i % 7
+        cases.append((f, k_max, hankel_verdict(moments(f, 2 * k_max), k_max),
+                      hankel_verdict(cumulants(f, 2 * k_max + 2).tail(2), k_max)))
+
+    def no_prefix(*args, **kwargs):
+        raise AssertionError("a check built a SeriesPrefix")
+
+    monkeypatch.setattr(SeriesPrefix, "from_dilated", no_prefix)
+    statuses = set()
+    for f, k_max, hv, fv in cases:
+        assert is_moment_positive_up_to(f, k_max) == hv
+        assert fid_check(f, k_max) == fv
+        statuses |= {hv.status, fv.status}
+    assert statuses == {"negative_at", "positive_so_far"}
