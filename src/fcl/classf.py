@@ -16,7 +16,7 @@ undoes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import mul
 
 from .errors import ComputationError, InvalidRTransform, NotInClass
@@ -73,17 +73,10 @@ class RatFun:
 
 @dataclass(frozen=True)
 class SeriesPrefix:
-    """A prefix of a rational sequence: terms[n] is the n-th element.
-
-    A prefix built by `from_dilated` (as `moments` and `cumulants` build
-    theirs) also keeps the integers it was built from, and `tail` carries
-    them over; `as_dilated_ints` reads them.  They take no part in ==, hash
-    or repr.
-    """
+    """A prefix of a rational sequence: terms[n] is the n-th element."""
 
     terms: tuple
     kind: str = "generic"  # moments | cumulants | generic
-    _dilated: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(as_rat(t) for t in self.terms))
@@ -91,38 +84,6 @@ class SeriesPrefix:
             raise ValueError("moment prefix must start with 1")
         if self.kind == "cumulants" and self.terms and self.terms[0] != 0:
             raise ValueError("cumulant prefix must start with 0")
-
-    @classmethod
-    def from_dilated(cls, a, c: int, kind: str = "generic", e: int = 1) -> "SeriesPrefix":
-        """The prefix with terms[n] = a[n] / (e * c**n), for ints a[n] and
-        positive ints c and e."""
-        a = tuple(a)
-        if not set(map(type, (c, e, *a))) <= {int} or c < 1 or e < 1:
-            raise ValueError("need int terms and positive int c and e")
-        return cls(tuple(Rat(x, e * c**n) for n, x in enumerate(a)), kind)._keep(a, c, e)
-
-    def _keep(self, a, c, e):
-        object.__setattr__(self, "_dilated", (a, c, e))
-        return self
-
-    def tail(self, m: int) -> "SeriesPrefix":
-        """The generic prefix of terms[m:].  Integers a, c, e kept from
-        `from_dilated` carry over as a[m:], c and e * c**m."""
-        prefix = SeriesPrefix(self.terms[m:])
-        if self._dilated is None:
-            return prefix
-        a, c, e = self._dilated
-        return prefix._keep(a[m:], c, e * c**m)
-
-    def as_dilated_ints(self):
-        """(a, c, e): ints a[n] with terms[n] = a[n] / (e * c**n).  These are
-        the integers of `from_dilated` (or of `tail`) when the prefix was
-        built from them, else c = 1 and e is the least common denominator of
-        the terms."""
-        if self._dilated is not None:
-            return self._dilated
-        e = math.lcm(*[t.denominator for t in self.terms])
-        return tuple(t.numerator * (e // t.denominator) for t in self.terms), 1, e
 
     def __len__(self):
         return len(self.terms)
@@ -239,9 +200,9 @@ def moments(f: ClassF, n: int) -> SeriesPrefix:
     """Exact moments s_0..s_n by two independent routes; must agree.
 
     The terms are the integers of `dilated_moments`, each divided, once,
-    by c^k (`SeriesPrefix.from_dilated`).
+    by c^k.
     """
-    return SeriesPrefix.from_dilated(*dilated_moments(f, n), "moments")
+    return _undilated(*dilated_moments(f, n), "moments")
 
 
 def dilated_moments(f: ClassF, n: int):
@@ -266,6 +227,11 @@ def dilated_moments(f: ClassF, n: int):
         raise ComputationError(
             "moment extraction routes disagree: series inversion vs M*P(zM) = Q(zM)")
     return s_a, c
+
+
+def _undilated(a, c: int, kind: str) -> SeriesPrefix:
+    """The prefix of kind `kind` with terms a[k] / c^k."""
+    return SeriesPrefix(tuple(Rat(x, c**k) for k, x in enumerate(a)), kind)
 
 
 def _dilation(f: ClassF):
@@ -315,7 +281,7 @@ def cumulants(f: ClassF, n: int) -> SeriesPrefix:
 
     The terms are the integers of `dilated_cumulants`, each divided by c^k.
     """
-    return SeriesPrefix.from_dilated(*dilated_cumulants(f, n), "cumulants")
+    return _undilated(*dilated_cumulants(f, n), "cumulants")
 
 
 def dilated_cumulants(f: ClassF, n: int):

@@ -9,7 +9,7 @@ from importlib import import_module
 _EXPORTS = {
     "algebraic": ("AlgebraicReal", "isolate_real_roots"),
     "bipoly": ("BiPoly", "lower_subresultants", "resultant_w"),
-    "hankel": ("hankel_det", "leading_minors"),
+    "hankel": ("hankel_det", "integer_prefix", "leading_minors"),
     "intervals": ("Iv", "iv_poly_eval"),
     "poly": ("Poly", "Rat", "as_rat", "is_squarefree", "poly_gcd", "rat_str",
              "resultant", "squarefree_part"),

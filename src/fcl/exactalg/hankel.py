@@ -9,19 +9,22 @@ of the orthogonal polynomial pi_k: when all are zero the prefix obeys
 pi_k's recurrence, its Hankel matrix has rank at most k (Iohvidov, *Hankel
 and Toeplitz Matrices and Forms*, 1982) and every later minor is 0.
 `hankel_det` is one fraction-free (Bareiss) determinant; the scan needs it
-only from a zero minor with a nonzero residual on.
+only from a zero minor with a nonzero residual on, where it reads the
+scan's own integers a.  `integer_prefix` writes a rational sequence as
+integers over its least common denominator, for both.
 """
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 from .poly import Rat, as_rat, bareiss_det_int
 
 
-def _scaled(s, n: int):
-    """The first n entries of s as integers over their least common
-    denominator, and that denominator."""
-    s = [as_rat(x) for x in s[:n]]
+def integer_prefix(s, n: int):
+    """(ints, den): the first n entries of the iterable s as integers over
+    their least common denominator den.  Reads no entry past the n-th."""
+    s = [as_rat(x) for x in islice(s, n)]
     if len(s) < n:
         raise ValueError(f"need at least {n} sequence entries, got {len(s)}")
     den = math.lcm(*[x.denominator for x in s])
@@ -35,7 +38,7 @@ def hankel_det(s, k: int) -> Rat:
     """
     if k < 0:
         raise ValueError("order must be nonnegative")
-    ints, den = _scaled(s, 2 * k + 1)
+    ints, den = integer_prefix(s, 2 * k + 1)
     m = [[ints[i + j] for j in range(k + 1)] for i in range(k + 1)]
     return Rat(bareiss_det_int(m), den ** (k + 1))
 
@@ -63,8 +66,8 @@ def leading_minors(a, k_max: int, c: int = 1, e: int = 1):
     orthogonality), so every column j >= k of the order-k_max Hankel matrix
     is a combination of the k columns before it.  The matrix has rank at
     most k, and the orders k..k_max yield 0 with no determinant.  If one
-    residual is nonzero, each order from k on is a `hankel_det` of s, built
-    once from a.
+    residual is nonzero, each order j from k on is `hankel_det(a, j)` over
+    e^(j+1) c^(j(j+1)), the scaling the recurrence's own minors carry.
     """
     if k_max < 0:
         raise ValueError("order must be nonnegative")
@@ -87,8 +90,9 @@ def leading_minors(a, k_max: int, c: int = 1, e: int = 1):
                 for _ in range(k, k_max + 1):
                     yield Rat(0)
                 return
-            s = [Rat(x, e * c**i) for i, x in enumerate(a[:n])]
             for j in range(k, k_max + 1):
-                yield hankel_det(s, j)
+                yield hankel_det(a, j) / den
+                step *= c * c
+                den *= e * step
             return
         yield Rat(h1, den)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .classf import SeriesPrefix
 from .config import Config
 from .errors import NetworkDisabled, NotFound, ParseError
 
@@ -93,7 +92,7 @@ def match(seq, min_overlap: int = 6, fixtures: dict | None = None):
     """
     if min_overlap < 6:
         raise ValueError("need min_overlap >= 6")
-    terms = list(seq.terms) if isinstance(seq, SeriesPrefix) else list(seq)
+    terms = list(seq)
     fixtures = load_bundled() if fixtures is None else fixtures
     hits = []
     for fx in fixtures.values():

@@ -7,18 +7,21 @@ measures produce them legitimately).
 
 All minors of one scan come from the fraction-free Chebyshev recurrence
 (`exactalg.hankel.leading_minors`), read order by order, on integers: the
-c-dilated ones of `dilated_moments` and `dilated_cumulants` (the two checks
-build no `SeriesPrefix`), or else the terms over their common denominator.
-The recurrence stops at the first zero minor H_k.  If the residuals it holds
-there are all zero, the Hankel matrix has rank at most k and every later
-minor is 0; otherwise each later order is a determinant of its own.
+two checks on F read the c-dilated ones of `dilated_moments` and
+`dilated_cumulants`, and `hankel_verdict` writes any sequence over its
+common denominator.  Either form scales the order-k minor by a positive
+factor (e^(k+1) c^(k(k+1)) for a_n = e c^n s_n), so the verdict does not
+depend on it.  The recurrence stops at the first zero minor H_k.  If the
+residuals it holds there are all zero, the Hankel matrix has rank at most
+k and every later minor is 0; otherwise each later order is a determinant
+of its own.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classf import ClassF, SeriesPrefix, dilated_cumulants, dilated_moments
-from .exactalg import Rat, leading_minors
+from .classf import ClassF, dilated_cumulants, dilated_moments
+from .exactalg import Rat, integer_prefix, leading_minors
 
 
 @dataclass(frozen=True)
@@ -43,19 +46,20 @@ class HankelVerdict:
 def hankel_verdict(s, k_max: int) -> HankelVerdict:
     """Scan minors det(s[i+j]), order 0..k_max, stopping at the first < 0.
 
-    The minors come one order at a time from the Chebyshev recurrence on
-    `s.as_dilated_ints()` (for a plain sequence, its first 2k_max+1 terms
-    over their common denominator), so a negative minor stops the work too.
-    The recurrence divides by the minors.  At the first zero minor H_k, zero
-    residuals of the orthogonal polynomial pi_k (the prefix obeys pi_k's
-    recurrence, so the Hankel matrix has rank at most k) make every later
-    minor 0 with no determinant; a nonzero residual makes every later order
-    a separate `hankel_det`.
+    s is any finite iterable (a list, a generator, a `SeriesPrefix`); its
+    first 2k_max+1 terms are read once and written as integers over their
+    least common denominator (`exactalg.integer_prefix`).  The minors come
+    one order at a time from the Chebyshev recurrence on those integers, so
+    a negative minor stops the work too.  The recurrence divides by the
+    minors.  At the first zero minor H_k, zero residuals of the orthogonal
+    polynomial pi_k (the prefix obeys pi_k's recurrence, so the Hankel
+    matrix has rank at most k) make every later minor 0 with no
+    determinant; a nonzero residual makes every later order a separate
+    `hankel_det`.
     """
     _check_order(k_max)
-    if not isinstance(s, SeriesPrefix):
-        s = SeriesPrefix(tuple(s)[: 2 * k_max + 1])
-    return _scan(*s.as_dilated_ints(), k_max)
+    ints, den = integer_prefix(s, 2 * k_max + 1)
+    return _scan(ints, 1, den, k_max)
 
 
 def is_moment_positive_up_to(f: ClassF, k_max: int) -> HankelVerdict:

@@ -10,7 +10,8 @@ import fcl.classf
 from conftest import rand_classf, rand_rat
 from fcl import distlib
 from fcl.classf import (ClassF, RatFun, SeriesPrefix, boxplus, compose,
-                        cumulants, dilate, free_power, from_r, identity_f,
+                        cumulants, dilate, dilated_cumulants, dilated_moments,
+                        free_power, from_r, identity_f,
                         make_classf, make_ratfun, moments, r_transform,
                         translate)
 from fcl.errors import ComputationError, InvalidRTransform, NotInClass
@@ -50,36 +51,14 @@ def test_series_prefix_invariants():
 
 
 def test_series_prefix_dilated_ints(rng):
-    # moments and cumulants keep the c-dilated ints they were computed on;
-    # the read takes no part in ==, hash or repr
+    # moments and cumulants are the c-dilated ints a_k of dilated_*, each
+    # divided by c^k
     for _ in range(10):
         f = rand_classf(rng, 3)
-        for pre in (moments(f, 9), cumulants(f, 9)):
-            a, c, e = pre.as_dilated_ints()
-            assert e == 1 and len(a) == len(pre)
-            assert all(type(x) is int for x in a)
-            assert [F(x, e * c**n) for n, x in enumerate(a)] == list(pre.terms)
-            plain = SeriesPrefix(pre.terms, pre.kind)
-            assert pre == plain and hash(pre) == hash(plain) and repr(pre) == repr(plain)
-            tail = pre.tail(2)
-            a2, c2, e2 = tail.as_dilated_ints()
-            assert tail == SeriesPrefix(pre.terms[2:]) and c2 == c and e2 == c * c
-            assert [F(x, e2 * c2**n) for n, x in enumerate(a2)] == list(tail.terms)
-
-
-def test_series_prefix_from_dilated():
-    pre = SeriesPrefix.from_dilated([6, -4, 9], 2, e=3)
-    assert pre.terms == (2, F(-2, 3), F(3, 4)) and pre.kind == "generic"
-    assert pre.as_dilated_ints() == ((6, -4, 9), 2, 3)
-    assert pre.tail(1).as_dilated_ints() == ((-4, 9), 2, 6)
-    # without stored ints: c = 1 over the least common denominator
-    assert SeriesPrefix(pre.terms).as_dilated_ints() == ((24, -8, 9), 1, 12)
-    assert SeriesPrefix(pre.terms).tail(1).as_dilated_ints() == ((-8, 9), 1, 12)
-    assert SeriesPrefix.from_dilated([1, 3], 5, "moments").terms == (1, F(3, 5))
-    for a, c, e in (([F(1, 2)], 1, 1), ([1.0], 1, 1), ([1], 0, 1), ([1], 2, -1),
-                    ([1], F(2), 1), ([True], 1, 1)):
-        with pytest.raises(ValueError, match="need int terms and positive int c and e"):
-            SeriesPrefix.from_dilated(a, c, e=e)
+        for pre, (a, c) in ((moments(f, 9), dilated_moments(f, 9)),
+                            (cumulants(f, 9), dilated_cumulants(f, 9))):
+            assert all(type(x) is int for x in a) and c >= 1
+            assert list(pre.terms) == [F(x, c**k) for k, x in enumerate(a)]
 
 
 # ------------------------------------------------------------- r-transform

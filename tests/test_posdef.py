@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 import fcl.exactalg.hankel as hankel_mod
 import fcl.exactalg.poly as poly_mod
 from conftest import rand_classf, rand_rat
-from fcl.classf import (SeriesPrefix, compose, cumulants, dilate, from_r, identity_f,
-                        make_classf, make_ratfun, moments)
+from fcl.classf import (SeriesPrefix, compose, cumulants, dilate, dilated_moments, from_r,
+                        identity_f, make_classf, make_ratfun, moments)
 from fcl.distlib import mp, wigner
-from fcl.exactalg import Poly, hankel_det
+from fcl.exactalg import Poly, hankel_det, leading_minors
 from fcl.exactalg.poly import as_rat
 from fcl.posdef import fid_check, hankel_verdict, is_moment_positive_up_to
 
@@ -45,14 +45,33 @@ def test_hankel_verdict_positive():
 def test_hankel_verdict_insufficient_terms():
     with pytest.raises(ValueError, match="need at least 5 sequence entries, got 3"):
         hankel_verdict([1, 2, 3], 2)
-    # the dilated route: moments and shifted cumulants keep their ints
-    f = mp(F(3, 2), F(5, 4))
     with pytest.raises(ValueError, match="need at least 5 sequence entries, got 4"):
-        hankel_verdict(moments(f, 3), 2)
-    with pytest.raises(ValueError, match="need at least 5 sequence entries, got 4"):
-        hankel_verdict(cumulants(f, 5).tail(2), 2)
-    with pytest.raises(ValueError, match="need at least 3 sequence entries, got 2"):
-        hankel_verdict(SeriesPrefix.from_dilated([4, 6], 3, e=2), 1)
+        hankel_verdict(moments(mp(F(3, 2), F(5, 4)), 3), 2)
+
+
+def test_hankel_verdict_reads_any_finite_iterable():
+    # a list, a tuple, a generator and a moments prefix of the same terms
+    # give one verdict; a short input gives one message whatever its type
+    f = from_r(make_ratfun(w * (1 + w), (1 - w) ** 3))
+    m = moments(f, 10)
+    for k_max, want in ((4, "negative_at"), (3, "positive_so_far")):
+        hvs = [hankel_verdict(seq, k_max)
+               for seq in (m, list(m.terms), tuple(m.terms), (x for x in m.terms))]
+        assert hvs[0].status == want and hvs == [hvs[0]] * 4
+    for seq in (m, list(m.terms), tuple(m.terms), (x for x in m.terms)):
+        with pytest.raises(ValueError, match="need at least 13 sequence entries, got 11"):
+            hankel_verdict(seq, 6)
+
+    # a generator is read no further than its first 2k_max+1 terms
+    def catalan_then_raise(n):
+        c = 1
+        for i in range(n):
+            yield c
+            c = c * 2 * (2 * i + 1) // (i + 2)
+        raise AssertionError("read past the terms the scan needs")
+
+    hv = hankel_verdict(catalan_then_raise(13), 6)
+    assert hv.status == "positive_so_far" and hv.minors == (1,) * 7
 
 
 def test_zero_minor_does_not_stop_scan():
@@ -187,9 +206,8 @@ def test_zero_residuals_settle_the_tail_without_a_determinant(det_calls):
 
 def test_all_zero_sequence_gives_zeros_without_a_determinant(det_calls):
     # k = 0: the residuals are the terms themselves
-    for seq in ([0] * 9, SeriesPrefix.from_dilated([0] * 9, 3, e=5)):
-        hv = hankel_verdict(seq, 4)
-        assert hv.status == "positive_so_far" and hv.minors == (0,) * 5
+    hv = hankel_verdict([0] * 9, 4)
+    assert hv.status == "positive_so_far" and hv.minors == (0,) * 5
     assert det_calls == []
 
 
@@ -289,14 +307,15 @@ def test_dilated_scans_match_bareiss_and_sympy(rng):
     seen = set()
     for i in range(24):
         f, k_max = _member(rng), 2 + i % 9
-        m, r = moments(f, 2 * k_max), cumulants(f, 2 * k_max + 2).tail(2)
+        m, r = moments(f, 2 * k_max).terms, cumulants(f, 2 * k_max + 2).terms[2:]
+        dilated = dilated_moments(f, 2 * k_max)[1] > 1
         for name, hv, seq in (("moments", is_moment_positive_up_to(f, k_max), m),
                               ("fid", fid_check(f, k_max), r)):
-            ref = _bareiss_minors(seq.terms, k_max)
+            ref = _bareiss_minors(seq, k_max)
             _check_against(hv, ref, k_max)
             if k_max <= 6:
-                assert _sympy_minors(sympy, seq.terms, k_max) == ref
-            seen.add((name, hv.status, seq.as_dilated_ints()[1] > 1))
+                assert _sympy_minors(sympy, seq, k_max) == ref
+            seen.add((name, hv.status, dilated))
     for name in ("moments", "fid"):
         for status in ("negative_at", "positive_so_far"):
             assert (name, status, True) in seen
@@ -320,14 +339,14 @@ _PLANTED = [
 @pytest.mark.parametrize("s, k_max", _PLANTED)
 @pytest.mark.parametrize("c, e", [(1, 1), (6, 1), (2, 35), (15, 4)])
 def test_planted_zero_minors_plain_and_dilated(s, k_max, c, e):
-    # the same sequence as a plain list and as a prefix built from its ints
-    # a_n = e' c^n s_n, e' = e times the common denominator
+    # the same sequence as a plain list, and as its ints a_n = e' c^n s_n,
+    # e' = e times the common denominator, in the kernel's dilated route
     ref = _bareiss_minors(s, k_max)
     assert ref == [hankel_det(s, k) for k in range(k_max + 1)] and 0 in ref
+    _check_against(hankel_verdict(s, k_max), ref, k_max)
     den = math.lcm(*[F(x).denominator for x in s])
     a = [int(x * den * e * c**n) for n, x in enumerate(s)]
-    for seq in (s, SeriesPrefix.from_dilated(a, c, e=den * e)):
-        _check_against(hankel_verdict(seq, k_max), ref, k_max)
+    assert list(leading_minors(a, k_max, c, den * e)) == ref
 
 
 @pytest.fixture
@@ -380,12 +399,12 @@ def test_checks_scan_integers_only(rng, monkeypatch):
     for i, f in enumerate(_laws_and_members(rng)):
         k_max = 2 + i % 7
         cases.append((f, k_max, hankel_verdict(moments(f, 2 * k_max), k_max),
-                      hankel_verdict(cumulants(f, 2 * k_max + 2).tail(2), k_max)))
+                      hankel_verdict(cumulants(f, 2 * k_max + 2).terms[2:], k_max)))
 
     def no_prefix(*args, **kwargs):
         raise AssertionError("a check built a SeriesPrefix")
 
-    monkeypatch.setattr(SeriesPrefix, "from_dilated", no_prefix)
+    monkeypatch.setattr(SeriesPrefix, "__post_init__", no_prefix)
     statuses = set()
     for f, k_max, hv, fv in cases:
         assert is_moment_positive_up_to(f, k_max) == hv
