@@ -13,8 +13,8 @@ _EXPORTS = {
     "intervals": ("Iv", "iv_poly_eval"),
     "poly": ("Poly", "Rat", "as_rat", "is_squarefree", "poly_gcd", "rat_str",
              "resultant", "squarefree_part"),
-    "sturm": ("cauchy_bound", "count_distinct_real_roots", "is_real_rooted",
-              "real_rooted_from_signs", "sturm_chain"),
+    "sturm": ("count_distinct_real_roots", "is_real_rooted", "real_rooted_from_signs",
+              "sturm_chain"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

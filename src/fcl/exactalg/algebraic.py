@@ -1,11 +1,14 @@
 """Exact real algebraic numbers as (squarefree polynomial, isolating interval).
 
-Nothing is refined unless a caller asks for it.  Isolation is Sturm
-bisection inside a Cauchy bound that stops as soon as an interval holds one
-root; its endpoints are ints over one power-of-two multiple of the bound's
-denominator, signed in integers.  Rational roots are found apart from it, by p-adic lifting
-(`_rational_roots`), and each one collapses the interval that holds it to
-a point.
+Nothing is refined unless a caller asks for it.  Isolation is one Sturm
+bisection, on the whole line or inside an asked range (lo, hi), that
+stops as soon as an interval holds one root.  It starts at the asked ends
+clipped to (-2^e, 2^e), a power-of-two form of Fujiwara's root bound,
+where the variation counts are read from the chain's leading
+coefficients; its endpoints are ints over one power-of-two multiple of the
+ends' common denominator, signed in integers.  Rational roots are found
+apart from it, by p-adic lifting (`_rational_roots`), and each one
+collapses the interval that holds it to a point.
 
 Every exact predicate is decided by `AlgebraicReal.sign_of`: the sign of a
 polynomial at an irrational number is one Tarski query on the isolating
@@ -18,7 +21,8 @@ two irrationals are equal when one is a root of the other's defining
 polynomial inside the other's interval.
 
 Bisection only refines, for the callers that need narrower intervals
-(`refined_to`, `refine_inside`, `separate`): one step, `_bisect`, on the
+(`refined_to`, `separate`, and a range's end intervals in
+`isolate_real_roots`): one step, `_bisect`, on the
 primitive integer form of the defining polynomial is a single integer sign
 at the midpoint against the stored sign at lo.  Refinement is pure: methods
 return new numbers with narrower intervals, the original is never mutated.
@@ -29,8 +33,8 @@ import math
 from fractions import Fraction
 
 from .poly import Poly, Rat, _exact_div, _monic, _prem, _remainder_chain, as_rat
-from .sturm import (cauchy_bound, count_distinct_real_roots, sturm_chain,
-                    _sign_at, _sign_hom, _variations_at, _variations_hom)
+from .sturm import (count_distinct_real_roots, sturm_chain, _sign_at, _sign_hom,
+                    _variations_at, _variations_at_inf, _variations_hom)
 
 
 def _bisect(ints, slo, lo, hi):
@@ -110,16 +114,6 @@ class AlgebraicReal:
         while hi - lo > width:
             lo, hi = _bisect(self._ints, self._slo, lo, hi)
         return self._narrowed(lo, hi)
-
-    def refine_inside(self, lo, hi):
-        """This number with its interval strictly inside (lo, hi), or None
-        when the number does not lie in (lo, hi)."""
-        if self.compare_rational(lo) <= 0 or self.compare_rational(hi) >= 0:
-            return None
-        alo, ahi = self.lo, self.hi
-        while not (lo < alo and ahi < hi):
-            alo, ahi = _bisect(self._ints, self._slo, alo, ahi)
-        return self._narrowed(alo, ahi)
 
     def separate(self, other: "AlgebraicReal"):
         """(self, other) refined until their intervals are disjoint.
@@ -287,18 +281,58 @@ def _rational_roots(a, bound):
     return sorted(roots)
 
 
-def isolate_real_roots(p: Poly):
-    """Isolating AlgebraicReals for the distinct real roots of p, ascending.
+def _root_bound_exponent(a) -> int:
+    """e with every real root of the int list a (degree n >= 1) strictly
+    inside (-2^e, 2^e): the least integer with
+    2^(e i) |lc| > 2^i |a_(n-i)| for every i = 1..n, or 0 when every
+    a_(n-i) is 0.
 
-    Sturm bisection of (-B, B), B the Cauchy bound, stops as soon as an
-    interval holds one root; nothing is refined further.  Every rational
-    root, from `_rational_roots`, comes back as a point,
+    Fujiwara's bound (Tohoku Math. J. 10, 1916): at |x| >= 2^e every term
+    |a_(n-i) x^(n-i)| is below |lc x^n| / 2^i, or 0, so they sum to less
+    than |lc x^n| and a(x) != 0.
+    """
+    n, lc = len(a) - 1, abs(a[-1])
+    exps = []
+    for i in range(1, n + 1):
+        c = abs(a[n - i])
+        if c:
+            # the least m with |lc| 2^(m i) > c is m or m + 1 by bit lengths
+            m = (c.bit_length() - lc.bit_length()) // i
+            if lc << max(m * i, 0) <= c << max(-m * i, 0):
+                m += 1
+            exps.append(m + 1)
+    return max(exps, default=0)
+
+
+def isolate_real_roots(p: Poly, lo=None, hi=None):
+    """Isolating AlgebraicReals for the distinct real roots of p in (lo, hi),
+    ascending; None is an unbounded end, so the default is every real root.
+
+    One Sturm bisection serves both: it starts at the asked ends, each
+    clipped to (-2^e, 2^e) (`_root_bound_exponent`), which holds every
+    real root, and stops as soon as an interval holds one root; nothing
+    is refined further, except that an interval with an end at an asked
+    lo or hi is bisected by signs alone (`_bisect`) until it lies
+    strictly inside (lo, hi).  At +-2^e the variation counts are those
+    at +-infinity, read from the chain's leading coefficients, as no
+    root lies beyond; an asked end is signed in the chain, and at a hi
+    that is a root 1 is added, so the counts are of the open interval.
+    Counts on (a, b] hold at any rational end (Basu, Pollack and Roy,
+    Algorithms in Real Algebraic Geometry, ch. 2), so lo may itself be
+    a root.
+
+    Every rational root, from `_rational_roots`, comes back as a point,
     AlgebraicReal.from_rational.  Every irrational root is defined by the
-    squarefree part of p divided by (x - r) for each rational root r, so
-    its defining polynomial has no rational root.  The Sturm chain of p
+    squarefree part of p divided by (x - r) for each rational root r
+    (over the whole line), so its defining polynomial has no rational
+    root and is the same with and without a range.  The Sturm chain of p
     ends at a multiple of gcd(p, p'); only when that has positive degree
     is the chain rebuilt from the squarefree part.
     """
+    lo = None if lo is None else as_rat(lo)
+    hi = None if hi is None else as_rat(hi)
+    if lo is not None and hi is not None and lo >= hi:
+        raise ValueError("need lo < hi")
     if p.is_zero():
         raise ValueError("zero polynomial")
     chain = sturm_chain(p)
@@ -309,40 +343,55 @@ def isolate_real_roots(p: Poly):
     ints = chain[0]  # the primitive integer form of the squarefree part s
     if len(ints) == 1:
         return []
-    s = _monic(ints)
-    bound = cauchy_bound(s)
+    bound = Fraction(2) ** _root_bound_exponent(ints)
+    if lo is None or lo <= -bound:
+        a, va = -bound, _variations_at_inf(chain, -1)
+    else:
+        a, va = lo, _variations_at(chain, lo)
+    if hi is None or hi >= bound:
+        b, vb = bound, _variations_at_inf(chain, 1)
+    else:
+        b, vb = hi, _variations_at(chain, hi) + (_sign_at(ints, hi) == 0)
+    if a >= b or va == vb:
+        return []
 
-    # endpoints are ints over the denominator bd * 2^k of their depth k
-    bn, bd = bound.numerator, bound.denominator
+    # endpoints are ints over the denominator d * 2^k of their depth k
+    d = math.lcm(a.denominator, b.denominator)
     out = []
 
     def split(lo, hi, k, vlo, vhi):
-        # invariant: s(lo) != 0, s(hi) != 0; count in (lo, hi] = vlo - vhi
+        # invariant: the count in (lo, hi) is vlo - vhi
         n = vlo - vhi
         if n == 1:
-            out.append((Fraction(lo, bd << k), Fraction(hi, bd << k)))
+            out.append((Fraction(lo, d << k), Fraction(hi, d << k)))
         if n <= 1:
             return
         lo, hi, k = 2 * lo, 2 * hi, k + 1
         mid = (lo + hi) // 2
-        while _sign_hom(ints, mid, bd << k) == 0:
+        while _sign_hom(ints, mid, d << k) == 0:
             lo, mid, hi, k = 2 * lo, lo + mid, 2 * hi, k + 1
-        vm = _variations_hom(chain, mid, bd << k)
+        vm = _variations_hom(chain, mid, d << k)
         split(lo, mid, k, vlo, vm)
         split(mid, hi, k, vm, vhi)
 
-    split(-bn, bn, 0, _variations_hom(chain, -bn, bd), _variations_hom(chain, bn, bd))
+    split(a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), 0, va, vb)
     rats = _rational_roots(ints, bound)
     qi = ints  # one primitive list for every irrational root
     for r in rats:
         qi = _exact_div(qi, [-r.numerator, r.denominator])
-    q = s if qi is ints else _monic(qi)
+    q = _monic(qi)
+    rats = [r for r in rats if a < r < b]
     roots = []
-    for lo, hi in out:
-        # intervals and rational roots ascend together; each root is inside one
-        if rats and rats[0] < hi:
+    for u, v in out:
+        # intervals and rational roots in range ascend together; each
+        # root is inside one
+        if rats and rats[0] < v:
             roots.append(AlgebraicReal.from_rational(rats.pop(0)))
-        else:
-            roots.append(_from_parts(q, qi, _sign_at(qi, lo), lo, hi))
+            continue
+        # qi has no rational root, so its sign at u is not 0 and no
+        # bisection hits the root
+        su = _sign_at(qi, u)
+        while (lo is not None and u <= lo) or (hi is not None and v >= hi):
+            u, v = _bisect(qi, su, u, v)
+        roots.append(_from_parts(q, qi, su, u, v))
     return roots
-

@@ -23,7 +23,7 @@ settles the answer (`real_rooted_from_signs`, the rule that
 """
 from __future__ import annotations
 
-from .poly import Poly, Rat, _remainder_chain, _subresultant_scan, as_rat
+from .poly import Poly, _exact_div, _remainder_chain, _subresultant_scan, as_rat
 
 
 def sturm_chain(p: Poly):
@@ -64,10 +64,21 @@ def _variations_hom(chain, u: int, d: int) -> int:
     return sign_variations([_sign_hom(p, u, d) for p in chain])
 
 
+def _variations_at_inf(chain, side: int) -> int:
+    """_variations_at -infinity (side -1) or +infinity (side 1), where
+    each member has the sign of its leading term."""
+    return sign_variations([c[-1] if side > 0 or len(c) % 2 else -c[-1] for c in chain])
+
+
 def count_distinct_real_roots(p: Poly, lo=None, hi=None) -> int:
     """Distinct real roots of any nonzero p in (lo, hi] (no squarefree
     demand), for rationals lo <= hi; None is -infinity as lo and +infinity
-    as hi."""
+    as hi.
+
+    When gcd(p, p') has positive degree every member is divided by the
+    chain's last, a primitive multiple of it, so the chain is signed at a
+    multiple root too, where all its members vanish.
+    """
     if p.is_zero():
         raise ValueError("zero polynomial")
     if lo is not None and hi is not None and as_rat(lo) > as_rat(hi):
@@ -75,11 +86,10 @@ def count_distinct_real_roots(p: Poly, lo=None, hi=None) -> int:
     if p.is_constant():
         return 0
     chain = sturm_chain(p)
-    if lo is None:
-        vlo = sign_variations([c[-1] if len(c) % 2 else -c[-1] for c in chain])
-    else:
-        vlo = _variations_at(chain, as_rat(lo))
-    vhi = sign_variations([c[-1] for c in chain]) if hi is None else _variations_at(chain, as_rat(hi))
+    if len(chain[-1]) > 1:
+        chain = [_exact_div(c, chain[-1]) for c in chain]
+    vlo = _variations_at_inf(chain, -1) if lo is None else _variations_at(chain, as_rat(lo))
+    vhi = _variations_at_inf(chain, 1) if hi is None else _variations_at(chain, as_rat(hi))
     return vlo - vhi
 
 
@@ -128,12 +138,3 @@ def real_rooted_from_signs(entries) -> bool:
         if s == 0:
             return all(r == 0 for r in entries)
     return True
-
-
-def cauchy_bound(p: Poly) -> Rat:
-    """B with every real root of p in (-B, B)."""
-    if p.is_zero() or p.is_constant():
-        return Rat(1)
-    num = p.as_integer_ratio()[0]  # 1 + max |c_i| / |lc|: the denominator cancels
-    lc = abs(num[-1])
-    return Rat(lc + max(abs(c) for c in num[:-1]), lc)

@@ -169,19 +169,16 @@ class Pencil:
         return rho
 
     def criticals(self, lo, hi) -> list:
-        """Ascending [AlgebraicReal, kind] pairs in (lo, hi), intervals disjoint.
+        """Ascending [AlgebraicReal, kind] pairs in (lo, hi), intervals disjoint
+        and strictly inside (lo, hi), for rationals lo < hi.
 
         kind is 'multiple_root' for a real root of the eliminant,
         'degree_drop' for tau where the moving part drops degree by at least
-        two, and 'both' when they coincide.
+        two, and 'both' when they coincide.  The eliminant's roots are
+        isolated inside (lo, hi) alone (`isolate_real_roots(rho, lo, hi)`),
+        so lo may be one of them, as t = 0 is for chi_t (chi_0 = P^2).
         """
-        crits = []
-        rho = self.eliminant()
-        if not rho.is_constant():
-            for r in isolate_real_roots(rho):
-                r2 = r.refine_inside(lo, hi)
-                if r2 is not None:
-                    crits.append([r2, "multiple_root"])
+        crits = [[r, "multiple_root"] for r in isolate_real_roots(self.eliminant(), lo, hi)]
         x, tau = self.moving, self.tau
         if tau is not None and lo < tau < hi and x.eval_param(tau).degree <= x.degree_w - 2:
             side = [c[0].compare_rational(tau) for c in crits]

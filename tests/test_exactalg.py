@@ -12,13 +12,13 @@ from fcl.classf import make_classf
 from fcl.errors import NotInClass
 from fcl.euler import nk_classf
 from fcl.exactalg import (AlgebraicReal, BiPoly, Iv, Poly,
-                          cauchy_bound, count_distinct_real_roots, hankel_det,
+                          count_distinct_real_roots, hankel_det,
                           is_real_rooted, is_squarefree,
                           isolate_real_roots, iv_poly_eval, poly_gcd,
                           resultant, resultant_w, squarefree_part,
                           sturm_chain)
 from fcl.exactalg import algebraic, bipoly, poly, sturm
-from fcl.exactalg.algebraic import _rational_roots
+from fcl.exactalg.algebraic import _rational_roots, _root_bound_exponent
 from fcl.exactalg.bipoly import _nodes, lower_subresultants
 from fcl.exactalg.poly import bareiss_det_int
 from fcl.exactalg.sturm import _sign_at, _variations_at, real_rooted_from_signs
@@ -224,6 +224,16 @@ def test_gcd_and_squarefree_match_sympy(p, q, r):
     assert poly_gcd(a, b) == _from_sympy(ref)
     ref = sympy.sqf_part(_sympy_poly(sympy, a)).monic()
     assert squarefree_part(a) == _from_sympy(ref)
+
+
+def test_count_with_an_end_at_a_multiple_root():
+    # every member of the chain of p vanishes at a root of gcd(p, p')
+    p = (w + 1) ** 2 * (w**2 - 2)
+    assert [count_distinct_real_roots(p, lo, hi) for lo, hi in
+            ((-1, 0), (-2, -1), (-1, -1), (None, -1), (-1, None))] == [0, 2, 0, 2, 1]
+    q = -(w - 3) ** 3 * w
+    assert [count_distinct_real_roots(q, lo, hi) for lo, hi in
+            ((0, 3), (-1, 0), (3, 5), (0, None))] == [1, 1, 0, 1]
 
 
 @settings(max_examples=40, deadline=None)
@@ -620,7 +630,7 @@ def _planted_rational_cases():
 def test_padic_rational_roots(p, rats):
     s = squarefree_part(p)
     ints = s.int_coeffs()[0]
-    assert _rational_roots(ints, cauchy_bound(s)) == rats
+    assert _rational_roots(ints, F(2) ** _root_bound_exponent(ints)) == rats
     roots = isolate_real_roots(p)
     assert [r.as_fraction() for r in roots if r.is_rational()] == rats
     assert len(roots) == count_distinct_real_roots(s)
@@ -639,9 +649,12 @@ def test_isolate_root_at_midpoint_of_bound():
 
 
 def _fraction_bisection(p):
-    """Isolating intervals of p by Sturm bisection on Fraction midpoints."""
+    """Isolating intervals of p by Sturm bisection on Fraction midpoints,
+    from +-2^e with the counts at +-infinity."""
     s = squarefree_part(p)
     chain = sturm_chain(s)
+    if chain[0][-1] < 0:
+        chain = [[-c for c in a] for a in chain]
     out = []
 
     def split(lo, hi, vlo, vhi):
@@ -656,8 +669,9 @@ def _fraction_bisection(p):
         split(lo, mid, vlo, vm)
         split(mid, hi, vm, vhi)
 
-    b = cauchy_bound(s)
-    split(-b, b, _variations_at(chain, -b), _variations_at(chain, b))
+    b = F(2) ** _root_bound_exponent(chain[0])
+    at_minus_inf = sturm.sign_variations([a[-1] * (-1) ** (len(a) - 1) for a in chain])
+    split(-b, b, at_minus_inf, sturm.sign_variations([a[-1] for a in chain]))
     return out
 
 
@@ -721,9 +735,9 @@ def test_algebraic_real_api():
     rr = r.refined_to(F(1, 10**12))
     assert rr.width() <= F(1, 10**12)
     assert float(rr) == pytest.approx(2**0.5, abs=1e-12)
-    inside = r.refine_inside(F(7, 5), F(71, 50))
+    [inside] = isolate_real_roots(Poly([-2, 0, 1]), F(7, 5), F(71, 50))
     assert F(7, 5) < inside.lo and inside.hi < F(71, 50) and inside == r
-    assert r.refine_inside(F(3, 2), 2) is None
+    assert isolate_real_roots(Poly([-2, 0, 1]), F(3, 2), 2) == []
     s3 = isolate_real_roots(Poly([-3, 0, 1]))[1]
     a, b = r.separate(s3)
     assert a.hi < b.lo and a == r and b == s3
@@ -992,14 +1006,20 @@ def test_refinement_matches_sympy(planted, other, a, b, g_low):
             + [-f.coeffs[1] / 2 for f in factors if f.degree == 2]
         for q in qs:
             assert r.compare_rational(q) == _exact_sign(sympy, w - q, x)
-        # a drawn window, the isolating interval and a window of width 2^-18
+        # a drawn window, the isolating interval and a window of width 2^-18:
+        # x is isolated in the window iff it lies in it, strictly inside
         c = r.refined_to(F(1, 2**20)).lo
         for u, v in ((lo, hi), (r.lo, r.hi), (c - F(1, 2**19), c + F(1, 2**19))):
-            inside = r.refine_inside(u, v)
+            if u == v:
+                with pytest.raises(ValueError):
+                    isolate_real_roots(p, u, v)
+                continue
+            inside = [t for t in isolate_real_roots(p, u, v) if t == r]
             if _exact_sign(sympy, w - u, x) > 0 and _exact_sign(sympy, w - v, x) < 0:
-                assert u < inside.lo and inside.hi < v and _holds(sympy, inside, x)
+                [t] = inside
+                assert u < t.lo and t.hi < v and _holds(sympy, t, x)
             else:
-                assert inside is None
+                assert inside == []
         # exact signs, 0 on a multiple of the factor that vanishes at x
         vanishing = next(f for f in factors if _exact_sign(sympy, f, x) == 0)
         assert r.sign_of(g) == _exact_sign(sympy, g, x)
@@ -1012,6 +1032,50 @@ def test_refinement_matches_sympy(planted, other, a, b, g_low):
                 ra, sb = r.separate(s)
                 assert (ra.hi < sb.lo) == (order < 0) and (sb.hi < ra.lo) == (order > 0)
                 assert _holds(sympy, ra, x) and _holds(sympy, sb, y)
+
+
+@st.composite
+def _ranged_polys(draw):
+    """(p, lo, hi): a planted polynomial, its first factor perhaps squared,
+    and ends drawn from its rational roots, 0 and small rationals of
+    either sign, in either order."""
+    p, factors = draw(_planted_polys())
+    if factors and draw(st.booleans()):
+        p = p * factors[0]
+    rats = [-f.coeffs[0] for f in factors if f.degree == 1]
+    end = st.sampled_from(rats + [F(0)]) | _small_rat
+    return p, draw(end), draw(end)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ranged_polys())
+@example((w * (w - 1) * (w**2 - 2), F(0), F(1)))
+@example((w * (w - 1) * (w**2 - 2), F(-1), F(0)))
+@example(((w**2 - 2) * (w**2 - 3) * (w + F(3, 2)), F(-3, 2), F(3, 2)))
+@example(((w**2 - 2) * (3 * w - 1) ** 2, F(1, 3), F(1, 3)))
+@example(((w**2 - 2) * (3 * w - 1), F(1, 3), F(-5)))
+@example((Poly([-54, F(117, 64), 1]) * w, F(-5), F(5)))
+@example(((w + 1) ** 2 * (w**2 - 2), F(-1), F(0)))       # lo a multiple root
+@example(((10**13 * w - 1) * (w**2 - 3), F(-100), F(100)))  # ends beyond 2^e
+@example(((10**13 * w - 1) * (w**2 - 3), F(0), F(1, 10**12)))
+def test_range_isolation_is_the_whole_line_restricted(case):
+    p, lo, hi = case
+    if lo >= hi:
+        with pytest.raises(ValueError):
+            isolate_real_roots(p, lo, hi)
+        return
+    whole = isolate_real_roots(p)
+    got = isolate_real_roots(p, lo, hi)
+    want = [r for r in whole if lo < r < hi]
+    # the count on (lo, hi] less a root at hi
+    assert len(got) == len(want) == count_distinct_real_roots(p, lo, hi) - (p(hi) == 0)
+    for g, r in zip(got, want):
+        assert g == r and g.is_rational() == r.is_rational() and g.defining == r.defining
+        assert lo < g.lo and g.hi < hi
+    # an end given as None is unbounded
+    assert isolate_real_roots(p, lo, None) == [r for r in whole if lo < r]
+    assert isolate_real_roots(p, None, hi) == [r for r in whole if r < hi]
+    assert isolate_real_roots(p, None, None) == whole
 
 
 def _sign_at_sympy_root(sympy, q: Poly, x) -> int:
@@ -1344,13 +1408,39 @@ def test_bareiss_det_int_3x3(vals):
     assert bareiss_det_int(m) == _cofactor_det(m)
 
 
-def test_cauchy_bound_contains_roots(rng):
-    for _ in range(10):
-        p = rand_poly(rng, 5)
+def _root_bound_cases(rng):
+    yield from (rand_poly(rng, 5) for _ in range(20))
+    yield from (
+        # huge and tiny coefficients, lc far from +-1 and of either sign
+        (10**40 * w - 3) * (w**2 - 10**30),
+        (10**13 * w - 1) * (w**2 - F(1, 10**20)),
+        -7 * (w**3 - F(1, 10**9)) * (3 * w + 10**6),
+        F(1, 10**12) * w**5 - 10**12 * w,
+        10**9 * w**4 - 1,
+        # every root on the bound's own scale, and a lone root at 0
+        w - 1, w + 1, w**2 - 4, (w - 2) ** 3 * (w + 1), 5 * w, -w**3,
+    )
+
+
+def test_root_bound_contains_roots(rng):
+    for p in _root_bound_cases(rng):
         if p.is_constant():
             continue
-        b = cauchy_bound(p)
-        s = squarefree_part(p)
-        if s.is_constant():
-            continue
-        assert count_distinct_real_roots(s, -b, b) == count_distinct_real_roots(s)
+        a = p.int_coeffs()[0]
+        e = _root_bound_exponent(a)
+        b = F(2) ** e
+        # every real root strictly inside (-2^e, 2^e): none in (-inf, -2^e]
+        # or in (2^e, inf), and 2^e itself is not one
+        assert count_distinct_real_roots(p, -b, b) == count_distinct_real_roots(p)
+        assert p(b) != 0
+        # e is the least integer with 2^(e i) |lc| > 2^i |a_(n-i)| for every
+        # i, or 0 for c x^n
+        n, lc = len(a) - 1, abs(a[-1])
+
+        def holds(k):
+            return all(F(2) ** (k * i) * lc > 2**i * abs(a[n - i]) for i in range(1, n + 1))
+
+        if any(a[:-1]):
+            assert holds(e) and not holds(e - 1)
+        else:
+            assert e == 0

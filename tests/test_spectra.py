@@ -255,6 +255,64 @@ def test_criticals_trivial_f():
     assert rep.rr0_verdicts == (Verdict.YES,)
 
 
+_RNN1 = from_r(make_ratfun(w, (1 - w) ** 2))
+_DROP = make_classf(Poly([1, F(-3, 2), 0, 2]), Poly([1, 4]))      # tau = 1
+_BOTH = make_classf(Poly([1, F(5, 3)]), Poly([1, -4, F(-9, 4), 1]))  # tau = 0
+_A078623 = make_classf(Poly([1, -1]), Poly([1, -1, 2, -1]))      # tau = 0
+
+
+@pytest.mark.parametrize("f, t_lo, t_hi, crits, kinds, verdicts", [
+    (_RNN1, 0, F(27, 8), [], "", "N"),
+    (_RNN1, F(27, 8), 10, [], "", "Y"),
+    (_RNN1, 0, 10, [F(27, 8)], "m", "NY"),
+    (_DROP, 0, 1, [0.79021], "m", "NN"),
+    (_DROP, 1, 3, [2.61369], "m", "NY"),
+    (_DROP, -1, 0, [-0.08457], "m", "NN"),
+    (_DROP, 0, 3, [0.79021, F(1), 2.61369], "mdm", "NNNY"),
+    (_DROP, -20, 1, [-0.08457, F(0), 0.79021], "mmm", "NNNN"),
+    (_BOTH, 0, 1, [0.13824], "m", "YN"),
+    (_BOTH, -1, 0, [], "", "N"),
+    (_A078623, -1, F(1, 8), [F(0)], "b", "NY"),
+    (_A078623, 0, F(1, 8), [], "", "Y"),
+    (_A078623, F(1, 8), 1, [], "", "N"),
+    (_A078623, -1, 0, [], "", "N"),
+])
+def test_criticals_with_an_end_on_a_critical_or_tau(f, t_lo, t_hi, crits, kinds, verdicts):
+    # every end above is a rational critical (0 is one for each of these
+    # members: chi_0 = P^2) or tau; the expected values are those of
+    # isolating the whole line and keeping the roots inside the range
+    kind = {"m": "multiple_root", "d": "degree_drop", "b": "both"}
+    rep = critical_ts(f, t_lo, t_hi)
+    assert rep.kinds == tuple(kind[k] for k in kinds)
+    assert rep.rr0_verdicts == tuple(Verdict.YES if v == "Y" else Verdict.NO for v in verdicts)
+    assert len(rep.criticals) == len(crits)
+    for c, want in zip(rep.criticals, crits):
+        assert t_lo < c.lo and c.hi < t_hi
+        if isinstance(want, F):
+            assert c.as_fraction() == want
+        else:
+            assert not c.is_rational() and float(c) == pytest.approx(want, abs=1e-5)
+    # the same criticals, kinds and verdicts as a range whose ends are none
+    wide = critical_ts(f, -20, 20)
+    inside = [i for i, c in enumerate(wide.criticals) if t_lo < c < t_hi]
+    assert list(rep.criticals) == [wide.criticals[i] for i in inside]
+    assert rep.kinds == tuple(wide.kinds[i] for i in inside)
+    j = sum(1 for c in wide.criticals if c <= t_lo)
+    assert rep.rr0_verdicts == wide.rr0_verdicts[j:j + len(inside) + 1]
+
+
+def test_critical_ts_from_zero_never_reports_zero(rng):
+    members = [nk_classf(2), nk_classf(3), _RNN1, _BOTH, _A078623]
+    members += [rand_classf(rng, d) for d in (2, 3, 3, 4, 4)]
+    at_zero = 0
+    for f in members:
+        at_zero += flow_pencil(f).eliminant()(0) == 0
+        rep = critical_ts(f, 0, 10)
+        assert all(c != 0 and 0 < c.lo and c.hi < 10 for c in rep.criticals)
+    # t = 0 is a root of chi_t's eliminant for most of them
+    assert at_zero >= 5
+
+
 def test_degree6_eliminant_chain_stays_small():
     # a random degree-6 member (coefficients p/q, |p| <= 9, q <= 4, drawn
     # with random.Random(1)); its cleaned eliminant has degree 16.  The
