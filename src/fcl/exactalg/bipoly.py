@@ -10,15 +10,14 @@ not vanish; at each node a subresultant PRS of the two integer polynomials
 interpolation (degree bound from the determinant sizes) sums the weighted
 basis numerators as ints over one common denominator, which absorbs the
 power of d, and normalises once, so each result is exact.
-`resultant_w` interpolates the resultant.  `lower_subresultants` yields
-the signed principal subresultant coefficients of x and its w-derivative
-below the top two, lc(x) and p lc(x), each only when it is read: s_j is
-interpolated from its own (2p - 1 - 2j) deg_t x + 1 nodes, and each
-node's PRS runs only down to s_j.  Both are determinants of
-*generic-degree* matrices, so parameter values where leading coefficients
-collapse may contribute spurious factors; callers strip those (see the
-spectra eliminant cleaning) or read them only where no leading
-coefficient vanishes (see `spectra.Pencil.real_rooted_at`).
+`subresultants(x)` gives the signed principal subresultant coefficients
+of x and its w-derivative, one table for a pencil's eliminant s_0 and its
+real-rootedness decisions; `resultant_w`, with no fcl caller, interpolates
+a resultant.  Both are determinants of *generic-degree* matrices, so
+parameter values where leading coefficients collapse may contribute
+spurious factors; callers strip those (see the spectra eliminant
+cleaning) or read them only where no leading coefficient vanishes (see
+`spectra.Pencil.real_rooted_at`).
 """
 from __future__ import annotations
 
@@ -134,7 +133,7 @@ def _interpolator(xs: tuple):
     the numerators over the one denominator L, and the sum is normalised
     once: interpolate(ys, den) is the interpolant divided by the int den.
     The bases are memoised on the node tuple for reuse across calls: within
-    one `lower_subresultants` scan each s_j reads a different prefix, but
+    one `subresultants` table each s_j reads a different prefix, but
     node sets are nearly always prefixes of 0, 1, -1, 2, ..., so later
     eliminations of other pencils find their bases built.  Over one pass
     of distinct inputs of the algebraic_rr0 and flow_scan benchmark
@@ -196,7 +195,9 @@ def resultant_w(a: BiPoly, b: BiPoly) -> Poly:
 
     Computed for the generic w-degrees of a and b.  Parameter values where
     both leading coefficients vanish are artifacts of the generic Sylvester
-    matrix, not solutions; callers must post-process.
+    matrix, not solutions; callers must post-process.  No fcl module calls
+    it: it is kept only for the tests and the benchmark's tracer, and goes
+    once the tracer drops it.
     """
     if a.is_zero() or b.is_zero():
         raise ValueError("resultant of an identically zero polynomial")
@@ -218,36 +219,32 @@ def resultant_w(a: BiPoly, b: BiPoly) -> Poly:
     return _interpolator(tuple(nodes))(values, da ** m * db ** n)
 
 
-def lower_subresultants(x: BiPoly):
-    """s_{p-2}, ..., s_0 in that order: the signed principal subresultant
-    coefficients of x and its w-derivative below the top two, as
-    polynomials in the parameter, p = deg_w x; nothing when p < 2.
+def subresultants(x: BiPoly):
+    """s(j) -> Poly, 0 <= j < p = deg_w x >= 1: the signed principal
+    subresultant coefficients of x and x' as polynomials in the parameter.
 
-    s_j is the determinant of `poly._subresultant_scan` built from the
-    coefficients of x and x'; it has 2p - 1 - 2j rows, so degree at most
-    (2p - 1 - 2j) deg_t x, and it is interpolated from the first
-    (2p - 1 - 2j) deg_t x + 1 nodes alone, when the generator reaches it.
-    Each node keeps one lazy scan, advanced only down to the entry being
-    read, so a pseudo-division runs at a node only when an entry needs it:
-    a caller that stops after s_{p-2} pays for 3 deg_t x + 1 nodes and one
-    pseudo-division at each.  The top two need no interpolation:
-    s_p = lc(x) and s_{p-1} = p lc(x), the leading coefficient of x'.
+    s_j is the determinant of `poly._subresultant_scan`, with 2p - 1 - 2j
+    rows, so of degree at most (2p - 1 - 2j) deg_t x.  Each of the
+    (2p - 1) deg_t x + 1 nodes runs its PRS once, in full, here; s(j)
+    interpolates s_j from the first (2p - 1 - 2j) deg_t x + 1 of them when
+    first asked for, and caches what it returned.  s_0 = +-Res_w(x, x').
     """
     p = x.degree_w
-    if p < 2:
-        return
+    if p < 1:
+        raise ValueError("subresultants of a polynomial constant in w")
     d, xi = _int_wcoeffs(x)
     k = max(x.max_param_degree(), 0)
     nodes = _nodes((2 * p - 1) * k + 1, xi[-1])
-    scans = []
-    for j in range(p - 2, -1, -1):
+    rows = []
+    for t in nodes:
+        a = [_eval_int(c, t) for c in xi]
+        rows.append(list(_subresultant_scan(a, [i * c for i, c in enumerate(a)][1:])))
+
+    @functools.cache
+    def s(j: int) -> Poly:
         n = (2 * p - 1 - 2 * j) * k + 1
-        while len(scans) < n:
-            a = [_eval_int(c, nodes[len(scans)]) for c in xi]
-            scan = _subresultant_scan(a, [i * c for i, c in enumerate(a)][1:])
-            for _ in range(p - 1 - j):  # s_{p-1}, ..., s_{j+1}, as the others
-                next(scan)
-            scans.append(scan)
         # d x has rows scaled by d: s_j(d x) = d^(2p - 1 - 2j) s_j(x)
-        yield _interpolator(tuple(nodes[:n]))([next(scan) for scan in scans],
-                                              d ** (2 * p - 1 - 2 * j))
+        return _interpolator(tuple(nodes[:n]))([r[p - 1 - j] for r in rows[:n]],
+                                               d ** (2 * p - 1 - 2 * j))
+
+    return s

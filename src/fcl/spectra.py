@@ -12,11 +12,12 @@ it cannot create or destroy a transition, while leaving it in would make
 the eliminant vanish identically whenever g has a multiple root.  (A
 normalised member has P, Q coprime and Q(0) = 1, so the content of
 wP - zQ is 1.)  The eliminant is the squarefree resultant in s of the
-moving part and its w-derivative, cleaned of the artifact that
-leading-coefficient collapse of the generic Sylvester matrix introduces
-at tau, the root of a linear leading coefficient.  Critical values are
-its real roots (multiple-root kind) together with tau when the moving
-part drops degree by at least two there.
+moving part and its w-derivative, +-s_0 of their signed subresultant
+coefficients, cleaned of the artifact that leading-coefficient collapse
+of the generic Sylvester matrix introduces at tau, the root of a linear
+leading coefficient.  Critical values are its real roots (multiple-root
+kind) together with tau when the moving part drops degree by at least
+two there.
 
 The pencil is real-rooted at s iff g is (tested once) and the moving part
 at s is: `Pencil.real_rooted_at` decides it, by substitution at a
@@ -27,19 +28,19 @@ the split and the squarefree part of each eliminant try the heuristic
 gcd before the primitive PRS.)  On the flow, t = 0 is the free power
 delta_0, whose chi is 1, not chi_t(0) = P^2: the verdict there is Yes.
 
-Those coefficients do not depend on s, so a `Pencil` keeps those it has
-built and replays them at the next irrational s; each is built only when
-a decision first reads it.  chi_t's pencil is memoised per member
-(`flow_pencil`, an lru_cache of 64 pencils keyed on the frozen ClassF),
-so a scan that decides many criticals of one member, as
-`euler.ck_candidates` does, splits chi_t once and interpolates each
-coefficient once.  The memo and the kept entries are not meant for
-concurrent threads.
+Those coefficients do not depend on s, so a `Pencil` builds one table of
+them (`exactalg.subresultants`), on its first eliminant or irrational
+decision, and every later question reads it: each node's PRS runs once,
+and each coefficient is interpolated once, when first read.  chi_t's
+pencil is memoised per member (`flow_pencil`, an lru_cache of 64 pencils
+keyed on the frozen ClassF), so a scan that decides many criticals of
+one member, as `euler.ck_candidates` does, splits chi_t once and reads
+the table its criticals built.  The memo is not meant for concurrent
+threads.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -49,8 +50,8 @@ from .classf import ClassF, char_poly
 from .errors import DegenerateEliminant
 from .exactalg import (AlgebraicReal, BiPoly, Poly, Rat, as_rat,
                        count_distinct_real_roots, is_real_rooted, is_squarefree,
-                       isolate_real_roots, lower_subresultants, poly_gcd,
-                       real_rooted_from_signs, resultant_w, squarefree_part)
+                       isolate_real_roots, poly_gcd, real_rooted_from_signs,
+                       squarefree_part, subresultants)
 
 
 class Verdict(Enum):
@@ -99,16 +100,17 @@ class Pencil:
     moving part's leading coefficient when that is linear in s, else None.
     g is tested for real-rootedness here, once.
 
-    The moving part's s_{p-2}, ..., s_0 (`lower_subresultants`), the
-    polynomials in s that `real_rooted_at` signs at an irrational s, do
-    not depend on the point: the pencil keeps them in `_entries`, each
-    built only when a decision first reads past the list's end, and every
-    decision replays the list by index, so interleaved decisions read the
-    same entries and a later one on the same pencil pays only for its
-    signs.  Extending the list is not safe from concurrent threads.
+    The moving part's signed subresultant coefficients s_{p-1}, ..., s_0,
+    polynomials in s, do not depend on the point: `eliminant` reads s_0
+    and `real_rooted_at` signs s_{p-2}, ..., s_0 at an irrational s, all
+    from one `subresultants` table that the first of them builds.  The
+    table is stored only once built, so an interrupted build leaves none,
+    and it keeps its node rows and the entries read so far: a later
+    decision on the same pencil pays only for its signs.  Not meant for
+    concurrent threads.
     """
 
-    __slots__ = ("content", "moving", "tau", "_content_rooted", "_entries", "_scan")
+    __slots__ = ("content", "moving", "tau", "_content_rooted", "_table")
 
     def __init__(self, x: BiPoly):
         if x.max_param_degree() > 1:
@@ -125,41 +127,29 @@ class Pencil:
         self.content, self.moving = g, x
         self.tau = -lc.coeff(0) / lc.lc if lc.degree == 1 else None
         self._content_rooted = is_real_rooted(g)
-        self._entries = []
-        self._scan = lower_subresultants(x)  # a generator: nothing runs until read
+        self._table = None
 
-    def _subresultants(self):
-        """s_{p-2}, ..., s_0 of the moving part, from `_entries` where built
-        and from the one shared scan past its end.
-
-        There are p - 1 of them, so a scan that runs short raises instead
-        of ending the list early.  A scan that raised (an interrupt, say)
-        is finished: it is replaced by a fresh one past the kept entries
-        before the error goes on, so the next decision reads them all."""
-        entries = self._entries
-        for i in range(max(self.moving.degree_w - 1, 0)):
-            if i == len(entries):
-                try:
-                    entries.append(next(self._scan))
-                except BaseException:
-                    self._scan = itertools.islice(lower_subresultants(self.moving),
-                                                  len(entries), None)
-                    raise
-            yield entries[i]
+    def _s(self, j: int) -> Poly:
+        """s_j of the moving part, from the pencil's table, built on first use."""
+        if self._table is None:
+            self._table = subresultants(self.moving)
+        return self._table(j)
 
     def eliminant(self) -> Poly:
         """Squarefree Res_w(x, x_w) of the moving part x, less its artifact.
 
-        Where lc(x) vanishes (at tau), so does that of x_w: the Sylvester
-        matrix gets a zero column and the resultant vanishes there whether
-        or not x has a multiple root.  tau is kept only if x specialized
-        there really has one.  A moving part constant in w has no multiple
-        roots: its eliminant is 1.
+        The resultant is +-s_0, read from the pencil's subresultant table,
+        which a later irrational decision reads too.  Where lc(x) vanishes
+        (at tau), so does that of x_w: the Sylvester matrix gets a zero
+        column and the resultant vanishes there whether or not x has a
+        multiple root.  tau is kept only if x specialized there really has
+        one.  A moving part constant in w has no multiple roots: its
+        eliminant is 1.
         """
         x, tau = self.moving, self.tau
         if x.degree_w <= 0:
             return Poly.one()
-        raw = resultant_w(x, x.deriv_w())
+        raw = self._s(0)
         if raw.is_zero():
             raise DegenerateEliminant("resultant of the pencil and its w-derivative is zero")
         rho = squarefree_part(raw)
@@ -203,20 +193,21 @@ class Pencil:
         top * sign s_j(s) for s_{p-2}, ..., s_0 and stops at the first entry
         of the other sign or at the first zero.  lc(x) is a nonzero
         polynomial of degree at most 1 in s over Q, so it vanishes at no
-        irrational s: x keeps degree p there, and the kept s_j, determinants
-        of the generic-degree matrix, are those of x at s.  Each s_j is
-        interpolated in s only when the scan first reads it, from
-        (2p - 1 - 2j) deg_s x + 1 nodes whose subresultant PRS runs a
-        pseudo-division only when an entry needs it; its sign at s is one
-        Tarski query (`AlgebraicReal.sign_of`), whose chain starts below the
-        degree of s's defining polynomial.
+        irrational s: x keeps degree p there, and the s_j, determinants of
+        the generic-degree matrix, are those of x at s.  They come from the
+        pencil's table (built here if no eliminant built it first), each
+        interpolated in s only when the scan first reads it; its sign at s
+        is one Tarski query (`AlgebraicReal.sign_of`), whose chain starts
+        below the degree of s's defining polynomial.
         """
         if not self._content_rooted:
             return False
         q = s if isinstance(s, (int, Fraction)) else s.as_fraction()
         if q is None:
-            top = s.sign_of(self.moving.lc_poly)
-            return real_rooted_from_signs(top * s.sign_of(e) for e in self._subresultants())
+            x = self.moving
+            top = s.sign_of(x.lc_poly)
+            return real_rooted_from_signs(top * s.sign_of(self._s(j))
+                                          for j in range(x.degree_w - 2, -1, -1))
         return is_real_rooted(self.moving.eval_param(q))
 
 
@@ -277,8 +268,9 @@ def flow_pencil(f: ClassF) -> Pencil:
     that cycles through more than 64 members, as `flow_scan`'s 70 do,
     never finds its pencil.  `critical_ts`,
     `rr0_at_algebraic_t` and `cleaned_critical_eliminant` all read it, so
-    chi_t is split once, and the subresultant entries a decision at one
-    irrational t0 builds are replayed at the next.  Not meant for
+    chi_t is split once and its subresultant table, which the eliminant
+    of `critical_ts` builds, serves every decision at an irrational t0.
+    Each kept pencil holds its table's node rows.  Not meant for
     concurrent threads (see `Pencil`).
     """
     return Pencil(char_poly_t(f))
@@ -327,9 +319,10 @@ def rr0_at_algebraic_t(f: ClassF, t0) -> Verdict:
     free power is delta_0, whose chi is 1.
 
     The pencil comes from `flow_pencil`, which keeps the 64 most recently
-    used members' pencils.  Each keeps the s_j it has built, so a later
+    used members' pencils.  Each keeps its subresultant table, built by
+    the member's `critical_ts` or by the first decision, so a later
     decision on the same member, at any t0, interpolates only the entries
-    no earlier one read and otherwise pays only for the Tarski queries.
+    no earlier read built and otherwise pays only for the Tarski queries.
     Not meant for concurrent threads.
     """
     pencil = flow_pencil(f)

@@ -19,7 +19,7 @@ from fcl.exactalg import (AlgebraicReal, BiPoly, Iv, Poly,
                           sturm_chain)
 from fcl.exactalg import algebraic, bipoly, poly, sturm
 from fcl.exactalg.algebraic import _rational_roots, _root_bound_exponent
-from fcl.exactalg.bipoly import _nodes, lower_subresultants
+from fcl.exactalg.bipoly import _nodes, subresultants
 from fcl.exactalg.poly import bareiss_det_int
 from fcl.exactalg.sturm import _sign_at, _variations_at, real_rooted_from_signs
 from fcl.spectra import Pencil, char_poly_t, critical_ts
@@ -35,9 +35,10 @@ def _signed_subresultants(a, b):
 
 def _subresultant_table(x: BiPoly):
     """[s_0, ..., s_p] of x and its w-derivative as polynomials in the
-    parameter: `lower_subresultants` bottom-up, then p lc(x) and lc(x)."""
-    lc = x.lc_poly
-    return [*reversed(list(lower_subresultants(x))), x.degree_w * lc, lc]
+    parameter: `subresultants(x)` for s_0, ..., s_(p-2), then p lc(x) and
+    lc(x)."""
+    s, lc = subresultants(x), x.lc_poly
+    return [*map(s, range(x.degree_w - 1)), x.degree_w * lc, lc]
 
 
 # ---------------------------------------------------------------- arithmetic
@@ -809,7 +810,7 @@ def test_predicates_decide_by_sign_of_alone(monkeypatch):
 # ----------------------------- real-rootedness at an algebraic t0 (Pencil)
 
 
-def test_is_real_rooted_at_splits_modulus():
+def test_pencil_real_rooted_at_splits_modulus():
     # t0 = sqrt(2) and sqrt(3) share the reducible defining (t^2-2)(t^2-3);
     # the pencil t w^2 + 2w + t/2, of content 1, has the double root
     # -sqrt(2)/2 at sqrt(2) and no real root at sqrt(3).  Its subresultant
@@ -910,7 +911,7 @@ def _oracle_cases(rng):
     return cases
 
 
-def test_is_real_rooted_at_matches_the_full_table(rng):
+def test_pencil_real_rooted_at_matches_the_full_table(rng):
     verdicts = set()
     for x, t0 in _oracle_cases(rng):
         got = Pencil(x).real_rooted_at(t0)
@@ -919,14 +920,14 @@ def test_is_real_rooted_at_matches_the_full_table(rng):
     assert verdicts == {True, False}
 
 
-def test_is_real_rooted_at_matches_sympy(rng):
+def test_pencil_real_rooted_at_matches_sympy(rng):
     sympy = pytest.importorskip("sympy")
     for x, t0 in _oracle_cases(rng):
         got = Pencil(x).real_rooted_at(t0)
         assert got == _sympy_real_rooted_at(sympy, x.wcoeffs, _sympy_number(sympy, t0))
 
 
-def test_is_real_rooted_at_stops_at_the_first_other_sign(monkeypatch):
+def test_pencil_real_rooted_at_stops_at_the_first_other_sign(monkeypatch):
     # nk_classf(6): a moving part of degree 8 in w, criticals near 0.88,
     # 5.62 and 26.19 in (0, 2000); the first is No, the last Yes
     f = nk_classf(6)
@@ -1256,25 +1257,6 @@ def test_subresultant_table_specialises(rng):
                                                    for j in range(p)]
 
 
-def test_lower_subresultants_read_only_their_own_nodes(monkeypatch, rng):
-    # p = 6, deg_t = 1: s_4 = s_{p-2} has degree <= 3, so it needs 4 nodes
-    # and, at each, the one pseudo-division below s_5 = 6 lc(x); the lc
-    # 1 + t vanishes at the node -1, which is skipped
-    x = BiPoly([Poly([rng.randint(-4, 4), rng.randint(-4, 4)]) for _ in range(6)]
-               + [Poly([1, 1])])
-    scans, divisions = [], []
-    scan, pseudo_rem = bipoly._subresultant_scan, poly._pseudo_rem
-    monkeypatch.setattr(bipoly, "_subresultant_scan",
-                        lambda a, b: scans.append(a[:]) or scan(a, b))
-    monkeypatch.setattr(poly, "_pseudo_rem",
-                        lambda a, b: divisions.append(1) or pseudo_rem(a, b))
-    s4 = next(lower_subresultants(x))
-    assert len(scans) == 4 and len(divisions) == 4
-    assert scans == [[int(c(t)) for c in x.wcoeffs] for t in (0, 1, 2, -2)]
-    monkeypatch.undo()
-    assert s4 == _subresultant_table(x)[4]
-
-
 def _lagrange(nodes, values, den):
     """The interpolant of (nodes, values) divided by den, by the Fraction
     Lagrange formula."""
@@ -1325,10 +1307,32 @@ def test_lower_subresultants_match_the_full_node_table(rng):
               BiPoly([Poly([F(1, 2), 1]), Poly([0, F(-2, 3)]), Poly([F(1, 4), 0, 1])])]
     zero_entries = 0
     for x in cases:
-        got = list(lower_subresultants(x))
+        table = subresultants(x)
+        got = [table(j) for j in range(x.degree_w - 2, -1, -1)]
         assert got == _full_node_table(x)
         zero_entries += sum(1 for s in got if s.is_zero())
     assert zero_entries > 0
+
+
+def test_subresultants_scan_each_node_once(monkeypatch, rng):
+    # p = 6, deg_t = 1: (2p - 1) + 1 = 12 nodes, each scanned to its end
+    # when the table is built and never again; the lc 1 + t vanishes at
+    # the node -1, which is skipped
+    x = BiPoly([Poly([rng.randint(-4, 4), rng.randint(-4, 4)]) for _ in range(6)]
+               + [Poly([1, 1])])
+    scans = []
+    scan = bipoly._subresultant_scan
+    monkeypatch.setattr(bipoly, "_subresultant_scan",
+                        lambda a, b: scans.append(a[:]) or scan(a, b))
+    s = subresultants(x)
+    assert scans == [[int(c(t)) for c in x.wcoeffs]
+                     for t in (0, 1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6)]
+    got = [s(j) for j in range(6)] + [s(j) for j in range(5, -1, -1)]
+    assert len(scans) == 12 and s.cache_info().currsize == 6
+    monkeypatch.undo()
+    assert got[:5] == _full_node_table(x)[::-1] and got[6:] == got[5::-1]
+    with pytest.raises(ValueError, match="constant in w"):
+        subresultants(BiPoly([Poly([1, 1])]))
 
 
 def test_bipoly_eval_and_ops():

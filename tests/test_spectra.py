@@ -10,8 +10,9 @@ from fcl.classf import (from_r, free_power, identity_f, make_classf,
                         make_ratfun, translate)
 from fcl.euler import ck_candidates, nk_classf
 from fcl.exactalg import (AlgebraicReal, BiPoly, Poly, is_real_rooted,
-                          isolate_real_roots, lower_subresultants, poly_gcd,
-                          resultant_w, sturm_chain)
+                          is_squarefree, isolate_real_roots, poly_gcd,
+                          resultant_w, squarefree_part, sturm_chain,
+                          subresultants)
 from fcl.spectra import (Pencil, Verdict, cg_region, char_poly,
                          char_poly_t, cleaned_critical_eliminant,
                          critical_ts, deg3_rr0, flow_pencil, is_rr, is_rr0,
@@ -398,17 +399,50 @@ def test_pencil_quadratic_in_the_parameter_is_refused():
         Pencil(BiPoly([Poly([0, 0, 1]), Poly.one()]))    # w + s^2
 
 
-def test_critical_ts_and_n_set_make_one_resultant_each(monkeypatch, rng):
+def test_critical_ts_and_n_set_build_one_table_each(monkeypatch, rng):
     import fcl.spectra
     calls = []
-    resultant_w = fcl.spectra.resultant_w
-    monkeypatch.setattr(fcl.spectra, "resultant_w",
-                        lambda a, b: calls.append(a) or resultant_w(a, b))
+    table = fcl.spectra.subresultants
+    monkeypatch.setattr(fcl.spectra, "subresultants",
+                        lambda x: calls.append(x) or table(x))
     for f in (nk_classf(3), rand_classf(rng, 4)):
         for scan in (lambda: critical_ts(f, -5, 50), lambda: n_set(f)):
             calls.clear()
             scan()
             assert len(calls) == 1
+    # the criticals' table serves every later decision on the member
+    f = nk_classf(3)
+    flow_pencil.cache_clear()
+    calls.clear()
+    for t0 in critical_ts(f, 0, 2000).criticals:
+        rr0_at_algebraic_t(f, t0)
+    assert len(calls) == 1
+
+
+def _resultant_eliminant(pencil):
+    """The squarefree part of Res_w(x, x') for the moving part x, with tau
+    removed where x(tau) is squarefree: the eliminant by `resultant_w`."""
+    x, tau = pencil.moving, pencil.tau
+    if x.degree_w <= 0:
+        return Poly.one()
+    rho = squarefree_part(resultant_w(x, x.deriv_w()))
+    if tau is not None and rho(tau) == 0 and is_squarefree(x.eval_param(tau)):
+        rho = rho.exact_div(Poly([-tau, 1]))
+    return rho
+
+
+def test_eliminant_is_the_cleaned_resultant(rng):
+    members = [nk_classf(k) for k in range(2, 7)]
+    for deg in (2, 3, 4, 5):
+        members += [rand_classf(rng, deg) for _ in range(4)]
+    cleaned = 0
+    for f in members:
+        for x in (char_poly_t(f), BiPoly.from_linear(w * f.P, -f.Q)):
+            pencil = Pencil(x)
+            want = _resultant_eliminant(pencil)
+            assert pencil.eliminant() == want
+            cleaned += pencil.tau is not None and want(pencil.tau) != 0
+    assert cleaned > 0   # tau was taken out of some eliminants
 
 
 # ------------------------------------------------- algebraic rr0 verdicts
@@ -616,10 +650,11 @@ def test_memo_verdicts_match_a_fresh_pencil(rng, descending):
     got = [rr0_at_algebraic_t(f, t0) is Verdict.YES for f, t0 in cases]
     assert got == want
     assert set(want) == {True, False}
-    # every memoised pencil holds entries its moving part would give afresh
+    # every memoised pencil holds the table its moving part would give afresh
     for f in {f for f, _ in cases}:
         p = flow_pencil(f)
-        assert p._entries == list(lower_subresultants(p.moving))[:len(p._entries)]
+        js = range(p.moving.degree_w)
+        assert list(map(p._table, js)) == list(map(subresultants(p.moving), js))
 
 
 def test_a_decision_that_stops_at_the_first_entry_then_one_that_reads_all():
@@ -628,11 +663,13 @@ def test_a_decision_that_stops_at_the_first_entry_then_one_that_reads_all():
     flow_pencil.cache_clear()
     pencil = flow_pencil(f)
     p = pencil.moving.degree_w
+    assert pencil._table is None
     assert rr0_at_algebraic_t(f, no) is Verdict.NO
-    assert len(pencil._entries) == 1           # s_{p-2} alone
+    assert pencil._table.cache_info().currsize == 1     # s_{p-2} alone
     assert rr0_at_algebraic_t(f, yes) is Verdict.YES
-    assert len(pencil._entries) == p - 1       # s_{p-2}, ..., s_0
-    assert pencil._entries == list(lower_subresultants(pencil.moving))
+    assert pencil._table.cache_info().currsize == p - 1     # s_{p-2}, ..., s_0
+    fresh = subresultants(pencil.moving)
+    assert [pencil._table(j) for j in range(p - 1)] == [fresh(j) for j in range(p - 1)]
     assert rr0_at_algebraic_t(f, no) is Verdict.NO
     fresh = Pencil(char_poly_t(f))
     assert fresh.real_rooted_at(yes) and not fresh.real_rooted_at(no)
@@ -642,15 +679,14 @@ class _Interrupted(Exception):
     pass
 
 
-def test_a_scan_that_raised_is_rebuilt_past_the_kept_entries(monkeypatch):
+def test_a_table_build_that_raised_leaves_no_table(monkeypatch):
     from fcl.exactalg import bipoly
     f = nk_classf(4)
     no, yes = critical_ts(f, 0, 2000).criticals
+    flow_pencil.cache_clear()
     pencil = flow_pencil(f)
     assert pencil.moving.max_param_degree() == 1
-    want = Pencil(char_poly_t(f)).real_rooted_at(no)
-    assert not want
-    # s_{p-2} takes 3 nodes + 1; the fifth node scan, for s_{p-3}, fails once
+    # the fifth node's scan fails once, as an interrupt would
     calls = []
     scan = bipoly._subresultant_scan
 
@@ -663,21 +699,29 @@ def test_a_scan_that_raised_is_rebuilt_past_the_kept_entries(monkeypatch):
     monkeypatch.setattr(bipoly, "_subresultant_scan", failing_once)
     with pytest.raises(_Interrupted):
         rr0_at_algebraic_t(f, no)
-    assert len(pencil._entries) == 1
-    # a dead scan cut short would end the signs at s_{p-2} and answer Yes
+    assert pencil._table is None
     assert rr0_at_algebraic_t(f, no) is Verdict.NO
     assert rr0_at_algebraic_t(f, yes) is Verdict.YES
-    assert pencil._entries == list(lower_subresultants(pencil.moving))
+    p = pencil.moving.degree_w
+    assert len(calls) == 5 + (2 * p - 1) + 1     # one whole build after the failed one
+    fresh = subresultants(pencil.moving)
+    assert [pencil._table(j) for j in range(p)] == [fresh(j) for j in range(p)]
 
 
 def test_interleaved_reads_of_a_pencil_see_the_same_entries():
-    pencil = Pencil(char_poly_t(nk_classf(4)))
-    want = list(lower_subresultants(pencil.moving))
-    a, b = pencil._subresultants(), pencil._subresultants()
-    got_a, got_b = [next(a)], [next(b), next(b)]
-    got_a += list(a)
-    got_b += list(b)
-    assert got_a == got_b == want == pencil._entries
+    # the eliminant reads s_0 first, a decision then reads s_{p-2} down;
+    # another table read bottom-up gives the same entries
+    f = nk_classf(4)
+    pencil = Pencil(char_poly_t(f))
+    no, yes = critical_ts(f, 0, 2000).criticals
+    pencil.eliminant()
+    assert pencil._table.cache_info().currsize == 1
+    assert not pencil.real_rooted_at(no) and pencil.real_rooted_at(yes)
+    p = pencil.moving.degree_w
+    fresh = subresultants(pencil.moving)
+    up = [fresh(j) for j in range(p - 1)]
+    assert [pencil._table(j) for j in range(p - 2, -1, -1)] == up[::-1]
+    assert pencil._table.cache_info().currsize == p - 1
 
 
 # ------------------------------------------------------------ region tests
