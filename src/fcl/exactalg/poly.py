@@ -518,15 +518,26 @@ def bareiss_det_int(m) -> int:
 
 def _pseudo_rem(a, b):
     """lc(b)^(deg a - deg b + 1) * a reduced modulo b, for int lists with
-    deg a >= deg b (the full pseudo-remainder: every step multiplies)."""
+    deg a >= deg b (the full pseudo-remainder: every step multiplies).
+
+    It runs in place on one copy of a.  Step k, from k = deg a - deg b
+    down to 0, pops the leading entry and touches the window a[k], ...,
+    a[k + deg b - 1] with one multiply-subtract each; an entry below the
+    window is left alone until the step it enters, where the lc(b) powers
+    of the steps it missed are made up in one multiplication.
+    """
     a = list(a)
     d = len(b) - 1
+    if not d:
+        return []
     lb = b[-1]
+    pw = 1
     for k in range(len(a) - 1 - d, -1, -1):
         lead = a.pop()
-        a = [c * lb for c in a]
-        for j in range(d):
-            a[k + j] -= lead * b[j]
+        pw *= lb  # lc(b)^(deg a - deg b + 1 - k), the scaling a[k] owes
+        a[k] = a[k] * pw - lead * b[0]
+        for j in range(1, d):
+            a[k + j] = a[k + j] * lb - lead * b[j]
     while a and a[-1] == 0:
         a.pop()
     return a
@@ -557,7 +568,11 @@ def _subresultant_scan(a, b):
     yield s if (p - q) % 4 < 2 else -s
     if q == 0:
         return
-    A, B = b, _pseudo_rem(a, [-c for c in b])
+    # prem(A, -B) = (-1)^(deg A - deg B + 1) prem(A, B): the sign of the
+    # PRS's negated divisor goes into the exact divisor below
+    A, B = b, _pseudo_rem(a, b)
+    if (p - q) % 2 == 0:
+        B = [-c for c in B]
     while B:
         d, e = len(A) - 1, len(B) - 1
         delta = d - e
@@ -571,8 +586,8 @@ def _subresultant_scan(a, b):
         yield C[-1] if (p - e) % 4 < 2 else -C[-1]
         if e == 0:
             return
-        den = s ** delta * A[-1]
-        B = [c // den for c in _pseudo_rem(A, [-c for c in B])]
+        den = s ** delta * A[-1] if delta % 2 else -(s ** delta) * A[-1]
+        B = [c // den for c in _pseudo_rem(A, B)]
         A, s = C, C[-1]
     yield from [0] * (len(A) - 1)
 

@@ -106,8 +106,11 @@ class Pencil:
     from one `subresultants` table that the first of them builds.  The
     table is stored only once built, so an interrupted build leaves none,
     and it keeps its node rows and the entries read so far: a later
-    decision on the same pencil pays only for its signs.  Not meant for
-    concurrent threads.
+    decision on the same pencil pays only for its signs.  The rows are
+    p ints each, one per node the table scanned: for a member with
+    deg P = deg Q = d and squarefree P, 3d for chi_t (p = 2d) and 2d + 1
+    for w P - z Q (p = d + 1), fewer where a node past t = 0 is
+    degenerate.  Not meant for concurrent threads.
     """
 
     __slots__ = ("content", "moving", "tau", "_content_rooted", "_table")
@@ -270,7 +273,8 @@ def flow_pencil(f: ClassF) -> Pencil:
     `rr0_at_algebraic_t` and `cleaned_critical_eliminant` all read it, so
     chi_t is split once and its subresultant table, which the eliminant
     of `critical_ts` builds, serves every decision at an irrational t0.
-    Each kept pencil holds its table's node rows.  Not meant for
+    Each kept pencil holds its table's node rows, 3d rows of 2d ints for
+    a member with deg P = deg Q = d and squarefree P.  Not meant for
     concurrent threads (see `Pencil`).
     """
     return Pencil(char_poly_t(f))

@@ -870,10 +870,10 @@ def _sympy_real_rooted_at(sympy, wcoeffs, x) -> bool:
     return all(abs(sympy.im(z)) < 1e-30 for z in approx.nroots(n=50, maxsteps=200))
 
 
-def _rand_member3(rng):
-    """A class member with deg P = deg Q = 3."""
+def _rand_member(rng, d=3):
+    """A class member with deg P = deg Q = d."""
     while True:
-        p, q = (Poly([1, rand_rat(rng), rand_rat(rng), rand_rat(rng, nonzero=True)])
+        p, q = (Poly([1] + [rand_rat(rng) for _ in range(d - 1)] + [rand_rat(rng, nonzero=True)])
                 for _ in range(2))
         try:
             return make_classf(p, q)
@@ -902,7 +902,7 @@ def _oracle_cases(rng):
                 cases += [(x, t0) for t0 in rng.sample(ts, min(2, len(ts)))]
     crits = 0
     while crits < 6:
-        f = _rand_member3(rng)
+        f = _rand_member(rng)
         xh = Pencil(char_poly_t(f)).moving
         for c in critical_ts(f, 0, 10).criticals:
             if not c.is_rational():
@@ -1285,7 +1285,18 @@ def _full_node_table(x: BiPoly):
             for j in range(p - 2, -1, -1)]
 
 
-def test_lower_subresultants_match_the_full_node_table(rng):
+def _node_gaps(x: BiPoly, ts):
+    """g = deg gcd(x(t0), x'(t0)) at each t0 in ts: the number of zeros
+    that end the PRS there."""
+    out = []
+    for t0 in ts:
+        a, _ = x.eval_param(t0).int_coeffs()
+        row = _signed_subresultants(a, [i * v for i, v in enumerate(a)][1:])
+        out.append(next(j for j, v in enumerate(row) if v))
+    return out
+
+
+def test_subresultants_match_the_full_node_table(rng):
     cases = []
     for deg_t in (1, 2, 3):
         for _ in range(4):
@@ -1305,19 +1316,68 @@ def test_lower_subresultants_match_the_full_node_table(rng):
               BiPoly([Poly([1, 2]), Poly.zero(), Poly([2, 1]), Poly.const(3)])
               * BiPoly([t, Poly.zero(), Poly.one()]) * BiPoly([t, Poly.zero(), Poly.one()]),
               BiPoly([Poly([F(1, 2), 1]), Poly([0, F(-2, 3)]), Poly([F(1, 4), 0, 1])])]
+    # known zeros: (w - t)^2 (w + 1) + t (t - 1)(t + 1) w, deg_t = 3, is
+    # (w - t)^2 (w + 1) at t = 0, 1, -1, with a triple root at -1; chi_t
+    # is P^2 at t = 0, whose PRS ends in g >= deg P zeros
+    three = BiPoly([t * t, t * t * t + t * t - 3 * t, 1 - 2 * t, Poly.one()])
+    assert _node_gaps(three, [0, 1, -1, 2]) == [1, 1, 2, 0]
+    members = [nk_classf(k) for k in range(2, 7)]
+    members += [_rand_member(rng, d) for d in (2, 3, 4, 5) for _ in range(2)]
+    chis = [Pencil(char_poly_t(f)).moving for f in members]
+    assert all(_node_gaps(x, [0])[0] >= f.P.degree > 0 for x, f in zip(chis, members))
     zero_entries = 0
-    for x in cases:
+    for x in cases + [three] + chis:
         table = subresultants(x)
         got = [table(j) for j in range(x.degree_w - 2, -1, -1)]
         assert got == _full_node_table(x)
+        assert table(x.degree_w - 1) == x.degree_w * x.lc_poly
         zero_entries += sum(1 for s in got if s.is_zero())
     assert zero_entries > 0
 
 
+def test_a_subresultant_whose_known_zeros_exceed_its_bound_is_zero(monkeypatch):
+    # x = (w - 1)^2 (w + t) has the double root 1 at every t, so s_0 = 0.
+    # The known factor t (t - 1) (t + 1)^2 (t - 2) of s_0, one zero from
+    # each of the nodes 0, 1, 2 and two from -1 (a triple root), has
+    # degree 5 > (2p - 2) deg_t = 4: four nodes settle s_0 without an
+    # interpolation, where the full table scans (2p - 1) deg_t + 1 = 6
+    t = Poly.x()
+    x = BiPoly([Poly.one(), Poly.const(-2), Poly.one()]) * BiPoly([t, Poly.one()])
+    scans = []
+    scan = bipoly._subresultant_scan
+    monkeypatch.setattr(bipoly, "_subresultant_scan",
+                        lambda a, b: scans.append(a[:]) or scan(a, b))
+    table = subresultants(x)
+    assert scans == [x.eval_param(t0).int_coeffs()[0] for t0 in (0, 1, -1, 2)]
+    assert table(0).is_zero() and not table(1).is_zero()
+    assert [table(1), table(0)] == _full_node_table(x)
+
+
+def test_subresultants_scan_counts_of_the_flow_pencils(monkeypatch, rng):
+    # a member with deg P = deg Q = d: chi_t has p = 2d and g = d at the
+    # node 0, so s_0 / (lc t^d) has degree 3d - 2 and takes 3d - 1 nodes
+    # past the node 0; w P - z Q has p = d + 1 and no degenerate node
+    # here, so s_0 / lc has degree 2d and takes 2d + 1
+    scans = []
+    scan = bipoly._subresultant_scan
+    monkeypatch.setattr(bipoly, "_subresultant_scan",
+                        lambda a, b: scans.append(a) or scan(a, b))
+    for d in (2, 3, 4, 5):
+        f = _rand_member(rng, d)
+        for x, want in ((char_poly_t(f), 3 * d),
+                        (BiPoly.from_linear(w * f.P, -f.Q), 2 * d + 1)):
+            x = Pencil(x).moving
+            scans.clear()
+            table = subresultants(x)
+            assert len(scans) == want
+            assert [table(j) for j in range(x.degree_w - 2, -1, -1)] == _full_node_table(x)
+
+
 def test_subresultants_scan_each_node_once(monkeypatch, rng):
-    # p = 6, deg_t = 1: (2p - 1) + 1 = 12 nodes, each scanned to its end
-    # when the table is built and never again; the lc 1 + t vanishes at
-    # the node -1, which is skipped
+    # p = 6, deg_t = 1: s_0 = lc m_0 with deg m_0 <= 2p - 2 = 10, so 11
+    # nodes, none degenerate, each scanned to its end when the table is
+    # built and never again; the lc 1 + t vanishes at the node -1, which
+    # is skipped
     x = BiPoly([Poly([rng.randint(-4, 4), rng.randint(-4, 4)]) for _ in range(6)]
                + [Poly([1, 1])])
     scans = []
@@ -1325,14 +1385,39 @@ def test_subresultants_scan_each_node_once(monkeypatch, rng):
     monkeypatch.setattr(bipoly, "_subresultant_scan",
                         lambda a, b: scans.append(a[:]) or scan(a, b))
     s = subresultants(x)
-    assert scans == [[int(c(t)) for c in x.wcoeffs]
-                     for t in (0, 1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6)]
+    ts = (0, 1, 2, -2, 3, -3, 4, -4, 5, -5, 6)
+    assert scans == [[int(c(t)) for c in x.wcoeffs] for t in ts]
     got = [s(j) for j in range(6)] + [s(j) for j in range(5, -1, -1)]
-    assert len(scans) == 12 and s.cache_info().currsize == 6
+    assert len(scans) == 11 and s.cache_info().currsize == 6
     monkeypatch.undo()
+    assert _node_gaps(x, ts) == [0] * 11
     assert got[:5] == _full_node_table(x)[::-1] and got[6:] == got[5::-1]
     with pytest.raises(ValueError, match="constant in w"):
         subresultants(BiPoly([Poly([1, 1])]))
+
+
+@pytest.mark.parametrize("j", [4, 5, -1])
+def test_subresultants_refuse_an_index_outside_the_table(j):
+    x = BiPoly([Poly([1, 2]), Poly([0, 1]), Poly([-3, 0]), Poly([2, 1]), Poly.one()])
+    s = subresultants(x)
+    assert x.degree_w == 4 and s(3) == 4 * x.lc_poly
+    with pytest.raises(ValueError, match="0 <= j < 4"):
+        s(j)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("delta", range(6))
+def test_pseudo_rem_is_the_full_pseudo_remainder(rng, delta, sign):
+    # lc(b)^(delta + 1) a - r is a multiple of b and deg r < deg b, with
+    # delta = deg a - deg b
+    for _ in range(20):
+        m = rng.randint(0, 4)
+        b = [rng.randint(-9, 9) for _ in range(m)] + [sign * rng.randint(1, 5)]
+        a = [rng.randint(-9, 9) for _ in range(m + delta)] + [rng.choice([-7, -1, 2, 6])]
+        r = poly._pseudo_rem(a, b)
+        assert len(r) < len(b) and (not r or r[-1])
+        q, rem = (b[-1] ** (delta + 1) * Poly(a) - Poly(r)).divmod(Poly(b))
+        assert rem.is_zero() and all(c.denominator == 1 for c in q.coeffs)
 
 
 def test_bipoly_eval_and_ops():

@@ -703,7 +703,11 @@ def test_a_table_build_that_raised_leaves_no_table(monkeypatch):
     assert rr0_at_algebraic_t(f, no) is Verdict.NO
     assert rr0_at_algebraic_t(f, yes) is Verdict.YES
     p = pencil.moving.degree_w
-    assert len(calls) == 5 + (2 * p - 1) + 1     # one whole build after the failed one
+    # one whole build after the failed one: the moving part at t = 0 is
+    # (1 - w)^6, whose PRS ends in g = 5 zeros, so the node 0 and
+    # 2p - 1 - g more fix s_0 / lc
+    assert pencil.moving.eval_param(0) == Poly([1, -1]) ** 6
+    assert len(calls) == 5 + 1 + (2 * p - 1 - 5)
     fresh = subresultants(pencil.moving)
     assert [pencil._table(j) for j in range(p)] == [fresh(j) for j in range(p)]
 
