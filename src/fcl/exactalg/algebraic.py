@@ -10,15 +10,25 @@ ends' common denominator, signed in integers.  Rational roots are found
 apart from it, by p-adic lifting (`_rational_roots`), and each one
 collapses the interval that holds it to a point.
 
-Every exact predicate is decided by `AlgebraicReal.sign_of`: the sign of a
-polynomial at an irrational number is one Tarski query on the isolating
-interval as it stands, read from `poly._remainder_chain` (the remainder
-sequence of every gcd and Sturm count too) started from P' p reduced mod
-the defining polynomial P, or none for a constant or a linear polynomial
-whose root is not inside it.  `is_root_of` is sign_of(p) == 0,
-`compare_rational` is sign_of(x - q) when q is inside the interval, and
-two irrationals are equal when one is a root of the other's defining
-polynomial inside the other's interval.
+Every exact predicate is decided by `AlgebraicReal.sign_of`.  At an
+irrational number inside (lo, hi) it first tries one exact bound on the
+interval as it stands (`_mean_value_sign`): with c the midpoint, h the
+half-width and R = max(|lo|, |hi|), p has the sign of p(c) on all of
+(lo, hi) when p(c) != 0 and |p(c)| >= h sum_(i>=1) i |p_i| R^(i-1), by the
+mean value theorem, tested in integers.  A sign the bound cannot settle,
+a zero among them, is one Tarski query (`_tarski_query`), read from
+`poly._remainder_chain` (the remainder sequence of every gcd and Sturm
+count too) started from P' p reduced mod the defining polynomial P.
+`is_root_of` is sign_of(p) == 0, `compare_rational` is sign_of(x - q)
+when q is inside the interval, and two irrationals are equal when one is
+a root of the other's defining polynomial inside the other's interval.
+
+The bound settles more signs on a narrower interval.  `fenced` gives the
+same number on a dyadic interval of relative half-width about 2^-46,
+placed by a float Newton guess and kept only when the exact integer signs
+of the defining polynomial at its two ends differ; a caller that signs
+many polynomials at one number, as `spectra.Pencil.real_rooted_at` does,
+signs them on it.
 
 Bisection only refines, for the callers that need narrower intervals
 (`refined_to`, `separate`, and a range's end intervals in
@@ -76,7 +86,8 @@ class AlgebraicReal:
         self._ints, self._slo = ints, slo
 
     def _narrowed(self, lo, hi) -> "AlgebraicReal":
-        """This number on [lo, hi], a subinterval produced by `_bisect`."""
+        """This number on [lo, hi], a subinterval produced by `_bisect` or
+        checked by `fenced`."""
         return _from_parts(self.defining, self._ints, self._slo, lo, hi)
 
     @staticmethod
@@ -135,35 +146,49 @@ class AlgebraicReal:
     def sign_of(self, p: Poly) -> int:
         """Exact sign of p at this number, without refinement.
 
-        A rational number is substituted.  An irrational one lies inside
-        (lo, hi), where a constant p, or a linear p whose root is not
-        inside (lo, hi), has one sign, the sign it has at lo or hi.  Every
-        other p, where the number is the only root of P = defining in
-        (lo, hi) and P(lo) P(hi) != 0, gets the Tarski query: the Cauchy
-        index of P' p / P on (lo, hi), Var(lo) - Var(hi) of the chain P,
-        R, -rem(P, R), ... (Basu, Pollack and Roy, Algorithms in Real
-        Algebraic Geometry, ch. 2).  R is P' p itself when its degree is
-        below deg P, else `_prem(P' p, P)`, a positive multiple of
-        rem(P' p, P): the two differ by a polynomial, which has no pole,
-        so the index is the same, for a P with multiple roots too, and the
-        chain starts below deg P.
+        A rational number is substituted.  At an irrational one, inside
+        (lo, hi), the mean value bound (`_mean_value_sign`) settles most
+        signs from one evaluation at the midpoint; the sign it cannot
+        settle, a zero among them, is one Tarski query (`_tarski_query`).
         """
         q = p.int_coeffs()[0]
-        if self.lo == self.hi or len(q) < 2:
+        if self.lo == self.hi:
             return _sign_at(q, self.lo)
-        if len(q) == 2:
-            slo, shi = _sign_at(q, self.lo), _sign_at(q, self.hi)
-            if slo * shi >= 0:  # the root of q is not inside (lo, hi)
-                return slo or shi
-        a = self._ints
-        b = [0] * (len(a) + len(q) - 2)
-        for i, c in enumerate(a[1:], 1):
-            for j, d in enumerate(q):
-                b[i - 1 + j] += i * c * d
-        if len(b) >= len(a):
-            b = _prem(b, a)
-        chain = _remainder_chain(a, b)
-        return _variations_at(chain, self.lo) - _variations_at(chain, self.hi)
+        return (_mean_value_sign(q, self.lo, self.hi)
+                or _tarski_query(self._ints, q, self.lo, self.hi))
+
+    def fenced(self) -> "AlgebraicReal":
+        """This number on a dyadic interval ((u - 1)/2^k, (u + 1)/2^k) inside
+        [lo, hi], of half-width about |x| 2^-46, or self.
+
+        A float Newton guess on `_ints` (`_float_root`) places the
+        interval.  It is kept only when the exact integer signs of the
+        defining polynomial at its two ends differ: the number is the only
+        root in (lo, hi), so it lies inside.  Each half-width of
+        `_FENCE_BITS` is tried in turn, narrowest first; on overflow, NaN
+        or a failed check the number comes back unchanged, as it does for
+        a root of even multiplicity, where the sign does not change.
+        """
+        if self.lo == self.hi:
+            return self
+        try:
+            x = _float_root(self._ints, float(self.lo), float(self.hi), self._slo)
+        except OverflowError:
+            return self
+        if math.isnan(x):
+            return self
+        e = math.frexp(x)[1]
+        lo, hi, ints = self.lo, self.hi, self._ints
+        for bits in _FENCE_BITS:
+            # the ends (u - 1)/2^k and (u + 1)/2^k as a/d and b/d
+            k = bits - e
+            u = round(math.ldexp(x, k))
+            a, b, d = (u - 1, u + 1, 1 << k) if k >= 0 else ((u - 1) << -k, (u + 1) << -k, 1)
+            if (lo.numerator * d <= a * lo.denominator and b * hi.denominator <= hi.numerator * d
+                    and _sign_hom(ints, a, d) * _sign_hom(ints, b, d) < 0):
+                # P has no root in [self.lo, x), so its sign at a/d is _slo
+                return self._narrowed(Fraction(a, d), Fraction(b, d))
+        return self
 
     def compare_rational(self, q) -> int:
         """The sign of self - q: read off the interval when q is outside
@@ -194,6 +219,99 @@ class AlgebraicReal:
 
     def __hash__(self):
         raise TypeError("AlgebraicReal is unhashable (use as_fraction for rationals)")
+
+
+def _mean_value_sign(q, lo, hi) -> int:
+    """The sign of the int list q on all of (lo, hi), rationals lo < hi,
+    when the mean value bound settles it, else 0.
+
+    With c the midpoint, h the half-width and R = max(|lo|, |hi|), every
+    y in (lo, hi) has |q(y) - q(c)| <= |y - c| max |q'| < h M or q(y) =
+    q(c), where M = sum_(i>=1) i |q_i| R^(i-1) >= |q'| on [-R, R] (mean
+    value theorem).  So q(c) != 0 and |q(c)| >= h M give q the sign of
+    q(c) on all of (lo, hi).  Both sides are taken in integers, times
+    (2d)^n for lo = a/d and hi = b/d over their common denominator d and
+    n = deg q: q(c) is q homogenised at (a + b, 2d), and h M is
+    (b - a) sum_(i>=1) i |q_i| (2 max(|a|, |b|))^(i-1) (2d)^(n-i).  For a
+    linear q the test says exactly that its root is not inside (lo, hi).
+    A cheap test that is exactly certified and falls back on a complete
+    one is a filtered exact predicate (Bronnimann, Burnikel and Pion,
+    Discrete Appl. Math. 109, 2001).
+    """
+    if not q:
+        return 0
+    d = math.lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    u, r, d = a + b, 2 * max(-a, b), 2 * d
+    v, m, dp = q[-1], 0, 1
+    for i in range(len(q) - 1, 0, -1):
+        m = m * r + i * abs(q[i]) * dp
+        dp *= d
+        v = v * u + q[i - 1] * dp
+    if v and abs(v) >= (b - a) * m:
+        return 1 if v > 0 else -1
+    return 0
+
+
+def _tarski_query(a, q, lo, hi) -> int:
+    """The exact sign of the int list q at the only root x of the int list
+    a in (lo, hi), where a(lo) a(hi) != 0; a may have multiple roots.
+
+    The Tarski query: the Cauchy index of P' q / P on (lo, hi), for P = a,
+    is Var(lo) - Var(hi) of the chain P, R, -rem(P, R), ... (Basu, Pollack
+    and Roy, Algorithms in Real Algebraic Geometry, ch. 2).  R is P' q
+    itself when its degree is below deg P, else `_prem(P' q, P)`, a
+    positive multiple of rem(P' q, P): the two differ by a polynomial,
+    which has no pole, so the index is the same, for a P with multiple
+    roots too, and the chain (`poly._remainder_chain`) starts below
+    deg P.  A zero R gives 0 with no chain.
+    """
+    b = [0] * (len(a) + len(q) - 2)
+    for i, c in enumerate(a[1:], 1):
+        for j, e in enumerate(q):
+            b[i - 1 + j] += i * c * e
+    if len(b) >= len(a):
+        b = _prem(b, a)
+    if not any(b):
+        return 0
+    chain = _remainder_chain(a, b)
+    return _variations_at(chain, lo) - _variations_at(chain, hi)
+
+
+# relative half-widths 2^-bits that `AlgebraicReal.fenced` tries, narrowest first
+_FENCE_BITS = (46, 38, 30, 22, 14)
+# float Newton (or bisection) steps that `_float_root` takes at most
+_FLOAT_STEPS = 80
+
+
+def _float_root(a, lo, hi, slo) -> float:
+    """A float guess at the root of the int list a in (lo, hi), floats,
+    where a has the sign slo != 0 at lo, or NaN: Newton steps from the
+    midpoint, a step that leaves the bracket kept by the float signs of a
+    replaced by the bracket's midpoint.  Only a guess, as float signs near
+    the root may be wrong.  Raises OverflowError for a coefficient past
+    the float range."""
+    c = [float(ai) for ai in reversed(a)]
+    x = (lo + hi) / 2
+    for _ in range(_FLOAT_STEPS):
+        v = dv = 0.0
+        for ci in c:
+            dv = dv * x + v
+            v = v * x + ci
+        if not math.isfinite(v):
+            return math.nan
+        if v == 0:
+            return x
+        if (v > 0) == (slo > 0):
+            lo = x
+        else:
+            hi = x
+        if not dv or not lo < (y := x - v / dv) < hi:
+            y = (lo + hi) / 2
+        if abs(y - x) <= abs(x) * 2.0 ** -50:
+            return y
+        x = y
+    return x
 
 
 def _from_parts(defining, ints, slo, lo, hi) -> AlgebraicReal:

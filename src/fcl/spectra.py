@@ -21,7 +21,8 @@ two there.
 
 The pencil is real-rooted at s iff g is (tested once) and the moving part
 at s is: `Pencil.real_rooted_at` decides it, by substitution at a
-rational s and from the signs at an irrational s of the moving part's
+rational s and from the signs at an irrational s, narrowed once per
+decision (`AlgebraicReal.fenced`), of the moving part's
 signed subresultant coefficients, with one rule
 (`exactalg.real_rooted_from_signs`) and no Sturm chain.  (The gcd g of
 the split and the squarefree part of each eliminant try the heuristic
@@ -199,15 +200,18 @@ class Pencil:
         irrational s: x keeps degree p there, and the s_j, determinants of
         the generic-degree matrix, are those of x at s.  They come from the
         pencil's table (built here if no eliminant built it first), each
-        interpolated in s only when the scan first reads it; its sign at s
-        is one Tarski query (`AlgebraicReal.sign_of`), whose chain starts
-        below the degree of s's defining polynomial.
+        interpolated in s only when the scan first reads it.  s is narrowed
+        once per call, to `s.fenced()`, and lc(x) and the scanned entries
+        are signed on that narrower interval (`AlgebraicReal.sign_of`),
+        where the mean value bound settles nearly every nonzero sign; only
+        a zero entry, or one the bound cannot settle, is a Tarski query.
+        The narrowed number is not kept past the call.
         """
         if not self._content_rooted:
             return False
         q = s if isinstance(s, (int, Fraction)) else s.as_fraction()
         if q is None:
-            x = self.moving
+            x, s = self.moving, s.fenced()
             top = s.sign_of(x.lc_poly)
             return real_rooted_from_signs(top * s.sign_of(self._s(j))
                                           for j in range(x.degree_w - 2, -1, -1))
@@ -326,7 +330,10 @@ def rr0_at_algebraic_t(f: ClassF, t0) -> Verdict:
     used members' pencils.  Each keeps its subresultant table, built by
     the member's `critical_ts` or by the first decision, so a later
     decision on the same member, at any t0, interpolates only the entries
-    no earlier read built and otherwise pays only for the Tarski queries.
+    no earlier read built and otherwise pays only for its signs: one
+    narrowing of an irrational t0 (`AlgebraicReal.fenced`), a mean value
+    bound per entry, and a Tarski query for each entry that is zero at t0
+    (s_0 is, at a multiple-root critical) or that the bound cannot settle.
     Not meant for concurrent threads.
     """
     pencil = flow_pencil(f)

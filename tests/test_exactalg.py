@@ -1173,6 +1173,105 @@ def test_sign_of_reduces_the_query_mod_the_defining_polynomial(monkeypatch, rng)
     assert seen == {-1, 0, 1}
 
 
+def _tarski(r: AlgebraicReal, q: Poly) -> int:
+    """The sign of q at the irrational r by the Tarski query alone."""
+    return algebraic._tarski_query(r._ints, q.int_coeffs()[0], r.lo, r.hi)
+
+
+def _assert_fenced(r: AlgebraicReal, n: AlgebraicReal):
+    """n is r on a dyadic subinterval of half-width at most |r| 2^-13 whose
+    ends the defining polynomial signs apart, or r itself."""
+    if n is r:
+        return
+    # ((u - 1)/2^k, (u + 1)/2^k): a power-of-two half-width h, the midpoint u h
+    h = (n.hi - n.lo) / 2
+    m = max(h.numerator, h.denominator)
+    assert min(h.numerator, h.denominator) == 1 and m & (m - 1) == 0
+    assert ((n.lo + n.hi) / 2 / h).denominator == 1
+    assert r.lo <= n.lo < n.hi <= r.hi and (n.hi - n.lo) / 2 <= abs(n.lo) / 2**13
+    assert _sign_at(r._ints, n.lo) == n._slo == r._slo == -_sign_at(r._ints, n.hi)
+    assert n.defining is r.defining and n._ints is r._ints
+
+
+def test_mean_value_bound_agrees_with_the_tarski_query(rng):
+    # the bound gives 0 or the Tarski query's sign; sign_of gives that sign,
+    # on isolating and fenced intervals, for squarefree and squared
+    # defining polynomials, and sympy agrees where it is installed
+    try:
+        import sympy
+    except ImportError:
+        sympy = None
+    settled = total = 0
+    for _ in range(24):
+        p = rand_poly(rng, 6)
+        for r in isolate_real_roots(p):
+            if r.is_rational():
+                continue
+            n = r.defining.degree
+            square = AlgebraicReal(r.defining**2, r.lo, r.hi)
+            numbers = [r, r.fenced(), square, square.fenced()]
+            _assert_fenced(r, numbers[1])
+            assert numbers[1] is not r and numbers[3] is square
+            g = Poly([rng.randint(-5, 5) for _ in range(rng.randint(0, n))] + [1])
+            c = rng.choice([-3, -1, 2, 7])
+            qs = [r.defining * g, r.defining * g + c, w - r.lo, r.hi - w, 3 * w - 3 * r.lo,
+                  Poly.const(c), Poly.zero()]
+            qs += [rand_poly(rng, 2 * n + 1) for _ in range(4)]
+            x = _sympy_number(sympy, r) if sympy else None
+            for q in qs:
+                want = _tarski(r, q)
+                if sympy:
+                    assert want == _sign_at_sympy_root(sympy, q, x)
+                for a in numbers:
+                    bound = algebraic._mean_value_sign(q.int_coeffs()[0], a.lo, a.hi)
+                    assert bound in (0, want) and _tarski(a, q) == a.sign_of(q) == want
+                    settled += bound != 0
+                    total += 1
+            # q = c mod P takes the sign of c; a multiple of P vanishes
+            assert [a.sign_of(qs[1]) for a in numbers] == [(c > 0) - (c < 0)] * 4
+            assert [a.sign_of(qs[0]) for a in numbers] == [0] * 4
+            for a in numbers:
+                # the bound alone signs a constant, and a linear q exactly
+                # when its root is not inside (lo, hi), at an end too
+                mid = (a.lo + a.hi) / 2
+                assert [algebraic._mean_value_sign(q.int_coeffs()[0], a.lo, a.hi)
+                        for q in (w - a.lo, a.hi - w, w - a.hi, 2 * w - 2 * a.lo + 1,
+                                  Poly.const(c), Poly.zero(), w - mid)] \
+                    == [1, 1, -1, 1, (c > 0) - (c < 0), 0, 0]
+    assert total > 400 and settled > total / 2
+
+
+def test_fenced_edge_cases():
+    huge = 2**1100 + 1
+    # coefficients past the float range: the number comes back unchanged,
+    # and its signs stay exact
+    for p, signs in ((huge * w**2 - 3, [-1, 1]), (w**2 - huge, [-1, 1]),
+                     (w**3 - huge * w - 1, [-1, -1, 1])):
+        roots = isolate_real_roots(p)
+        assert len(roots) == len(signs) and not any(r.is_rational() for r in roots)
+        for r, s in zip(roots, signs):
+            assert r.fenced() is r
+            assert r.sign_of(p) == 0 and r.sign_of(w) == s and r.sign_of(p + 1) == 1
+            for q in (w - s, w**2 * p - w, p.derivative()):
+                assert r.sign_of(q) == _tarski(r, q)
+    # negative and tiny numbers are narrowed to about 2^-46 of their size
+    for p in (w**2 - 2, 2**600 * w**2 - 3, 10**30 * w**2 - 7, w**3 + 3 * w + 1):
+        for r in isolate_real_roots(p):
+            n = r.fenced()
+            assert n is not r and (n.hi - n.lo) / 2 <= abs(n.lo) / 2**45
+            _assert_fenced(r, n)
+            for q in (w, p + 1, w**2 * p - 5, p.derivative()):
+                assert n.sign_of(q) == r.sign_of(q) == _tarski(r, q)
+    # a root of even multiplicity of a defining polynomial given to the
+    # constructor: the signs at the ends agree, so nothing is narrowed
+    r = AlgebraicReal((w**2 - 2) ** 2 * (w - 5), 1, 2)
+    assert r.fenced() is r
+    assert [r.sign_of(q) for q in (w - 1, w**2 - 2, w - 2, w**3)] == [1, 0, -1, 1]
+    # a rational number is itself
+    q = AlgebraicReal.from_rational(F(1, 3))
+    assert q.fenced() is q
+
+
 def test_interval_arithmetic():
     a = Iv(1, 2)
     assert (a * a).lo == 1 and (a * a).hi == 4

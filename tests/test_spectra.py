@@ -9,10 +9,10 @@ from conftest import rand_classf, rand_rat
 from fcl.classf import (from_r, free_power, identity_f, make_classf,
                         make_ratfun, translate)
 from fcl.euler import ck_candidates, nk_classf
-from fcl.exactalg import (AlgebraicReal, BiPoly, Poly, is_real_rooted,
-                          is_squarefree, isolate_real_roots, poly_gcd,
-                          resultant_w, squarefree_part, sturm_chain,
-                          subresultants)
+from fcl.exactalg import (AlgebraicReal, BiPoly, Poly, algebraic,
+                          is_real_rooted, is_squarefree, isolate_real_roots,
+                          poly_gcd, real_rooted_from_signs, resultant_w,
+                          squarefree_part, sturm_chain, subresultants)
 from fcl.spectra import (Pencil, Verdict, cg_region, char_poly,
                          char_poly_t, cleaned_critical_eliminant,
                          critical_ts, deg3_rr0, flow_pencil, is_rr, is_rr0,
@@ -655,6 +655,61 @@ def test_memo_verdicts_match_a_fresh_pencil(rng, descending):
         p = flow_pencil(f)
         js = range(p.moving.degree_w)
         assert list(map(p._table, js)) == list(map(subresultants(p.moving), js))
+
+
+def _tarski_only(pencil, t0) -> bool:
+    """`Pencil.real_rooted_at` at an irrational t0 with every sign a Tarski
+    query on t0's own interval: no narrowing, no mean value bound."""
+    def sign(q):
+        return algebraic._tarski_query(t0._ints, q.int_coeffs()[0], t0.lo, t0.hi)
+
+    x = pencil.moving
+    top = sign(x.lc_poly)
+    return pencil._content_rooted and real_rooted_from_signs(
+        top * sign(pencil._s(j)) for j in range(x.degree_w - 2, -1, -1))
+
+
+def test_verdicts_match_the_tarski_only_route(rng):
+    cases = _irrational_criticals(rng)
+    want = [_tarski_only(flow_pencil(f), t0) for f, t0 in cases]
+    assert [rr0_at_algebraic_t(f, t0) is Verdict.YES for f, t0 in cases] == want
+    assert set(want) == {True, False}
+
+
+# Tarski chains built per decision at the irrational criticals of
+# nk_classf(k) in (0, 2000), ascending; Tarski queries alone build
+# [3], [1, 4], [3, 5] and [1, 1, 6]
+_NK_CHAINS = {2: [0], 3: [0, 0], 4: [0, 0], 5: [0, 0, 2]}
+
+
+@pytest.mark.parametrize("k", sorted(_NK_CHAINS))
+def test_the_mean_value_bound_spares_the_tarski_chains(monkeypatch, k):
+    f = nk_classf(k)
+    crits = [c for c in critical_ts(f, 0, 2000).criticals if not c.is_rational()]
+    ends = [(c.lo, c.hi) for c in crits]
+    want = [_tarski_only(flow_pencil(f), c) for c in crits]
+    built = []
+    chain = algebraic._remainder_chain
+    monkeypatch.setattr(algebraic, "_remainder_chain", lambda a, b: built.append(a) or chain(a, b))
+    got, counts = [], []
+    for c in crits:
+        built.clear()
+        got.append(rr0_at_algebraic_t(f, c) is Verdict.YES)
+        counts.append(len(built))
+    assert got == want and counts == _NK_CHAINS[k]
+    # the narrowed numbers stay inside the decisions
+    assert [(c.lo, c.hi) for c in crits] == ends
+
+
+def test_nk6_criticals_below_6_are_no():
+    # the two criticals of nk_classf(6) that perfbench's algebraic_rr0 pool
+    # leaves out (NK6_KEEP_ABOVE), near 0.88 and 5.62
+    f = nk_classf(6)
+    crits = [c for c in critical_ts(f, 0, 2000).criticals if c.compare_rational(6) < 0]
+    assert len(crits) == 2 and not any(c.is_rational() for c in crits)
+    for c in crits:
+        assert rr0_at_algebraic_t(f, c) is Verdict.NO
+        assert not _tarski_only(flow_pencil(f), c)
 
 
 def test_a_decision_that_stops_at_the_first_entry_then_one_that_reads_all():
