@@ -56,13 +56,21 @@ def _classf_payload(f: cf.ClassF) -> dict:
             "pretty": repr(f)}
 
 
-def _alg_payload(a, digits: int) -> dict:
-    if isinstance(a, (int, Fraction)):
-        return {"value": rat_str(Fraction(a))}
-    q = a.as_fraction()
+def _exact(key: str, q, args) -> dict:
+    """{key: q as p/q}, then key_approx: q to --approx digits when asked."""
+    out = {key: rat_str(q)}
+    if args.approx is not None:
+        out[key + "_approx"] = f"{float(q):.{args.approx}g}"
+    return out
+
+
+def _alg_payload(a, args) -> dict:
+    """A rational as its value; an irrational as its defining polynomial
+    and an isolating interval of --precision digits."""
+    q = Fraction(a) if isinstance(a, (int, Fraction)) else a.as_fraction()
     if q is not None:
-        return {"value": rat_str(q)}
-    scale = 10 ** digits
+        return _exact("value", q, args)
+    scale = 10 ** args.precision
     r = a.refined_to(Fraction(1, scale))
     # outward-rounded endpoints with tame denominators keep the enclosure
     lo = Fraction((r.lo * scale).__floor__(), scale)
@@ -111,78 +119,66 @@ def _cmd_chart(args):
                       "pretty": x.to_str()}}
 
 
-def _cmd_rr0(args):
+def _cmd_spectra_test(args):
+    """rr0, rr and singular: the verdict of spectra.is_<command>."""
     from . import spectra as sp
-    return {"rr0": sp.is_rr0(_f_from(args))}
-
-
-def _cmd_rr(args):
-    from . import spectra as sp
-    return {"rr": sp.is_rr(_f_from(args))}
-
-
-def _cmd_singular(args):
-    from . import spectra as sp
-    return {"singular": sp.is_singular(_f_from(args))}
+    return {args.command: getattr(sp, "is_" + args.command)(_f_from(args))}
 
 
 def _cmd_nset(args):
     from . import spectra as sp
     ns = sp.n_set(_f_from(args))
     return {"z_poly": _poly_payload(ns.z_poly),
-            "real_members": [_alg_payload(r, args.precision) for r in ns.real_members],
+            "real_members": [_alg_payload(r, args) for r in ns.real_members],
             "nonreal_pair_count": ns.nonreal_pair_count,
             "all_real": ns.all_real}
 
 
-def _verdict_payload(hv, what: str = "a moment sequence") -> dict:
-    return {"status": hv.status, "order": hv.order,
-            "determinant": rat_str(hv.determinant) if hv.is_negative else None,
+def _verdict_payload(hv, args, what: str = "a moment sequence") -> dict:
+    det = _exact("determinant", hv.determinant, args) if hv.is_negative else {"determinant": None}
+    return {"status": hv.status, "order": hv.order, **det,
             "minors": [rat_str(m) for m in hv.minors],
             "note": hv.describe(what)}
 
 
 def _cmd_hankel(args):
     from . import posdef as pd
-    return {"hankel": _verdict_payload(pd.is_moment_positive_up_to(_f_from(args), args.order))}
+    hv = pd.is_moment_positive_up_to(_f_from(args), args.order)
+    return {"hankel": _verdict_payload(hv, args)}
 
 
 def _cmd_fid(args):
     from . import posdef as pd
     # a negative minor of the shifted cumulants rules out free infinite divisibility
-    return {"fid": _verdict_payload(pd.fid_check(_f_from(args), args.order), "FID")}
+    return {"fid": _verdict_payload(pd.fid_check(_f_from(args), args.order), args, "FID")}
 
 
-def _cmd_convolve(args):
-    f1, f2 = _f_from(args, "expr"), _f_from(args, "expr2")
-    return _classf_payload(cf.boxplus(f1, f2))
+# each class operation and its second operand: an F (expr2) or a rational
+_CLASS_OPS = {"convolve": (cf.boxplus, "expr2"), "power": (cf.free_power, "t"),
+              "compose": (cf.compose, "expr2"), "translate": (cf.translate, "u"),
+              "dilate": (cf.dilate, "c")}
 
 
-def _cmd_power(args):
-    return _classf_payload(cf.free_power(_f_from(args), _frac(args.t)))
+def _cmd_class_op(args):
+    """F op G for the class operation the command names; F is built first."""
+    op, operand = _CLASS_OPS[args.command]
+    f = _f_from(args)
+    g = _f_from(args, operand) if operand == "expr2" else _frac(getattr(args, operand))
+    return _classf_payload(op(f, g))
 
 
-def _cmd_compose(args):
-    outer, inner = _f_from(args, "expr"), _f_from(args, "expr2")
-    return _classf_payload(cf.compose(outer, inner))
-
-
-def _cmd_translate(args):
-    return _classf_payload(cf.translate(_f_from(args), _frac(args.u)))
-
-
-def _cmd_dilate(args):
-    return _classf_payload(cf.dilate(_f_from(args), _frac(args.c)))
+def _scan_payload(rep, args) -> dict:
+    """A critical scan's criticals with their kinds, and its rr0 verdicts."""
+    return {"criticals": [dict(_alg_payload(c, args), kind=k)
+                          for c, k in zip(rep.criticals, rep.kinds)],
+            "rr0_verdicts": [v.value for v in rep.rr0_verdicts]}
 
 
 def _cmd_criticals(args):
     from . import spectra as sp
     lo, hi = _range(args.range)
     rep = sp.critical_ts(_f_from(args), lo, hi)
-    return {"range": [rat_str(lo), rat_str(hi)],
-            "criticals": [dict(_alg_payload(c, args.precision), kind=k)
-                          for c, k in zip(rep.criticals, rep.kinds)],
-            "rr0_verdicts": [v.value for v in rep.rr0_verdicts],
+    return {"range": [rat_str(lo), rat_str(hi)], **_scan_payload(rep, args),
             "samples": [rat_str(s) for s in rep.samples]}
 
 
@@ -207,21 +203,14 @@ def _cmd_euler(args):
         if t_hi <= 0:
             raise ValueError(f"--ck must be > 0, got {rat_str(t_hi)}")
         res = eu.ck_candidates(args.k, t_hi)
-        rep = res["report"]
-        payload = {
-            "criticals": [dict(_alg_payload(c, args.precision), kind=k)
-                          for c, k in zip(rep.criticals, rep.kinds)],
-            "rr0_verdicts": [v.value for v in rep.rr0_verdicts],
-            "candidate": None if res["candidate"] is None
-            else _alg_payload(res["candidate"], args.precision)}
-        return {"ck": payload}
-    tab = eu.euler_table(args.k)
-    f = eu.nk_classf(args.k) if args.k >= 1 else None
+        cand = res["candidate"]
+        return {"ck": dict(_scan_payload(res["report"], args),
+                           candidate=None if cand is None else _alg_payload(cand, args))}
     out = {"k": args.k,
-           "e_row": [rat_str(c) for c in tab.e_row],
-           "e_tilde_row": [rat_str(c) for c in tab.e_tilde_row]}
-    if f is not None:
-        out["nk_classf"] = _classf_payload(f)
+           "e_row": [rat_str(c) for c in eu.eulerian(args.k).coeffs],
+           "e_tilde_row": [rat_str(c) for c in eu.eulerian_tilde(args.k).coeffs]}
+    if args.k >= 1:
+        out["nk_classf"] = _classf_payload(eu.nk_classf(args.k))
     return {"euler": out}
 
 
@@ -267,13 +256,13 @@ def _cmd_deconv(args):
                            chi_factored_check=rec["chi_factored_check"])}
 
 
-def _atom_payload(a, digits: int) -> dict:
+def _atom_payload(a, args) -> dict:
     if a.kind == "rpoly":
         return {"kind": a.kind, "r_part": a.params[0].to_str()}
     if a.kind == "rfun":
         return {"kind": a.kind, "r_part": repr(a.params[0])}
     return {"kind": a.kind,
-            "params": [_alg_payload(p, digits) for p in a.params]}
+            "params": [_alg_payload(p, args) for p in a.params]}
 
 
 def _cmd_monotone(args):
@@ -288,7 +277,7 @@ def _cmd_monotone(args):
     if "chi" in rec:
         out["chi"] = _poly_payload(rec["chi"])
         out["chi_check"] = rec["chi_check"]
-    out["decomposition"] = [_atom_payload(a, args.precision) for a in rec["decomposition"]]
+    out["decomposition"] = [_atom_payload(a, args) for a in rec["decomposition"]]
     out["identity_check"] = rec["identity_check"]
     return {"monotone": out}
 
@@ -340,17 +329,16 @@ def _cmd_region(args):
         rows = ["c,d"] + [f"{float(c)!r},{float(d)!r}" for c, d in pts]
         return {"_csv": "\n".join(rows) + "\n", "region": "lb",
                 "points": [[rat_str(c), rat_str(d)] for c, d in pts]}
-    if args.kind == "deg3":
-        from . import spectra as sp
-        rows = ["a,b,rr0"]
-        n = _region_samples(args)
-        for i in range(n + 1):
-            a = Fraction(-4) + Fraction(8 * i, n)
-            for j in range(n + 1):
-                b = Fraction(-4) + Fraction(8 * j, n)
-                rows.append(f"{float(a)!r},{float(b)!r},{int(sp.deg3_rr0(a, b, 1))}")
-        return {"_csv": "\n".join(rows) + "\n", "region": "deg3"}
-    raise ParseError(f"unknown region {args.kind!r}")
+    # deg3, the last of argparse's choices
+    from . import spectra as sp
+    rows = ["a,b,rr0"]
+    n = _region_samples(args)
+    for i in range(n + 1):
+        a = Fraction(-4) + Fraction(8 * i, n)
+        for j in range(n + 1):
+            b = Fraction(-4) + Fraction(8 * j, n)
+            rows.append(f"{float(a)!r},{float(b)!r},{int(sp.deg3_rr0(a, b, 1))}")
+    return {"_csv": "\n".join(rows) + "\n", "region": "deg3"}
 
 
 def _config_of(args):
@@ -387,17 +375,17 @@ _COMMANDS = {
     "cumulants": (_cmd_cumulants, True, False, [("--order", {"type": int, "default": 10})]),
     "charpoly": (_cmd_charpoly, True, False, []),
     "chart": (_cmd_chart, True, False, []),
-    "rr0": (_cmd_rr0, True, False, []),
-    "rr": (_cmd_rr, True, False, []),
-    "singular": (_cmd_singular, True, False, []),
+    "rr0": (_cmd_spectra_test, True, False, []),
+    "rr": (_cmd_spectra_test, True, False, []),
+    "singular": (_cmd_spectra_test, True, False, []),
     "nset": (_cmd_nset, True, False, []),
     "hankel": (_cmd_hankel, True, False, [("--order", {"type": int, "default": 12})]),
     "fid": (_cmd_fid, True, False, [("--order", {"type": int, "default": 12})]),
-    "convolve": (_cmd_convolve, True, False, [("expr2", {})]),
-    "power": (_cmd_power, True, False, [("t", {})]),
-    "compose": (_cmd_compose, True, False, [("expr2", {"help": "inner F"})]),
-    "translate": (_cmd_translate, True, False, [("u", {})]),
-    "dilate": (_cmd_dilate, True, False, [("c", {})]),
+    "convolve": (_cmd_class_op, True, False, [("expr2", {})]),
+    "power": (_cmd_class_op, True, False, [("t", {})]),
+    "compose": (_cmd_class_op, True, False, [("expr2", {"help": "inner F"})]),
+    "translate": (_cmd_class_op, True, False, [("u", {})]),
+    "dilate": (_cmd_class_op, True, False, [("c", {})]),
     "criticals": (_cmd_criticals, True, False, [("--range", {"required": True})]),
     "density": (_cmd_density, True, False, [("--range", {"required": True}),
                                             ("--grid", {"type": int, "default": 201})]),
@@ -471,24 +459,6 @@ def _check_digits(args):
             raise ValueError(f"--{opt} must be >= 0, got {v}")
 
 
-def _approximate(obj, digits):
-    """Recursively add float renderings next to exact strings."""
-    if isinstance(obj, dict):
-        out = {}
-        for k, v in obj.items():
-            out[k] = _approximate(v, digits)
-            if k in ("value", "determinant") and isinstance(v, str) and v:
-                try:
-                    q = Fraction(v)
-                except ValueError:  # not a rational
-                    continue
-                out[k + "_approx"] = f"{float(q):.{digits}g}"
-        return out
-    if isinstance(obj, list):
-        return [_approximate(v, digits) for v in obj]
-    return obj
-
-
 def _render_text(obj, indent=0):
     pad = "  " * indent
     lines = []
@@ -534,13 +504,10 @@ def main(argv=None) -> int:
     try:
         if args.csv and csv_text is not None:
             sys.stdout.write(csv_text)
+        elif args.json:
+            print(json.dumps(payload, indent=1))
         else:
-            if args.approx is not None:
-                payload = _approximate(payload, args.approx)
-            if args.json:
-                print(json.dumps(payload, indent=1))
-            else:
-                print(_render_text(payload))
+            print(_render_text(payload))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader has gone: what is left of stdout, and the flush at

@@ -40,10 +40,12 @@ class NotFound(FclError):
 class ParseError(FclError):
     """Input text could not be parsed.
 
-    Carries a position (offset into the input) when available.
+    Carries the message without its position (`message`) and a position
+    (offset into the input) when available.
     """
 
     def __init__(self, message, position=None):
         super().__init__(message if position is None
                          else f"{message} (at offset {position})")
+        self.message = message
         self.position = position

@@ -12,7 +12,6 @@ cross-checked in the test suite against brute-force descent counts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .classf import ClassF, cumulants, make_classf
@@ -45,17 +44,6 @@ def eulerian_tilde(k: int) -> Poly:
     if via_def != via_rec:
         raise ComputationError("companion polynomial routes disagree")
     return via_def
-
-
-@dataclass(frozen=True)
-class EulerTable:
-    k: int
-    e_row: tuple       # coefficients of E_k, low degree first
-    e_tilde_row: tuple
-
-
-def euler_table(k: int) -> EulerTable:
-    return EulerTable(k, eulerian(k).coeffs, eulerian_tilde(k).coeffs)
 
 
 def nk_classf(k: int) -> ClassF:

@@ -3,7 +3,7 @@
 A `Poly` is a tuple of int numerators, lowest degree first with no trailing
 zero, over one positive common denominator, normalised once per result:
 trailing zeros stripped and one gcd(den, *num) divided out.  Every ring
-operation (+, -, *, **, derivative, scale_arg, compose, monic, divmod by
+operation (+, -, *, **, derivative, scale_arg, monic, divmod by
 pseudo-division), == and hash, and evaluation at an int or a Fraction run
 on those ints; evaluation ends in a single Fraction.  The Fraction
 coefficients (`Poly.coeffs`) are built only when someone reads them.

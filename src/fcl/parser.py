@@ -182,9 +182,8 @@ def parse_expr(text: str):
     except ParseError as e:
         if e.position is not None:
             line, col = line_col(text, e.position)
-            msg = e.args[0].split(" (at offset")[0]
-            err = ParseError(f"{msg} (line {line}, column {col})")
-            err.position = e.position
+            err = ParseError(f"{e.message} (line {line}, column {col})")
+            err.message, err.position = e.message, e.position
             raise err from None
         raise
 

@@ -245,7 +245,7 @@ def n_set(f: ClassF) -> NSetResult:
 
 
 def is_rr(f: ClassF) -> bool:
-    return n_set(f).nonreal_pair_count == 0
+    return n_set(f).all_real
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -632,3 +633,50 @@ def test_cli_approx_flag(capsys):
     data = json.loads(out)
     assert data["real_members"][0]["value"] == "1/4"
     assert data["real_members"][0]["value_approx"] == "0.25"
+    # a negative minor's determinant gets its decimal right after it
+    argv = ("hankel", "--from-r", "w/(1-w)^2", "--order", "5", "--approx", "6")
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    verdict = json.loads(out)["hankel"]
+    assert code == 0 and list(verdict)[2:4] == ["determinant", "determinant_approx"]
+    assert verdict["determinant_approx"] == "-3374"
+    code, out, _ = run_cli(capsys, *argv)
+    lines = out.splitlines()
+    i = lines.index("  determinant: -3374")
+    assert code == 0 and lines[i + 1] == "  determinant_approx: -3374"
+    # rational atom parameters get a decimal; irrational ones (a defining
+    # polynomial and an interval) do not
+    code, out, _ = run_cli(capsys, "monotone", "wmp", "1", "3", "2", "--json", "--approx", "5")
+    params = [p for a in json.loads(out)["monotone"]["decomposition"] for p in a.get("params", ())]
+    assert code == 0 and params
+    for p in params:
+        assert ("value_approx" in p) == ("value" in p) == ("defining" not in p)
+        if "value" in p:
+            assert list(p) == ["value", "value_approx"]
+            assert p["value_approx"] == f"{float(F(p['value'])):.5g}"
+    assert sum("defining" in p for p in params) == 4
+    # CSV has no exact values to approximate
+    argv = ("density", "w/(1+w^2)", "--range=-1:1", "--grid", "5", "--csv")
+    assert run_cli(capsys, *argv, "--approx", "3") == run_cli(capsys, *argv)
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_examples_print_their_output_lines(capsys):
+    # in the README's CLI block, each "#  " line under a command is a
+    # verbatim excerpt of one line of its output, in output order
+    block = _README.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("fcl "):
+            examples.append((shlex.split(line, comments=True)[1:], []))
+        elif line.startswith("#  "):
+            examples[-1][1].append(line[3:])
+    examples = [(argv, excerpts) for argv, excerpts in examples if excerpts]
+    assert examples
+    for argv, excerpts in examples:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        lines = iter(out.splitlines())
+        for excerpt in excerpts:
+            assert excerpt.strip() and any(excerpt in line for line in lines), (argv, excerpt)
