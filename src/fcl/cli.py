@@ -56,11 +56,44 @@ def _classf_payload(f: cf.ClassF) -> dict:
             "pretty": repr(f)}
 
 
+def _decimal(q: Fraction, digits: int) -> str:
+    """q to `digits` significant digits, as format(float(q), f".{digits}g")
+    writes it; past the range of normal floats, where float(q) overflows
+    or keeps fewer digits, in the same form from q itself (`_g_format`)."""
+    try:
+        x = float(q)
+    except OverflowError:
+        x = 0.0
+    return f"{x:.{digits}g}" if abs(x) >= sys.float_info.min or not q else _g_format(q, digits)
+
+
+def _g_format(q: Fraction, digits: int) -> str:
+    """The nonzero q in the "g" form of `format` at `digits` significant
+    digits, in integers: the digits m of |q| rounded half to even at its
+    decimal exponent e, then fixed point when -4 <= e < digits, else
+    scientific, with trailing zeros dropped."""
+    p = max(digits, 1)
+    n, d = abs(q.numerator), q.denominator
+    e = len(str(n)) - len(str(d))    # 10^(e-1) < |q| < 10^(e+1)
+    if n * 10 ** max(-e, 0) < d * 10 ** max(e, 0):
+        e -= 1
+    m = round(Fraction(n * 10 ** max(p - 1 - e, 0), d * 10 ** max(e - p + 1, 0)))
+    if m == 10 ** p:
+        m, e = m // 10, e + 1
+    ds = str(m)
+    if -4 <= e < p:
+        text = ds[:e + 1] + "." + ds[e + 1:] if e >= 0 else "0." + "0" * (-e - 1) + ds
+        text = text.rstrip("0").rstrip(".")
+    else:
+        text = (ds[0] + "." + ds[1:]).rstrip("0").rstrip(".") + f"e{e:+03d}"
+    return "-" + text if q < 0 else text
+
+
 def _exact(key: str, q, args) -> dict:
     """{key: q as p/q}, then key_approx: q to --approx digits when asked."""
     out = {key: rat_str(q)}
     if args.approx is not None:
-        out[key + "_approx"] = f"{float(q):.{args.approx}g}"
+        out[key + "_approx"] = _decimal(q, args.approx)
     return out
 
 
@@ -75,10 +108,15 @@ def _alg_payload(a, args) -> dict:
     # outward-rounded endpoints with tame denominators keep the enclosure
     lo = Fraction((r.lo * scale).__floor__(), scale)
     hi = Fraction((r.hi * scale).__ceil__(), scale)
+    try:
+        approx = float(r)
+    except OverflowError:    # past the float range: 17 digits, as a string
+        r1 = r.refined_to(1)
+        approx = _g_format((r1.lo + r1.hi) / 2, 17)
     ints, _ = r.defining.int_coeffs()
     return {"defining": [str(c) for c in ints],
             "interval": [rat_str(lo), rat_str(hi)],
-            "approx": float(r)}
+            "approx": approx}
 
 
 def _poly_payload(p: Poly) -> dict:
@@ -89,22 +127,32 @@ def _poly_payload(p: Poly) -> dict:
 # handlers: each returns its payload
 
 
+# the largest --order any command takes.  Exact terms grow in size with
+# the order, and the work faster: at 1000, `hankel` on a degree-2 R takes
+# about 20 s and `moments` on a degree-2 F about 1 s (2-vCPU host,
+# Python 3.11); at 3000 `moments` takes 30 s and `hankel` over a minute
+MAX_ORDER = 1000
+
+
 def _order(args, what: str) -> int:
-    """args.order, or ValueError (exit 1) when it is negative."""
+    """args.order, or ValueError (exit 1) when it is negative and FclError
+    (exit 1) past MAX_ORDER; each handler reads it before computing."""
     if args.order < 0:
         raise ValueError(f"{what} order must be >= 0, got {args.order}")
+    if args.order > MAX_ORDER:
+        raise FclError(f"{what} order must be <= {MAX_ORDER}, got {args.order}")
     return args.order
 
 
 def _cmd_moments(args):
-    f = _f_from(args)
-    m = cf.moments(f, _order(args, "moment"))
+    n = _order(args, "moment")
+    m = cf.moments(_f_from(args), n)
     return {"s": [rat_str(t) for t in m.terms]}
 
 
 def _cmd_cumulants(args):
-    f = _f_from(args)
-    r = cf.cumulants(f, max(_order(args, "cumulant"), 1))
+    n = _order(args, "cumulant")
+    r = cf.cumulants(_f_from(args), max(n, 1))
     return {"r": [rat_str(t) for t in r.terms]}
 
 
@@ -143,14 +191,16 @@ def _verdict_payload(hv, args, what: str = "a moment sequence") -> dict:
 
 def _cmd_hankel(args):
     from . import posdef as pd
-    hv = pd.is_moment_positive_up_to(_f_from(args), args.order)
+    n = _order(args, "Hankel")
+    hv = pd.is_moment_positive_up_to(_f_from(args), n)
     return {"hankel": _verdict_payload(hv, args)}
 
 
 def _cmd_fid(args):
     from . import posdef as pd
+    n = _order(args, "Hankel")
     # a negative minor of the shifted cumulants rules out free infinite divisibility
-    return {"fid": _verdict_payload(pd.fid_check(_f_from(args), args.order), args, "FID")}
+    return {"fid": _verdict_payload(pd.fid_check(_f_from(args), n), args, "FID")}
 
 
 # each class operation and its second operand: an F (expr2) or a rational
@@ -216,8 +266,9 @@ def _cmd_euler(args):
 
 def _cmd_fuss(args):
     from . import distlib as dl
+    order = _order(args, "moment")
     f = dl.fuss_f(args.r)
-    ms = [rat_str(dl.fuss_moment(args.r, n)) for n in range(_order(args, "moment") + 1)]
+    ms = [rat_str(dl.fuss_moment(args.r, n)) for n in range(order + 1)]
     chi_ok = cf.char_poly(f) == dl.fuss_chi(args.r)
     return {"fuss": dict(_classf_payload(f), moments=ms, chi_check=chi_ok)}
 
@@ -283,9 +334,9 @@ def _cmd_monotone(args):
 
 
 def _cmd_oeis_match(args):
+    n = _order(args, "moment")
     cfg = _config_of(args)
-    f = _f_from(args)
-    m = cf.moments(f, _order(args, "moment"))
+    m = cf.moments(_f_from(args), n)
     hits = oe.match(m, min_overlap=args.min_overlap, fixtures=oe.load_fixtures(cfg))
     return {"matches": [{"a_number": a, "transform": t} for a, t in hits]}
 

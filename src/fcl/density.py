@@ -14,10 +14,11 @@ never interpolated over.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 from .classf import ClassF, moments
-from .errors import ContinuationFailure
+from .errors import ContinuationFailure, FclError
 from .exactalg import Poly
 
 _DESCENT_EPS = 1e-3   # last Im zeta of the descent before the solve at zeta = x
@@ -25,7 +26,10 @@ _CLAMP_TOL = 1e-9     # negatives this small are rounding and read as 0
 
 
 def _float_coeffs(p: Poly):
-    return [float(c) for c in p.coeffs]
+    try:
+        return [float(c) for c in p.coeffs]
+    except OverflowError:
+        raise FclError("a coefficient of F is past the float range of the density") from None
 
 
 def _horner(cs, x):
@@ -68,11 +72,17 @@ class _Evaluator:
 
 
 def support_radius_estimate(f: ClassF) -> float:
-    """Crude spectral radius bound from low moments."""
+    """Crude spectral radius bound from low moments; FclError when it is
+    past the float range."""
     s = moments(f, 8).terms
     r = 1.0
-    for k in (1, 2, 4, 6, 8):
-        r = max(r, abs(float(s[k])) ** (1.0 / k))
+    try:
+        for k in (1, 2, 4, 6, 8):
+            r = max(r, abs(float(s[k])) ** (1.0 / k))
+    except OverflowError:
+        r = math.inf
+    if math.isinf(2.0 * r + 1.0):
+        raise FclError("a moment of F is past the float range of the density")
     return 2.0 * r + 1.0
 
 

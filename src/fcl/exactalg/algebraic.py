@@ -11,17 +11,20 @@ apart from it, by p-adic lifting (`_rational_roots`), and each one
 collapses the interval that holds it to a point.
 
 Every exact predicate is decided by `AlgebraicReal.sign_of`.  At an
-irrational number inside (lo, hi) it first tries one exact bound on the
-interval as it stands (`_mean_value_sign`): with c the midpoint, h the
-half-width and R = max(|lo|, |hi|), p has the sign of p(c) on all of
-(lo, hi) when p(c) != 0 and |p(c)| >= h sum_(i>=1) i |p_i| R^(i-1), by the
-mean value theorem, tested in integers.  A sign the bound cannot settle,
-a zero among them, is one Tarski query (`_tarski_query`), read from
-`poly._remainder_chain` (the remainder sequence of every gcd and Sturm
-count too) started from P' p reduced mod the defining polynomial P.
-`is_root_of` is sign_of(p) == 0, `compare_rational` is sign_of(x - q)
-when q is inside the interval, and two irrationals are equal when one is
-a root of the other's defining polynomial inside the other's interval.
+irrational number inside (lo, hi) it is one exact bound
+(`_mean_value_sign`): with c the midpoint, h the half-width and
+R = max(|lo|, |hi|), p has the sign of p(c) on all of (lo, hi) when
+p(c) != 0 and |p(c)| >= h sum_(i>=1) i |p_i| R^(i-1), by the mean value
+theorem, tested in integers.  When the bound cannot settle the sign, a
+zero is tested exactly: the number is the only root of its squarefree
+defining polynomial P in (lo, hi), and neither end is a root, so p
+vanishes there iff g = gcd(P, p) has positive degree and g(lo) g(hi) < 0.
+Otherwise the interval is bisected (`_bisect`) until the bound settles
+the sign; its slack h M shrinks with h and p does not vanish at the
+number, so this ends.  `is_root_of` is sign_of(p) == 0,
+`compare_rational` is sign_of(x - q) when q is inside the interval, and
+two irrationals are equal when one is a root of the other's defining
+polynomial inside the other's interval.
 
 The bound settles more signs on a narrower interval.  `fenced` gives the
 same number on a dyadic interval of relative half-width about 2^-46,
@@ -30,19 +33,20 @@ of the defining polynomial at its two ends differ; a caller that signs
 many polynomials at one number, as `spectra.Pencil.real_rooted_at` does,
 signs them on it.
 
-Bisection only refines, for the callers that need narrower intervals
+Bisection refines for the callers that need narrower intervals
 (`refined_to`, `separate`, and a range's end intervals in
-`isolate_real_roots`): one step, `_bisect`, on the
-primitive integer form of the defining polynomial is a single integer sign
-at the midpoint against the stored sign at lo.  Refinement is pure: methods
-return new numbers with narrower intervals, the original is never mutated.
+`isolate_real_roots`), and `sign_of` bisects a copy of the interval it
+does not keep: one step, `_bisect`, on the primitive integer form of the
+squarefree defining polynomial is a single integer sign at the midpoint
+against the stored sign at lo.  Refinement is pure: methods return new
+numbers with narrower intervals, the original is never mutated.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from .poly import Poly, Rat, _exact_div, _monic, _prem, _remainder_chain, as_rat
+from .poly import Poly, Rat, _exact_div, _gcd, _monic, as_rat
 from .sturm import (count_distinct_real_roots, sturm_chain, _sign_at, _sign_hom,
                     _variations_at, _variations_at_inf, _variations_hom)
 
@@ -61,9 +65,10 @@ def _bisect(ints, slo, lo, hi):
 class AlgebraicReal:
     """A real algebraic number: one root of `defining` inside [lo, hi].
 
-    `_ints`, the primitive integer form of `defining`, and `_slo`, its sign
-    at the first lo, are set once and passed on unchanged by refinement:
-    every `_bisect` step keeps that sign at its lo until it hits the root.
+    `_ints`, the primitive integer form of the squarefree part of
+    `defining`, and `_slo`, its sign at the first lo, are set once and
+    passed on unchanged by refinement: every `_bisect` step keeps that
+    sign at its lo until it hits the root.
     """
 
     __slots__ = ("defining", "lo", "hi", "_ints", "_slo")
@@ -73,6 +78,9 @@ class AlgebraicReal:
         if lo > hi:
             raise ValueError("interval endpoints out of order")
         ints = defining.int_coeffs()[0]
+        if len(ints) > 2:
+            # squarefree, so that the sign changes at the root
+            ints = _exact_div(ints, _gcd(ints, [i * c for i, c in enumerate(ints)][1:]))
         slo = _sign_at(ints, lo)
         if lo == hi:
             if slo != 0:
@@ -144,18 +152,30 @@ class AlgebraicReal:
         return self.sign_of(p) == 0
 
     def sign_of(self, p: Poly) -> int:
-        """Exact sign of p at this number, without refinement.
+        """Exact sign of p at this number.
 
         A rational number is substituted.  At an irrational one, inside
         (lo, hi), the mean value bound (`_mean_value_sign`) settles most
-        signs from one evaluation at the midpoint; the sign it cannot
-        settle, a zero among them, is one Tarski query (`_tarski_query`).
+        signs from one evaluation at the midpoint.  When it cannot, p
+        vanishes at the number iff gcd(P, p) changes sign on (lo, hi);
+        otherwise the interval is bisected until the bound settles.
         """
         q = p.int_coeffs()[0]
-        if self.lo == self.hi:
-            return _sign_at(q, self.lo)
-        return (_mean_value_sign(q, self.lo, self.hi)
-                or _tarski_query(self._ints, q, self.lo, self.hi))
+        lo, hi = self.lo, self.hi
+        if lo == hi:
+            return _sign_at(q, lo)
+        s = _mean_value_sign(q, lo, hi)
+        if s or not q:
+            return s
+        g = _gcd(self._ints, q)
+        if len(g) > 1 and _sign_at(g, lo) * _sign_at(g, hi) < 0:
+            return 0
+        while not s:
+            lo, hi = _bisect(self._ints, self._slo, lo, hi)
+            if lo == hi:
+                return _sign_at(q, lo)
+            s = _mean_value_sign(q, lo, hi)
+        return s
 
     def fenced(self) -> "AlgebraicReal":
         """This number on a dyadic interval ((u - 1)/2^k, (u + 1)/2^k) inside
@@ -166,8 +186,7 @@ class AlgebraicReal:
         defining polynomial at its two ends differ: the number is the only
         root in (lo, hi), so it lies inside.  Each half-width of
         `_FENCE_BITS` is tried in turn, narrowest first; on overflow, NaN
-        or a failed check the number comes back unchanged, as it does for
-        a root of even multiplicity, where the sign does not change.
+        or a failed check the number comes back unchanged.
         """
         if self.lo == self.hi:
             return self
@@ -251,31 +270,6 @@ def _mean_value_sign(q, lo, hi) -> int:
     if v and abs(v) >= (b - a) * m:
         return 1 if v > 0 else -1
     return 0
-
-
-def _tarski_query(a, q, lo, hi) -> int:
-    """The exact sign of the int list q at the only root x of the int list
-    a in (lo, hi), where a(lo) a(hi) != 0; a may have multiple roots.
-
-    The Tarski query: the Cauchy index of P' q / P on (lo, hi), for P = a,
-    is Var(lo) - Var(hi) of the chain P, R, -rem(P, R), ... (Basu, Pollack
-    and Roy, Algorithms in Real Algebraic Geometry, ch. 2).  R is P' q
-    itself when its degree is below deg P, else `_prem(P' q, P)`, a
-    positive multiple of rem(P' q, P): the two differ by a polynomial,
-    which has no pole, so the index is the same, for a P with multiple
-    roots too, and the chain (`poly._remainder_chain`) starts below
-    deg P.  A zero R gives 0 with no chain.
-    """
-    b = [0] * (len(a) + len(q) - 2)
-    for i, c in enumerate(a[1:], 1):
-        for j, e in enumerate(q):
-            b[i - 1 + j] += i * c * e
-    if len(b) >= len(a):
-        b = _prem(b, a)
-    if not any(b):
-        return 0
-    chain = _remainder_chain(a, b)
-    return _variations_at(chain, lo) - _variations_at(chain, hi)
 
 
 # relative half-widths 2^-bits that `AlgebraicReal.fenced` tries, narrowest first
@@ -477,22 +471,23 @@ def isolate_real_roots(p: Poly, lo=None, hi=None):
     d = math.lcm(a.denominator, b.denominator)
     out = []
 
-    def split(lo, hi, k, vlo, vhi):
-        # invariant: the count in (lo, hi) is vlo - vhi
-        n = vlo - vhi
+    # depth first, left half first, so the intervals come out ascending; a
+    # stack, as the depth can pass the recursion limit
+    stack = [(a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), 0, va, vb)]
+    while stack:
+        # invariant: the count in (x0, x1) is v0 - v1
+        x0, x1, k, v0, v1 = stack.pop()
+        n = v0 - v1
         if n == 1:
-            out.append((Fraction(lo, d << k), Fraction(hi, d << k)))
+            out.append((Fraction(x0, d << k), Fraction(x1, d << k)))
         if n <= 1:
-            return
-        lo, hi, k = 2 * lo, 2 * hi, k + 1
-        mid = (lo + hi) // 2
+            continue
+        x0, x1, k = 2 * x0, 2 * x1, k + 1
+        mid = (x0 + x1) // 2
         while _sign_hom(ints, mid, d << k) == 0:
-            lo, mid, hi, k = 2 * lo, lo + mid, 2 * hi, k + 1
+            x0, mid, x1, k = 2 * x0, x0 + mid, 2 * x1, k + 1
         vm = _variations_hom(chain, mid, d << k)
-        split(lo, mid, k, vlo, vm)
-        split(mid, hi, k, vm, vhi)
-
-    split(a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), 0, va, vb)
+        stack += [(mid, x1, k, vm, v1), (x0, mid, k, v0, vm)]
     rats = _rational_roots(ints, bound)
     qi = ints  # one primitive list for every irrational root
     for r in rats:

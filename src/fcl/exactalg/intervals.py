@@ -1,9 +1,10 @@
 """Rational interval arithmetic: `Iv` and `iv_poly_eval`.
 
 No fcl module uses it any more: `AlgebraicReal.sign_of` takes its signs
-from a Tarski query instead of interval enclosures.  It is kept only
-because the benchmark's tracer (`perfbench/fclbench/tracing.py`) imports
-it to meter `iv_poly_eval`; it goes once the tracer drops that target.
+from an exact mean value bound instead of interval enclosures.  It is kept
+only because the benchmark's tracer (`perfbench/fclbench/tracing.py`)
+imports it to meter `iv_poly_eval`; it goes once the tracer drops that
+target.
 Endpoints are exact Fractions, so enclosures never suffer rounding.
 """
 from __future__ import annotations

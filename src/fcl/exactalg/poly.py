@@ -11,8 +11,7 @@ Floating point enters only when the caller evaluates at a float/complex
 point.  gcds, squarefree parts and resultants run on primitive integer
 coefficient lists (`Poly.int_coeffs`), so their intermediate coefficients
 stay small.  One primitive remainder sequence over Z, `_remainder_chain`,
-serves the gcd, the Sturm chains of `sturm` and the Tarski queries of
-`algebraic`.  A gcd is first tried by the heuristic gcd (GCDHEU: one
+serves the gcd and the Sturm chains of `sturm`.  A gcd is first tried by the heuristic gcd (GCDHEU: one
 integer gcd of the values at a large point, read back as a polynomial and
 proved by trial division), and only when that fails is it the chain's last
 member.  The signed subresultant PRS (`_subresultant_scan`) yields its
@@ -376,7 +375,7 @@ def _remainder_chain(a, b):
     """The primitive remainder sequence a, b, -rem(a, b), ... of int lists,
     a nonzero and deg a >= deg b: after a, each member is primitive and a
     positive multiple of the matching signed remainder over Q, so it keeps
-    the signs a Sturm chain or a Tarski query reads.  It stops at a
+    the signs a Sturm chain reads.  It stops at a
     constant or before a zero remainder, so its last member is a primitive
     gcd of a and b (a itself when b is zero)."""
     chain = [a]

@@ -2,11 +2,10 @@
 
 A Sturm chain is `poly._remainder_chain` of p and p', the primitive
 remainder sequence over Z (Collins, "Subresultants and reduced polynomial
-remainder sequences", J. ACM 1967) that the gcd and the Tarski queries of
-`algebraic` also run: each member is an integer coefficient list, lowest
-degree first, and a positive rational multiple of the matching member of
-the Euclidean chain p, p', -rem(...) over Q, so sign variations are the
-same.  Signs at a rational a/b are taken from the member homogenised at
+remainder sequences", J. ACM 1967) that the gcd also runs: each member
+is an integer coefficient list, lowest degree first, and a positive
+rational multiple of the matching member of the Euclidean chain p, p',
+-rem(...) over Q, so sign variations are the same.  Signs at a rational a/b are taken from the member homogenised at
 (a, b), in integers.
 
 Counts follow the (lo, hi] convention: with V(x) the number of sign changes

@@ -203,9 +203,10 @@ class Pencil:
         interpolated in s only when the scan first reads it.  s is narrowed
         once per call, to `s.fenced()`, and lc(x) and the scanned entries
         are signed on that narrower interval (`AlgebraicReal.sign_of`),
-        where the mean value bound settles nearly every nonzero sign; only
-        a zero entry, or one the bound cannot settle, is a Tarski query.
-        The narrowed number is not kept past the call.
+        where the mean value bound settles nearly every nonzero sign; a
+        zero entry is found by a gcd, and one the bound cannot settle is
+        bisected until it can.  The narrowed number is not kept past the
+        call.
         """
         if not self._content_rooted:
             return False
@@ -332,8 +333,8 @@ def rr0_at_algebraic_t(f: ClassF, t0) -> Verdict:
     decision on the same member, at any t0, interpolates only the entries
     no earlier read built and otherwise pays only for its signs: one
     narrowing of an irrational t0 (`AlgebraicReal.fenced`), a mean value
-    bound per entry, and a Tarski query for each entry that is zero at t0
-    (s_0 is, at a multiple-root critical) or that the bound cannot settle.
+    bound per entry, a gcd for each entry that is zero at t0 (s_0 is, at a
+    multiple-root critical), and bisection for one the bound cannot settle.
     Not meant for concurrent threads.
     """
     pencil = flow_pencil(f)

@@ -7,6 +7,8 @@ import pytest
 from fcl.classf import ClassF, make_classf
 from fcl.errors import NotInClass
 from fcl.exactalg import Poly
+from fcl.exactalg.poly import _prem, _remainder_chain
+from fcl.exactalg.sturm import _variations_at
 
 
 def rand_rat(rng, num=9, den=4, nonzero=False):
@@ -27,6 +29,30 @@ def rand_classf(rng, max_deg=4) -> ClassF:
             return make_classf(rand_poly(rng, max_deg), rand_poly(rng, max_deg))
         except NotInClass:
             continue
+
+
+def tarski_query(a, q, lo, hi) -> int:
+    """The exact sign of the int list q at the only root x of the int list
+    a in (lo, hi), where a(lo) a(hi) != 0; a may have multiple roots.  An
+    oracle for `AlgebraicReal.sign_of` that shares no step with it.
+
+    The Tarski query: the Cauchy index of P' q / P on (lo, hi), for P = a,
+    is Var(lo) - Var(hi) of the chain P, R, -rem(P, R), ... (Basu, Pollack
+    and Roy, Algorithms in Real Algebraic Geometry, ch. 2).  R is P' q
+    itself when its degree is below deg P, else `_prem(P' q, P)`, a
+    positive multiple of rem(P' q, P): the two differ by a polynomial,
+    which has no pole, so the index is the same.  A zero R gives 0.
+    """
+    b = [0] * (len(a) + len(q) - 2)
+    for i, c in enumerate(a[1:], 1):
+        for j, e in enumerate(q):
+            b[i - 1 + j] += i * c * e
+    if len(b) >= len(a):
+        b = _prem(b, a)
+    if not any(b):
+        return 0
+    chain = _remainder_chain(a, b)
+    return _variations_at(chain, lo) - _variations_at(chain, hi)
 
 
 @pytest.fixture

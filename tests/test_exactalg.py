@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_poly, rand_rat
+from conftest import rand_poly, rand_rat, tarski_query
 from fcl.classf import make_classf
 from fcl.errors import NotInClass
 from fcl.euler import nk_classf
@@ -758,24 +758,41 @@ def test_root_at_right_endpoint_is_a_point():
         AlgebraicReal(w - 1, 1, 2)
 
 
+def test_isolation_deeper_than_the_recursion_limit():
+    # sqrt(2) and sqrt(2 + 2^-2400) are about 2^-2401 apart: their
+    # intervals split off at a bisection depth past 2400
+    eps = F(1, 2**2400)
+    roots = isolate_real_roots((w**2 - 2) * (w**2 - 2 - eps))
+    assert len(roots) == 4 and roots[2].hi <= roots[3].lo
+    assert roots[2].is_root_of(w**2 - 2) and roots[3].is_root_of(w**2 - 2 - eps)
+    assert roots[0] < roots[1] < 0 < roots[2] < roots[3]
+
+
 def test_isolation_and_signs_do_not_refine(monkeypatch):
     def no_bisection(*args):
         raise AssertionError("bisected")
 
+    bisect = algebraic._bisect
     monkeypatch.setattr(algebraic, "_bisect", no_bisection)
     p = (w**2 - 2) * (w**3 - w - 1) * (3 * w - 1)
     roots = isolate_real_roots(p)
     assert [r.as_fraction() for r in roots].count(F(1, 3)) == 1 and len(roots) == 4
+    # a sign the bound cannot settle bisects a copy of the interval; the
+    # number keeps its own
+    monkeypatch.setattr(algebraic, "_bisect", bisect)
+    ends = [(r.lo, r.hi) for r in roots]
     signs = [[r.sign_of(q) for r in roots] for q in (w**2 - 2, w - F(1, 3), w**3 - w - 1, w)]
     # roots -sqrt(2) < 1/3 < 1.3247 (the real root of w^3 - w - 1) < sqrt(2)
     assert signs == [[0, -1, -1, 0], [-1, 0, 1, 1], [-1, -1, 0, 1], [-1, 1, 1, 1]]
+    assert [(r.lo, r.hi) for r in roots] == ends
 
-    def no_chain(*args):
-        raise AssertionError("built a remainder chain")
+    def off_the_bound(*args):
+        raise AssertionError("signed off the mean value bound")
 
     # a constant, and a linear q whose root is not inside (lo, hi), are
-    # signed by position, with no Tarski query
-    monkeypatch.setattr(algebraic, "_remainder_chain", no_chain)
+    # signed by the bound alone: no gcd, no bisection
+    monkeypatch.setattr(algebraic, "_gcd", off_the_bound)
+    monkeypatch.setattr(algebraic, "_bisect", off_the_bound)
     for r in roots:
         assert [r.sign_of(Poly.const(c)) for c in (-5, 0, F(2, 3))] == [-1, 0, 1]
         below, above = r.lo - F(1, 7), r.hi + 1
@@ -795,8 +812,11 @@ def test_predicates_decide_by_sign_of_alone(monkeypatch):
         raise AssertionError("decided off the sign_of route")
 
     monkeypatch.setattr(poly, "poly_gcd", forbidden)
-    for name in ("poly_gcd", "count_distinct_real_roots", "_bisect"):
+    for name in ("poly_gcd", "count_distinct_real_roots"):
         monkeypatch.setattr(algebraic, name, forbidden, raising=False)
+    # no number is refined outside sign_of
+    for name in ("refined_to", "separate"):
+        monkeypatch.setattr(AlgebraicReal, name, forbidden)
     # below, at lo, inside on either side of sqrt(2), at hi, above
     qs = (F(1, 2), 1, F(7, 5), F(3, 2), 2, 3)
     assert [r.compare_rational(q) for q in qs] == [1, 1, 1, -1, -1, -1]
@@ -805,6 +825,43 @@ def test_predicates_decide_by_sign_of_alone(monkeypatch):
     assert not r.is_root_of(w**2 - 3) and not r.is_root_of(w - F(7, 5))
     # sqrt(2) under two defining polynomials, on overlapping intervals
     assert r == wide and wide == r and r <= wide and not r < wide
+
+
+def test_a_squared_defining_polynomial_refines_to_its_root():
+    # the constructor keeps the squarefree part: (w^2 - 2)^2 does not change
+    # sign at sqrt(2), so bisection on it would walk to an end
+    r = AlgebraicReal((w**2 - 2) ** 2, 1, 2)
+    s3 = AlgebraicReal((w**2 - 3) ** 2 * (w - 5), 1, 2)
+    narrow = r.refined_to(F(1, 1000))
+    assert narrow.lo < F(1414214, 10**6) and F(1414213, 10**6) < narrow.hi
+    assert narrow.hi - narrow.lo <= F(1, 1000)
+    assert abs(float(r) - math.sqrt(2)) < 1e-15 and abs(float(s3) - math.sqrt(3)) < 1e-15
+    a, b = r.separate(s3)
+    assert a.hi < b.lo and a.lo < F(1415, 1000) and F(1732, 1000) < b.hi
+    assert r < s3 and s3 > r and not r == s3 and r != s3
+    root2 = isolate_real_roots(w**2 - 2)[1]
+    assert r == root2 and root2 == r and r == narrow and r <= root2 and not r < root2
+    assert r.compare_rational(F(1414, 1000)) == 1 and r.compare_rational(F(1415, 1000)) == -1
+
+
+def test_a_near_zero_sign_bisects_a_bounded_number_of_times(monkeypatch):
+    # q's root is a 300-bit approximation of sqrt(2), so |q(sqrt(2))| is
+    # about 2^-300: the bound settles its sign only on an interval of about
+    # that width
+    root2 = isolate_real_roots(w**2 - 2)[1]
+    steps = []
+    bisect = algebraic._bisect
+    monkeypatch.setattr(algebraic, "_bisect", lambda *a: steps.append(a) or bisect(*a))
+    k = 300
+    below = F(math.isqrt(2 << (2 * k)), 1 << k)
+    for a, want in ((below, 1), (below + F(1, 1 << k), -1)):
+        assert a * a < 2 if want > 0 else a * a > 2
+        for x in (root2, root2.fenced()):
+            for q, sign in ((w - a, want), (3 * a - 3 * w, -want), ((w - a) * (w**2 + 1), want)):
+                steps.clear()
+                assert x.sign_of(q) == sign
+                # about one step per bit of |q(sqrt(2))|: k + 7 at most here
+                assert k - 50 < len(steps) <= k + 16
 
 
 # ----------------------------- real-rootedness at an algebraic t0 (Pencil)
@@ -1104,7 +1161,7 @@ def test_sign_of_matches_sympy(pc, qcs, gc):
     sx = sympy.Symbol("x")
     g = Poly(gc)
     for r, x in zip(roots, exact):
-        # the query needs no squarefree defining polynomial
+        # a squared defining polynomial gives the same signs
         square = r if r.is_rational() else AlgebraicReal(r.defining**2, r.lo, r.hi)
         for q in map(Poly, qcs):
             assert r.sign_of(q) == square.sign_of(q) == _sign_at_sympy_root(sympy, q, x)
@@ -1115,7 +1172,7 @@ def test_sign_of_matches_sympy(pc, qcs, gc):
 
 
 def _sign_by_refinement(r: AlgebraicReal, q: Poly) -> int:
-    """The sign of q at r off the Tarski route: 0 when gcd(q, defining)
+    """The sign of q at r off the sign_of route: 0 when gcd(q, defining)
     has a root inside r's interval, else the sign of q at hi once
     bisection has left q no root in [lo, hi]."""
     if r.is_rational():
@@ -1128,21 +1185,13 @@ def _sign_by_refinement(r: AlgebraicReal, q: Poly) -> int:
     return _sign_at(q.int_coeffs()[0], r.hi)
 
 
-def test_sign_of_reduces_the_query_mod_the_defining_polynomial(monkeypatch, rng):
-    # q of degree deg P .. 2 deg P + 1, so P' q is of degree >= deg P; the
-    # chain must start below deg P, for a squared defining polynomial too
+def test_sign_of_reduces_the_query_mod_the_defining_polynomial(rng):
+    # q of degree deg P .. 2 deg P + 1 takes the sign of q mod P, for a
+    # squared defining polynomial too
     try:
         import sympy
     except ImportError:
         sympy = None
-    chain = algebraic._remainder_chain
-
-    def reduced_chain(a, b):
-        assert len(b) < len(a), "the Tarski chain starts at or above deg P"
-        return chain(a, b)
-
-    # the oracles and isolation build their chains in `sturm`, unpatched
-    monkeypatch.setattr(algebraic, "_remainder_chain", reduced_chain)
 
     definings = [w**3 - w - 1, w**4 - 10 * w**2 + 1, (w**2 - 2) * (w**3 - 3),
                  (3 * w**2 - 5) * (w - F(1, 2))]
@@ -1175,7 +1224,7 @@ def test_sign_of_reduces_the_query_mod_the_defining_polynomial(monkeypatch, rng)
 
 def _tarski(r: AlgebraicReal, q: Poly) -> int:
     """The sign of q at the irrational r by the Tarski query alone."""
-    return algebraic._tarski_query(r._ints, q.int_coeffs()[0], r.lo, r.hi)
+    return tarski_query(r._ints, q.int_coeffs()[0], r.lo, r.hi)
 
 
 def _assert_fenced(r: AlgebraicReal, n: AlgebraicReal):
@@ -1211,7 +1260,8 @@ def test_mean_value_bound_agrees_with_the_tarski_query(rng):
             square = AlgebraicReal(r.defining**2, r.lo, r.hi)
             numbers = [r, r.fenced(), square, square.fenced()]
             _assert_fenced(r, numbers[1])
-            assert numbers[1] is not r and numbers[3] is square
+            _assert_fenced(square, numbers[3])
+            assert numbers[1] is not r and numbers[3] is not square
             g = Poly([rng.randint(-5, 5) for _ in range(rng.randint(0, n))] + [1])
             c = rng.choice([-3, -1, 2, 7])
             qs = [r.defining * g, r.defining * g + c, w - r.lo, r.hi - w, 3 * w - 3 * r.lo,
@@ -1263,10 +1313,13 @@ def test_fenced_edge_cases():
             for q in (w, p + 1, w**2 * p - 5, p.derivative()):
                 assert n.sign_of(q) == r.sign_of(q) == _tarski(r, q)
     # a root of even multiplicity of a defining polynomial given to the
-    # constructor: the signs at the ends agree, so nothing is narrowed
+    # constructor: its squarefree part changes sign, so it is narrowed
     r = AlgebraicReal((w**2 - 2) ** 2 * (w - 5), 1, 2)
-    assert r.fenced() is r
-    assert [r.sign_of(q) for q in (w - 1, w**2 - 2, w - 2, w**3)] == [1, 0, -1, 1]
+    n = r.fenced()
+    assert n is not r
+    _assert_fenced(r, n)
+    for a in (r, n):
+        assert [a.sign_of(q) for q in (w - 1, w**2 - 2, w - 2, w**3)] == [1, 0, -1, 1]
     # a rational number is itself
     q = AlgebraicReal.from_rational(F(1, 3))
     assert q.fenced() is q

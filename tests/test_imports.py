@@ -83,8 +83,9 @@ def test_algebraic_decisions_do_not_load_intervals():
     assert _loaded_after("from fcl.exactalg import AlgebraicReal, isolate_real_roots") == {
         "fcl", "fcl.exactalg", "fcl.exactalg.poly", "fcl.exactalg.sturm",
         "fcl.exactalg.algebraic"}
-    # signs at algebraic numbers are a mean value bound in integers, then a
-    # Tarski query where it cannot settle them; `intervals` has no fcl caller
+    # signs at algebraic numbers are a mean value bound in integers, on a
+    # bisected interval where it cannot settle them; `intervals` has no fcl
+    # caller
     loaded = _loaded_after(
         "from fcl.euler import nk_classf\n"
         "from fcl.spectra import critical_ts, n_set, rr0_at_algebraic_t\n"

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shlex
 from fractions import Fraction as F
 from pathlib import Path
@@ -11,9 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fcl.classf import ClassF
-from fcl.cli import _COMMANDS, build_parser, main
+from fcl.cli import _COMMANDS, MAX_ORDER, _decimal, build_parser, main
 from fcl.config import load_config
-from fcl.errors import InvalidRTransform, NotInClass, ParseError
+from fcl.errors import FclError, InvalidRTransform, NotInClass, ParseError
 from fcl.exactalg import Poly
 from fcl.parser import (MAX_DEPTH, eval_ratio, parse_expr, print_expr,
                         to_classf, to_rtransform)
@@ -680,3 +681,135 @@ def test_readme_examples_print_their_output_lines(capsys):
         lines = iter(out.splitlines())
         for excerpt in excerpts:
             assert excerpt.strip() and any(excerpt in line for line in lines), (argv, excerpt)
+
+
+# ------------------------------------------------ past the float range
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("hankel", "--from-r", "100000000000*w/(1-100000000000*w)^2", "--order", "5",
+      "--approx", "3"), 0),
+    (("density", "w/(1-10^200*w)^2", "--range=0:3", "--grid", "5"), 1),
+    # moments to order 8 in range, a coefficient past it
+    (("density", "w/(1+10^400*w^12)", "--range=0:1", "--grid", "3"), 1),
+    (("monotone", "mpmp", "1/2", "1e308", "-2", "1e400", "--precision", "2"), 0),
+], ids=["hankel-approx", "density", "density-coefficient", "monotone-approx"])
+def test_values_past_the_float_range_exit_cleanly(argv, code):
+    got, out, err = _cli_all(*argv)
+    assert got == code and "Traceback" not in err
+    assert (err == "") if code == 0 else err.startswith("error:")
+
+
+def test_hankel_approx_past_the_float_range():
+    argv = ("hankel", "--from-r", "100000000000*w/(1-100000000000*w)^2", "--order", "5")
+    code, out, _ = _cli_all(*argv, "--approx", "3")
+    assert code == 0 and "  determinant_approx: -3.37e+333" in out.splitlines()
+    code, out, _ = _cli_all(*argv, "--approx", "30", "--json")
+    assert json.loads(out)["hankel"]["determinant_approx"] == "-3.374e+333"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False).filter(bool), st.integers(0, 25))
+@example(0.5, 0)
+@example(9.5, 1)
+@example(99999.5, 5)
+@example(0.0001, 3)
+@example(9.99995e-5, 5)
+@example(5e-324, 17)
+def test_decimal_is_the_float_g_form_in_integers(x, digits):
+    from fcl.cli import _g_format
+    assert _g_format(F(x), digits) == _decimal(F(x), digits) == f"{x:.{digits}g}"
+
+
+def test_decimal_past_the_float_range():
+    for q, digits, want in ((F(-3374 * 10**330), 3, "-3.37e+333"), (F(10**400), 0, "1e+400"),
+                            (F(1, 10**400), 5, "1e-400"), (F(-2, 3 * 10**400), 4, "-6.667e-401"),
+                            (F(123456 * 10**400), 3, "1.23e+405"), (F(10**309 - 1), 2, "1e+309"),
+                            (F(3 * 10**310), 400, "3" + "0" * 310), (F(0), 3, "0"),
+                            # a subnormal float keeps fewer digits than asked
+                            (F(1, 3 * 10**315), 17, "3.3333333333333333e-316")):
+        assert _decimal(q, digits) == want
+
+
+# ------------------------------------------------------- the --order cap
+
+_ORDER_COMMANDS = (("moments", "w"), ("cumulants", "w"), ("hankel", "w"), ("fid", "w"),
+                   ("oeis-match", "w"), ("fuss", "2"))
+
+
+def test_order_past_the_cap_fails_before_computing(monkeypatch):
+    from fcl import cli, distlib
+    reached = []
+
+    def compute(*args):
+        reached.append(args)
+        raise FclError("computed")
+
+    monkeypatch.setattr(cli, "_f_from", compute)
+    monkeypatch.setattr(distlib, "fuss_f", compute)
+    assert {c for c, _ in _ORDER_COMMANDS} == {
+        name for name, (*_, arguments) in _COMMANDS.items() if "--order" in dict(arguments)}
+    for command, arg in _ORDER_COMMANDS:
+        for order in (MAX_ORDER + 1, 100000000000, MAX_ORDER, 0):
+            reached.clear()
+            code, out, err = _cli_all(command, arg, "--order", str(order))
+            assert code == 1 and out == "" and "Traceback" not in err
+            if order > MAX_ORDER:
+                assert err == f"error: {'Hankel' if command in ('hankel', 'fid') else ''}" \
+                    f"{'cumulant' if command == 'cumulants' else ''}" \
+                    f"{'moment' if command in ('moments', 'oeis-match', 'fuss') else ''}" \
+                    f" order must be <= {MAX_ORDER}, got {order}\n"
+                assert reached == []
+            else:
+                assert err == "error: computed\n" and len(reached) == 1
+
+
+def test_documented_orders_are_under_the_cap():
+    root = Path(__file__).resolve().parents[1]
+    readme = re.findall(r"--order[ =](\d+)", _README.read_text())
+    bench = re.findall(r'"--order", "(\d+)"',
+                       (root / "perfbench" / "fclbench" / "workloads.py").read_text())
+    assert readme and bench and max(map(int, readme + bench)) <= MAX_ORDER
+
+
+# ------------------------------------------------------------ a wider fuzz
+
+_COEFFS = ("1", "2", "3/2", "100000000000", "10^200", "1/10^200", "10^400", "1/10^400")
+_FORMS = ("w/(1-C*w)^2", "C*w/(1-C*w)^2", "w - C*w^2", "w/(1+C*w^2)", "w*(1+C*w)/(1-C*w)")
+_ENDS = ("0", "-3", "10", "1e-400", "1e400", "-1e300")
+# F commands: the extra arguments each needs
+_FUZZ_COMMANDS = {"moments": (), "cumulants": (), "hankel": (), "fid": (), "nset": (),
+                  "rr0": (), "charpoly": (), "power": ("3/2",), "dilate": ("1e400",),
+                  "criticals": ("--range",), "density": ("--range", "--grid", "3")}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    form = draw(st.sampled_from(_FORMS)).replace("C", draw(st.sampled_from(_COEFFS)))
+    argv = [command, form]
+    for a in _FUZZ_COMMANDS[command]:
+        argv.append(f"--range={draw(st.sampled_from(_ENDS))}:{draw(st.sampled_from(_ENDS))}"
+                    if a == "--range" else a)
+    if draw(st.booleans()):
+        argv.append("--from-r")
+    if command in ("moments", "cumulants", "hankel", "fid"):
+        argv += ["--order", str(draw(st.integers(-1, 8)))]
+    for flag, top in (("--approx", 30), ("--precision", 60)):
+        if draw(st.booleans()):
+            argv += [flag, str(draw(st.integers(-1, top)))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(_argvs())
+@example(["hankel", "100000000000*w/(1-100000000000*w)^2", "--from-r", "--order", "5",
+          "--approx", "3"])
+@example(["density", "w/(1-10^200*w)^2", "--range=0:3", "--grid", "5"])
+@example(["nset", "w/(1-1/10^400*w)^2", "--from-r", "--json"])
+def test_cli_fuzz_over_commands_and_flags_exits_cleanly(argv):
+    code, _, err = _cli_all(*argv)
+    assert code in (0, 1, 2) and "Traceback" not in err
+    assert code == 0 or "error:" in err

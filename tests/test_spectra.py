@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_classf, rand_rat
+from conftest import rand_classf, rand_rat, tarski_query
 from fcl.classf import (from_r, free_power, identity_f, make_classf,
                         make_ratfun, translate)
 from fcl.euler import ck_candidates, nk_classf
@@ -589,7 +589,7 @@ def test_a_second_decision_on_a_member_interpolates_nothing(monkeypatch):
     for t0, verdict in ((no_a, Verdict.NO), (no_b, Verdict.NO), (yes, Verdict.YES)):
         signed.clear()
         assert rr0_at_algebraic_t(f, t0) is verdict
-        assert nodes == [] and signed    # the Tarski queries alone
+        assert nodes == [] and signed    # the signs alone
 
 
 def test_flow_pencil_memo_keeps_at_most_64(rng):
@@ -661,7 +661,7 @@ def _tarski_only(pencil, t0) -> bool:
     """`Pencil.real_rooted_at` at an irrational t0 with every sign a Tarski
     query on t0's own interval: no narrowing, no mean value bound."""
     def sign(q):
-        return algebraic._tarski_query(t0._ints, q.int_coeffs()[0], t0.lo, t0.hi)
+        return tarski_query(t0._ints, q.int_coeffs()[0], t0.lo, t0.hi)
 
     x = pencil.moving
     top = sign(x.lc_poly)
@@ -676,27 +676,28 @@ def test_verdicts_match_the_tarski_only_route(rng):
     assert set(want) == {True, False}
 
 
-# Tarski chains built per decision at the irrational criticals of
-# nk_classf(k) in (0, 2000), ascending; Tarski queries alone build
-# [3], [1, 4], [3, 5] and [1, 1, 6]
-_NK_CHAINS = {2: [0], 3: [0, 0], 4: [0, 0], 5: [0, 0, 2]}
+# fallback bisection steps per decision at the irrational criticals of
+# nk_classf(k) in (0, 2000), ascending: the signs the mean value bound
+# settles on the fenced interval take none, and no Tarski chain is built;
+# Tarski queries alone built [3], [1, 4], [3, 5], [1, 1, 6] chains at k = 2..5
+_NK_BISECTIONS = {2: [0], 3: [0, 0], 4: [0, 0], 5: [0, 0, 25], 6: [0, 2, 0]}
 
 
-@pytest.mark.parametrize("k", sorted(_NK_CHAINS))
+@pytest.mark.parametrize("k", sorted(_NK_BISECTIONS))
 def test_the_mean_value_bound_spares_the_tarski_chains(monkeypatch, k):
     f = nk_classf(k)
     crits = [c for c in critical_ts(f, 0, 2000).criticals if not c.is_rational()]
     ends = [(c.lo, c.hi) for c in crits]
     want = [_tarski_only(flow_pencil(f), c) for c in crits]
-    built = []
-    chain = algebraic._remainder_chain
-    monkeypatch.setattr(algebraic, "_remainder_chain", lambda a, b: built.append(a) or chain(a, b))
+    steps = []
+    bisect = algebraic._bisect
+    monkeypatch.setattr(algebraic, "_bisect", lambda *a: steps.append(a) or bisect(*a))
     got, counts = [], []
     for c in crits:
-        built.clear()
+        steps.clear()
         got.append(rr0_at_algebraic_t(f, c) is Verdict.YES)
-        counts.append(len(built))
-    assert got == want and counts == _NK_CHAINS[k]
+        counts.append(len(steps))
+    assert got == want and counts == _NK_BISECTIONS[k]
     # the narrowed numbers stay inside the decisions
     assert [(c.lo, c.hi) for c in crits] == ends
 
