@@ -9,14 +9,15 @@ of F, and M*P(zM) = Q(zM), i.e. F(zM) = z, solved one coefficient at a
 time) which must agree exactly; a mismatch raises, it is never papered
 over.  Each costs O(D n^2) to order n, D = max(deg P, deg Q).  Both
 routes, and the cumulants, run on integers: the dilation F(c w)/c by the
-lcm c of the coefficient denominators has integer P(c w), Q(c w) and
-scales the k-th moment and cumulant by c^k, which one division per term
-undoes.
+least c with den_i | c^i, den_i the lcm of the denominators of the w^i
+coefficients, has integer P(c w), Q(c w) and scales the k-th moment and
+cumulant by c^k, which one division per term undoes.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from operator import mul
 
 from .errors import ComputationError, InvalidRTransform, NotInClass
@@ -210,8 +211,10 @@ def dilated_moments(f: ClassF, n: int):
     routes that must agree.
 
     Both routes run over Z on the dilation F(c w)/c, whose moments are
-    c^k s_k; c is the lcm of the coefficient denominators of P and Q, so
-    P(c w) and Q(c w) are integer polynomials with constant term 1.
+    c^k s_k; c is the least c with den_i | c^i for every i >= 1, den_i
+    the lcm of the denominators of the w^i coefficients of P and Q
+    (`_dilation`), so P(c w) and Q(c w) are integer polynomials with
+    constant term 1.
     Route A inverts F(c w)/c as a power series (Newton steps corrected by
     -(F(D) - z) D'); route B solves M*P(z M) = Q(z M), which is
     F(z M(z)) = z, one coefficient at a time
@@ -234,12 +237,51 @@ def _undilated(a, c: int, kind: str) -> SeriesPrefix:
     return SeriesPrefix(tuple(Rat(x, c**k) for k, x in enumerate(a)), kind)
 
 
+# Trial division looks for the prime factors of the denominators below this.
+_TRIAL_BOUND = 1 << 10
+
+
 def _dilation(f: ClassF):
-    """(c, p, q): the lcm c of the coefficient denominators of P and Q, and
-    the integer coefficient lists of P(c w) and Q(c w)."""
-    c = math.lcm(f.P.as_integer_ratio()[1], f.Q.as_integer_ratio()[1])
+    """(c, p, q): the least c >= 1 with den_i | c^i for every i >= 1, and
+    the integer coefficient lists of P(c w) and Q(c w).
+
+    den_i is the lcm of the denominators of the w^i coefficients of P and
+    Q, so [w^i] P(c w) = c^i [w^i] P is an integer iff den_i | c^i, and c
+    is the product over primes r of r^max_i ceil(v_r(den_i) / i).  Trial
+    division finds the primes below `_TRIAL_BOUND`, and then a cofactor
+    below `_TRIAL_BOUND`^2 is a prime too.  A larger cofactor is taken
+    whole: c stays valid, though it may not be least.  Either way c
+    divides the lcm of all the denominators.
+    """
+    (pn, pd), (qn, qd) = f.P.as_integer_ratio(), f.Q.as_integer_ratio()
+    rest = math.lcm(pd, qd)
+    if rest == 1:
+        return 1, pn, qn
+    dens = [math.lcm(pd // math.gcd(a, pd), qd // math.gcd(b, qd))
+            for a, b in zip_longest(pn, qn, fillvalue=0)]
+    c, r = 1, 2
+    while r < _TRIAL_BOUND and r * r <= rest:
+        if rest % r == 0:
+            while rest % r == 0:
+                rest //= r
+            c *= r ** _least_exponent(dens, r)
+        r += 1 + (r > 2)
+    if rest > 1:  # a prime if r * r > rest, else a cofactor taken whole
+        c *= rest ** _least_exponent(dens, rest) if r * r > rest else rest
     p, q = (x.scale_arg(c).as_integer_ratio()[0] for x in (f.P, f.Q))
     return c, p, q
+
+
+def _least_exponent(dens, r: int) -> int:
+    """max over i >= 1 of ceil(v_r(dens[i]) / i), for a prime r."""
+    top = 0
+    for i, d in enumerate(dens[1:], 1):
+        v = 0
+        while d % r == 0:
+            d //= r
+            v += 1
+        top = max(top, -(-v // i))
+    return top
 
 
 def _moments_from_equation(p, q, n: int):

@@ -7,14 +7,15 @@ measures produce them legitimately).
 
 All minors of one scan come from the fraction-free Chebyshev recurrence
 (`exactalg.hankel.leading_minors`), read order by order, on integers: the
-two checks on F read the c-dilated ones of `dilated_moments` and
-`dilated_cumulants`, and `hankel_verdict` writes any sequence over its
-common denominator.  Either form scales the order-k minor by a positive
-factor (e^(k+1) c^(k(k+1)) for a_n = e c^n s_n), so the verdict does not
-depend on it.  The recurrence stops at the first zero minor H_k.  If the
-residuals it holds there are all zero, the Hankel matrix has rank at most
-k and every later minor is 0; otherwise each later order is a determinant
-of its own.
+two checks on F read the ints of `dilated_moments` and
+`dilated_cumulants`, dilated by the least c with den_i | c^i (den_i the
+lcm of the denominators of F's w^i coefficients), and `hankel_verdict`
+writes any sequence over its common denominator.  Either form scales
+the order-k minor by a positive factor (e^(k+1) c^(k(k+1)) for
+a_n = e c^n s_n), so the verdict does not depend on it.  The recurrence
+stops at the first zero minor H_k.  If the residuals it holds there are
+all zero, the Hankel matrix has rank at most k and every later minor is
+0; otherwise each later order is a determinant of its own.
 """
 from __future__ import annotations
 

@@ -3,8 +3,10 @@
 A series is a plain list of ints or Fractions, index n = coefficient of
 z^n, always carried to a fixed truncation order N (length N+1).
 `invert_f_series` takes polynomials as coefficient sequences, lowest
-degree first, and inverts F(w) = w p(w)/q(w) by Newton steps whose
-correction is -(F(D) - z) D': its one division is by q(D), it reads
+degree first, and inverts F(w) = w p(w)/q(w) by Newton steps to the
+orders n, ceil(n/2), ceil(n/4), ..., taken in ascending order, so that
+the last step appends about n/2 coefficients.  Each step's correction is
+-(F(D) - z) D': its one division is by q(D), it reads
 p(D) and q(D) off the powers of D up to max(deg p, deg q), and its
 products skip the coefficients known to be zero.  The ring is preserved:
 padding is the int 0 and a division by a series with constant term 1
@@ -44,13 +46,17 @@ def invert_f_series(p, q, n: int):
     """Coefficients of the composition inverse D of F(w) = w*p(w)/q(w).
 
     p and q are coefficient sequences with p(0) = q(0) = 1; returns D's
-    coefficients to order n (D[0] = 0, D[1] = 1).  Newton iteration with
-    doubling truncation order, corrected by D' in place of 1/F'(D): if
-    F(D) - z = O(z^(m+1)), differentiating gives F'(D) D' = 1 + O(z^m),
-    so D <- D - (F(D) - z) D' is exact mod z^(2m+1) and only appends
-    coefficients m+1..2m.  F(D) - z = (D p(D) - z q(D)) / q(D) is the one
-    division, by q(D), whose constant term is 1, so integer p and q keep
-    D integral.
+    coefficients to order n (D[0] = 0, D[1] = 1).  Newton iteration,
+    corrected by D' in place of 1/F'(D): if F(D) - z = O(z^(m+1)),
+    differentiating gives F'(D) D' = 1 + O(z^m), so D <- D - (F(D) - z) D'
+    is exact mod z^(2m+1) and only appends coefficients m+1..2m.  The
+    steps halve down from the target (von zur Gathen and Gerhard, *Modern
+    Computer Algebra*, 9.1): they reach the orders n, ceil(n/2),
+    ceil(n/4), ... > 1 in ascending order, each at most twice the one
+    before.  So n = 37 runs 2, 3, 5, 10, 19, 37; doubling would end on a
+    step 32 -> 37 that builds 37-term power tables for 5 coefficients.
+    F(D) - z = (D p(D) - z q(D)) / q(D) is the one division, by q(D),
+    whose constant term is 1, so integer p and q keep D integral.
 
     Products skip known zeros: the iteration runs on E = D/z, so each
     power D^j = z^j E^j is held as E^j from its first possibly nonzero
@@ -60,10 +66,13 @@ def invert_f_series(p, q, n: int):
     """
     p, q = list(p), list(q)
     top = max(len(p), len(q)) - 1
+    orders, k = [], n  # n, ceil(n/2), ceil(n/4), ... > 1: each <= twice the next
+    while k > 1:
+        orders.append(k)
+        k = -(-k // 2)
     e = [1]  # E = D/z = 1 + O(z): D is exact through z^m, m = len(e)
-    while len(e) < n:
+    for order in reversed(orders):  # D is wanted mod z^(order+1)
         m = len(e)
-        order = min(2 * m, n)  # D is wanted mod z^(order+1)
         # pows[j] = E^j mod z^(order-j), so that z^j pows[j] = D^j mod z^order
         pows = [[1] + [0] * (order - 1), e + [0] * (order - 1 - m)]
         for j in range(2, min(top, order - 1) + 1):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 from operator import mul
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fcl.classf
+import fcl.series
 from conftest import rand_classf, rand_rat
 from fcl import distlib
 from fcl.classf import (ClassF, RatFun, SeriesPrefix, boxplus, compose,
@@ -390,6 +392,121 @@ def test_moments_route_mismatch_raises(monkeypatch, route):
     monkeypatch.setattr(fcl.classf, route, perturbed)
     with pytest.raises(ComputationError):
         moments(AWKWARD, 6)
+
+
+def test_invert_f_series_halves_down_from_the_target(monkeypatch):
+    # the Newton orders are n, ceil(n/2), ceil(n/4), ... in ascending order:
+    # doubling would run 2, 4, 8, 16, 32, 37
+    seen = []
+    original = fcl.series._combine
+
+    def spy(p, pows, n):
+        seen.append(n)
+        return original(p, pows, n)
+
+    monkeypatch.setattr(fcl.series, "_combine", spy)
+    d = invert_f_series([1, 2, -1], [1, -3, 0, 2], 37)
+    assert seen[::2] == seen[1::2] == [2, 3, 5, 10, 19, 37]
+    monkeypatch.undo()
+    assert d == invert_f_series([1, 2, -1], [1, -3, 0, 2], 40)[:38]
+
+
+# ------------------------------------------------------ the least dilation
+
+
+def _dens(f):
+    """den_i: the lcm of the denominators of the w^i coefficients of P and Q."""
+    top = max(f.P.degree, f.Q.degree)
+    return [math.lcm(f.P.coeff(i).denominator, f.Q.coeff(i).denominator)
+            for i in range(top + 1)]
+
+
+def _lcm_dilation(f):
+    """The dilation by the lcm of every coefficient denominator, an oracle."""
+    c = math.lcm(*_dens(f))
+    return (c,) + tuple(x.scale_arg(c).as_integer_ratio()[0] for x in (f.P, f.Q))
+
+
+def _prime_factors(c):
+    out, r = [], 2
+    while r * r <= c:
+        if c % r == 0:
+            out.append(r)
+            while c % r == 0:
+                c //= r
+        r += 1
+    return out + [c] * (c > 1)
+
+
+def _dilation_members():
+    rng = random.Random(37)
+    laws = [AWKWARD]
+    for a, b, c in ((F(1, 4), F(-2, 9), F(5, 12)), (F(7, 9), F(3, 4), F(1, 12)),
+                    (F(5, 12), F(4, 9), F(-9, 4))):
+        laws += [compose(distlib.mp(b, abs(a)), distlib.wigner(abs(c))),
+                 compose(distlib.wigner(abs(a)), distlib.mp(c, abs(b))),
+                 compose(distlib.mp(a, abs(c)), distlib.mp(b, abs(a))),
+                 compose(distlib.wigner(abs(b)), distlib.wigner(abs(c)))]
+    return laws + [rand_classf(rng, 4) for _ in range(30)]
+
+
+def test_dilation_is_the_least_c_with_den_i_dividing_c_to_the_i():
+    shrunk = 0
+    for f in _dilation_members():
+        c, p, q = fcl.classf._dilation(f)
+        dens, lcm = _dens(f), _lcm_dilation(f)[0]
+        assert lcm % c == 0
+        assert all(c**i % d == 0 for i, d in enumerate(dens) if i)
+        for r in _prime_factors(c):
+            assert any((c // r)**i % d for i, d in enumerate(dens) if i), (f, c, r)
+        assert list(p) == list(f.P.scale_arg(c).coeffs) and list(q) == list(f.Q.scale_arg(c).coeffs)
+        shrunk += c < lcm
+    assert shrunk >= 10
+    # w^2/4 needs c = 2, w^3/16 needs 4 (16 | 4^3), w^2/9 + w^3/8 needs 6
+    for p, c in ((Poly([1, 0, F(1, 4)]), 2), (Poly([1, 0, 0, F(1, 16)]), 4),
+                 (Poly([1, 0, F(1, 9), F(1, 8)]), 6)):
+        assert fcl.classf._dilation(make_classf(p, Poly.one()))[0] == c
+
+
+@pytest.mark.parametrize("den, at", [((10**6 + 3)**2, 1), ((10**6 + 3)**2, 2),
+                                     (10**400, 1), (10**400, 3), (4 * 1031, 2)],
+                         ids=["big_prime_sq-w1", "big_prime_sq-w2", "1e400-w1", "1e400-w3",
+                              "4x1031-w2"])
+def test_dilation_of_large_denominators_is_valid(den, at):
+    # a cofactor with no small prime factor is taken whole; small primes,
+    # and a prime cofactor, get their least exponent
+    f = make_classf(Poly([1] + [0] * (at - 1) + [F(1, den)]), Poly([1, F(-1, 3)]))
+    c = fcl.classf._dilation(f)[0]
+    dens = _dens(f)
+    assert math.lcm(*dens) % c == 0
+    assert all(c**i % d == 0 for i, d in enumerate(dens) if i)
+    if den == 10**400:
+        assert c == 3 * 10 ** -(-400 // at)
+    if den == 4 * 1031:
+        assert c == 3 * 2 * 1031
+    assert moments(f, 12) == _oracle(moments, f, 12)
+
+
+def _oracle(fn, *args):
+    """fn(*args) with the lcm dilation in place of the least one."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fcl.classf, "_dilation", _lcm_dilation)
+        return fn(*args)
+
+
+def test_least_dilation_keeps_every_moment_cumulant_and_minor():
+    from fcl.posdef import fid_check, is_moment_positive_up_to
+    for f in _dilation_members():
+        c, lcm = fcl.classf._dilation(f)[0], _lcm_dilation(f)[0]
+        for dilated in (dilated_moments, dilated_cumulants):
+            a, c1 = dilated(f, 16)
+            b, c2 = _oracle(dilated, f, 16)
+            assert (c1, c2) == (c, lcm)
+            assert [x * (lcm // c)**k for k, x in enumerate(a)] == b
+        assert moments(f, 16) == _oracle(moments, f, 16)
+        assert cumulants(f, 16) == _oracle(cumulants, f, 16)
+        for scan in (is_moment_positive_up_to, fid_check):
+            assert scan(f, 7) == _oracle(scan, f, 7)
 
 
 # --------------------------------------------------------------- cumulants

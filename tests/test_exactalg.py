@@ -844,6 +844,22 @@ def test_a_squared_defining_polynomial_refines_to_its_root():
     assert r.compare_rational(F(1414, 1000)) == 1 and r.compare_rational(F(1415, 1000)) == -1
 
 
+@pytest.mark.parametrize("big, digits", [(10**30, 400), (10**308, 700)], ids=["1e30", "1e308"])
+@pytest.mark.parametrize("sign", [1, -1], ids=["pos", "neg"])
+def test_a_tiny_irrational_converts_to_its_own_float(big, digits, sign):
+    # 2x^2 + sign big x - 2 has a root near sign 2/big: an absolute width of
+    # 10^-18 alone would give a float of that order, not of the root's
+    r = next(x for x in isolate_real_roots(Poly([-2, sign * big, 2])) if (x > 0) == (sign > 0))
+    narrow = r.refined_to(F(1, 10**digits))
+    assert float(r) == float((narrow.lo + narrow.hi) / 2)
+    assert float(r) == pytest.approx(sign * 2 / big, rel=1e-12)
+
+
+def test_an_irrational_interval_around_zero_converts_to_zero():
+    # bisection of [-1, 1/2] never lands on the root 0 of x^3 - 2x
+    assert float(AlgebraicReal(w**3 - 2 * w, -1, F(1, 2))) == 0.0
+
+
 def test_a_near_zero_sign_bisects_a_bounded_number_of_times(monkeypatch):
     # q's root is a 300-bit approximation of sqrt(2), so |q(sqrt(2))| is
     # about 2^-300: the bound settles its sign only on an interval of about
