@@ -248,10 +248,13 @@ def _dilation(f: ClassF):
     den_i is the lcm of the denominators of the w^i coefficients of P and
     Q, so [w^i] P(c w) = c^i [w^i] P is an integer iff den_i | c^i, and c
     is the product over primes r of r^max_i ceil(v_r(den_i) / i).  Trial
-    division finds the primes below `_TRIAL_BOUND`, and then a cofactor
-    below `_TRIAL_BOUND`^2 is a prime too.  A larger cofactor is taken
-    whole: c stays valid, though it may not be least.  Either way c
-    divides the lcm of all the denominators.
+    division finds the primes r below `_TRIAL_BOUND`, each r^k in the lcm
+    of the denominators.  The cofactor left, a prime when below
+    `_TRIAL_BOUND`^2, is written y^k with k as large as possible
+    (`_perfect_power`).  Each such y^k gives c its least power y^e
+    (`_least_power`), checked by divisibility, as y need not be prime: c
+    stays valid, though with a composite y it may not be least.  Either
+    way c divides the lcm of all the denominators.
     """
     (pn, pd), (qn, qd) = f.P.as_integer_ratio(), f.Q.as_integer_ratio()
     rest = math.lcm(pd, qd)
@@ -261,27 +264,38 @@ def _dilation(f: ClassF):
             for a, b in zip_longest(pn, qn, fillvalue=0)]
     c, r = 1, 2
     while r < _TRIAL_BOUND and r * r <= rest:
-        if rest % r == 0:
-            while rest % r == 0:
-                rest //= r
-            c *= r ** _least_exponent(dens, r)
+        k = 0
+        while rest % r == 0:
+            rest //= r
+            k += 1
+        if k:
+            c *= _least_power(dens, r, k)
         r += 1 + (r > 2)
-    if rest > 1:  # a prime if r * r > rest, else a cofactor taken whole
-        c *= rest ** _least_exponent(dens, rest) if r * r > rest else rest
+    if rest > 1:
+        c *= _least_power(dens, *_perfect_power(rest))
     p, q = (x.scale_arg(c).as_integer_ratio()[0] for x in (f.P, f.Q))
     return c, p, q
 
 
-def _least_exponent(dens, r: int) -> int:
-    """max over i >= 1 of ceil(v_r(dens[i]) / i), for a prime r."""
-    top = 0
-    for i, d in enumerate(dens[1:], 1):
-        v = 0
-        while d % r == 0:
-            d //= r
-            v += 1
-        top = max(top, -(-v // i))
-    return top
+def _least_power(dens, y: int, k: int) -> int:
+    """The least y^e, 1 <= e <= k, with g_i | y^(e i) for every i >= 1,
+    g_i = gcd(dens[i], y^k): the part of den_i that y^k holds."""
+    top, e = y**k, 1
+    while e < k and any(y**(e * i) % math.gcd(d, top) for i, d in enumerate(dens[1:], 1)):
+        e += 1
+    return y**e
+
+
+def _perfect_power(n: int):
+    """(y, k) with n = y^k and k as large as possible, for an n >= 2 with
+    no prime factor below `_TRIAL_BOUND` (so k <= log2(n) / 10)."""
+    for k in range(n.bit_length() // 10, 1, -1):
+        y = 1 << -(-n.bit_length() // k)  # Newton from above to floor(n^(1/k))
+        while (z := ((k - 1) * y + n // y**(k - 1)) // k) < y:
+            y = z
+        if y**k == n:
+            return y, k
+    return n, 1
 
 
 def _moments_from_equation(p, q, n: int):

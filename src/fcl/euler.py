@@ -58,15 +58,16 @@ def nk_classf(k: int) -> ClassF:
 def chi_t_factored(k: int) -> dict:
     """chi_t of nk_classf(k) and its closed factorization, checked exactly.
 
-    chi_t = (1-w)^k * ((1-w)^(k+2) - t w^2 TE_k); the check is an exact
-    BiPoly equality against char_poly_t.
+    chi_t = (1-w)^k * ((1-w)^(k+2) - t w^2 TE_k); the right side is built
+    from its two parts in t, (1-w)^(2k+2) and -(1-w)^k w^2 TE_k, and the
+    check is an exact BiPoly equality against char_poly_t.
     """
     if k < 1:
         raise ValueError("need k >= 1")
     w = Poly.x()
     lhs = char_poly_t(nk_classf(k))
-    inner = BiPoly.from_linear((1 - w) ** (k + 2), -(w * w * eulerian_tilde(k)))
-    rhs = BiPoly.lift((1 - w) ** k) * inner
+    g = (1 - w) ** k
+    rhs = BiPoly.from_linear(g * (1 - w) ** (k + 2), -(g * w * w * eulerian_tilde(k)))
     return {"lhs": lhs, "rhs": rhs, "factor_check": lhs == rhs}
 
 

@@ -46,9 +46,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .poly import Poly, Rat, _exact_div, _gcd, _monic, as_rat
+from .poly import Poly, Rat, _exact_div, _gcd, _monic, _remainder_chain, as_rat
 from .sturm import (count_distinct_real_roots, sturm_chain, _sign_at, _sign_hom,
-                    _variations_at, _variations_at_inf, _variations_hom)
+                    _variations_at, _variations_hom)
 
 
 def _bisect(ints, slo, lo, hi):
@@ -435,7 +435,7 @@ def isolate_real_roots(p: Poly, lo=None, hi=None):
     is refined further, except that an interval with an end at an asked
     lo or hi is bisected by signs alone (`_bisect`) until it lies
     strictly inside (lo, hi).  At +-2^e the variation counts are those
-    at +-infinity, read from the chain's leading coefficients, as no
+    at +-infinity, the points (+-1, 0) of the homogenised chain, as no
     root lies beyond; an asked end is signed in the chain, and at a hi
     that is a root 1 is added, so the counts are of the open interval.
     Counts on (a, b] hold at any rational end (Basu, Pollack and Roy,
@@ -448,7 +448,8 @@ def isolate_real_roots(p: Poly, lo=None, hi=None):
     (over the whole line), so its defining polynomial has no rational
     root and is the same with and without a range.  The Sturm chain of p
     ends at a multiple of gcd(p, p'); only when that has positive degree
-    is the chain rebuilt from the squarefree part.
+    is the chain rebuilt, on ints, from the squarefree part, the exact
+    quotient.  A chain is negated to a positive leading coefficient.
     """
     lo = None if lo is None else as_rat(lo)
     hi = None if hi is None else as_rat(hi)
@@ -458,19 +459,20 @@ def isolate_real_roots(p: Poly, lo=None, hi=None):
         raise ValueError("zero polynomial")
     chain = sturm_chain(p)
     if len(chain[-1]) > 1:
-        chain = sturm_chain(_monic(_exact_div(chain[0], chain[-1])))
-    elif chain[0][-1] < 0:  # negated, it is the chain of the monic p
+        s = _exact_div(chain[0], chain[-1])
+        chain = _remainder_chain(s, [i * c for i, c in enumerate(s)][1:])
+    if chain[0][-1] < 0:  # negated, it is the chain of the monic squarefree part
         chain = [[-c for c in a] for a in chain]
     ints = chain[0]  # the primitive integer form of the squarefree part s
     if len(ints) == 1:
         return []
     bound = Fraction(2) ** _root_bound_exponent(ints)
     if lo is None or lo <= -bound:
-        a, va = -bound, _variations_at_inf(chain, -1)
+        a, va = -bound, _variations_hom(chain, -1, 0)
     else:
         a, va = lo, _variations_at(chain, lo)
     if hi is None or hi >= bound:
-        b, vb = bound, _variations_at_inf(chain, 1)
+        b, vb = bound, _variations_hom(chain, 1, 0)
     else:
         b, vb = hi, _variations_at(chain, hi) + (_sign_at(ints, hi) == 0)
     if a >= b or va == vb:

@@ -1,7 +1,11 @@
 """Polynomials in w whose coefficients are polynomials in a parameter t.
 
 A `BiPoly` is a tuple of `Poly`s in t, one per power of w, each stored as
-int numerators over its own denominator (see `poly`).  Eliminations run
+int numerators over its own denominator (see `poly`).  It has three uses:
+the input of a pencil's subresultant table (`subresultants`, which
+`spectra.Pencil` builds from its two parts with `BiPoly.from_linear`),
+the printed chi_t (`spectra.char_poly_t`), and the tracer-only
+`resultant_w`; it carries no ring arithmetic.  Eliminations run
 over Z: the t-coefficients are brought to one common denominator d, read
 off the stored forms (`_int_wcoeffs`), and the integer polynomials are
 evaluated at integer parameter nodes where their leading coefficients do
@@ -39,7 +43,7 @@ import functools
 import math
 from itertools import count, islice, zip_longest
 
-from .poly import (Poly, Rat, as_rat, _conv, _eval_int, _resultant_int,
+from .poly import (Poly, as_rat, _conv, _eval_int, _resultant_int,
                    _subresultant_scan)
 
 
@@ -47,7 +51,7 @@ class BiPoly:
     """Dense polynomial in w; coefficient of w^i is a Poly in the parameter.
 
     `wcoeffs` has no trailing zero Poly.  Each Poly keeps its own int
-    numerators and denominator; ring operations are those of Poly.
+    numerators and denominator.
     """
 
     __slots__ = ("wcoeffs",)
@@ -65,11 +69,6 @@ class BiPoly:
         return BiPoly([Poly.from_ints((x * bd, y * ad), ad * bd)
                        for x, y in zip_longest(an, bn, fillvalue=0)])
 
-    @staticmethod
-    def lift(p: Poly) -> "BiPoly":
-        """A parameter-free polynomial in w."""
-        return BiPoly([Poly.const(c) for c in p.coeffs])
-
     # -- queries ---------------------------------------------------------
 
     @property
@@ -82,26 +81,10 @@ class BiPoly:
     def coeff(self, i: int) -> Poly:
         return self.wcoeffs[i] if 0 <= i < len(self.wcoeffs) else Poly.zero()
 
-    @property
-    def lc_poly(self) -> Poly:
-        return self.wcoeffs[-1] if self.wcoeffs else Poly.zero()
-
     def max_param_degree(self) -> int:
         return max((c.degree for c in self.wcoeffs), default=-1)
 
-    # -- arithmetic --------------------------------------------------------
-
-    def __mul__(self, other) -> "BiPoly":
-        if isinstance(other, (int, Rat, Poly)):
-            other = BiPoly([other if isinstance(other, Poly) else Poly.const(other)])
-        if self.is_zero() or other.is_zero():
-            return BiPoly(())
-        out = [Poly.zero()] * (len(self.wcoeffs) + len(other.wcoeffs) - 1)
-        for i, a in enumerate(self.wcoeffs):
-            if not a.is_zero():
-                for j, b in enumerate(other.wcoeffs):
-                    out[i + j] = out[i + j] + a * b
-        return BiPoly(out)
+    # -- comparison, derivative, specialisation ----------------------------
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BiPoly) and self.wcoeffs == other.wcoeffs

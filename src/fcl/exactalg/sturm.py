@@ -5,14 +5,15 @@ remainder sequence over Z (Collins, "Subresultants and reduced polynomial
 remainder sequences", J. ACM 1967) that the gcd also runs: each member
 is an integer coefficient list, lowest degree first, and a positive
 rational multiple of the matching member of the Euclidean chain p, p',
--rem(...) over Q, so sign variations are the same.  Signs at a rational a/b are taken from the member homogenised at
-(a, b), in integers.
+-rem(...) over Q, so sign variations are the same.  Signs at a rational
+a/b are taken from the member homogenised at (a, b), in integers.
 
 Counts follow the (lo, hi] convention: with V(x) the number of sign changes
 in the chain at x (zeros skipped), V(lo) - V(hi) is the number of distinct
-real roots in (lo, hi].  An end given as None is unbounded; there each
-member has the sign of its leading term.  Chains terminate at a multiple
-of gcd(p, p'), so multiple roots are counted once.
+real roots in (lo, hi].  An end given as None is unbounded: -infinity and
++infinity are the points (-1, 0) and (1, 0), where each homogenised
+member has the sign of its leading term times (+-1)^deg.  Chains
+terminate at a multiple of gcd(p, p'), so multiple roots are counted once.
 
 Real-rootedness is a yes/no question and builds no Sturm chain:
 `is_real_rooted` reads the signed subresultant coefficients of p and p'
@@ -59,14 +60,9 @@ def _variations_at(chain, x) -> int:
 
 
 def _variations_hom(chain, u: int, d: int) -> int:
-    """_variations_at at u/d, d > 0."""
+    """_variations_at at u/d, d > 0, or at -infinity (u, d) = (-1, 0) and
+    +infinity (1, 0)."""
     return sign_variations([_sign_hom(p, u, d) for p in chain])
-
-
-def _variations_at_inf(chain, side: int) -> int:
-    """_variations_at -infinity (side -1) or +infinity (side 1), where
-    each member has the sign of its leading term."""
-    return sign_variations([c[-1] if side > 0 or len(c) % 2 else -c[-1] for c in chain])
 
 
 def count_distinct_real_roots(p: Poly, lo=None, hi=None) -> int:
@@ -87,8 +83,8 @@ def count_distinct_real_roots(p: Poly, lo=None, hi=None) -> int:
     chain = sturm_chain(p)
     if len(chain[-1]) > 1:
         chain = [_exact_div(c, chain[-1]) for c in chain]
-    vlo = _variations_at_inf(chain, -1) if lo is None else _variations_at(chain, as_rat(lo))
-    vhi = _variations_at_inf(chain, 1) if hi is None else _variations_at(chain, as_rat(hi))
+    vlo = _variations_hom(chain, -1, 0) if lo is None else _variations_at(chain, as_rat(lo))
+    vhi = _variations_hom(chain, 1, 0) if hi is None else _variations_at(chain, as_rat(hi))
     return vlo - vhi
 
 

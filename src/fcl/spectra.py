@@ -5,11 +5,12 @@ the strong (rr0) membership test.  The weaker rr test asks that every z
 for which wP - zQ acquires a multiple root is real.
 
 Both questions scan a pencil x = A(w) + s B(w), linear in one parameter s:
-chi_t of the free power flow (s = t) and wP - zQ (s = z).  A `Pencil`
-splits, cleans and decides one of them in one place.  Its content
-g = gcd(A, B) is split off first: g is the same polynomial at every s, so
-it cannot create or destroy a transition, while leaving it in would make
-the eliminant vanish identically whenever g has a multiple root.  (A
+chi_t of the free power flow (s = t) and wP - zQ (s = z).  A `Pencil`,
+built from the two parts (A, B), splits, cleans and decides x in one
+place.  Its content g = gcd(A, B) is split off first: g is the same
+polynomial at every s, so it cannot create or destroy a transition, while
+leaving it in would make the eliminant vanish identically whenever g has
+a multiple root.  (A
 normalised member has P, Q coprime and Q(0) = 1, so the content of
 wP - zQ is 1.)  The eliminant is the squarefree resultant in s of the
 moving part and its w-derivative, +-s_0 of their signed subresultant
@@ -20,10 +21,10 @@ kind) together with tau when the moving part drops degree by at least
 two there.
 
 The pencil is real-rooted at s iff g is (tested once) and the moving part
-at s is: `Pencil.real_rooted_at` decides it, by substitution at a
-rational s and from the signs at an irrational s, narrowed once per
-decision (`AlgebraicReal.fenced`), of the moving part's
-signed subresultant coefficients, with one rule
+at s is: `Pencil.real_rooted_at` decides it, by substitution in the
+moving parts A/g and B/g at a rational s and from the signs at an
+irrational s, narrowed once per decision (`AlgebraicReal.fenced`), of the
+moving part's signed subresultant coefficients, with one rule
 (`exactalg.real_rooted_from_signs`) and no Sturm chain.  (The gcd g of
 the split and the squarefree part of each eliminant try the heuristic
 gcd before the primitive PRS.)  On the flow, t = 0 is the free power
@@ -35,9 +36,9 @@ decision, and every later question reads it: each node's PRS runs once,
 and each coefficient is interpolated once, when first read.  chi_t's
 pencil is memoised per member (`flow_pencil`, an lru_cache of 64 pencils
 keyed on the frozen ClassF), so a scan that decides many criticals of
-one member, as `euler.ck_candidates` does, splits chi_t once and reads
-the table its criticals built.  The memo is not meant for concurrent
-threads.
+one member, as `euler.ck_candidates` does, splits chi_t's parts once and
+reads the table its criticals built.  The memo is not meant for
+concurrent threads.
 """
 from __future__ import annotations
 
@@ -64,13 +65,16 @@ class Verdict(Enum):
 # characteristic polynomials
 
 
-def char_poly_t(f: ClassF) -> BiPoly:
-    """chi of the free power flow: P^2 + t[(P+wP')(Q-P) - wP(Q'-P')]."""
+def _chi_t_parts(f: ClassF):
+    """(A, B) with chi_t = A + t B: P^2 and (P+wP')(Q-P) - wP(Q'-P')."""
     w = Poly.x()
     p, q = f.P, f.Q
-    a = p * p
-    b = (p + w * p.derivative()) * (q - p) - w * p * (q.derivative() - p.derivative())
-    return BiPoly.from_linear(a, b)
+    return p * p, (p + w * p.derivative()) * (q - p) - w * p * (q.derivative() - p.derivative())
+
+
+def char_poly_t(f: ClassF) -> BiPoly:
+    """chi of the free power flow: P^2 + t[(P+wP')(Q-P) - wP(Q'-P')]."""
+    return BiPoly.from_linear(*_chi_t_parts(f))
 
 
 def is_rr0(f: ClassF) -> bool:
@@ -94,12 +98,14 @@ def is_singular(f: ClassF) -> bool:
 
 
 class Pencil:
-    """x = A(w) + s B(w), split once as g(w) * (A' + s B'), g = gcd(A, B).
+    """x = a(w) + s b(w), split once as g(w) * (a' + s b'), g = gcd(a, b).
 
-    `content` is the monic g, `moving` the moving part A' + s B' (x itself
-    when g is constant, so x is not rebuilt), and `tau` the root of the
-    moving part's leading coefficient when that is linear in s, else None.
-    g is tested for real-rootedness here, once.
+    `content` is the monic g; `a` and `b` are a' = a/g and b' = b/g (a and
+    b themselves when g is constant), the parts of the moving part
+    a' + s b'; `p` is its w-degree, `lc` its leading coefficient
+    a'_p + s b'_p, a Poly in s of degree at most 1, and `tau` the root of
+    lc when that degree is 1, else None.  g is tested for real-rootedness
+    here, once.
 
     The moving part's signed subresultant coefficients s_{p-1}, ..., s_0,
     polynomials in s, do not depend on the point: `eliminant` reads s_0
@@ -114,21 +120,15 @@ class Pencil:
     degenerate.  Not meant for concurrent threads.
     """
 
-    __slots__ = ("content", "moving", "tau", "_content_rooted", "_table")
+    __slots__ = ("content", "a", "b", "p", "lc", "tau", "_content_rooted", "_table")
 
-    def __init__(self, x: BiPoly):
-        if x.max_param_degree() > 1:
-            raise ValueError("pencil expected to be linear in the parameter")
-        a = Poly([c.coeff(0) for c in x.wcoeffs])
-        b = Poly([c.coeff(1) for c in x.wcoeffs])
+    def __init__(self, a: Poly, b: Poly):
         g = poly_gcd(a, b)
-        if g.is_constant():
-            # rebuilding x here would cost about 5% of an irrational rr0 decision
-            g = Poly.one()
-        else:
-            x = BiPoly.from_linear(a.exact_div(g), b.exact_div(g))
-        lc = x.lc_poly
-        self.content, self.moving = g, x
+        if not g.is_constant():
+            a, b = a.exact_div(g), b.exact_div(g)
+        p = max(a.degree, b.degree)
+        lc = Poly([a.coeff(p), b.coeff(p)])
+        self.content, self.a, self.b, self.p, self.lc = g, a, b, p, lc
         self.tau = -lc.coeff(0) / lc.lc if lc.degree == 1 else None
         self._content_rooted = is_real_rooted(g)
         self._table = None
@@ -136,7 +136,7 @@ class Pencil:
     def _s(self, j: int) -> Poly:
         """s_j of the moving part, from the pencil's table, built on first use."""
         if self._table is None:
-            self._table = subresultants(self.moving)
+            self._table = subresultants(BiPoly.from_linear(self.a, self.b))
         return self._table(j)
 
     def eliminant(self) -> Poly:
@@ -150,15 +150,15 @@ class Pencil:
         one.  A moving part constant in w has no multiple roots: its
         eliminant is 1.
         """
-        x, tau = self.moving, self.tau
-        if x.degree_w <= 0:
+        tau = self.tau
+        if self.p <= 0:
             return Poly.one()
         raw = self._s(0)
         if raw.is_zero():
             raise DegenerateEliminant("resultant of the pencil and its w-derivative is zero")
         rho = squarefree_part(raw)
         # x(tau) != 0: else A = -tau B, a content that the split took out
-        if tau is not None and rho(tau) == 0 and is_squarefree(x.eval_param(tau)):
+        if tau is not None and rho(tau) == 0 and is_squarefree(self.a + self.b * tau):
             rho = rho.exact_div(Poly([-tau, 1]))
         return rho
 
@@ -173,8 +173,8 @@ class Pencil:
         so lo may be one of them, as t = 0 is for chi_t (chi_0 = P^2).
         """
         crits = [[r, "multiple_root"] for r in isolate_real_roots(self.eliminant(), lo, hi)]
-        x, tau = self.moving, self.tau
-        if tau is not None and lo < tau < hi and x.eval_param(tau).degree <= x.degree_w - 2:
+        tau = self.tau
+        if tau is not None and lo < tau < hi and (self.a + self.b * tau).degree <= self.p - 2:
             side = [c[0].compare_rational(tau) for c in crits]
             if 0 in side:
                 crits[side.index(0)][1] = "both"
@@ -188,14 +188,14 @@ class Pencil:
         """Whether x at s (int, Fraction or AlgebraicReal) has only real roots:
         g is, and the moving part at s is.
 
-        A rational s is substituted, and `exactalg.is_real_rooted` tests the
-        polynomial it gives.  At an irrational s the same rule,
-        `real_rooted_from_signs`, reads the moving part x, of degree p in w,
-        from the signs at s of its signed principal subresultant
-        coefficients s_j with its w-derivative: s_p = lc(x) and
-        s_{p-1} = p lc(x) share the sign `top`, so the scan passes
-        top * sign s_j(s) for s_{p-2}, ..., s_0 and stops at the first entry
-        of the other sign or at the first zero.  lc(x) is a nonzero
+        A rational s is substituted, as a' + s b' on the parts' ints, and
+        `exactalg.is_real_rooted` tests the polynomial it gives.  At an
+        irrational s the same rule, `real_rooted_from_signs`, reads the
+        moving part x, of degree p in w, from the signs at s of its signed
+        principal subresultant coefficients s_j with its w-derivative:
+        s_p = lc(x) and s_{p-1} = p lc(x) share the sign `top`, so the scan
+        passes top * sign s_j(s) for s_{p-2}, ..., s_0 and stops at the
+        first entry of the other sign or at the first zero.  lc(x) is a nonzero
         polynomial of degree at most 1 in s over Q, so it vanishes at no
         irrational s: x keeps degree p there, and the s_j, determinants of
         the generic-degree matrix, are those of x at s.  They come from the
@@ -212,11 +212,11 @@ class Pencil:
             return False
         q = s if isinstance(s, (int, Fraction)) else s.as_fraction()
         if q is None:
-            x, s = self.moving, s.fenced()
-            top = s.sign_of(x.lc_poly)
+            s = s.fenced()
+            top = s.sign_of(self.lc)
             return real_rooted_from_signs(top * s.sign_of(self._s(j))
-                                          for j in range(x.degree_w - 2, -1, -1))
-        return is_real_rooted(self.moving.eval_param(q))
+                                          for j in range(self.p - 2, -1, -1))
+        return is_real_rooted(self.a + self.b * q)
 
 
 # ----------------------------------------------------------------------
@@ -236,7 +236,7 @@ class NSetResult:
 
 def n_set(f: ClassF) -> NSetResult:
     """Eliminate w from {wP - zQ = 0, (wP - zQ)' = 0} and isolate real z."""
-    sq = Pencil(BiPoly.from_linear(Poly.x() * f.P, -f.Q)).eliminant()
+    sq = Pencil(Poly.x() * f.P, -f.Q).eliminant()
     if sq.is_constant():
         return NSetResult(sq, (), 0)
     members = tuple(isolate_real_roots(sq))
@@ -265,7 +265,7 @@ class CriticalReport:
 
 @functools.lru_cache(maxsize=64)
 def flow_pencil(f: ClassF) -> Pencil:
-    """`Pencil(char_poly_t(f))`, built once per member and shared.
+    """chi_t's pencil, built once per member from chi_t's two parts and shared.
 
     Keyed on the frozen ClassF, so equal members built apart share one
     pencil; the 64 most recently used are kept.  `euler.ck_candidates`
@@ -282,16 +282,17 @@ def flow_pencil(f: ClassF) -> Pencil:
     a member with deg P = deg Q = d and squarefree P.  Not meant for
     concurrent threads (see `Pencil`).
     """
-    return Pencil(char_poly_t(f))
+    return Pencil(*_chi_t_parts(f))
 
 
 def cleaned_critical_eliminant(f: ClassF):
-    """(g, moving part, cleaned squarefree resultant in t) of chi_t's pencil.
+    """(g, moving part as a BiPoly, cleaned squarefree resultant in t) of
+    chi_t's pencil.
 
     A by-name accessor over `flow_pencil`: perfbench's tracer wraps it.
     """
     p = flow_pencil(f)
-    return p.content, p.moving, p.eliminant()
+    return p.content, BiPoly.from_linear(p.a, p.b), p.eliminant()
 
 
 def critical_ts(f: ClassF, t_lo, t_hi) -> CriticalReport:

@@ -6,7 +6,7 @@ import pytest
 
 from fcl.classf import ClassF, make_classf
 from fcl.errors import NotInClass
-from fcl.exactalg import Poly
+from fcl.exactalg import BiPoly, Poly
 from fcl.exactalg.poly import _prem, _remainder_chain
 from fcl.exactalg.sturm import _variations_at
 
@@ -21,6 +21,16 @@ def rand_rat(rng, num=9, den=4, nonzero=False):
 def rand_poly(rng, max_deg, num=9, den=4):
     deg = rng.randint(0, max_deg)
     return Poly([1] + [rand_rat(rng, num, den) for _ in range(deg)])
+
+
+def pencil_parts(x: BiPoly):
+    """(a, b) with x = a + s b, for a BiPoly x linear in s: a Pencil's input."""
+    return tuple(Poly([c.coeff(k) for c in x.wcoeffs]) for k in (0, 1))
+
+
+def moving_part(pencil) -> BiPoly:
+    """The moving part a' + s b' of a Pencil, as a BiPoly."""
+    return BiPoly.from_linear(pencil.a, pencil.b)
 
 
 def rand_classf(rng, max_deg=4) -> ClassF:

@@ -468,23 +468,30 @@ def test_dilation_is_the_least_c_with_den_i_dividing_c_to_the_i():
         assert fcl.classf._dilation(make_classf(p, Poly.one()))[0] == c
 
 
-@pytest.mark.parametrize("den, at", [((10**6 + 3)**2, 1), ((10**6 + 3)**2, 2),
-                                     (10**400, 1), (10**400, 3), (4 * 1031, 2)],
-                         ids=["big_prime_sq-w1", "big_prime_sq-w2", "1e400-w1", "1e400-w3",
-                              "4x1031-w2"])
-def test_dilation_of_large_denominators_is_valid(den, at):
-    # a cofactor with no small prime factor is taken whole; small primes,
-    # and a prime cofactor, get their least exponent
+_BIG = 10**6 + 3  # a prime above the trial bound 2^10
+
+
+@pytest.mark.parametrize("den, at, least", [
+    (_BIG**2, 1, _BIG**2), (_BIG**2, 2, _BIG), (_BIG**3, 3, _BIG), (_BIG**3, 2, _BIG**2),
+    ((1031 * 1033)**2, 2, 1031 * 1033), (10**400, 1, 10**400),
+    (10**400, 3, 10**134), (4 * 1031, 2, 2 * 1031)],
+    ids=["big_prime_sq-w1", "big_prime_sq-w2", "big_prime_cube-w3", "big_prime_cube-w2",
+         "composite_sq-w2", "1e400-w1", "1e400-w3", "4x1031-w2"])
+def test_dilation_of_large_denominators_is_valid(den, at, least):
+    # small primes get their least exponent; the cofactor with no small
+    # prime factor, y^k with k as large as possible, the least power of y
+    # (y = 1031 * 1033 > 2^20 is composite: (1031 * 1033)^2 is not split)
     f = make_classf(Poly([1] + [0] * (at - 1) + [F(1, den)]), Poly([1, F(-1, 3)]))
     c = fcl.classf._dilation(f)[0]
     dens = _dens(f)
     assert math.lcm(*dens) % c == 0
     assert all(c**i % d == 0 for i, d in enumerate(dens) if i)
-    if den == 10**400:
-        assert c == 3 * 10 ** -(-400 // at)
-    if den == 4 * 1031:
-        assert c == 3 * 2 * 1031
+    assert c == 3 * least  # the 3 from Q
     assert moments(f, 12) == _oracle(moments, f, 12)
+    assert cumulants(f, 12) == _oracle(cumulants, f, 12)
+    from fcl.posdef import fid_check, is_moment_positive_up_to
+    for scan in (is_moment_positive_up_to, fid_check):
+        assert scan(f, 5) == _oracle(scan, f, 5)
 
 
 def _oracle(fn, *args):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_poly, rand_rat, tarski_query
+from conftest import moving_part, pencil_parts, rand_poly, rand_rat, tarski_query
 from fcl.classf import make_classf
 from fcl.errors import NotInClass
 from fcl.euler import nk_classf
@@ -22,7 +22,7 @@ from fcl.exactalg.algebraic import _rational_roots, _root_bound_exponent
 from fcl.exactalg.bipoly import _nodes, subresultants
 from fcl.exactalg.poly import bareiss_det_int
 from fcl.exactalg.sturm import _sign_at, _variations_at, real_rooted_from_signs
-from fcl.spectra import Pencil, char_poly_t, critical_ts
+from fcl.spectra import Pencil, char_poly_t, critical_ts, flow_pencil
 
 w = Poly.x()
 
@@ -37,7 +37,7 @@ def _subresultant_table(x: BiPoly):
     """[s_0, ..., s_p] of x and its w-derivative as polynomials in the
     parameter: `subresultants(x)` for s_0, ..., s_(p-2), then p lc(x) and
     lc(x)."""
-    s, lc = subresultants(x), x.lc_poly
+    s, lc = subresultants(x), x.wcoeffs[-1]
     return [*map(s, range(x.degree_w - 1)), x.degree_w * lc, lc]
 
 
@@ -894,7 +894,7 @@ def test_pencil_real_rooted_at_splits_modulus():
     sqrt2, sqrt3 = AlgebraicReal(m, F(7, 5), F(3, 2)), AlgebraicReal(m, F(17, 10), F(9, 5))
     x = BiPoly.from_linear(Poly([0, 2]), Poly([F(1, 2), 0, 1]))
     assert _subresultant_table(x)[0] == Poly([0, 4, 0, -2])
-    pencil = Pencil(x)
+    pencil = Pencil(Poly([0, 2]), Poly([F(1, 2), 0, 1]))
     assert pencil.content == Poly.one()
     assert pencil.real_rooted_at(sqrt2)
     assert not pencil.real_rooted_at(sqrt3)
@@ -976,7 +976,7 @@ def _oracle_cases(rng):
     crits = 0
     while crits < 6:
         f = _rand_member(rng)
-        xh = Pencil(char_poly_t(f)).moving
+        xh = moving_part(flow_pencil(f))
         for c in critical_ts(f, 0, 10).criticals:
             if not c.is_rational():
                 cases.append((xh, c))
@@ -987,7 +987,7 @@ def _oracle_cases(rng):
 def test_pencil_real_rooted_at_matches_the_full_table(rng):
     verdicts = set()
     for x, t0 in _oracle_cases(rng):
-        got = Pencil(x).real_rooted_at(t0)
+        got = Pencil(*pencil_parts(x)).real_rooted_at(t0)
         assert got == _full_table_rule(x.wcoeffs, t0)
         verdicts.add(got)
     assert verdicts == {True, False}
@@ -996,7 +996,7 @@ def test_pencil_real_rooted_at_matches_the_full_table(rng):
 def test_pencil_real_rooted_at_matches_sympy(rng):
     sympy = pytest.importorskip("sympy")
     for x, t0 in _oracle_cases(rng):
-        got = Pencil(x).real_rooted_at(t0)
+        got = Pencil(*pencil_parts(x)).real_rooted_at(t0)
         assert got == _sympy_real_rooted_at(sympy, x.wcoeffs, _sympy_number(sympy, t0))
 
 
@@ -1004,10 +1004,9 @@ def test_pencil_real_rooted_at_stops_at_the_first_other_sign(monkeypatch):
     # nk_classf(6): a moving part of degree 8 in w, criticals near 0.88,
     # 5.62 and 26.19 in (0, 2000); the first is No, the last Yes
     f = nk_classf(6)
-    pencil = Pencil(char_poly_t(f))
-    xh = pencil.moving
+    pencil = Pencil(*pencil_parts(char_poly_t(f)))
     no, _, yes = critical_ts(f, 0, 2000).criticals
-    p = xh.degree_w
+    p = pencil.p
     signed = []
     sign_of = AlgebraicReal.sign_of
     monkeypatch.setattr(AlgebraicReal, "sign_of",
@@ -1019,7 +1018,8 @@ def test_pencil_real_rooted_at_stops_at_the_first_other_sign(monkeypatch):
     assert pencil.real_rooted_at(yes)
     assert len(signed) == p  # lc(x), then s_{p-2}, ..., s_0
     monkeypatch.undo()
-    assert not _full_table_rule(xh.wcoeffs, no) and _full_table_rule(xh.wcoeffs, yes)
+    xh = moving_part(pencil).wcoeffs
+    assert not _full_table_rule(xh, no) and _full_table_rule(xh, yes)
 
 
 # ------------------------------------------------ refinement sympy oracle
@@ -1413,7 +1413,7 @@ def test_subresultant_table_specialises(rng):
         x = BiPoly([Poly([rand_rat(rng), rand_rat(rng, nonzero=True)])
                     for _ in range(rng.randint(3, 6))])
         table = _subresultant_table(x)
-        assert len(table) == x.degree_w + 1 and table[-1] == x.lc_poly
+        assert len(table) == x.degree_w + 1 and table[-1] == x.wcoeffs[-1]
         for t0 in (F(1, 2), F(-7, 3), F(13, 5)):
             xt = x.eval_param(t0)
             if xt.degree < x.degree_w:
@@ -1436,6 +1436,15 @@ def _lagrange(nodes, values, den):
                 basis = basis * Poly([F(-tj, ti - tj), F(1, ti - tj)])
         out = out + basis * F(yi, den)
     return out
+
+
+def _bimul(x: BiPoly, y: BiPoly) -> BiPoly:
+    """x * y, for test inputs built as products."""
+    out = [Poly.zero()] * (len(x.wcoeffs) + len(y.wcoeffs) - 1)
+    for i, a in enumerate(x.wcoeffs):
+        for j, b in enumerate(y.wcoeffs):
+            out[i + j] = out[i + j] + a * b
+    return BiPoly(out)
 
 
 def _full_node_table(x: BiPoly):
@@ -1481,8 +1490,8 @@ def test_subresultants_match_the_full_node_table(rng):
     cases += [BiPoly([Poly.one(), Poly.zero(), t, Poly.zero(), Poly.zero(), Poly.zero(),
                       Poly.one()]),
               BiPoly([t * 3, t * -2, t, t * 5, Poly.zero(), Poly.zero(), Poly.one()]),
-              BiPoly([Poly([1, 2]), Poly.zero(), Poly([2, 1]), Poly.const(3)])
-              * BiPoly([t, Poly.zero(), Poly.one()]) * BiPoly([t, Poly.zero(), Poly.one()]),
+              _bimul(BiPoly([Poly([1, 2]), Poly.zero(), Poly([2, 1]), Poly.const(3)]),
+                     BiPoly([t * t, Poly.zero(), 2 * t, Poly.zero(), Poly.one()])),
               BiPoly([Poly([F(1, 2), 1]), Poly([0, F(-2, 3)]), Poly([F(1, 4), 0, 1])])]
     # known zeros: (w - t)^2 (w + 1) + t (t - 1)(t + 1) w, deg_t = 3, is
     # (w - t)^2 (w + 1) at t = 0, 1, -1, with a triple root at -1; chi_t
@@ -1491,14 +1500,14 @@ def test_subresultants_match_the_full_node_table(rng):
     assert _node_gaps(three, [0, 1, -1, 2]) == [1, 1, 2, 0]
     members = [nk_classf(k) for k in range(2, 7)]
     members += [_rand_member(rng, d) for d in (2, 3, 4, 5) for _ in range(2)]
-    chis = [Pencil(char_poly_t(f)).moving for f in members]
+    chis = [moving_part(flow_pencil(f)) for f in members]
     assert all(_node_gaps(x, [0])[0] >= f.P.degree > 0 for x, f in zip(chis, members))
     zero_entries = 0
     for x in cases + [three] + chis:
         table = subresultants(x)
         got = [table(j) for j in range(x.degree_w - 2, -1, -1)]
         assert got == _full_node_table(x)
-        assert table(x.degree_w - 1) == x.degree_w * x.lc_poly
+        assert table(x.degree_w - 1) == x.degree_w * x.wcoeffs[-1]
         zero_entries += sum(1 for s in got if s.is_zero())
     assert zero_entries > 0
 
@@ -1510,7 +1519,7 @@ def test_a_subresultant_whose_known_zeros_exceed_its_bound_is_zero(monkeypatch):
     # degree 5 > (2p - 2) deg_t = 4: four nodes settle s_0 without an
     # interpolation, where the full table scans (2p - 1) deg_t + 1 = 6
     t = Poly.x()
-    x = BiPoly([Poly.one(), Poly.const(-2), Poly.one()]) * BiPoly([t, Poly.one()])
+    x = BiPoly.from_linear(w * (w - 1) ** 2, (w - 1) ** 2)
     scans = []
     scan = bipoly._subresultant_scan
     monkeypatch.setattr(bipoly, "_subresultant_scan",
@@ -1532,9 +1541,8 @@ def test_subresultants_scan_counts_of_the_flow_pencils(monkeypatch, rng):
                         lambda a, b: scans.append(a) or scan(a, b))
     for d in (2, 3, 4, 5):
         f = _rand_member(rng, d)
-        for x, want in ((char_poly_t(f), 3 * d),
-                        (BiPoly.from_linear(w * f.P, -f.Q), 2 * d + 1)):
-            x = Pencil(x).moving
+        for pencil, want in ((flow_pencil(f), 3 * d), (Pencil(w * f.P, -f.Q), 2 * d + 1)):
+            x = moving_part(pencil)
             scans.clear()
             table = subresultants(x)
             assert len(scans) == want
@@ -1568,7 +1576,7 @@ def test_subresultants_scan_each_node_once(monkeypatch, rng):
 def test_subresultants_refuse_an_index_outside_the_table(j):
     x = BiPoly([Poly([1, 2]), Poly([0, 1]), Poly([-3, 0]), Poly([2, 1]), Poly.one()])
     s = subresultants(x)
-    assert x.degree_w == 4 and s(3) == 4 * x.lc_poly
+    assert x.degree_w == 4 and s(3) == 4 * x.wcoeffs[-1]
     with pytest.raises(ValueError, match="0 <= j < 4"):
         s(j)
 
@@ -1591,8 +1599,6 @@ def test_pseudo_rem_is_the_full_pseudo_remainder(rng, delta, sign):
 def test_bipoly_eval_and_ops():
     x = BiPoly.from_linear(Poly([1, 0, -2]), Poly([0, 3]))
     assert x.eval_param(F(1, 3)) == Poly([1, 1, -2])
-    y = x * BiPoly.lift(w)
-    assert y.degree_w == 3 and y.coeff(0).is_zero()
 
 
 # ------------------------------------------------------------------- hankel

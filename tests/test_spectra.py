@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_classf, rand_rat, tarski_query
+from conftest import moving_part, pencil_parts, rand_classf, rand_rat, tarski_query
 from fcl.classf import (from_r, free_power, identity_f, make_classf,
                         make_ratfun, translate)
 from fcl.euler import ck_candidates, nk_classf
@@ -348,41 +348,49 @@ def test_multiple_root_criticals_certify(rng):
 
 
 def _random_pencils(rng):
-    """chi_t and w*P - z*Q of random members of degree 2 to 4, and two
-    chi_t whose content is 1 + w^2 and w - 1/2."""
+    """The parts (a, b) of chi_t, read off the printed BiPoly, and of
+    w*P - z*Q, for random members of degree 2 to 4, and of two chi_t whose
+    content is 1 + w^2 and w - 1/2."""
     for f in (make_classf((1 + w**2) ** 2, 1 + w + 8 * w**2 + F(5, 3) * w**3),
               make_classf((1 - 2 * w) ** 2, 1 + w - w**3)):
-        yield char_poly_t(f)
+        yield pencil_parts(char_poly_t(f))
     for d in (2, 3, 4):
         for _ in range(6):
             f = rand_classf(rng, d)
             while max(f.P.degree, f.Q.degree) != d:
                 f = rand_classf(rng, d)
-            yield char_poly_t(f)
-            yield BiPoly.from_linear(w * f.P, -f.Q)
+            yield pencil_parts(char_poly_t(f))
+            yield w * f.P, -f.Q
 
 
 def test_pencil_splits_off_a_monic_content(rng):
-    contents = []
-    for x in _random_pencils(rng):
-        p = Pencil(x)
-        assert BiPoly.lift(p.content) * p.moving == x
-        assert p.content.lc == 1
-        a = Poly([c.coeff(0) for c in p.moving.wcoeffs])
-        b = Poly([c.coeff(1) for c in p.moving.wcoeffs])
-        assert poly_gcd(a, b).is_constant()
-        if p.content.is_constant():
-            assert p.moving is x
-        contents.append(p.content)
+    contents, verdicts = [], set()
+    for a, b in _random_pencils(rng):
+        p = Pencil(a, b)
+        g = p.content
+        assert (g * p.a, g * p.b) == (a, b)
+        assert g.lc == 1
+        assert poly_gcd(p.a, p.b).is_constant()
+        if g.is_constant():
+            assert p.a is a and p.b is b
+        for _ in range(4):
+            q = rand_rat(rng, 12, 5)
+            assert g * (p.a + q * p.b) == a + q * b
+            verdict = p.real_rooted_at(q)
+            assert verdict == is_real_rooted(a + q * b)
+            verdicts.add(verdict)
+        contents.append(g)
     assert contents[:2] == [1 + w**2, w - F(1, 2)]
     assert all(g == 1 for g in contents[2:])
+    assert verdicts == {True, False}
 
 
 def test_pencil_tau_is_the_root_of_a_linear_leading_coefficient(rng):
     kinds = set()
-    for x in _random_pencils(rng):
-        p = Pencil(x)
-        lc = p.moving.lc_poly
+    for a, b in _random_pencils(rng):
+        p = Pencil(a, b)
+        lc = p.lc
+        assert lc == Poly([p.a.coeff(p.p), p.b.coeff(p.p)])
         if lc.degree == 1:
             assert lc(p.tau) == 0
         else:
@@ -390,13 +398,29 @@ def test_pencil_tau_is_the_root_of_a_linear_leading_coefficient(rng):
         kinds.add(lc.degree)
     assert kinds == {0, 1}
     # (1 + s) w^2 + w - s and w^2 + s
-    assert Pencil(BiPoly([Poly([0, -1]), Poly.one(), Poly([1, 1])])).tau == -1
-    assert Pencil(BiPoly([Poly([0, 1]), Poly.zero(), Poly.one()])).tau is None
+    assert Pencil(Poly([0, 1, 1]), Poly([-1, 0, 1])).tau == -1
+    assert Pencil(Poly([0, 0, 1]), Poly.one()).tau is None
 
 
-def test_pencil_quadratic_in_the_parameter_is_refused():
-    with pytest.raises(ValueError, match="linear in the parameter"):
-        Pencil(BiPoly([Poly([0, 0, 1]), Poly.one()]))    # w + s^2
+def test_decisions_specialise_no_bipoly(monkeypatch, rng):
+    # a rational s, a sample or tau, is substituted in the pencil's two
+    # parts: with BiPoly.eval_param refused, scans and decisions still run
+    # and give the same results
+    members = [nk_classf(3), make_classf((1 - 2 * w) ** 2, 1 + w - w**3)]
+    members += [rand_classf(rng, 4) for _ in range(4)]
+    want = [(critical_ts(f, -5, 50), n_set(f), flow_pencil(f).real_rooted_at(F(1, 3)))
+            for f in members]
+    flow_pencil.cache_clear()
+
+    def refused(self, t):
+        raise AssertionError("BiPoly.eval_param called")
+
+    monkeypatch.setattr(BiPoly, "eval_param", refused)
+    got = [(critical_ts(f, -5, 50), n_set(f), flow_pencil(f).real_rooted_at(F(1, 3)))
+           for f in members]
+    assert got == want
+    taus = [flow_pencil(f).tau for f in members]
+    assert any(t is not None and -5 < t < 50 for t in taus)
 
 
 def test_critical_ts_and_n_set_build_one_table_each(monkeypatch, rng):
@@ -422,7 +446,7 @@ def test_critical_ts_and_n_set_build_one_table_each(monkeypatch, rng):
 def _resultant_eliminant(pencil):
     """The squarefree part of Res_w(x, x') for the moving part x, with tau
     removed where x(tau) is squarefree: the eliminant by `resultant_w`."""
-    x, tau = pencil.moving, pencil.tau
+    x, tau = moving_part(pencil), pencil.tau
     if x.degree_w <= 0:
         return Poly.one()
     rho = squarefree_part(resultant_w(x, x.deriv_w()))
@@ -437,8 +461,8 @@ def test_eliminant_is_the_cleaned_resultant(rng):
         members += [rand_classf(rng, deg) for _ in range(4)]
     cleaned = 0
     for f in members:
-        for x in (char_poly_t(f), BiPoly.from_linear(w * f.P, -f.Q)):
-            pencil = Pencil(x)
+        for a, b in (pencil_parts(char_poly_t(f)), (w * f.P, -f.Q)):
+            pencil = Pencil(a, b)
             want = _resultant_eliminant(pencil)
             assert pencil.eliminant() == want
             cleaned += pencil.tau is not None and want(pencil.tau) != 0
@@ -645,7 +669,7 @@ def test_memo_verdicts_match_a_fresh_pencil(rng, descending):
     cases = _irrational_criticals(rng)
     if descending:
         cases.reverse()
-    want = [Pencil(char_poly_t(f)).real_rooted_at(t0) for f, t0 in cases]
+    want = [Pencil(*pencil_parts(char_poly_t(f))).real_rooted_at(t0) for f, t0 in cases]
     flow_pencil.cache_clear()
     got = [rr0_at_algebraic_t(f, t0) is Verdict.YES for f, t0 in cases]
     assert got == want
@@ -653,8 +677,8 @@ def test_memo_verdicts_match_a_fresh_pencil(rng, descending):
     # every memoised pencil holds the table its moving part would give afresh
     for f in {f for f, _ in cases}:
         p = flow_pencil(f)
-        js = range(p.moving.degree_w)
-        assert list(map(p._table, js)) == list(map(subresultants(p.moving), js))
+        js = range(p.p)
+        assert list(map(p._table, js)) == list(map(subresultants(moving_part(p)), js))
 
 
 def _tarski_only(pencil, t0) -> bool:
@@ -663,10 +687,9 @@ def _tarski_only(pencil, t0) -> bool:
     def sign(q):
         return tarski_query(t0._ints, q.int_coeffs()[0], t0.lo, t0.hi)
 
-    x = pencil.moving
-    top = sign(x.lc_poly)
+    top = sign(pencil.lc)
     return pencil._content_rooted and real_rooted_from_signs(
-        top * sign(pencil._s(j)) for j in range(x.degree_w - 2, -1, -1))
+        top * sign(pencil._s(j)) for j in range(pencil.p - 2, -1, -1))
 
 
 def test_verdicts_match_the_tarski_only_route(rng):
@@ -718,16 +741,16 @@ def test_a_decision_that_stops_at_the_first_entry_then_one_that_reads_all():
     no, yes = critical_ts(f, 0, 2000).criticals
     flow_pencil.cache_clear()
     pencil = flow_pencil(f)
-    p = pencil.moving.degree_w
+    p = pencil.p
     assert pencil._table is None
     assert rr0_at_algebraic_t(f, no) is Verdict.NO
     assert pencil._table.cache_info().currsize == 1     # s_{p-2} alone
     assert rr0_at_algebraic_t(f, yes) is Verdict.YES
     assert pencil._table.cache_info().currsize == p - 1     # s_{p-2}, ..., s_0
-    fresh = subresultants(pencil.moving)
+    fresh = subresultants(moving_part(pencil))
     assert [pencil._table(j) for j in range(p - 1)] == [fresh(j) for j in range(p - 1)]
     assert rr0_at_algebraic_t(f, no) is Verdict.NO
-    fresh = Pencil(char_poly_t(f))
+    fresh = Pencil(*pencil_parts(char_poly_t(f)))
     assert fresh.real_rooted_at(yes) and not fresh.real_rooted_at(no)
 
 
@@ -741,7 +764,7 @@ def test_a_table_build_that_raised_leaves_no_table(monkeypatch):
     no, yes = critical_ts(f, 0, 2000).criticals
     flow_pencil.cache_clear()
     pencil = flow_pencil(f)
-    assert pencil.moving.max_param_degree() == 1
+    assert moving_part(pencil).max_param_degree() == 1
     # the fifth node's scan fails once, as an interrupt would
     calls = []
     scan = bipoly._subresultant_scan
@@ -758,13 +781,13 @@ def test_a_table_build_that_raised_leaves_no_table(monkeypatch):
     assert pencil._table is None
     assert rr0_at_algebraic_t(f, no) is Verdict.NO
     assert rr0_at_algebraic_t(f, yes) is Verdict.YES
-    p = pencil.moving.degree_w
+    p = pencil.p
     # one whole build after the failed one: the moving part at t = 0 is
     # (1 - w)^6, whose PRS ends in g = 5 zeros, so the node 0 and
     # 2p - 1 - g more fix s_0 / lc
-    assert pencil.moving.eval_param(0) == Poly([1, -1]) ** 6
+    assert pencil.a == Poly([1, -1]) ** 6
     assert len(calls) == 5 + 1 + (2 * p - 1 - 5)
-    fresh = subresultants(pencil.moving)
+    fresh = subresultants(moving_part(pencil))
     assert [pencil._table(j) for j in range(p)] == [fresh(j) for j in range(p)]
 
 
@@ -772,13 +795,13 @@ def test_interleaved_reads_of_a_pencil_see_the_same_entries():
     # the eliminant reads s_0 first, a decision then reads s_{p-2} down;
     # another table read bottom-up gives the same entries
     f = nk_classf(4)
-    pencil = Pencil(char_poly_t(f))
+    pencil = Pencil(*pencil_parts(char_poly_t(f)))
     no, yes = critical_ts(f, 0, 2000).criticals
     pencil.eliminant()
     assert pencil._table.cache_info().currsize == 1
     assert not pencil.real_rooted_at(no) and pencil.real_rooted_at(yes)
-    p = pencil.moving.degree_w
-    fresh = subresultants(pencil.moving)
+    p = pencil.p
+    fresh = subresultants(moving_part(pencil))
     up = [fresh(j) for j in range(p - 1)]
     assert [pencil._table(j) for j in range(p - 2, -1, -1)] == up[::-1]
     assert pencil._table.cache_info().currsize == p - 1
