@@ -8,10 +8,10 @@ Moments are extracted by two independent routes (Newton series inversion
 of F, and M*P(zM) = Q(zM), i.e. F(zM) = z, solved one coefficient at a
 time) which must agree exactly; a mismatch raises, it is never papered
 over.  Each costs O(D n^2) to order n, D = max(deg P, deg Q).  Both
-routes, and the cumulants, run on integers: the dilation F(c w)/c by the
-least c with den_i | c^i, den_i the lcm of the denominators of the w^i
-coefficients, has integer P(c w), Q(c w) and scales the k-th moment and
-cumulant by c^k, which one division per term undoes.
+routes, and the cumulants, run on integers: the dilation F(c w)/c by a c
+with den_i | c^i (`_dilation`), den_i the lcm of the denominators of the
+w^i coefficients, has integer P(c w), Q(c w) and scales the k-th moment
+and cumulant by c^k, which one division per term undoes.
 """
 from __future__ import annotations
 
@@ -211,10 +211,9 @@ def dilated_moments(f: ClassF, n: int):
     routes that must agree.
 
     Both routes run over Z on the dilation F(c w)/c, whose moments are
-    c^k s_k; c is the least c with den_i | c^i for every i >= 1, den_i
-    the lcm of the denominators of the w^i coefficients of P and Q
-    (`_dilation`), so P(c w) and Q(c w) are integer polynomials with
-    constant term 1.
+    c^k s_k; c has den_i | c^i for every i >= 1, den_i the lcm of the
+    denominators of the w^i coefficients of P and Q (`_dilation`), so
+    P(c w) and Q(c w) are integer polynomials with constant term 1.
     Route A inverts F(c w)/c as a power series (Newton steps corrected by
     -(F(D) - z) D'); route B solves M*P(z M) = Q(z M), which is
     F(z M(z)) = z, one coefficient at a time
@@ -242,8 +241,8 @@ _TRIAL_BOUND = 1 << 10
 
 
 def _dilation(f: ClassF):
-    """(c, p, q): the least c >= 1 with den_i | c^i for every i >= 1, and
-    the integer coefficient lists of P(c w) and Q(c w).
+    """(c, p, q): a c >= 1 with den_i | c^i for every i >= 1, and the
+    integer coefficient lists of P(c w) and Q(c w).
 
     den_i is the lcm of the denominators of the w^i coefficients of P and
     Q, so [w^i] P(c w) = c^i [w^i] P is an integer iff den_i | c^i, and c
@@ -252,9 +251,10 @@ def _dilation(f: ClassF):
     of the denominators.  The cofactor left, a prime when below
     `_TRIAL_BOUND`^2, is written y^k with k as large as possible
     (`_perfect_power`).  Each such y^k gives c its least power y^e
-    (`_least_power`), checked by divisibility, as y need not be prime: c
-    stays valid, though with a composite y it may not be least.  Either
-    way c divides the lcm of all the denominators.
+    (`_least_power`), checked by divisibility, as y need not be prime.  c
+    is least when the cofactor is 1 or a power of one prime, and may not be
+    otherwise (1/1033 at w and 1/1031^2 at w^2 give 1031^2 * 1033, where
+    1031 * 1033 suffices).  c divides the lcm of all the denominators.
     """
     (pn, pd), (qn, qd) = f.P.as_integer_ratio(), f.Q.as_integer_ratio()
     rest = math.lcm(pd, qd)

@@ -119,8 +119,8 @@ def _alg_payload(a, args) -> dict:
             "approx": approx}
 
 
-def _poly_payload(p: Poly) -> dict:
-    return {"coeffs": [rat_str(c) for c in p.coeffs], "pretty": p.to_str()}
+def _poly_payload(p: Poly, var: str = "w") -> dict:
+    return {"coeffs": [rat_str(c) for c in p.coeffs], "pretty": p.to_str(var)}
 
 
 # ----------------------------------------------------------------------
@@ -176,7 +176,7 @@ def _cmd_spectra_test(args):
 def _cmd_nset(args):
     from . import spectra as sp
     ns = sp.n_set(_f_from(args))
-    return {"z_poly": _poly_payload(ns.z_poly),
+    return {"z_poly": _poly_payload(ns.z_poly, "z"),
             "real_members": [_alg_payload(r, args) for r in ns.real_members],
             "nonreal_pair_count": ns.nonreal_pair_count,
             "all_real": ns.all_real}

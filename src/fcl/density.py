@@ -22,6 +22,7 @@ from .errors import ContinuationFailure, FclError
 from .exactalg import Poly
 
 _DESCENT_EPS = 1e-3   # last Im zeta of the descent before the solve at zeta = x
+_NEWTON_ITERS = 80    # Newton steps per solve before it gives up
 _CLAMP_TOL = 1e-9     # negatives this small are rounding and read as 0
 
 
@@ -53,9 +54,9 @@ class _Evaluator:
         self.dp = _float_coeffs(f.P.derivative())
         self.dq = _float_coeffs(f.Q.derivative())
 
-    def newton(self, w, zeta, iters: int = 80):
+    def newton(self, w, zeta):
         """Root of zeta w P(w) - Q(w) near w, or None (backward-error stop)."""
-        for _ in range(iters):
+        for _ in range(_NEWTON_ITERS):
             pw, qw = _horner(self.p, w), _horner(self.q, w)
             resid = zeta * w * pw - qw
             scale = abs(zeta * w * pw) + abs(qw) + 1.0

@@ -8,17 +8,16 @@ H_k the recurrence already holds the residuals <pi_k, x^l>, l = k..2K-k,
 of the orthogonal polynomial pi_k: when all are zero the prefix obeys
 pi_k's recurrence, its Hankel matrix has rank at most k (Iohvidov, *Hankel
 and Toeplitz Matrices and Forms*, 1982) and every later minor is 0.
-`hankel_det` is one fraction-free (Bareiss) determinant; the scan needs it
-only from a zero minor with a nonzero residual on, where it reads the
-scan's own integers a.  `integer_prefix` writes a rational sequence as
-integers over its least common denominator, for both.
+Past a zero minor with a nonzero residual, and in `hankel_det`, the minors
+come off one subresultant scan (`_scan_minors`).  `integer_prefix` writes
+a rational sequence as integers over its least common denominator, for both.
 """
 from __future__ import annotations
 
 import math
-from itertools import islice
+from itertools import islice, repeat
 
-from .poly import Rat, as_rat, bareiss_det_int
+from .poly import Rat, _subresultant_scan, as_rat
 
 
 def integer_prefix(s, n: int):
@@ -31,16 +30,30 @@ def integer_prefix(s, n: int):
     return [x.numerator * (den // x.denominator) for x in s], den
 
 
+def _scan_minors(a):
+    """The Hankel minors H_0, ..., H_K of the 2K+1 ints a, each computed
+    when it is read.  B / x^(2K+1), B = sum_i a_i x^(2K-i), has the Laurent
+    coefficients a_i, so H_k is the signed principal subresultant
+    coefficient s_(2K-k) of x^(2K+1) and B, entry k of `_subresultant_scan`
+    (Basu, Pollack and Roy, *Algorithms in Real Algebraic Geometry*, ch. 9).
+    """
+    b = list(reversed(a))  # B, lowest degree first
+    while b and b[-1] == 0:
+        b.pop()
+    scan = _subresultant_scan([0] * len(a) + [1], b) if b else repeat(0)
+    return islice(scan, len(a) // 2 + 1)
+
+
 def hankel_det(s, k: int) -> Rat:
-    """det(s[i+j]) for i,j = 0..k, by fraction-free elimination.
+    """det(s[i+j]) for i,j = 0..k, the last entry of `_scan_minors`.
 
     Needs at least 2k+1 entries of the sequence.
     """
     if k < 0:
         raise ValueError("order must be nonnegative")
     ints, den = integer_prefix(s, 2 * k + 1)
-    m = [[ints[i + j] for j in range(k + 1)] for i in range(k + 1)]
-    return Rat(bareiss_det_int(m), den ** (k + 1))
+    *_, h = _scan_minors(ints)
+    return Rat(h, den ** (k + 1))
 
 
 def leading_minors(a, k_max: int, c: int = 1, e: int = 1):
@@ -66,8 +79,8 @@ def leading_minors(a, k_max: int, c: int = 1, e: int = 1):
     orthogonality), so every column j >= k of the order-k_max Hankel matrix
     is a combination of the k columns before it.  The matrix has rank at
     most k, and the orders k..k_max yield 0 with no determinant.  If one
-    residual is nonzero, each order j from k on is `hankel_det(a, j)` over
-    e^(j+1) c^(j(j+1)), the scaling the recurrence's own minors carry.
+    residual is nonzero, the orders j = k..k_max come off one `_scan_minors`
+    over e^(j+1) c^(j(j+1)), the scaling the recurrence's own minors carry.
     """
     if k_max < 0:
         raise ValueError("order must be nonnegative")
@@ -90,8 +103,8 @@ def leading_minors(a, k_max: int, c: int = 1, e: int = 1):
                 for _ in range(k, k_max + 1):
                     yield Rat(0)
                 return
-            for j in range(k, k_max + 1):
-                yield hankel_det(a, j) / den
+            for h in islice(_scan_minors(a[:n]), k, None):
+                yield Rat(h, den)
                 step *= c * c
                 den *= e * step
             return

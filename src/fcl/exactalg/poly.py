@@ -14,9 +14,10 @@ stay small.  One primitive remainder sequence over Z, `_remainder_chain`,
 serves the gcd and the Sturm chains of `sturm`.  A gcd is first tried by the heuristic gcd (GCDHEU: one
 integer gcd of the values at a large point, read back as a polynomial and
 proved by trial division), and only when that fails is it the chain's last
-member.  The signed subresultant PRS (`_subresultant_scan`) yields its
-entries top-down and lazily, for resultants and for the real-rootedness
-rule in `sturm`.
+member.  The signed subresultant PRS (`_subresultant_scan`), the one
+determinant routine, yields its entries top-down and lazily, for
+resultants, the real-rootedness rule in `sturm`, the pencil tables of
+`bipoly` and the Hankel minors of `hankel`.
 """
 from __future__ import annotations
 
@@ -489,30 +490,7 @@ def is_squarefree(p: Poly) -> bool:
     return p.is_constant() or poly_gcd(p, p.derivative()).is_constant()
 
 
-# -- determinants and resultants -----------------------------------------
-
-
-def bareiss_det_int(m) -> int:
-    """Fraction-free Bareiss determinant of a square integer matrix."""
-    a = [row[:] for row in m]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+# -- determinants and resultants: one signed subresultant PRS -------------
 
 
 def _pseudo_rem(a, b):

@@ -5,17 +5,18 @@ not a moment sequence; a run of nonnegative minors is only ever reported
 as "positive so far".  Zero minors do not stop the scan (finitely atomic
 measures produce them legitimately).
 
-All minors of one scan come from the fraction-free Chebyshev recurrence
-(`exactalg.hankel.leading_minors`), read order by order, on integers: the
-two checks on F read the ints of `dilated_moments` and
-`dilated_cumulants`, dilated by the least c with den_i | c^i (den_i the
-lcm of the denominators of F's w^i coefficients), and `hankel_verdict`
-writes any sequence over its common denominator.  Either form scales
-the order-k minor by a positive factor (e^(k+1) c^(k(k+1)) for
-a_n = e c^n s_n), so the verdict does not depend on it.  The recurrence
-stops at the first zero minor H_k.  If the residuals it holds there are
-all zero, the Hankel matrix has rank at most k and every later minor is
-0; otherwise each later order is a determinant of its own.
+The minors of one scan come from `exactalg.hankel.leading_minors`, read
+order by order, on integers: the two checks on F read the ints of
+`dilated_moments` and `dilated_cumulants`, dilated by a c with
+den_i | c^i (den_i the lcm of the denominators of F's w^i coefficients;
+see `classf._dilation`), and `hankel_verdict` writes any sequence over
+its common denominator.  Either form scales the order-k minor by a
+positive factor (e^(k+1) c^(k(k+1)) for a_n = e c^n s_n), so the verdict
+does not depend on it.  They come from the fraction-free Chebyshev
+recurrence up to its first zero minor H_k.  If the residuals it holds
+there are all zero, the Hankel matrix has rank at most k and every later
+minor is 0; otherwise the later orders are read off one subresultant
+scan of the same integers.
 """
 from __future__ import annotations
 
@@ -55,8 +56,8 @@ def hankel_verdict(s, k_max: int) -> HankelVerdict:
     minors.  At the first zero minor H_k, zero residuals of the orthogonal
     polynomial pi_k (the prefix obeys pi_k's recurrence, so the Hankel
     matrix has rank at most k) make every later minor 0 with no
-    determinant; a nonzero residual makes every later order a separate
-    `hankel_det`.
+    determinant; after a nonzero residual the later orders are read in
+    turn off one subresultant scan, which a negative minor stops too.
     """
     _check_order(k_max)
     ints, den = integer_prefix(s, 2 * k_max + 1)

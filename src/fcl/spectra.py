@@ -66,10 +66,10 @@ class Verdict(Enum):
 
 
 def _chi_t_parts(f: ClassF):
-    """(A, B) with chi_t = A + t B: P^2 and (P+wP')(Q-P) - wP(Q'-P')."""
-    w = Poly.x()
-    p, q = f.P, f.Q
-    return p * p, (p + w * p.derivative()) * (q - p) - w * p * (q.derivative() - p.derivative())
+    """(A, B) with chi_t = A + t B: chi is linear in Q and chi_0 = P^2, so
+    A = P^2 and B = chi_F - P^2 = (P+wP')(Q-P) - wP(Q'-P')."""
+    a = f.P * f.P
+    return a, char_poly(f) - a
 
 
 def char_poly_t(f: ClassF) -> BiPoly:

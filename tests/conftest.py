@@ -65,6 +65,31 @@ def tarski_query(a, q, lo, hi) -> int:
     return _variations_at(chain, lo) - _variations_at(chain, hi)
 
 
+def bareiss_det_int(m) -> int:
+    """Fraction-free Bareiss determinant of a square integer matrix, with
+    row swaps at a zero pivot: the tests' determinant oracle, which shares
+    no step with the kernel's subresultant scan."""
+    a = [row[:] for row in m]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260810)

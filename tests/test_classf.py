@@ -471,22 +471,32 @@ def test_dilation_is_the_least_c_with_den_i_dividing_c_to_the_i():
 _BIG = 10**6 + 3  # a prime above the trial bound 2^10
 
 
-@pytest.mark.parametrize("den, at, least", [
-    (_BIG**2, 1, _BIG**2), (_BIG**2, 2, _BIG), (_BIG**3, 3, _BIG), (_BIG**3, 2, _BIG**2),
-    ((1031 * 1033)**2, 2, 1031 * 1033), (10**400, 1, 10**400),
-    (10**400, 3, 10**134), (4 * 1031, 2, 2 * 1031)],
+@pytest.mark.parametrize("terms, least", [
+    ({1: _BIG**2}, _BIG**2), ({2: _BIG**2}, _BIG), ({3: _BIG**3}, _BIG), ({2: _BIG**3}, _BIG**2),
+    ({2: (1031 * 1033)**2}, 1031 * 1033), ({1: 10**400}, 10**400),
+    ({3: 10**400}, 10**134), ({2: 4 * 1031}, 2 * 1031),
+    ({1: 1033, 2: 1031**2}, None), ({1: 1031**2, 2: 1033**2}, None)],
     ids=["big_prime_sq-w1", "big_prime_sq-w2", "big_prime_cube-w3", "big_prime_cube-w2",
-         "composite_sq-w2", "1e400-w1", "1e400-w3", "4x1031-w2"])
-def test_dilation_of_large_denominators_is_valid(den, at, least):
-    # small primes get their least exponent; the cofactor with no small
-    # prime factor, y^k with k as large as possible, the least power of y
-    # (y = 1031 * 1033 > 2^20 is composite: (1031 * 1033)^2 is not split)
-    f = make_classf(Poly([1] + [0] * (at - 1) + [F(1, den)]), Poly([1, F(-1, 3)]))
+         "composite_sq-w2", "1e400-w1", "1e400-w3", "4x1031-w2",
+         "two_big_primes-w1w2", "two_big_prime_squares-w1w2"])
+def test_dilation_of_large_denominators_is_valid(terms, least):
+    # P = 1 + sum w^i / terms[i].  Small primes get their least exponent; the
+    # cofactor with no small prime factor, y^k with k as large as possible,
+    # the least power of y (y = 1031 * 1033 > 2^20 is composite:
+    # (1031 * 1033)^2 is not split).  Two primes above 2^10 in two
+    # denominators share one exponent, so c is valid but not least there
+    # (least is None): 1031^2 * 1033 and (1031 * 1033)^2, where 1031 * 1033
+    # and 1031^2 * 1033 suffice
+    p = [1] + [0] * max(terms)
+    for i, den in terms.items():
+        p[i] = F(1, den)
+    f = make_classf(Poly(p), Poly([1, F(-1, 3)]))
     c = fcl.classf._dilation(f)[0]
     dens = _dens(f)
     assert math.lcm(*dens) % c == 0
     assert all(c**i % d == 0 for i, d in enumerate(dens) if i)
-    assert c == 3 * least  # the 3 from Q
+    if least is not None:
+        assert c == 3 * least  # the 3 from Q
     assert moments(f, 12) == _oracle(moments, f, 12)
     assert cumulants(f, 12) == _oracle(cumulants, f, 12)
     from fcl.posdef import fid_check, is_moment_positive_up_to

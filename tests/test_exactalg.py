@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import moving_part, pencil_parts, rand_poly, rand_rat, tarski_query
+from conftest import (bareiss_det_int, moving_part, pencil_parts, rand_poly, rand_rat,
+                      tarski_query)
 from fcl.classf import make_classf
 from fcl.errors import NotInClass
 from fcl.euler import nk_classf
@@ -20,7 +21,6 @@ from fcl.exactalg import (AlgebraicReal, BiPoly, Iv, Poly,
 from fcl.exactalg import algebraic, bipoly, poly, sturm
 from fcl.exactalg.algebraic import _rational_roots, _root_bound_exponent
 from fcl.exactalg.bipoly import _nodes, subresultants
-from fcl.exactalg.poly import bareiss_det_int
 from fcl.exactalg.sturm import _sign_at, _variations_at, real_rooted_from_signs
 from fcl.spectra import Pencil, char_poly_t, critical_ts, flow_pencil
 
@@ -1664,7 +1664,8 @@ def test_hankel_det_matches_sympy(k, seq, atoms, atomic):
                              min_value=F(-10), max_value=F(10)),
                 min_size=3, max_size=3))
 def test_bareiss_det_int_3x3(vals):
-    # the matrices of the rational cofactor check, scaled to integers
+    # the tests' Bareiss oracle against cofactors, on the matrices of the
+    # rational cofactor check scaled to integers
     den = math.lcm(*(v.denominator for v in vals))
     a, b, c = (int(v * den) for v in vals)
     m = [[a, b, c], [b, c, a], [c, a, b]]

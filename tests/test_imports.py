@@ -139,4 +139,5 @@ def test_every_exactalg_export_has_a_caller_in_fcl():
     assert not unused, unused
     # the exports that only the tracer keeps: they go when it drops them,
     # and a new fcl caller of one shows up here
-    assert set(fcl.exactalg.__all__) - used == {"iv_poly_eval", "resultant", "resultant_w"}
+    assert set(fcl.exactalg.__all__) - used == {"hankel_det", "iv_poly_eval", "resultant",
+                                                "resultant_w"}

@@ -345,7 +345,7 @@ def test_cli_text_prints_an_empty_value_inline(capsys):
     assert code == 0
     assert out.splitlines() == [
         "z_poly:", "  coeffs:", "    - 4/27", "    - 0", "    - 1",
-        "  pretty: 4/27 + w^2",
+        "  pretty: 4/27 + z^2",
         "real_members: []",
         "nonreal_pair_count: 1",
         "all_real: False"]

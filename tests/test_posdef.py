@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fcl.exactalg.hankel as hankel_mod
-import fcl.exactalg.poly as poly_mod
-from conftest import rand_classf, rand_rat
+from conftest import bareiss_det_int, rand_classf, rand_rat
 from fcl.classf import (SeriesPrefix, compose, cumulants, dilate, dilated_moments, from_r,
                         identity_f, make_classf, make_ratfun, moments)
 from fcl.distlib import mp, wigner
@@ -170,27 +169,31 @@ def test_negative_after_zero_pivots():
 
 
 @pytest.fixture
-def det_calls(monkeypatch):
-    """The orders passed to hankel_det during the test."""
-    orders, det = [], hankel_mod.hankel_det
+def scans(monkeypatch):
+    """One entry per subresultant scan that `exactalg.hankel` builds during
+    the test: the number of entries read off it."""
+    reads, scan = [], hankel_mod._subresultant_scan
 
-    def counted(s, k):
-        orders.append(k)
-        return det(s, k)
+    def counted(a, b):
+        reads.append(0)
+        i = len(reads) - 1
+        for s in scan(a, b):
+            reads[i] += 1
+            yield s
 
-    monkeypatch.setattr(hankel_mod, "hankel_det", counted)
-    return orders
+    monkeypatch.setattr(hankel_mod, "_subresultant_scan", counted)
+    return reads
 
 
-def test_no_zero_pivot_needs_no_separate_determinant(det_calls):
+def test_no_zero_pivot_needs_no_separate_determinant(scans):
     catalan = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786,
                208012, 742900, 2674440, 9694845, 35357670, 129644790,
                477638700, 1767263190, 6564120420]
     hv = hankel_verdict(catalan, 10)
-    assert hv.minors == (1,) * 11 and det_calls == []
+    assert hv.minors == (1,) * 11 and scans == []
 
 
-def test_zero_residuals_settle_the_tail_without_a_determinant(det_calls):
+def test_zero_residuals_settle_the_tail_without_a_determinant(scans):
     # at the first zero minor every residual <pi_k, x^l> is zero: the
     # prefix obeys pi_k's recurrence, so the Hankel matrix has rank at most k
     atoms = [(F(0), F(2)), (F(1, 2), F(1)), (F(3), F(1, 5))]
@@ -201,27 +204,34 @@ def test_zero_residuals_settle_the_tail_without_a_determinant(det_calls):
     for hv in (is_moment_positive_up_to(identity_f(), 8),
                fid_check(wigner(F(5, 2)), 8), fid_check(mp(F(-3, 2), F(5, 2)), 8)):
         assert not hv.is_negative and hv.minors[1:] == (0,) * 8
-    assert det_calls == []
+    assert scans == []
 
 
-def test_all_zero_sequence_gives_zeros_without_a_determinant(det_calls):
+def test_all_zero_sequence_gives_zeros_without_a_determinant(scans):
     # k = 0: the residuals are the terms themselves
     hv = hankel_verdict([0] * 9, 4)
     assert hv.status == "positive_so_far" and hv.minors == (0,) * 5
-    assert det_calls == []
+    assert scans == []
 
 
-def test_one_determinant_per_order_from_the_first_zero_pivot(det_calls):
-    # the sequences whose residuals at the first zero minor are not all zero
-    hankel_verdict([3, -1, 1, -1, 1, -1, 3, 2, -2], 4)  # first zero at 2, negative at 4
-    assert det_calls == [2, 3, 4]
-    det_calls.clear()
-    hankel_verdict([1, 1, 1, 2, 5, 1, 1, 1, 1], 4)      # zero at 1, negative at 2
-    assert det_calls == [1, 2]
-    det_calls.clear()
+def test_one_scan_from_the_first_zero_pivot(scans):
+    # the sequences whose residuals at the first zero minor are not all
+    # zero: one subresultant scan serves every later order, and it is read
+    # up to the first negative minor and no further (entry j is order j)
+    hv = hankel_verdict([3, -1, 1, -1, 1, -1, 3, 2, -2], 4)  # first zero at 2, negative at 4
+    assert hv.minors == (3, 2, 0, 0, -16) and scans == [5]
+    scans.clear()
+    hv = hankel_verdict([1, 1, 1, 2, 5, 1, 1, 1, 1], 4)      # zero at 1, negative at 2
+    assert hv.minors == (1, 0, -1) and scans == [3]
+    scans.clear()
     # k = 0 with a nonzero term further on
     hv = hankel_verdict([0, 0, 1, 0, 0], 2)
-    assert hv.minors == (0, 0, -1) and det_calls == [0, 1, 2]
+    assert hv.minors == (0, 0, -1) and scans == [3]
+    scans.clear()
+    # no negative minor after the zero one: the scan is read to k_max
+    hv = hankel_verdict([1, 1, 1, 1, -1, 2, -1, 3, 2], 4)
+    assert hv.status == "positive_so_far" and hv.minors == (1, 0, 0, 8, 77)
+    assert scans == [5]
 
 
 def _sympy_minors(sympy, s, k_max):
@@ -265,12 +275,17 @@ def test_hankel_verdict_matches_sympy(k_max, seq, atoms, cut):
 # ------------------------------- the Chebyshev recurrence against Bareiss
 
 
+def _oracle_minor(h, k):
+    """det(h[i+j]), i,j = 0..k, of the ints h, by the tests' Bareiss oracle."""
+    return bareiss_det_int([h[i: i + k + 1] for i in range(k + 1)])
+
+
 def _bareiss_minors(s, k_max):
     """det(s[i+j]), i,j = 0..k, for k = 0..k_max: the pivots of one Bareiss
     elimination of the order-k_max Hankel matrix without row swaps, over one
     common denominator of the first 2k_max+1 terms (pivot k over den^(k+1)).
     From the first zero pivot on, a pivot is no longer the minor of its
-    order, so each remaining order is a `hankel_det`."""
+    order, so each remaining order is a determinant of its own."""
     s = [as_rat(x) for x in s[: 2 * k_max + 1]]
     den = math.lcm(*[x.denominator for x in s])
     h = [x.numerator * (den // x.denominator) for x in s]
@@ -285,7 +300,7 @@ def _bareiss_minors(s, k_max):
             c[k] = (c[k] * p - cr * cr) // prev
             prev = p
         if c[k] == 0:
-            return out + [hankel_det(s, j) for j in range(k, k_max + 1)]
+            return out + [F(_oracle_minor(h, j), den ** (j + 1)) for j in range(k, k_max + 1)]
         cols.append(c)
         out.append(F(c[k], den ** (k + 1)))
     return out
@@ -349,40 +364,37 @@ def test_planted_zero_minors_plain_and_dilated(s, k_max, c, e):
     assert list(leading_minors(a, k_max, c, den * e)) == ref
 
 
-@pytest.fixture
-def bareiss_calls(monkeypatch):
-    """The names of the hankel_det and bareiss_det_int calls made during the test."""
-    calls = []
-    det, bareiss = hankel_mod.hankel_det, poly_mod.bareiss_det_int
-
-    def counted_det(s, k):
-        calls.append("hankel_det")
-        return det(s, k)
-
-    def counted_bareiss(m):
-        calls.append("bareiss_det_int")
-        return bareiss(m)
-
-    monkeypatch.setattr(hankel_mod, "hankel_det", counted_det)
-    monkeypatch.setattr(hankel_mod, "bareiss_det_int", counted_bareiss)
-    monkeypatch.setattr(poly_mod, "bareiss_det_int", counted_bareiss)
-    return calls
-
-
-def test_nonzero_scan_runs_no_bareiss(bareiss_calls):
+def test_nonzero_minors_build_no_subresultant_scan(scans):
     hv = is_moment_positive_up_to(wigner(F(7, 3)), 18)
     assert not hv.is_negative and len(hv.minors) == 19 and all(hv.minors)
     law = compose(mp(F(-3, 2), F(5, 4)), wigner(F(2, 3)))
     assert not is_moment_positive_up_to(law, 12).is_negative
     hv = fid_check(law, 18)
     assert all(hv.minors)
-    assert bareiss_calls == []
+    assert scans == []
     # so do zero residuals
     assert fid_check(wigner(F(7, 3)), 8).minors[1:] == (0,) * 8
-    assert bareiss_calls == []
-    # a zero minor with a nonzero residual does reach them
+    assert scans == []
+    # a zero minor with a nonzero residual builds one
     hankel_verdict([1, 1, 1, 2, 5, 1, 1, 1, 1], 4)
-    assert bareiss_calls.count("hankel_det") == 2 and "bareiss_det_int" in bareiss_calls
+    assert len(scans) == 1
+
+
+def test_minors_past_a_zero_pivot_of_100_bit_entries_match_bareiss(scans, rng):
+    # K = 30: the moments of three atoms up to s_6 make H_3 = 0, and the
+    # 100-bit entries after them a nonzero residual; every order from 3 on
+    # comes off one subresultant scan and equals the oracle's minor
+    k_max = 30
+    a = [2 * (-5)**n + 7 * 3**n + 11 for n in range(7)]
+    a += [rng.getrandbits(100) - (1 << 99) for _ in range(2 * k_max + 1 - len(a))]
+    ref = [_oracle_minor(a, k) for k in range(k_max + 1)]
+    assert ref[3] == 0 and all(ref[:3]) and sum(d != 0 for d in ref) > 20
+    assert list(leading_minors(a, k_max)) == ref
+    assert len(scans) == 1 and scans[0] == k_max + 1
+    # and dilated: a_n = e c^n s_n scales order k by e^(k+1) c^(k(k+1))
+    c, e = 6, 35
+    scaled = [e * c**n * x for n, x in enumerate(a)]
+    assert list(leading_minors(scaled, k_max, c, e)) == ref
 
 
 def _laws_and_members(rng):
