@@ -16,21 +16,23 @@ and cumulant by c^k, which one division per term undoes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import zip_longest
 from operator import mul
 
+from ._record import Record
 from .errors import ComputationError, InvalidRTransform, NotInClass
 from .exactalg import Poly, Rat, as_rat, poly_gcd
 from .series import invert_f_series, ser_div, ser_trunc
 
 
-@dataclass(frozen=True)
-class ClassF:
-    """Normalized representation of F(w) = w*P(w)/Q(w)."""
+class ClassF(Record):
+    """Normalized representation of F(w) = w*P(w)/Q(w).
 
-    P: Poly
-    Q: Poly
+    A frozen `Record`, not a dataclass (see `fcl._record`); hashable, so
+    it keys `spectra.flow_pencil`'s memo.
+    """
+
+    __slots__ = ("P", "Q")
 
     def __repr__(self):
         num = f"w*({self.P.to_str()})" if self.P != Poly.one() else "w"
@@ -43,12 +45,15 @@ class ClassF:
         return w * self.P(w) / self.Q(w)
 
 
-@dataclass(frozen=True)
-class RatFun:
-    """Reduced rational function num/den with den(0) != 0."""
+class RatFun(Record):
+    """Reduced rational function num/den with den(0) != 0.
 
-    num: Poly
-    den: Poly
+    A frozen `Record`, not a dataclass (see `fcl._record`).  Equality is
+    that of the functions, so the hash is that of the reduced form with a
+    monic den.
+    """
+
+    __slots__ = ("num", "den")
 
     def __repr__(self):
         if self.den == Poly.one():
@@ -71,13 +76,20 @@ class RatFun:
             return NotImplemented
         return self.num * other.den == other.num * self.den
 
+    def __hash__(self):
+        g = poly_gcd(self.num, self.den)
+        num, den = self.num.exact_div(g), self.den.exact_div(g)
+        return hash((num * (1 / den.coeffs[-1]), den.monic()))
 
-@dataclass(frozen=True)
-class SeriesPrefix:
-    """A prefix of a rational sequence: terms[n] is the n-th element."""
 
-    terms: tuple
-    kind: str = "generic"  # moments | cumulants | generic
+class SeriesPrefix(Record):
+    """A prefix of a rational sequence: terms[n] is the n-th element.
+
+    A frozen `Record`, not a dataclass (see `fcl._record`).
+    """
+
+    __slots__ = ("terms", "kind")
+    _defaults = {"kind": "generic"}  # moments | cumulants | generic
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(as_rat(t) for t in self.terms))

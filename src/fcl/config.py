@@ -8,14 +8,19 @@ fixture/cache directory) and network (on/off).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
+from ._record import Record
 
-@dataclass(frozen=True)
-class Config:
-    fixtures_path: Path | None = None
-    network: bool = False
+
+class Config(Record):
+    """The resolved settings.
+
+    A frozen `Record`, not a dataclass (see `fcl._record`).
+    """
+
+    __slots__ = ("fixtures_path", "network")   # Path | None, bool
+    _defaults = {"fixtures_path": None, "network": False}
 
 
 def _parse_file(path: Path) -> dict:

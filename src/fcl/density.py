@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .classf import ClassF, moments
 from .errors import ContinuationFailure, FclError
 from .exactalg import Poly
@@ -108,12 +108,15 @@ def g_eval_descent(ev: _Evaluator, x: float, anchor: float) -> complex:
     return w
 
 
-@dataclass(frozen=True)
-class DensityTable:
-    xs: tuple
-    fs: tuple            # density values; None marks a continuation gap
-    mass_estimate: float
-    clamped: int         # count of small negatives clamped to 0
+class DensityTable(Record):
+    """A tabulated density.
+
+    A frozen `Record`, not a dataclass (see `fcl._record`).  fs holds
+    the density values at xs, None marking a continuation gap; clamped
+    counts the small negatives clamped to 0.
+    """
+
+    __slots__ = ("xs", "fs", "mass_estimate", "clamped")
 
     def rows(self):
         return list(zip(self.xs, self.fs))

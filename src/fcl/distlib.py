@@ -11,9 +11,9 @@ Q(sqrt(d)) by splitting every R sum into a rational part and a sqrt(d) part.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .classf import (ClassF, RatFun, char_poly, compose, from_r, make_classf,
                      make_ratfun, r_transform)
 from .errors import DecompositionNotReal
@@ -80,13 +80,13 @@ def dirac_moment(u, n: int) -> Rat:
 # freely infinitely divisible laws
 
 
-@dataclass(frozen=True)
-class LevyData:
-    """Parameters (drift, semicircular weight, point-mass atoms) of a FID law."""
+class LevyData(Record):
+    """Parameters (drift, semicircular weight, point-mass atoms) of a FID law.
 
-    u: Rat
-    c0: Rat
-    atoms: tuple  # ((u_k, c_k), ...), u_k distinct nonzero, c_k > 0
+    A frozen `Record`, not a dataclass (see `fcl._record`).
+    """
+
+    __slots__ = ("u", "c0", "atoms")   # atoms: ((u_k, c_k), ...), u_k distinct nonzero, c_k > 0
 
     def __post_init__(self):
         object.__setattr__(self, "u", as_rat(self.u))
@@ -164,12 +164,13 @@ def deconv_mpmp(u, v, x) -> dict:
 # decomposition atoms (weights may be negative: free deconvolution)
 
 
-@dataclass(frozen=True)
-class Atom:
-    """One signed component of an R-transform decomposition."""
+class Atom(Record):
+    """One signed component of an R-transform decomposition.
 
-    kind: str      # dirac | wigner | mp | rpoly | rfun
-    params: tuple
+    A frozen `Record`, not a dataclass (see `fcl._record`).
+    """
+
+    __slots__ = ("kind", "params")   # kind: dirac | wigner | mp | rpoly | rfun
 
 
 def check_r_identity(atoms, f: ClassF) -> bool:

@@ -16,25 +16,24 @@ from __future__ import annotations
 import json
 import re
 import time
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from ._record import Record
 from .config import Config
 from .errors import NetworkDisabled, NotFound, ParseError
 
 _A_PATTERN = re.compile(r"^A\d{6}$")
 
 
-@dataclass(frozen=True)
-class Fixture:
-    a_number: str
-    offset: int
-    terms: tuple
-    align: int
-    note: str
-    source: str
-    row_lengths: tuple | None = None
+class Fixture(Record):
+    """One sequence and where it came from.
+
+    A frozen `Record`, not a dataclass (see `fcl._record`).
+    """
+
+    __slots__ = ("a_number", "offset", "terms", "align", "note", "source", "row_lengths")
+    _defaults = {"row_lengths": None}   # a tuple for triangle fixtures
 
     def rows(self):
         """Reassemble triangle rows (fixtures carrying row_lengths only)."""

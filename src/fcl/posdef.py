@@ -20,18 +20,21 @@ scan of the same integers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .classf import ClassF, dilated_cumulants, dilated_moments
 from .exactalg import Rat, integer_prefix, leading_minors
 
 
-@dataclass(frozen=True)
-class HankelVerdict:
-    status: str            # 'positive_so_far' | 'negative_at'
-    order: int             # max order checked, or the offending order
-    determinant: Rat       # the offending minor (negative_at only)
-    minors: tuple          # all minors computed, orders 0..
+class HankelVerdict(Record):
+    """The outcome of a Hankel scan.
+
+    A frozen `Record`, not a dataclass (see `fcl._record`).  status:
+    'positive_so_far' | 'negative_at'; order: the max order checked, or
+    the offending order; determinant: the offending minor (negative_at
+    only); minors: all minors computed, orders 0..
+    """
+
+    __slots__ = ("status", "order", "determinant", "minors")
 
     @property
     def is_negative(self) -> bool:

@@ -49,7 +49,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .classf import ClassF, char_poly
-from .errors import DegenerateEliminant
+from .errors import ComputationError, DegenerateEliminant
 from .exactalg import (AlgebraicReal, BiPoly, Poly, Rat, as_rat,
                        count_distinct_real_roots, is_real_rooted, is_squarefree,
                        isolate_real_roots, poly_gcd, real_rooted_from_signs,
@@ -241,7 +241,9 @@ def n_set(f: ClassF) -> NSetResult:
         return NSetResult(sq, (), 0)
     members = tuple(isolate_real_roots(sq))
     pairs, rem = divmod(sq.degree - len(members), 2)
-    assert rem == 0
+    if rem:
+        raise ComputationError(f"{len(members)} real roots of a degree-{sq.degree} "
+                               "eliminant leave an odd number of non-real ones")
     return NSetResult(sq, members, pairs)
 
 

@@ -85,6 +85,20 @@ def test_from_r_examples():
         from_r(RatFun(Poly.one(), Poly.one()))
 
 
+def test_equal_ratfuns_hash_equal(rng):
+    # equality cross-multiplies, so the hash is that of the reduced form
+    # with a monic den: a set holds one of two forms of a value
+    assert RatFun(Poly([0, 2]), Poly([2])) == RatFun(Poly([0, 1]), Poly([1]))
+    assert len({RatFun(Poly([0, 2]), Poly([2])), RatFun(Poly([0, 1]), Poly([1]))}) == 1
+    assert len({RatFun(Poly.zero(), Poly([1, 3])), RatFun(Poly.zero(), Poly.one())}) == 1
+    for _ in range(10):
+        r = r_transform(rand_classf(rng, 3))
+        k = Poly([rand_rat(rng, nonzero=True), rand_rat(rng)])
+        raw = RatFun(r.num * k, r.den * k)
+        assert raw == r and hash(raw) == hash(r)
+        assert hash(make_ratfun(r.num * k, r.den * k)) == hash(r)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_from_r_roundtrip(seed):

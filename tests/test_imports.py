@@ -1,27 +1,50 @@
 """Import footprint of the package and its lazy (PEP 562) exports."""
+import ast
+import copy
+import dataclasses
 import importlib
 import json
 import os
+import pickle
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import fcl
 import fcl.exactalg
+import fcl.spectra
+from fcl.classf import ClassF, RatFun, SeriesPrefix
+from fcl.config import Config
+from fcl.density import DensityTable
+from fcl.distlib import Atom, LevyData
+from fcl.exactalg import Poly
+from fcl.oeis import Fixture
+from fcl.posdef import HankelVerdict
 
 _SRC = str(Path(fcl.__file__).resolve().parents[1])
 
 
-def _loaded_after(code):
-    """fcl modules loaded in a fresh interpreter after running `code`."""
-    probe = (code + "\nimport sys, json\n"
-             "print(json.dumps(sorted(m for m in sys.modules "
-             "if m == 'fcl' or m.startswith('fcl.'))))")
+def _modules_after(code):
+    """Every module loaded in a fresh interpreter after running `code`."""
+    probe = code + "\nimport sys, json\nprint(json.dumps(sorted(sys.modules)))"
     res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=_SRC), timeout=60, check=True)
     return set(json.loads(res.stdout.splitlines()[-1]))
+
+
+def _loaded_after(code):
+    """fcl modules loaded in a fresh interpreter after running `code`."""
+    return {m for m in _modules_after(code) if m == "fcl" or m.startswith("fcl.")}
+
+
+def _run_cli(argv):
+    """Probe code running the CLI on argv with its output discarded."""
+    return ("import contextlib, io, fcl.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert fcl.cli.main({argv!r}) == 0")
 
 
 def test_import_fcl_loads_no_submodule():
@@ -50,10 +73,7 @@ def test_import_cli_loads_no_subcommand_module():
     (["region", "lb", "--samples", "5", "--csv"], "fcl.spectra", True),
 ], ids=["density", "charpoly", "dist", "deconv", "monotone", "fuss", "region-lb"])
 def test_command_loads_spectra_only_when_it_calls_it(argv, module, loads_spectra):
-    loaded = _loaded_after(
-        "import contextlib, io, fcl.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert fcl.cli.main({argv!r}) == 0")
+    loaded = _loaded_after(_run_cli(argv))
     assert module in loaded
     assert ("fcl.spectra" in loaded) == loads_spectra
     # bipoly's parameter eliminations serve spectra alone: the algebraic
@@ -62,6 +82,70 @@ def test_command_loads_spectra_only_when_it_calls_it(argv, module, loads_spectra
     if argv[0] == "charpoly":
         # chi_F is ClassF algebra: the polynomial kernel alone
         assert {m for m in loaded if m.startswith("fcl.exactalg.")} == {"fcl.exactalg.poly"}
+
+
+def _readme_examples():
+    """perfbench's CLI_EXAMPLES, the README's commands, read from the source
+    without importing perfbench."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "fclbench" / "workloads.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["CLI_EXAMPLES"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("no CLI_EXAMPLES in the workloads")
+
+
+_SPECTRA_COMMANDS = {"criticals", "nset", "euler", "region"}
+_SLOW_IMPORTS = {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("name, argv", [pytest.param(*ex, id=ex[0]) for ex in _readme_examples()])
+def test_only_spectra_commands_load_dataclasses(name, argv):
+    # records outside spectra are fcl._record classes: importing dataclasses
+    # would load inspect, ast, dis and more on every CLI call
+    loaded = _modules_after(_run_cli(argv))
+    assert ("fcl.spectra" in loaded) == (name in _SPECTRA_COMMANDS)
+    assert bool(loaded & _SLOW_IMPORTS) == (name in _SPECTRA_COMMANDS)
+
+
+def test_record_modules_do_not_load_dataclasses():
+    loaded = _modules_after("import fcl.classf, fcl.posdef, fcl.distlib, fcl.density, fcl.oeis")
+    assert not loaded & _SLOW_IMPORTS
+    # spectra keeps dataclasses: perfbench's tests call dataclasses.replace
+    # on a CriticalReport
+    assert dataclasses.is_dataclass(fcl.spectra.CriticalReport)
+
+
+_RECORDS = [
+    (ClassF, {"P": Poly([1, -1]), "Q": Poly.one()}, {}, {"Q": Poly([1, 2])}),
+    (RatFun, {"num": Poly([0, 1]), "den": Poly([1, -1])}, {}, {"num": Poly([0, 2])}),
+    (SeriesPrefix, {"terms": (1, 2, 5)}, {"kind": "generic"}, {"terms": (1, 2)}),
+    (Config, {}, {"fixtures_path": None, "network": False}, {"network": True}),
+    (Fixture, {"a_number": "A000108", "offset": 0, "terms": (1, 1, 2, 5), "align": 0,
+               "note": "", "source": "bundled"}, {"row_lengths": None}, {"offset": 1}),
+    (HankelVerdict, {"status": "positive_so_far", "order": 1, "determinant": F(0),
+                     "minors": (F(1), F(1))}, {}, {"order": 2}),
+    (DensityTable, {"xs": (0.0, 1.0), "fs": (0.5, None), "mass_estimate": 0.5,
+                    "clamped": 0}, {}, {"clamped": 1}),
+    (LevyData, {"u": 1, "c0": F(1, 2), "atoms": ((1, 1),)}, {}, {"c0": 0}),
+    (Atom, {"kind": "dirac", "params": (F(2),)}, {}, {"params": (F(3),)}),
+]
+
+
+@pytest.mark.parametrize("cls, given, defaults, change", _RECORDS,
+                         ids=[r[0].__name__ for r in _RECORDS])
+def test_records_are_frozen_values(cls, given, defaults, change):
+    r = cls(**given)
+    assert not dataclasses.is_dataclass(cls)
+    assert {k: getattr(r, k) for k in defaults} == defaults
+    by_position = cls(*given.values())
+    assert r == by_position and hash(r) == hash(by_position)
+    assert r != cls(**{**given, **change})
+    assert copy.copy(r) == r and pickle.loads(pickle.dumps(r)) == r
+    for field in cls.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(r, field, getattr(r, field))
+    with pytest.raises(TypeError):
+        cls(**given, no_such_field=0)
 
 
 @pytest.mark.parametrize("pkg", [fcl, fcl.exactalg], ids=lambda p: p.__name__)
@@ -99,7 +183,6 @@ def test_algebraic_decisions_do_not_load_intervals():
 def _tracer_targets():
     """(module, attribute) of each entry of perfbench's tracer TARGETS, read
     from the source without importing or changing perfbench."""
-    import ast
     path = Path(__file__).resolve().parents[1] / "perfbench" / "fclbench" / "tracing.py"
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
@@ -123,7 +206,6 @@ def test_every_exactalg_export_has_a_caller_in_fcl():
     # an export that only tests call is a route to delete: each name in
     # fcl.exactalg.__all__ is read by the code of some fcl module (its own
     # module counts, the export table does not) or wrapped by the tracer
-    import ast
     src = Path(fcl.__file__).resolve().parent
     table = src / "exactalg" / "__init__.py"
     used = set()

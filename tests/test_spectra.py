@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fcl.spectra
 from conftest import moving_part, pencil_parts, rand_classf, rand_rat, tarski_query
 from fcl.classf import (from_r, free_power, identity_f, make_classf,
                         make_ratfun, translate)
+from fcl.errors import ComputationError
 from fcl.euler import ck_candidates, nk_classf
 from fcl.exactalg import (AlgebraicReal, BiPoly, Poly, algebraic,
                           is_real_rooted, is_squarefree, isolate_real_roots,
@@ -156,6 +158,17 @@ def test_n_set_genuine_zero_member():
     f = f_of((1 - w) ** 2)
     ns = n_set(f)
     assert any(r == 0 for r in ns.real_members)
+
+
+def test_n_set_odd_nonreal_count_is_a_computation_error(monkeypatch):
+    # deg - #real members must be even; losing a root is an error that
+    # `python -O` does not strip
+    f = f_of(Poly([1, -1]) * Poly([1, -1, 1]))
+    assert len(n_set(f).real_members) == 2
+    monkeypatch.setattr(fcl.spectra, "isolate_real_roots",
+                        lambda p: isolate_real_roots(p)[1:])
+    with pytest.raises(ComputationError):
+        n_set(f)
 
 
 def test_n_set_member_certificates(rng):
