@@ -3,10 +3,12 @@
 Construction is always through R-transforms, so every identity here is a
 statement about rational functions and is checked exactly.  Square roots
 enter only through decomposition *weights* (never through the chi
-factorizations, which rationalize into polynomial identities over Q);
-irrational weights are represented as exact algebraic numbers in one field
-Q(sqrt(d)), and the R-transform identities for them are proved exactly over
-Q(sqrt(d)) by splitting every R sum into a rational part and a sqrt(d) part.
+factorizations, which rationalize into polynomial identities over Q).
+Each irrational position or weight is written in closed form p + q*sqrt(d)
+with rational p, q and the family's discriminant d, and built as an exact
+algebraic number by `_quad_number`; the R-transform identities for them
+are still proved exactly over Q(sqrt(d)), by splitting every R sum into a
+rational part and a sqrt(d) part.
 """
 from __future__ import annotations
 
@@ -182,35 +184,37 @@ def check_r_identity(atoms, f: ClassF) -> bool:
     (an mp term c*a*w/(1 - a*w) through the conjugate 1 - a'*w of its
     denominator).  The identity holds iff the sqrt(d) part is 0 and the
     rational part equals r_transform(f).  A parameter outside every
-    quadratic field, or in a second one, raises ValueError.
+    quadratic field, or in a second one, raises ValueError.  So does a
+    quadratic irrational whose `defining` polynomial is not quadratic, such
+    as sqrt(2) isolated as a root of (x^2 - 2)(x^2 - 3).
     """
-    # the first irrational parameter fixes d; with none, every q is 0
-    d = next((disc for a in atoms if a.kind in ("dirac", "wigner", "mp")
-              for _, disc, s in map(_quad_parts, a.params) if s), Rat(1))
     rat_part = sqrt_part = RatFun(Poly.zero(), Poly.one())
+    numeric = []
     for a in atoms:
         if a.kind == "rpoly":
             rat_part = rat_part + RatFun(a.params[0], Poly.one())
-            continue
-        if a.kind == "rfun":
+        elif a.kind == "rfun":
             rat_part = rat_part + a.params[0]
-            continue
-        xs = [_in_quad_field(x, d) for x in a.params]
-        zero, den = _QuadExt(0, 0, d), Poly.one()
-        if a.kind == "dirac":
-            num = [zero, xs[0]]
-        elif a.kind == "wigner":
-            num = [zero, zero, xs[0]]
-        elif a.kind == "mp":
-            x, c = xs
-            norm = x.p**2 - x.q**2 * d
-            # c x w / (1 - x w) = c x w (1 - x' w) / (1 - 2 p w + norm w^2)
-            num = [zero, c * x, c * -norm]
-            den = Poly([1, -2 * x.p, norm])
+        elif a.kind in ("dirac", "wigner", "mp"):
+            numeric.append((a.kind, [_quad_parts(x) for x in a.params]))
         else:
             raise ValueError(f"unknown atom kind {a.kind!r}")
-        rat_part = rat_part + make_ratfun(Poly([n.p for n in num]), den)
-        sqrt_part = sqrt_part + make_ratfun(Poly([n.q for n in num]), den)
+    # the first irrational parameter fixes d; with none, every q is 0
+    d = next((disc for _, parts in numeric for _, disc, s in parts if s), Rat(1))
+    for kind, parts in numeric:
+        (p, q), *weight = [_in_quad_field(part, d) for part in parts]
+        if kind == "mp":
+            (cp, cq), = weight
+            norm = p * p - q * q * d
+            # c x w / (1 - x w) = c x w (1 - x' w) / (1 - 2 p w + norm w^2)
+            rat = [0, cp * p + cq * q * d, -cp * norm]
+            sq = [0, cp * q + cq * p, -cq * norm]
+            den = Poly([1, -2 * p, norm])
+        else:  # dirac: x w; wigner: x w^2
+            shift = [0] * (1 if kind == "dirac" else 2)
+            rat, sq, den = shift + [p], shift + [q], Poly.one()
+        rat_part = rat_part + make_ratfun(Poly(rat), den)
+        sqrt_part = sqrt_part + make_ratfun(Poly(sq), den)
     return sqrt_part.num.is_zero() and rat_part == r_transform(f)
 
 
@@ -232,75 +236,37 @@ def _quad_parts(x):
     return p, disc, s
 
 
-def _in_quad_field(x, d) -> "_QuadExt":
-    """x as p + q*sqrt(d); ValueError when x lies outside Q(sqrt(d))."""
-    p, disc, s = _quad_parts(x)
+def _in_quad_field(parts, d):
+    """(p, q) with x = p + q*sqrt(d), from x's `_quad_parts`; ValueError
+    when x lies outside Q(sqrt(d))."""
+    p, disc, s = parts
     if s == 0:
-        return _QuadExt(p, 0, d)
+        return p, Rat(0)
     q = _sqrt_rat(disc / d)
     if q is None:
-        raise ValueError(f"{x!r} is not in Q(sqrt({d}))")
-    return _QuadExt(p, s * q, d)
+        raise ValueError(f"sqrt({disc}) is not in Q(sqrt({d}))")
+    return p, s * q
 
 
-# ----------------------------------------------------------------------
-# quadratic-extension helper for irrational decomposition weights
+def _quad_number(p: Rat, q: Rat, d: Rat):
+    """p + q*sqrt(d) for rationals p, q and d > 0: a Fraction when q = 0 or
+    d is a square, else the AlgebraicReal root of x^2 - 2p x + p^2 - q^2 d
+    on p + q*[lo, hi], where lo <= sqrt(d) < hi = lo + 2^-32/den(d).
 
-
-class _QuadExt:
-    """p + q*sqrt(d) with rational p, q and fixed positive d; q = 0 when d is a square."""
-
-    __slots__ = ("p", "q", "d")
-
-    def __init__(self, p, q, d):
-        self.p, self.q, self.d = as_rat(p), as_rat(q), as_rat(d)
-
-    def __add__(self, o):
-        o = self._co(o)
-        return _QuadExt(self.p + o.p, self.q + o.q, self.d)
-
-    def __sub__(self, o):
-        o = self._co(o)
-        return _QuadExt(self.p - o.p, self.q - o.q, self.d)
-
-    def __mul__(self, o):
-        o = self._co(o)
-        return _QuadExt(self.p * o.p + self.q * o.q * self.d,
-                        self.p * o.q + self.q * o.p, self.d)
-
-    def __truediv__(self, o):
-        o = self._co(o)
-        n = o.p * o.p - o.q * o.q * self.d
-        if n == 0:
-            raise ZeroDivisionError
-        return self * _QuadExt(o.p / n, -o.q / n, self.d)
-
-    def _co(self, o):
-        return o if isinstance(o, _QuadExt) else _QuadExt(as_rat(o), 0, self.d)
-
-    def to_number(self):
-        """Fraction when the sqrt part cancels, else an AlgebraicReal."""
-        if self.q == 0:
-            return self.p
-        defining = Poly([self.p**2 - self.q**2 * self.d, -2 * self.p, 1])
-        k = 32
-        while True:
-            lo_s, hi_s = _sqrt_bounds(self.d, k)
-            if self.q > 0:
-                lo, hi = self.p + self.q * lo_s, self.p + self.q * hi_s
-            else:
-                lo, hi = self.p + self.q * hi_s, self.p + self.q * lo_s
-            try:
-                return AlgebraicReal(defining, lo, hi)
-            except ValueError:
-                k *= 2
-
-
-def _sqrt_bounds(d: Rat, k: int):
-    scale = 1 << k
-    s = math.isqrt(d.numerator * d.denominator * scale * scale)
-    return (Fraction(s, d.denominator * scale),
-            Fraction(s + 1, d.denominator * scale))
+    That interval always isolates the root.  Take q > 0: p + q*sqrt(d)
+    lies in it, and the conjugate p - q*sqrt(d) lies below p <= p + q*lo,
+    as lo >= 0 > -sqrt(d).  q < 0 is the mirror image.
+    """
+    if q == 0:
+        return p
+    root = _sqrt_rat(d)
+    if root is not None:
+        return p + q * root
+    m = d.denominator
+    r = math.isqrt(d.numerator * m << 64)
+    lo, hi = Fraction(r, m << 32), Fraction(r + 1, m << 32)
+    ends = sorted((p + q * lo, p + q * hi))
+    return AlgebraicReal(Poly([p * p - q * q * d, -2 * p, 1]), *ends)
 
 
 def _sqrt_rat(x: Rat):
@@ -312,19 +278,6 @@ def _sqrt_rat(x: Rat):
     if rn * rn == n and rd * rd == d:
         return Fraction(rn, rd)
     return None
-
-
-def _quad_roots(s_sum: Rat, s_prod: Rat):
-    """(lo, hi, disc): the roots of x^2 - s_sum*x + s_prod, ascending, as
-    _QuadExt over disc, the discriminant (q = 0 when disc is a square);
-    None if complex/equal."""
-    disc = s_sum**2 - 4 * s_prod
-    if disc <= 0:
-        return None
-    sq = _sqrt_rat(disc)
-    half_root = _QuadExt(0, Fraction(1, 2), disc) if sq is None else _QuadExt(sq / 2, 0, disc)
-    centre = _QuadExt(s_sum / 2, 0, disc)
-    return centre - half_root, centre + half_root, disc
 
 
 # ----------------------------------------------------------------------
@@ -356,17 +309,16 @@ def _monot_wmp(t, v, s) -> dict:
     f = compose(mp(v, s), wigner(t))
     base = Poly([1, -v, t])
     claimed = Poly([1, 0, -t]) * (base * base - Poly([0, v]) ** 2 * s)
-    roots = _quad_roots(v, t)
-    if roots is None:
+    d = v * v - 4 * t
+    if d <= 0:
         raise DecompositionNotReal(
             "the semicircle-into-MP decomposition needs v^2 > 4t")
-    v1, v2, disc = roots
-    sv2 = _QuadExt(s * v**2, 0, disc)
-    c1 = sv2 / (v1 * (v1 - v2))
-    c2 = sv2 / (v2 * (v2 - v1))
+    # positions (v -+ sqrt(d))/2 with product t; their weights
+    # s v^2/(v_i (v_i - v_j)) = -k -+ (k v/d) sqrt(d)
+    k = s * v**2 / (2 * t)
     atoms = [Atom("dirac", (s * v,)), Atom("wigner", (t,)),
-             Atom("mp", (v1.to_number(), c1.to_number())),
-             Atom("mp", (v2.to_number(), c2.to_number()))]
+             Atom("mp", (_quad_number(v / 2, Rat(-1, 2), d), _quad_number(-k, -k * v / d, d))),
+             Atom("mp", (_quad_number(v / 2, Rat(1, 2), d), _quad_number(-k, k * v / d, d)))]
     return _record(f, claimed, atoms=atoms)
 
 
@@ -392,20 +344,17 @@ def _monot_mpmp(u, s, v, t) -> dict:
     a = Poly([1, -u * (1 - s)])
     b = Poly([0, v]) * Poly([1, -u])  # vw(1 - uw)
     claimed = Poly([1, -2 * u, u**2 * (1 - s)]) * ((a - b) * (a - b) - t * b * b)
-    ssum = u - s * u + v
-    roots = _quad_roots(ssum, u * v)
-    if roots is None:
+    sigma = u - s * u + v
+    d = sigma**2 - 4 * u * v
+    if d <= 0:
         raise DecompositionNotReal(
             "the MP-into-MP decomposition needs (u - su + v)^2 > 4uv")
-    um, up, disc = roots
-    p_part = t * (1 - s) / 2
-    num = t * ((1 - s) ** 2 * u - (1 + s) * v)
-    half_ratio = _QuadExt(num / 2, 0, disc) / (up - um)  # num/(2 sqrt(disc))
-    am = _QuadExt(p_part, 0, disc) + half_ratio
-    ap = _QuadExt(p_part, 0, disc) - half_ratio
+    # positions (sigma -+ sqrt(d))/2 with product uv; their weights p +- q sqrt(d)
+    p = t * (1 - s) / 2
+    q = t * ((1 - s) ** 2 * u - (1 + s) * v) / (2 * d)
     atoms = [Atom("mp", (u, s)),
-             Atom("mp", (um.to_number(), am.to_number())),
-             Atom("mp", (up.to_number(), ap.to_number()))]
+             Atom("mp", (_quad_number(sigma / 2, Rat(-1, 2), d), _quad_number(p, q, d))),
+             Atom("mp", (_quad_number(sigma / 2, Rat(1, 2), d), _quad_number(p, -q, d)))]
     return _record(f, claimed, atoms=atoms)
 
 

@@ -298,7 +298,7 @@ def _norm(num, den: int) -> Poly:
     if den != 1:
         g = math.gcd(den, *num)
         if g > 1:
-            return _new(tuple(c // g for c in num), den // g)
+            return _new(tuple([c // g for c in num]), den // g)
     return _new(tuple(num), den)
 
 

@@ -6,12 +6,13 @@ import pytest
 from conftest import rand_rat
 from fcl.classf import (ClassF, compose, free_power, from_r, make_classf,
                         make_ratfun, moments, r_transform, translate)
-from fcl.distlib import (Atom, LevyData, _QuadExt, _quad_roots, check_r_identity,
+from fcl.distlib import (Atom, LevyData, _quad_number, check_r_identity,
                          deconv_mpmp, deconv_wmp, dirac, dirac_moment,
                          dirac_monotone, from_levy, fuss_chi, fuss_f,
                          fuss_moment, levy_r, monotone_family, mp, mp_moment,
                          wigner, wigner_moment)
-from fcl.exactalg import AlgebraicReal, Poly, is_real_rooted, is_squarefree
+from fcl.exactalg import (AlgebraicReal, Poly, is_real_rooted, is_squarefree,
+                          isolate_real_roots)
 from fcl.oeis import load_bundled
 from fcl.posdef import fid_check
 from fcl.spectra import char_poly, is_rr0
@@ -193,8 +194,9 @@ def test_monotone_wmp():
 
 def test_monotone_wmp_no_decomposition():
     from fcl.errors import DecompositionNotReal
-    with pytest.raises(DecompositionNotReal):
-        monotone_family("wmp", t=F(1), v=F(1), s=F(2))  # v^2 <= 4t
+    for v in (F(1), F(2)):  # v^2 < 4t, and v^2 = 4t (a double position)
+        with pytest.raises(DecompositionNotReal, match=r"needs v\^2 > 4t"):
+            monotone_family("wmp", t=F(1), v=v, s=F(2))
     # the chi information stays reachable through compose + char_poly
     f = compose(mp(F(1), F(2)), wigner(F(1)))
     assert char_poly(f) == Poly([1, 0, -1]) * \
@@ -202,13 +204,20 @@ def test_monotone_wmp_no_decomposition():
 
 
 def test_monotone_wmp_algebraic_weights():
-    rec = monotone_family("wmp", t=F(1), v=F(5, 2), s=F(3))  # disc 9/4 square
-    assert rec["identity_check"] and rec["chi_check"]
+    # disc 9/4 and 1 are squares: rational positions (ascending) and weights
+    for t, v, s, positions in ((F(1), F(5, 2), F(3), [F(1, 2), F(2)]),
+                               (F(2), F(3), F(1), [F(1), F(2)])):
+        rec = monotone_family("wmp", t=t, v=v, s=s)
+        assert rec["identity_check"] and rec["chi_check"]
+        assert all(type(p) is F for a in rec["decomposition"] for p in a.params)
+        assert [a.params[0] for a in rec["decomposition"][2:]] == positions
     rec2 = monotone_family("wmp", t=F(1), v=F(3), s=F(2))    # disc 5 irrational
     assert rec2["chi_check"]
     assert any(isinstance(p, AlgebraicReal)
                for a in rec2["decomposition"] for p in a.params)
     assert rec2["identity_check"]
+    v1, v2 = (a.params[0] for a in rec2["decomposition"][2:])
+    assert v1 < v2 and [v1, v2] == isolate_real_roots(w**2 - 3 * w + 1)
 
 
 def test_monotone_mpw():
@@ -228,8 +237,10 @@ def test_monotone_mpmp():
     assert rec["chi_check"] and rec["identity_check"]
     assert [a.kind for a in rec["decomposition"]] == ["mp", "mp", "mp"]
     from fcl.errors import DecompositionNotReal
-    with pytest.raises(DecompositionNotReal):
-        monotone_family("mpmp", u=F(1), s=F(1), v=F(3), t=F(1))
+    # (u - su + v)^2 - 4uv = -3 < 0, and = 0 (a double position)
+    for s, v in ((F(1), F(3)), (F(4), F(1))):
+        with pytest.raises(DecompositionNotReal, match=r"needs \(u - su \+ v\)\^2 > 4uv"):
+            monotone_family("mpmp", u=F(1), s=s, v=v, t=F(1))
 
 
 def test_monotone_parameter_error_wins_over_the_decomposition_error():
@@ -431,33 +442,37 @@ def test_check_r_identity_rejects_wrong_sqrt_weight():
     # rational part still matches, so only the exact sqrt(d) split sees it
     t, v, s = F(1), F(3), F(2)
     rec = monotone_family("wmp", t=t, v=v, s=s)
-    # positions (v -+ sqrt(d))/2 with d = v^2 - 4t, weights s v^2/(v_i (v_i - v_j))
-    v1, v2, d = _quad_roots(v, t)
-    assert v1.q != 0 and d == 5
-    sv2 = _QuadExt(s * v**2, 0, d)
-    c1, c2 = sv2 / (v1 * (v1 - v2)), sv2 / (v2 * (v2 - v1))
+    # positions (v -+ sqrt(d))/2 with d = v^2 - 4t = 5, weights
+    # s v^2/(v_i (v_i - v_j)) = -k -+ (k v/d) sqrt(d) with k = s v^2/(2t)
+    d, k = v**2 - 4 * t, s * v**2 / (2 * t)
+    v1, v2 = _quad_number(v / 2, F(-1, 2), d), _quad_number(v / 2, F(1, 2), d)
+    c1, c2 = _quad_number(-k, -k * v / d, d), _quad_number(-k, k * v / d, d)
+    assert isinstance(c2, AlgebraicReal) and c2.as_fraction() is None
     head = rec["decomposition"][:2]
-    good = head + [Atom("mp", (v1.to_number(), c1.to_number())),
-                   Atom("mp", (v2.to_number(), c2.to_number()))]
+    good = head + [Atom("mp", (v1, c1)), Atom("mp", (v2, c2))]
+    assert good == rec["decomposition"]
     assert check_r_identity(good, rec["f"])
-    moved = _QuadExt(c2.p, c2.q + F(1, 10**60), d)
-    bad = head + [Atom("mp", (v1.to_number(), c1.to_number())),
-                  Atom("mp", (v2.to_number(), moved.to_number()))]
+    moved = _quad_number(-k, k * v / d + F(1, 10**60), d)
+    bad = head + [Atom("mp", (v1, c1)), Atom("mp", (v2, moved))]
     assert not check_r_identity(bad, rec["f"])
     # the conjugate weight (sign of the sqrt part flipped) is wrong too
-    swapped = head + [Atom("mp", (v1.to_number(), c2.to_number())),
-                      Atom("mp", (v2.to_number(), c1.to_number()))]
+    swapped = head + [Atom("mp", (v1, c2)), Atom("mp", (v2, c1))]
     assert not check_r_identity(swapped, rec["f"])
 
 
 def test_monotone_mpmp_irrational_identity():
-    # (u - su + v)^2 - 4uv = 13 and 8: irrational positions and weights
-    for u, s, v, t in ((F(1), F(3), F(-1), F(1)), (F(2), F(1, 2), F(-1), F(5, 7))):
+    # (u - su + v)^2 - 4uv = 13, 8 and 5: irrational positions and weights
+    for u, s, v, t in ((F(1), F(3), F(-1), F(1)), (F(2), F(1, 2), F(-1), F(5, 7)),
+                       (F(-1), F(1), F(1), F(1))):
         rec = monotone_family("mpmp", u=u, s=s, v=v, t=t)
         assert rec["chi_check"] and rec["identity_check"]
         params = [p for a in rec["decomposition"][1:] for p in a.params]
         assert all(isinstance(p, AlgebraicReal) and p.as_fraction() is None
                    for p in params)
+        # the positions are the roots of x^2 - (u - su + v) x + uv, ascending
+        positions = [a.params[0] for a in rec["decomposition"][1:]]
+        assert positions == isolate_real_roots(w**2 - (u - s * u + v) * w + u * v)
+        assert positions[0] < positions[1]
         # dropping the rational first component breaks the identity
         assert not check_r_identity(rec["decomposition"][1:], rec["f"])
 
@@ -480,12 +495,3 @@ def test_check_r_identity_needs_one_quadratic_field():
     # a reducible quadratic defining polynomial still names a rational
     one = AlgebraicReal(Poly([-1, 0, 1]), F(1, 2), 2)
     assert check_r_identity([Atom("mp", (one, F(1)))], f)
-
-
-def test_quad_roots():
-    lo, hi, disc = _quad_roots(F(3), F(2))
-    assert (lo.p, lo.q, hi.p, hi.q, disc) == (1, 0, 2, 0, 1)
-    assert _quad_roots(F(2), F(1)) is None
-    assert _quad_roots(F(1), F(1)) is None
-    lo, hi, disc = _quad_roots(F(1), F(-1))
-    assert (lo.p, lo.q, hi.q, disc) == (F(1, 2), F(-1, 2), F(1, 2), 5)

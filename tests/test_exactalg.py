@@ -825,6 +825,7 @@ def test_predicates_decide_by_sign_of_alone(monkeypatch):
     assert not r.is_root_of(w**2 - 3) and not r.is_root_of(w - F(7, 5))
     # sqrt(2) under two defining polynomials, on overlapping intervals
     assert r == wide and wide == r and r <= wide and not r < wide
+    assert r >= wide and wide >= r and not r > wide
 
 
 def test_a_squared_defining_polynomial_refines_to_its_root():
@@ -841,6 +842,7 @@ def test_a_squared_defining_polynomial_refines_to_its_root():
     assert r < s3 and s3 > r and not r == s3 and r != s3
     root2 = isolate_real_roots(w**2 - 2)[1]
     assert r == root2 and root2 == r and r == narrow and r <= root2 and not r < root2
+    assert r >= root2 and root2 >= r and not r > root2
     assert r.compare_rational(F(1414, 1000)) == 1 and r.compare_rational(F(1415, 1000)) == -1
 
 

@@ -223,3 +223,48 @@ def test_every_exactalg_export_has_a_caller_in_fcl():
     # and a new fcl caller of one shows up here
     assert set(fcl.exactalg.__all__) - used == {"hankel_det", "iv_poly_eval", "resultant",
                                                 "resultant_w"}
+
+
+def _private_definitions(tree):
+    """(name, node, owner class or None) of each private (`_name`, not
+    dunder) module-level function and class, and method of such a class."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs) and private(node.name):
+            yield node.name, node, None
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs) and private(item.name):
+                    yield item.name, item, node.name
+
+
+def test_every_private_helper_is_read_by_fcl_code():
+    # a private helper that no fcl code reads outside its own body is dead
+    # code left behind by a change; a method that overrides one of its base
+    # class's (an argparse hook, say) is read by the base class
+    src = Path(fcl.__file__).resolve().parent
+    trees = {path: ast.parse(path.read_text()) for path in sorted(src.rglob("*.py"))}
+    reads = []   # (name, path, line) of each name read
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((node.id, path, node.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.append((node.attr, path, node.lineno))
+    helpers, unread = 0, []
+    for path, tree in trees.items():
+        module = ".".join(("fcl",) + path.relative_to(src).with_suffix("").parts)
+        for name, node, owner in _private_definitions(tree):
+            helpers += 1
+            if any(n == name and not (p == path and node.lineno <= line <= node.end_lineno)
+                   for n, p, line in reads):
+                continue
+            if owner is not None:
+                cls = getattr(importlib.import_module(module), owner)
+                if any(hasattr(base, name) for base in cls.__mro__[1:]):
+                    continue
+            unread.append(f"{module}.{owner + '.' if owner else ''}{name}")
+    assert helpers >= 100
+    assert not unread, unread
