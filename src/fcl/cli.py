@@ -57,14 +57,9 @@ def _classf_payload(f: cf.ClassF) -> dict:
 
 
 def _decimal(q: Fraction, digits: int) -> str:
-    """q to `digits` significant digits, as format(float(q), f".{digits}g")
-    writes it; past the range of normal floats, where float(q) overflows
-    or keeps fewer digits, in the same form from q itself (`_g_format`)."""
-    try:
-        x = float(q)
-    except OverflowError:
-        x = 0.0
-    return f"{x:.{digits}g}" if abs(x) >= sys.float_info.min or not q else _g_format(q, digits)
+    """q to `digits` significant digits, rounded half to even from the
+    exact value (`_g_format`), at any magnitude; 0 is "0"."""
+    return _g_format(q, digits) if q else "0"
 
 
 def _g_format(q: Fraction, digits: int) -> str:
@@ -319,11 +314,7 @@ def _atom_payload(a, args) -> dict:
 def _cmd_monotone(args):
     from . import distlib as dl
     ps = _params(args, _MONOTONE_ARITY)
-    if args.kind.startswith("dirac-"):
-        target = "wigner" if args.kind == "dirac-w" else "mp"
-        rec = dl.dirac_monotone(ps[0], target, *ps[1:])
-    else:
-        rec = dl.monotone_family(args.kind, *ps)
+    rec = dl.monotone_family(args.kind, *ps)
     out = dict(_classf_payload(rec["f"]))
     if "chi" in rec:
         out["chi"] = _poly_payload(rec["chi"])
@@ -537,6 +528,23 @@ def _render_text(obj, indent=0):
 
 
 def main(argv=None) -> int:
+    """Run one invocation and return its exit code.
+
+    Exact numbers parse and print at any length: Python's limit on int <->
+    str conversion, where it exists, is lifted for the call and restored
+    after it.  The parser bounds the input (`parser.MAX_POWER_BITS`).
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # only the named subcommand's parser is built; --help, no arguments and
     # an unknown command get the full one

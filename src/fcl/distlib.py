@@ -285,15 +285,19 @@ def _sqrt_rat(x: Rat):
 
 
 def monotone_family(kind: str, *args, **params) -> dict:
-    """Composition families with exact chi factorizations and decompositions.
+    """Composition families with exact decompositions and, but for the two
+    dirac kinds, exact chi factorizations.
 
     kind: 'wmp'  = semicircle into MP      (params t, v, s)
           'mpw'  = MP into semicircle      (params v, s, t)
           'mpmp' = MP into MP              (params u, s, v, t)
           'ww'   = semicircle into semicircle (params s, t)
+          'dirac-w'  = delta_u into semicircle (params u, t)
+          'dirac-mp' = delta_u into MP         (params u, v, t)
     The parameters go by name or by position, in the order listed.
     F is the composition F_second(F_first(w)); chi_check records the exact
-    polynomial equality against the rationalized closed form.  Raises
+    polynomial equality against the rationalized closed form (the two
+    dirac kinds have all-rational decompositions and no chi).  Raises
     DecompositionNotReal when the signed decomposition would need complex
     weights (the chi information is still available through compose and
     char_poly directly).
@@ -368,35 +372,33 @@ def _monot_ww(s, t) -> dict:
     return _record(f, claimed, atoms=atoms)
 
 
-_MONOTONE = {"wmp": _monot_wmp, "mpw": _monot_mpw, "mpmp": _monot_mpmp, "ww": _monot_ww}
-
-
-def dirac_monotone(u, target: str, *args) -> dict:
-    """delta_u composed into a named law, with its free-convolution form.
-
-    target 'wigner' (arg t): delta_{(t+u^2)/u} + MP(-u, t/u^2)
-    target 'mp' (args v, t): the two-case formula depending on v == u.
-    All parameters are rational, so the identity check is exact.
-    """
-    u = as_rat(u)
+def _monot_dirac_w(u, t) -> dict:
+    """delta_u into the semicircle: delta_{(t+u^2)/u} + MP(-u, t/u^2)."""
+    u, t = as_rat(u), as_rat(t)
     if u == 0:
         raise ValueError("need u != 0")
-    if target == "wigner":
-        (t,) = [as_rat(a) for a in args]
-        f = compose(wigner(t), dirac(u))
-        atoms = [Atom("dirac", ((t + u**2) / u,)), Atom("mp", (-u, t / u**2))]
-    elif target == "mp":
-        v, t = [as_rat(a) for a in args]
-        f = compose(mp(v, t), dirac(u))
-        if v == u:
-            atoms = [Atom("dirac", ((1 + t) * u,)), Atom("wigner", (t * u**2,))]
-        else:
-            atoms = [Atom("dirac", (u * (v - u - t * v) / (v - u),)),
-                     Atom("mp", (v - u, t * v**2 / (v - u) ** 2))]
+    f = compose(wigner(t), dirac(u))
+    atoms = [Atom("dirac", ((t + u**2) / u,)), Atom("mp", (-u, t / u**2))]
+    return {"f": f, "decomposition": atoms, "identity_check": check_r_identity(atoms, f)}
+
+
+def _monot_dirac_mp(u, v, t) -> dict:
+    """delta_u into MP: a point mass and a semicircle when v == u, else a
+    point mass and an MP law."""
+    u, v, t = as_rat(u), as_rat(v), as_rat(t)
+    if u == 0:
+        raise ValueError("need u != 0")
+    f = compose(mp(v, t), dirac(u))
+    if v == u:
+        atoms = [Atom("dirac", ((1 + t) * u,)), Atom("wigner", (t * u**2,))]
     else:
-        raise ValueError(f"unknown target {target!r}")
-    return {"f": f, "decomposition": atoms,
-            "identity_check": check_r_identity(atoms, f)}
+        atoms = [Atom("dirac", (u * (v - u - t * v) / (v - u),)),
+                 Atom("mp", (v - u, t * v**2 / (v - u) ** 2))]
+    return {"f": f, "decomposition": atoms, "identity_check": check_r_identity(atoms, f)}
+
+
+_MONOTONE = {"wmp": _monot_wmp, "mpw": _monot_mpw, "mpmp": _monot_mpmp, "ww": _monot_ww,
+             "dirac-w": _monot_dirac_w, "dirac-mp": _monot_dirac_mp}
 
 
 # ----------------------------------------------------------------------

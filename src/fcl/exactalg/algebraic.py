@@ -46,9 +46,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .poly import Poly, Rat, _exact_div, _gcd, _monic, _remainder_chain, as_rat
-from .sturm import (count_distinct_real_roots, sturm_chain, _sign_at, _sign_hom,
-                    _variations_at, _variations_hom)
+from .poly import Poly, Rat, _exact_div, _gcd, _monic, as_rat, squarefree_part
+from .sturm import sturm_chain, _sign_at, _sign_hom, _variations_at, _variations_hom
 
 
 def _bisect(ints, slo, lo, hi):
@@ -65,10 +64,12 @@ def _bisect(ints, slo, lo, hi):
 class AlgebraicReal:
     """A real algebraic number: one root of `defining` inside [lo, hi].
 
-    `_ints`, the primitive integer form of the squarefree part of
-    `defining`, and `_slo`, its sign at the first lo, are set once and
-    passed on unchanged by refinement: every `_bisect` step keeps that
-    sign at its lo until it hits the root.
+    `_ints`, the primitive integer form of `squarefree_part(defining)`,
+    and `_slo`, its sign at the first lo, are set once and passed on
+    unchanged by refinement: every `_bisect` step keeps that sign at its
+    lo until it hits the root.  The constructor counts the roots in
+    (lo, hi] on the Sturm chain of that same squarefree part, so
+    `defining` may have repeated factors but must not be zero.
     """
 
     __slots__ = ("defining", "lo", "hi", "_ints", "_slo")
@@ -77,15 +78,14 @@ class AlgebraicReal:
         lo, hi = as_rat(lo), as_rat(hi)
         if lo > hi:
             raise ValueError("interval endpoints out of order")
-        ints = defining.int_coeffs()[0]
-        if len(ints) > 2:
-            # squarefree, so that the sign changes at the root
-            ints = _exact_div(ints, _gcd(ints, [i * c for i, c in enumerate(ints)][1:]))
+        # squarefree, so that the sign changes at the root
+        sf = squarefree_part(defining)
+        ints = sf.int_coeffs()[0]
         slo = _sign_at(ints, lo)
         if lo == hi:
             if slo != 0:
                 raise ValueError("point interval is not a root")
-        elif slo == 0 or count_distinct_real_roots(defining, lo, hi) != 1:
+        elif slo == 0 or _variations_at(c := sturm_chain(sf), lo) - _variations_at(c, hi) != 1:
             raise ValueError("interval does not isolate exactly one root")
         if lo < hi and _sign_at(ints, hi) == 0:
             lo, slo = hi, 0  # the root is hi itself
@@ -446,24 +446,16 @@ def isolate_real_roots(p: Poly, lo=None, hi=None):
     AlgebraicReal.from_rational.  Every irrational root is defined by the
     squarefree part of p divided by (x - r) for each rational root r
     (over the whole line), so its defining polynomial has no rational
-    root and is the same with and without a range.  The Sturm chain of p
-    ends at a multiple of gcd(p, p'); only when that has positive degree
-    is the chain rebuilt, on ints, from the squarefree part, the exact
-    quotient.  A chain is negated to a positive leading coefficient.
+    root and is the same with and without a range.  The Sturm chain is
+    that of `squarefree_part(p)`, monic, so its members are signed at a
+    multiple root of p too and its leading coefficient is positive.
     """
     lo = None if lo is None else as_rat(lo)
     hi = None if hi is None else as_rat(hi)
     if lo is not None and hi is not None and lo >= hi:
         raise ValueError("need lo < hi")
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    chain = sturm_chain(p)
-    if len(chain[-1]) > 1:
-        s = _exact_div(chain[0], chain[-1])
-        chain = _remainder_chain(s, [i * c for i, c in enumerate(s)][1:])
-    if chain[0][-1] < 0:  # negated, it is the chain of the monic squarefree part
-        chain = [[-c for c in a] for a in chain]
-    ints = chain[0]  # the primitive integer form of the squarefree part s
+    chain = sturm_chain(squarefree_part(p))  # ValueError on the zero polynomial
+    ints = chain[0]  # the primitive integer form of the squarefree part
     if len(ints) == 1:
         return []
     bound = Fraction(2) ** _root_bound_exponent(ints)

@@ -481,7 +481,7 @@ def squarefree_part(p: Poly) -> Poly:
         return Poly.one()
     a = p.int_coeffs()[0]
     g = _gcd(a, [i * c for i, c in enumerate(a)][1:])
-    return _monic(_exact_div(a, g))
+    return _monic(a if len(g) == 1 else _exact_div(a, g))
 
 
 def is_squarefree(p: Poly) -> bool:

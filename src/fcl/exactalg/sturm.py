@@ -12,8 +12,10 @@ Counts follow the (lo, hi] convention: with V(x) the number of sign changes
 in the chain at x (zeros skipped), V(lo) - V(hi) is the number of distinct
 real roots in (lo, hi].  An end given as None is unbounded: -infinity and
 +infinity are the points (-1, 0) and (1, 0), where each homogenised
-member has the sign of its leading term times (+-1)^deg.  Chains
-terminate at a multiple of gcd(p, p'), so multiple roots are counted once.
+member has the sign of its leading term times (+-1)^deg.  A chain ends
+at a multiple of gcd(p, p'), so every count and isolation signs the
+chain of `poly.squarefree_part(p)`: its roots are those of p, each
+simple, and its members do not all vanish at a root.
 
 Real-rootedness is a yes/no question and builds no Sturm chain:
 `is_real_rooted` reads the signed subresultant coefficients of p and p'
@@ -23,7 +25,7 @@ settles the answer (`real_rooted_from_signs`, the rule that
 """
 from __future__ import annotations
 
-from .poly import Poly, _exact_div, _remainder_chain, _subresultant_scan, as_rat
+from .poly import Poly, _remainder_chain, _subresultant_scan, as_rat, squarefree_part
 
 
 def sturm_chain(p: Poly):
@@ -70,19 +72,12 @@ def count_distinct_real_roots(p: Poly, lo=None, hi=None) -> int:
     demand), for rationals lo <= hi; None is -infinity as lo and +infinity
     as hi.
 
-    When gcd(p, p') has positive degree every member is divided by the
-    chain's last, a primitive multiple of it, so the chain is signed at a
-    multiple root too, where all its members vanish.
+    Counted on the chain of `squarefree_part(p)`, which has the roots of p,
+    each simple, so the chain is signed at a multiple root of p too.
     """
-    if p.is_zero():
-        raise ValueError("zero polynomial")
     if lo is not None and hi is not None and as_rat(lo) > as_rat(hi):
         raise ValueError("need lo <= hi")
-    if p.is_constant():
-        return 0
-    chain = sturm_chain(p)
-    if len(chain[-1]) > 1:
-        chain = [_exact_div(c, chain[-1]) for c in chain]
+    chain = sturm_chain(squarefree_part(p))  # ValueError on the zero polynomial
     vlo = _variations_hom(chain, -1, 0) if lo is None else _variations_at(chain, as_rat(lo))
     vhi = _variations_hom(chain, 1, 0) if hi is None else _variations_at(chain, as_rat(hi))
     return vlo - vhi

@@ -18,7 +18,8 @@ levels, and the AST is at most MAX_DEPTH operators deep (a sum of
 MAX_DEPTH + 2 terms is too deep); deeper input raises ParseError at the
 token that crosses the bound, before any recursion can run out of stack.
 A power whose result would exceed MAX_POWER_DEGREE in w or MAX_POWER_BITS
-coefficient bits raises ParseError instead of running for minutes.
+coefficient bits raises ParseError instead of running for minutes, and so
+does an integer literal of more than MAX_POWER_BITS bits.
 """
 from __future__ import annotations
 
@@ -52,7 +53,7 @@ def _tokenize(text: str):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            toks.append(_Tok("int", int(text[i:j]), i))
+            toks.append(_Tok("int", _int_literal(text[i:j], i), i))
             i = j
         elif c == "w":
             toks.append(_Tok("w", "w", i))
@@ -64,6 +65,19 @@ def _tokenize(text: str):
             raise ParseError(f"unexpected character {c!r}", position=i)
     toks.append(_Tok("end", None, n))
     return toks
+
+
+def _int_literal(digits: str, pos: int) -> int:
+    """The value of a run of digits; ParseError past MAX_POWER_BITS bits.
+
+    k significant digits are at least 10^(k-1) >= 2^(3(k-1)), so a run
+    with 3(k-1) >= MAX_POWER_BITS is refused before it is converted.
+    """
+    k = len(digits.lstrip("0"))
+    v = int(digits) if 3 * (k - 1) < MAX_POWER_BITS else None
+    if v is None or v.bit_length() > MAX_POWER_BITS:
+        raise ParseError(f"integer literal longer than {MAX_POWER_BITS} bits", position=pos)
+    return v
 
 
 def line_col(text: str, pos: int):

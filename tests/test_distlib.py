@@ -8,9 +8,8 @@ from fcl.classf import (ClassF, compose, free_power, from_r, make_classf,
                         make_ratfun, moments, r_transform, translate)
 from fcl.distlib import (Atom, LevyData, _quad_number, check_r_identity,
                          deconv_mpmp, deconv_wmp, dirac, dirac_moment,
-                         dirac_monotone, from_levy, fuss_chi, fuss_f,
-                         fuss_moment, levy_r, monotone_family, mp, mp_moment,
-                         wigner, wigner_moment)
+                         from_levy, fuss_chi, fuss_f, fuss_moment, levy_r,
+                         monotone_family, mp, mp_moment, wigner, wigner_moment)
 from fcl.exactalg import (AlgebraicReal, Poly, is_real_rooted, is_squarefree,
                           isolate_real_roots)
 from fcl.oeis import load_bundled
@@ -324,16 +323,16 @@ def test_monotone_rr0_condition_wmp(rng):
 
 
 def test_dirac_monotone():
-    r1 = dirac_monotone(1, "wigner", 1)
+    r1 = monotone_family("dirac-w", 1, 1)
     assert r1["identity_check"]
     assert r1["decomposition"] == [Atom("dirac", (F(2),)), Atom("mp", (F(-1), F(1)))]
-    r2 = dirac_monotone(1, "mp", 1, F(7))
+    r2 = monotone_family("dirac-mp", 1, 1, F(7))
     assert r2["identity_check"]
     assert r2["decomposition"] == [Atom("dirac", (F(8),)), Atom("wigner", (F(7),))]
-    r3 = dirac_monotone(2, "mp", 3, F(5))
+    r3 = monotone_family("dirac-mp", u=2, v=3, t=F(5))
     assert r3["identity_check"]
     with pytest.raises(ValueError):
-        dirac_monotone(0, "wigner", 1)
+        monotone_family("dirac-w", 0, 1)
 
 
 def test_monotone_by_dirac_is_translation(rng):

@@ -1110,6 +1110,70 @@ def test_refinement_matches_sympy(planted, other, a, b, g_low):
                 assert _holds(sympy, ra, x) and _holds(sympy, sb, y)
 
 
+# ------------------------------------ a repeated factor: the squarefree part
+
+
+@settings(max_examples=30, deadline=None)
+@given(_planted_polys(), st.lists(st.integers(1, 3), min_size=4, max_size=4))
+@example(((w**2 - 2) * (w - 1), [w**2 - 2, w - 1]), [2, 1, 1, 1])
+def test_repeated_factors_match_sympy(planted, powers):
+    sympy = pytest.importorskip("sympy")
+    sqf, factors = planted
+    assume(factors)
+    p = sqf
+    for f, e in zip(factors, powers):
+        p = p * f ** (e - 1)
+    exact = _sympy_poly(sympy, p).real_roots(multiple=False)
+    assert count_distinct_real_roots(p) == len(exact)
+    roots = isolate_real_roots(p)
+    assert len(roots) == len(exact)
+    for r, s, (x, _) in zip(roots, isolate_real_roots(sqf), exact):
+        # the same isolation as the squarefree product's
+        assert (r.lo, r.hi, r.defining) == (s.lo, s.hi, s.defining)
+        assert _holds(sympy, r, x) and r.is_rational() == x.is_Rational
+        if not r.is_rational():
+            # the constructor takes p itself, repeated factors and all
+            a = AlgebraicReal(p, r.lo, r.hi)
+            assert a == r and a._ints == squarefree_part(p).int_coeffs()[0]
+            assert count_distinct_real_roots(p, r.lo, r.hi) == 1
+
+
+def test_isolation_builds_one_chain(monkeypatch):
+    # (w^2 - 2)^2 (w - 1): one Sturm chain, that of the squarefree part
+    built = []
+    real = poly._remainder_chain
+
+    def spy(a, b):
+        built.append(a)
+        return real(a, b)
+
+    for mod in (poly, sturm, algebraic):
+        monkeypatch.setattr(mod, "_remainder_chain", spy, raising=False)
+    roots = isolate_real_roots((w**2 - 2) ** 2 * (w - 1))
+    assert [r.compare_rational(0) for r in roots] == [-1, 1, 1] and roots[1].as_fraction() == 1
+    assert built == [[2, -2, -1, 1]]
+
+
+def test_counts_and_the_constructor_read_the_squarefree_part(monkeypatch):
+    read = []
+
+    def spy(p):
+        read.append(p)
+        return squarefree_part(p)
+
+    for mod in (sturm, algebraic):
+        monkeypatch.setattr(mod, "squarefree_part", spy, raising=False)
+    p = (w**2 - 2) ** 3 * (w + 1) ** 2
+    assert count_distinct_real_roots(p, 0, 2) == 1 and read == [p]
+    read.clear()
+    a = AlgebraicReal(p, 1, 2)
+    assert read == [p] and a._ints == [-2, -2, 1, 1] and a == isolate_real_roots(w**2 - 2)[1]
+    with pytest.raises(ValueError):
+        AlgebraicReal(Poly.zero(), 1, 1)
+    with pytest.raises(ValueError):
+        AlgebraicReal(Poly.zero(), 1, 2)
+
+
 @st.composite
 def _ranged_polys(draw):
     """(p, lo, hi): a planted polynomial, its first factor perhaps squared,

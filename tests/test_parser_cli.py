@@ -1,9 +1,11 @@
 import contextlib
+import decimal
 import io
 import json
 import os
 import re
 import shlex
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -653,8 +655,13 @@ def test_cli_approx_flag(capsys):
         assert ("value_approx" in p) == ("value" in p) == ("defining" not in p)
         if "value" in p:
             assert list(p) == ["value", "value_approx"]
-            assert p["value_approx"] == f"{float(F(p['value'])):.5g}"
+            _assert_half_even(p["value_approx"], F(p["value"]), 5)
     assert sum("defining" in p for p in params) == 4
+    # rounded from the exact value, not from a float
+    code, out, _ = run_cli(capsys, "monotone", "dirac-w", "3", "1", "--approx", "22")
+    assert code == 0 and "          value_approx: 3.333333333333333333333" in out.splitlines()
+    code, out, _ = run_cli(capsys, "monotone", "dirac-w", "1", "3/20", "--approx", "1")
+    assert code == 0 and out.splitlines()[-2] == "          value_approx: 0.2"
     # CSV has no exact values to approximate
     argv = ("density", "w/(1+w^2)", "--range=-1:1", "--grid", "5", "--csv")
     assert run_cli(capsys, *argv, "--approx", "3") == run_cli(capsys, *argv)
@@ -721,6 +728,53 @@ def test_decimal_is_the_float_g_form_in_integers(x, digits):
     assert _g_format(F(x), digits) == _decimal(F(x), digits) == f"{x:.{digits}g}"
 
 
+def _assert_half_even(got: str, q: F, digits: int):
+    """got is q rounded half to even to `digits` significant digits in the
+    "g" form of `format`; the value is checked with the decimal module."""
+    if not q:
+        assert got == "0"
+        return
+    p = max(digits, 1)
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.rounding = p, decimal.ROUND_HALF_EVEN
+        ctx.Emax, ctx.Emin = decimal.MAX_EMAX, decimal.MIN_EMIN
+        want = decimal.Decimal(q.numerator) / decimal.Decimal(q.denominator)
+    assert decimal.Decimal(got) == want, (got, want)
+    e = want.adjusted()
+    mantissa, _, exponent = got.partition("e")
+    if -4 <= e < p:
+        assert exponent == ""
+    else:
+        assert exponent == f"{e:+03d}"
+    assert not ("." in mantissa and mantissa.endswith(("0", ".")))
+
+
+@st.composite
+def _midpoints(draw):
+    """A decimal tie: halfway between two neighbours of `digits` digits."""
+    digits = draw(st.integers(0, 40))
+    p = max(digits, 1)
+    m = draw(st.integers(10 ** (p - 1), 10**p - 1))
+    q = F(2 * m + 1, 2) * F(10) ** draw(st.integers(-60, 60))
+    return q * draw(st.sampled_from((1, -1))), digits
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.tuples(st.fractions() | st.builds(F, st.integers(-10**60, 10**60),
+                                            st.integers(1, 10**60)),
+                 st.integers(0, 40)) | _midpoints())
+@example((F(10, 3), 22))
+@example((F(3, 20), 1))
+@example((F(25), 1))
+@example((F(-9995, 10), 3))
+@example((F(0), 5))
+@example((F(10**400 - 1), 2))
+@example((F(1, 3 * 10**400), 40))
+def test_decimal_rounds_the_exact_value_half_to_even(case):
+    q, digits = case
+    _assert_half_even(_decimal(q, digits), q, digits)
+
+
 def test_decimal_past_the_float_range():
     for q, digits, want in ((F(-3374 * 10**330), 3, "-3.37e+333"), (F(10**400), 0, "1e+400"),
                             (F(1, 10**400), 5, "1e-400"), (F(-2, 3 * 10**400), 4, "-6.667e-401"),
@@ -729,6 +783,36 @@ def test_decimal_past_the_float_range():
                             # a subnormal float keeps fewer digits than asked
                             (F(1, 3 * 10**315), 17, "3.3333333333333333e-316")):
         assert _decimal(q, digits) == want
+
+
+# --------------------------------------------------- numbers of any length
+
+def test_exact_output_past_the_int_str_limit():
+    # the order-59 minor has a 4423-digit denominator
+    limit = sys.get_int_max_str_digits()
+    code, out, err = _cli_all("hankel", "w*(1-w/3)/(1+w/7+w^2/5)", "--order", "60", "--json")
+    minors = json.loads(out)["hankel"]["minors"]
+    assert (code, err, len(minors)) == (0, "", 61)
+    assert max(len(m) for m in minors) > 4300
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_int_literals_of_any_length_up_to_the_bound():
+    limit = sys.get_int_max_str_digits()
+    c = "7" * 5000
+    code, out, err = _cli_all("moments", f"w/(1-{c}*w)", "--order", "1")
+    assert (code, err) == (0, "") and out.splitlines()[-1] == f"  - -{c}"
+    # 10^30102 has 99997 bits, 10^30103 has 100001: one is read, one is not
+    for zeros, want in ((30102, 0), (30103, 2), (40000, 2)):
+        code, _, err = _cli_all("moments", f"w/(1-1{'0' * zeros}*w)", "--order", "0")
+        assert code == want, zeros
+        if want:
+            assert err == "error: integer literal longer than 100000 bits (line 1, column 6)\n"
+    # a usage error and a domain error leave the limit as it was too
+    assert _cli_all("moments")[0] == 2 and _cli_all("moments", "w", "--order", "-1")[0] == 1
+    assert sys.get_int_max_str_digits() == limit
+    with pytest.raises(ParseError, match="longer than 100000 bits"):
+        parse_expr("1" + "0" * 40000)
 
 
 # ------------------------------------------------------- the --order cap
