@@ -21,14 +21,30 @@ from . import classf as cf
 from . import oeis as oe
 from .errors import FclError, ParseError
 from .exactalg import Poly, rat_str
-from .parser import parse_expr, to_classf, to_rtransform
+from .parser import MAX_POWER_BITS, _int_literal, parse_expr, to_classf, to_rtransform
 
 
 def _frac(s: str) -> Fraction:
+    """s as a rational: p/q or n 10^x, the forms `Fraction` reads, in ASCII
+    digits (D: a digit run, `_` inside).  ParseError for any other s, and,
+    before a larger int is built, past MAX_POWER_BITS bits: `_int_literal`
+    bounds each digit run, and n 10^x with n != 0 and 3|x| > 2
+    MAX_POWER_BITS passes 2^MAX_POWER_BITS."""
+    m = re.fullmatch(r"(?ai)\s*([-+]?)(?=\.?\d)(D|)(?:/(D)|(?:\.(D|))?(?:e([-+]?)(D))?)\s*"
+                     .replace("D", r"\d+(?:_\d+)*"), s)
+    if m is None or m[3] is not None and not m[3].strip("0_"):
+        raise ParseError(f"expected a rational number, got {s!r}")
+    sign, p, q, f, esign, e = (g.replace("_", "") for g in m.groups(""))
     try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as e:
-        raise ParseError(f"expected a rational number, got {s!r}") from e
+        n, d = _int_literal(p + f, 0), _int_literal(q or "1", 0)
+        x = _int_literal(e, 0) * (-1 if esign == "-" else 1) - len(f) if n else 0
+        if 3 * abs(x) <= 2 * MAX_POWER_BITS:
+            r = Fraction(n * 10 ** max(x, 0), d * 10 ** max(-x, 0))
+            if max(r.numerator.bit_length(), r.denominator.bit_length()) <= MAX_POWER_BITS:
+                return -r if sign == "-" else r
+    except ParseError:
+        pass
+    raise ParseError(f"rational number past {MAX_POWER_BITS} bits, got {s!r}")
 
 
 def _range(s: str):
@@ -125,7 +141,9 @@ def _poly_payload(p: Poly, var: str = "w") -> dict:
 # the largest --order any command takes.  Exact terms grow in size with
 # the order, and the work faster: at 1000, `hankel` on a degree-2 R takes
 # about 20 s and `moments` on a degree-2 F about 1 s (2-vCPU host,
-# Python 3.11); at 3000 `moments` takes 30 s and `hankel` over a minute
+# Python 3.11); at 3000 `moments` takes 30 s and `hankel` over a minute.
+# Not so for fractional coefficients: `hankel "w*(1-w/3)/(1+w/7+w^2/5)"`
+# (dilation c = 105) takes 1.0 s at order 60, 17 s at 100, > 10 min at 200
 MAX_ORDER = 1000
 
 
@@ -530,9 +548,9 @@ def _render_text(obj, indent=0):
 def main(argv=None) -> int:
     """Run one invocation and return its exit code.
 
-    Exact numbers parse and print at any length: Python's limit on int <->
-    str conversion, where it exists, is lifted for the call and restored
-    after it.  The parser bounds the input (`parser.MAX_POWER_BITS`).
+    Exact numbers print at any length: Python's limit on int <-> str
+    conversion, where it exists, is lifted for the call and restored after
+    it.  The parser bounds the input (`parser.MAX_POWER_BITS`).
     """
     if not hasattr(sys, "set_int_max_str_digits"):
         return _run(argv)

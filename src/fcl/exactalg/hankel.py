@@ -1,16 +1,10 @@
 """Exact Hankel determinants of rational sequences.
 
-`leading_minors` reads every leading minor of a scan off the modified
-Chebyshev algorithm (Gautschi, *Orthogonal Polynomials: Computation and
-Approximation*, 2004, ch. 2), cleared of fractions: O(K^2) exact-division
-updates to order K, on integers a_n = e c^n s_n.  At the first zero minor
-H_k the recurrence already holds the residuals <pi_k, x^l>, l = k..2K-k,
-of the orthogonal polynomial pi_k: when all are zero the prefix obeys
-pi_k's recurrence, its Hankel matrix has rank at most k (Iohvidov, *Hankel
-and Toeplitz Matrices and Forms*, 1982) and every later minor is 0.
-Past a zero minor with a nonzero residual, and in `hankel_det`, the minors
-come off one subresultant scan (`_scan_minors`).  `integer_prefix` writes
-a rational sequence as integers over its least common denominator, for both.
+`leading_minors` yields the integer leading minors of a list of ints by
+the fraction-free modified Chebyshev algorithm (Gautschi, *Orthogonal
+Polynomials: Computation and Approximation*, 2004, ch. 2); `hankel_det`
+reads one subresultant scan (`_scan_minors`).  `integer_prefix` writes a
+rational sequence as integers over its least common denominator.
 """
 from __future__ import annotations
 
@@ -56,13 +50,12 @@ def hankel_det(s, k: int) -> Rat:
     return Rat(h, den ** (k + 1))
 
 
-def leading_minors(a, k_max: int, c: int = 1, e: int = 1):
-    """Yield det(s[i+j]) for i,j = 0..k, for k = 0, 1, ..., k_max in turn,
-    where s_n = a_n / (e c^n) for the integers a_n and positive ints c, e.
+def leading_minors(a, k_max: int):
+    """Yield the integer minors H_k = det(a[i+j]), i,j = 0..k, of the ints
+    a, for k = 0, 1, ..., k_max in turn.
 
-    The minors H_k of a are e^(k+1) c^(k(k+1)) times those of s.  They come
-    from T_k[l] = H_(k-1) <pi_k, x^l>, pi_k the monic orthogonal polynomials
-    of a, so that T_k[k] = H_k.  With T_(-1) = 0, T_0 = a and
+    They come from T_k[l] = H_(k-1) <pi_k, x^l>, pi_k the monic orthogonal
+    polynomials of a, so that T_k[k] = H_k.  With T_(-1) = 0, T_0 = a and
     H_(-1) = H_(-2) = 1, the three-term recurrence cleared of fractions is
 
         T_k[l] = (H_(k-2) (H_(k-1) T_(k-1)[l+1] - T_(k-1)[k] T_(k-1)[l])
@@ -78,9 +71,9 @@ def leading_minors(a, k_max: int, c: int = 1, e: int = 1):
     0, then sum_i pi_k[i] a_(i+l) = 0 for l = 0..2k_max-k (below k by
     orthogonality), so every column j >= k of the order-k_max Hankel matrix
     is a combination of the k columns before it.  The matrix has rank at
-    most k, and the orders k..k_max yield 0 with no determinant.  If one
-    residual is nonzero, the orders j = k..k_max come off one `_scan_minors`
-    over e^(j+1) c^(j(j+1)), the scaling the recurrence's own minors carry.
+    most k (Iohvidov, *Hankel and Toeplitz Matrices and Forms*, 1982), and
+    the orders k..k_max yield 0 with no determinant.  If one residual is
+    nonzero, they come off one `_scan_minors`.
     """
     if k_max < 0:
         raise ValueError("order must be nonnegative")
@@ -89,23 +82,16 @@ def leading_minors(a, k_max: int, c: int = 1, e: int = 1):
         raise ValueError(f"need at least {n} sequence entries, got {len(a)}")
     t2, t1 = [0] * (n + 1), list(a[:n])  # T_(k-1)[k-1:] and T_k[k:] at k = 0
     h2, h1 = 1, t1[0]                     # H_(k-1) and H_k
-    den, step = e, 1                      # e^(k+1) c^(k(k+1)) and c^(2k)
     for k in range(k_max + 1):
         if k:
             u, v, w, d = h2 * h1, h1 * t2[1] - h2 * t1[1], h1 * h1, h2 * h2
             t2, t1 = t1, [(u * x1 + v * x0 - w * y) // d
                           for x1, x0, y in zip(t1[2:], t1[1:], t2[2:])]
             h2, h1 = h1, t1[0]
-            step *= c * c
-            den *= e * step
         if h1 == 0:
-            if not any(t1):  # zero residuals: rank <= k
-                for _ in range(k, k_max + 1):
-                    yield Rat(0)
-                return
-            for h in islice(_scan_minors(a[:n]), k, None):
-                yield Rat(h, den)
-                step *= c * c
-                den *= e * step
+            if any(t1):
+                yield from islice(_scan_minors(a[:n]), k, None)
+            else:  # zero residuals: rank <= k
+                yield from repeat(0, k_max + 1 - k)
             return
-        yield Rat(h1, den)
+        yield h1

@@ -49,9 +49,9 @@ def _tokenize(text: str):
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if "0" <= c <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             toks.append(_Tok("int", _int_literal(text[i:j], i), i))
             i = j
@@ -71,10 +71,15 @@ def _int_literal(digits: str, pos: int) -> int:
     """The value of a run of digits; ParseError past MAX_POWER_BITS bits.
 
     k significant digits are at least 10^(k-1) >= 2^(3(k-1)), so a run
-    with 3(k-1) >= MAX_POWER_BITS is refused before it is converted.
+    with 3(k-1) >= MAX_POWER_BITS is refused before it is converted, 600
+    digits at a time: below any int <-> str limit Python sets (>= 640).
     """
-    k = len(digits.lstrip("0"))
-    v = int(digits) if 3 * (k - 1) < MAX_POWER_BITS else None
+    digits, v = digits.lstrip("0"), None
+    if 3 * (len(digits) - 1) < MAX_POWER_BITS:
+        v = 0
+        for i in range(0, len(digits), 600):
+            chunk = digits[i:i + 600]
+            v = v * 10 ** len(chunk) + int(chunk)
     if v is None or v.bit_length() > MAX_POWER_BITS:
         raise ParseError(f"integer literal longer than {MAX_POWER_BITS} bits", position=pos)
     return v

@@ -5,18 +5,12 @@ not a moment sequence; a run of nonnegative minors is only ever reported
 as "positive so far".  Zero minors do not stop the scan (finitely atomic
 measures produce them legitimately).
 
-The minors of one scan come from `exactalg.hankel.leading_minors`, read
-order by order, on integers: the two checks on F read the ints of
-`dilated_moments` and `dilated_cumulants`, dilated by a c with
-den_i | c^i (den_i the lcm of the denominators of F's w^i coefficients;
-see `classf._dilation`), and `hankel_verdict` writes any sequence over
-its common denominator.  Either form scales the order-k minor by a
-positive factor (e^(k+1) c^(k(k+1)) for a_n = e c^n s_n), so the verdict
-does not depend on it.  They come from the fraction-free Chebyshev
-recurrence up to its first zero minor H_k.  If the residuals it holds
-there are all zero, the Hankel matrix has rank at most k and every later
-minor is 0; otherwise the later orders are read off one subresultant
-scan of the same integers.
+A scan reads, order by order, the integer minors H_k that
+`exactalg.hankel.leading_minors` yields for ints a_n = e c^n s_n: those of
+`dilated_moments` and `dilated_cumulants` (den_i | c^i for the lcm den_i
+of the denominators of F's w^i coefficients; see `classf._dilation`), or of
+any sequence over its common denominator e (`hankel_verdict`).  `_scan`,
+the one place that knows c and e, divides H_k by e^(k+1) c^(k(k+1)) > 0.
 """
 from __future__ import annotations
 
@@ -54,13 +48,8 @@ def hankel_verdict(s, k_max: int) -> HankelVerdict:
     s is any finite iterable (a list, a generator, a `SeriesPrefix`); its
     first 2k_max+1 terms are read once and written as integers over their
     least common denominator (`exactalg.integer_prefix`).  The minors come
-    one order at a time from the Chebyshev recurrence on those integers, so
-    a negative minor stops the work too.  The recurrence divides by the
-    minors.  At the first zero minor H_k, zero residuals of the orthogonal
-    polynomial pi_k (the prefix obeys pi_k's recurrence, so the Hankel
-    matrix has rank at most k) make every later minor 0 with no
-    determinant; after a nonzero residual the later orders are read in
-    turn off one subresultant scan, which a negative minor stops too.
+    one order at a time (`exactalg.leading_minors`), so a negative minor
+    stops the work too.
     """
     _check_order(k_max)
     ints, den = integer_prefix(s, 2 * k_max + 1)
@@ -90,9 +79,10 @@ def fid_check(f: ClassF, k_max: int) -> HankelVerdict:
 
 
 def _scan(a, c: int, e: int, k_max: int) -> HankelVerdict:
-    """The verdict on the minors of s_n = a_n / (e c^n), n = 0..2k_max."""
+    """The verdict on s_n = a_n / (e c^n): minors H_k(a) / (e^(k+1) c^(k(k+1)))."""
     minors = []
-    for k, d in enumerate(leading_minors(a, k_max, c, e)):
+    for k, h in enumerate(leading_minors(a, k_max)):
+        d = Rat(h, e ** (k + 1) * c ** (k * (k + 1)))
         minors.append(d)
         if d < 0:
             return HankelVerdict("negative_at", k, d, tuple(minors))

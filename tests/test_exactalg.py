@@ -334,6 +334,34 @@ def test_gcd_when_the_heuristic_fails(monkeypatch):
     assert len(tries) >= len(pairs)
 
 
+def test_gcd_when_the_heuristic_runs_out_of_tries(monkeypatch):
+    # with no try left the heuristic itself returns None, and `_gcd` takes
+    # the remainder chain on inputs of positive degree: the same gcds,
+    # squarefree parts and isolated roots as the heuristic finds
+    rng = random.Random(4343)
+    pairs = []
+    for _ in range(20):
+        g = rand_poly(rng, 3) * Poly([rng.randint(-9, 9), rng.randint(1, 9)])
+        pairs.append((g * rand_poly(rng, 3), g**2 * rand_poly(rng, 2)))
+
+    def results():
+        return [(poly_gcd(a, b), squarefree_part(a * b),
+                 [(r.defining, r.lo, r.hi) for r in isolate_real_roots(a * b)])
+                for a, b in pairs]
+
+    want = results()
+    assert all(not g.is_constant() for g, _, _ in want)
+    monkeypatch.setattr(poly, "_HEU_TRIES", 0)
+    assert poly._gcd_heuristic([-1, 0, 1], [1, 1]) is None
+    assert results() == want
+    try:
+        import sympy
+    except ImportError:
+        return
+    for (a, b), (g, _, _) in zip(pairs, want):
+        assert g == _from_sympy(sympy.gcd(_sympy_poly(sympy, a), _sympy_poly(sympy, b)).monic())
+
+
 def test_heuristic_gcd_retries_after_a_wrong_candidate(monkeypatch):
     # at xi = 4 and xi = 10 the values of x and x + 20 share the factor xi,
     # whose digits rebuild x, which divides x but not x + 20; xi = 27 gives 1
@@ -1405,6 +1433,25 @@ def test_fenced_edge_cases():
     # a rational number is itself
     q = AlgebraicReal.from_rational(F(1, 3))
     assert q.fenced() is q
+
+
+def test_fenced_past_the_float_range_keeps_exact_signs():
+    # sqrt(2 10^400): its defining polynomial has a coefficient past the
+    # float range, so the Newton guess overflows and the number comes back
+    # unchanged; its signs stay exact
+    p = w**2 - 2 * 10**400
+    x = max(isolate_real_roots(p), key=lambda r: r.sign_of(w))
+    assert x.fenced() is x
+    assert [x.sign_of(q) for q in (w - 10**200, w - 2 * 10**200, p)] == [1, -1, 0]
+    # float coefficients whose Newton steps overflow to inf: the guess is
+    # NaN, and the numbers come back unchanged too
+    p = w**3 - 10**300 * w - 1
+    roots = isolate_real_roots(p)
+    assert len(roots) == 3 and all(r.fenced() is r for r in roots)
+    for r, s in zip(roots, (-1, -1, 1)):
+        assert r.sign_of(p) == 0 and r.sign_of(w) == s
+        for q in (w - s * 10**150, p + 1, p.derivative()):
+            assert r.sign_of(q) == _tarski(r, q)
 
 
 def test_interval_arithmetic():

@@ -6,6 +6,7 @@ import os
 import re
 import shlex
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -813,6 +814,84 @@ def test_int_literals_of_any_length_up_to_the_bound():
     assert sys.get_int_max_str_digits() == limit
     with pytest.raises(ParseError, match="longer than 100000 bits"):
         parse_expr("1" + "0" * 40000)
+
+
+def test_int_literals_parse_alike_in_the_library_and_the_cli():
+    # the library, with Python's default int <-> str limit of 4300 digits
+    # in force, reads the 5000-digit literal that the CLI reads
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert parse_expr("w*" + "7" * 5000) == ("mul", ("w",), ("num", F(7 * (10**5000 - 1) // 9)))
+        assert parse_expr("0" * 9000 + "12") == ("num", F(12))
+        with pytest.raises(ParseError, match="longer than 100000 bits"):
+            parse_expr("w*1" + "0" * 30103)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("expr, col", [("w*(1-\u0663*w)", 6), ("w\u00b2", 2), ("\uff11*w", 1)])
+def test_only_ascii_digits_make_a_literal(expr, col):
+    # an Arabic-Indic three, a superscript two and a fullwidth one are
+    # characters the grammar does not have, at their line and column
+    with pytest.raises(ParseError, match=f"unexpected character .* \\(line 1, column {col}\\)"):
+        parse_expr(expr)
+    code, out, err = _cli_all("moments", expr, "--order", "3")
+    assert (code, out) == (2, "")
+    assert err == f"error: unexpected character {expr[col - 1]!r} (line 1, column {col})\n"
+
+
+def test_rational_arguments_are_bounded_before_they_are_built():
+    from fcl.cli import _frac
+    # every form `Fraction` reads in ASCII digits reads the same
+    for s in ("27/8", "-1/2", "1.5", "-.5e-1", "5.", "+2", " 3 ", "1_000", "2.50E-3",
+              "00012/0004", "1e400", "1e-400", "-1e300", "1e308", "-0", "0e99999999"):
+        assert _frac(s) == (F(s) if "99999999" not in s else 0), s
+    # reduced numerators and denominators of up to 100000 bits, not one more:
+    # 10^30102 has 99997 bits and 10^30103 100001; 10^30103 / 2 has 99998
+    big = 10**30102
+    for s, want in (("1e30102", big), ("1e-30102", F(1, big)), ("2e-30103", F(1, 5 * big)),
+                    ("1" + "0" * 30102, big), ("1/1" + "0" * 30102, F(1, big))):
+        assert _frac(s) == want
+    for s in ("1e30103", "1e-30103", "1" + "0" * 30103, "1/1" + "0" * 30103,
+              "1e200000", "1e-2000000", "1e" + "9" * 40000):
+        with pytest.raises(ParseError, match="rational number past 100000 bits"):
+            _frac(s)
+    for s in ("\u0663/\u0664", "1/0", "inf", "0x10", "1.5/2", "1e", ""):
+        with pytest.raises(ParseError, match="expected a rational number"):
+            _frac(s)
+    # through the CLI: exit 2 at once, before any work on the argument
+    for argv, bad in ((("power", "w/(1-w)", "1e2000000"), "1e2000000"),
+                      (("dilate", "w/(1-w)", "1e-200000"), "1e-200000"),
+                      (("criticals", "w/(1-w)^2", "--range", "0:1e999999"), "1e999999"),
+                      (("moments", "w/(1-w)", "--power", "1e100000"), "1e100000")):
+        start = time.perf_counter()
+        code, out, err = _cli_all(*argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: rational number past 100000 bits, got {bad!r}\n"
+    code, out, err = _cli_all("power", "w/(1-w)", "\u0663/\u0664")
+    assert (code, out, err) == (2, "", "error: expected a rational number, got '\u0663/\u0664'\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789._/eE+- \t", max_size=7))
+@example("1_0.0_1e-0_3")
+@example("1__0")
+def test_rational_arguments_read_as_fraction_reads_them(s):
+    # at most 7 characters keep `Fraction`'s own 10^x below 10^100000
+    from fcl.cli import _frac
+    try:
+        want = F(s)
+    except (ValueError, ZeroDivisionError):
+        want = None
+    if want is not None and max(want.numerator.bit_length(), want.denominator.bit_length()) > 100000:
+        want = None
+    if want is None:
+        with pytest.raises(ParseError):
+            _frac(s)
+    else:
+        assert _frac(s) == want
 
 
 # ------------------------------------------------------- the --order cap

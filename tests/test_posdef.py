@@ -12,7 +12,7 @@ from fcl.classf import (SeriesPrefix, compose, cumulants, dilate, dilated_moment
 from fcl.distlib import mp, wigner
 from fcl.exactalg import Poly, hankel_det, leading_minors
 from fcl.exactalg.poly import as_rat
-from fcl.posdef import fid_check, hankel_verdict, is_moment_positive_up_to
+from fcl.posdef import _scan, fid_check, hankel_verdict, is_moment_positive_up_to
 
 w = Poly.x()
 
@@ -355,13 +355,16 @@ _PLANTED = [
 @pytest.mark.parametrize("c, e", [(1, 1), (6, 1), (2, 35), (15, 4)])
 def test_planted_zero_minors_plain_and_dilated(s, k_max, c, e):
     # the same sequence as a plain list, and as its ints a_n = e' c^n s_n,
-    # e' = e times the common denominator, in the kernel's dilated route
+    # e' = e times the common denominator: the kernel yields the integer
+    # minors of a, and posdef's scan divides them back to those of s
     ref = _bareiss_minors(s, k_max)
     assert ref == [hankel_det(s, k) for k in range(k_max + 1)] and 0 in ref
-    _check_against(hankel_verdict(s, k_max), ref, k_max)
+    hv = hankel_verdict(s, k_max)
+    _check_against(hv, ref, k_max)
     den = math.lcm(*[F(x).denominator for x in s])
     a = [int(x * den * e * c**n) for n, x in enumerate(s)]
-    assert list(leading_minors(a, k_max, c, den * e)) == ref
+    assert list(leading_minors(a, k_max)) == _bareiss_minors(a, k_max)
+    assert _scan(a, c, den * e, k_max) == hv
 
 
 def test_nonzero_minors_build_no_subresultant_scan(scans):
@@ -391,10 +394,26 @@ def test_minors_past_a_zero_pivot_of_100_bit_entries_match_bareiss(scans, rng):
     assert ref[3] == 0 and all(ref[:3]) and sum(d != 0 for d in ref) > 20
     assert list(leading_minors(a, k_max)) == ref
     assert len(scans) == 1 and scans[0] == k_max + 1
-    # and dilated: a_n = e c^n s_n scales order k by e^(k+1) c^(k(k+1))
+    # and dilated: the kernel yields the minors of a_n = e c^n s_n, which
+    # posdef's scan divides by e^(k+1) c^(k(k+1)) back to those of s
     c, e = 6, 35
     scaled = [e * c**n * x for n, x in enumerate(a)]
-    assert list(leading_minors(scaled, k_max, c, e)) == ref
+    assert list(leading_minors(scaled, k_max)) == _bareiss_minors(scaled, k_max)
+    hv = _scan(scaled, c, e, k_max)
+    assert hv == hankel_verdict(a, k_max)
+    _check_against(hv, ref, k_max)
+
+
+def test_leading_minors_yields_ints(rng):
+    # the kernel's minors are those of its ints, never fractions: a plain
+    # run, a run to zero residuals and a run past a nonzero residual
+    cases = [([rng.randrange(-50, 50) for _ in range(13)], 6),
+             ([int(x * 3) for x in _atomic([(F(-1), F(1)), (F(2), F(1, 3))], 12)], 6),
+             ([1, 1, 1, 2, 5, 1, 1, 1, 1], 4)]
+    for a, k_max in cases:
+        minors = list(leading_minors(a, k_max))
+        assert len(minors) == k_max + 1 and all(type(h) is int for h in minors)
+        assert minors == _bareiss_minors(a, k_max)
 
 
 def _laws_and_members(rng):
